@@ -4,6 +4,11 @@ A law stores only brackets [e_i, e_j] with i < j; antisymmetry is structural.
 Coefficients are Fractions for exact laws, floats for laws with radical
 coefficients (used by explicit nilsoliton witnesses).  The two kinds never
 mix inside one law.
+
+`LieLaw.images` is the sparse view the kernels read: {(a, b): {k: c}} with
+[e_a, e_b] = sum c e_k, for both orders of every stored pair, built once per
+law.  Jacobi, both series and the bracket helpers walk it, so their work
+grows with the number of nonzero structure constants, not with dim^3.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from . import linalg
@@ -60,28 +66,31 @@ class LieLaw:
     def triples(self) -> Iterator[tuple[Triple, Fraction | float]]:
         return iter(sorted(self.brackets.items()))
 
+    @cached_property
+    def images(self) -> dict[tuple[int, int], dict[int, Fraction | float]]:
+        """{(a, b): {k: c}} with [e_a, e_b] = sum c e_k, for both orders of a pair."""
+        out: dict[tuple[int, int], dict[int, Fraction | float]] = {}
+        for (i, j, k), c in sorted(self.brackets.items()):
+            out.setdefault((i, j), {})[k] = c
+            out.setdefault((j, i), {})[k] = -c
+        return out
+
     def bracket(self, i: int, j: int) -> list:
-        """Coordinates of [e_i, e_j] (any i != j; antisymmetry applied)."""
-        zero = Fraction(0) if self.is_exact else 0.0
-        v = [zero] * self.dim
-        if i == j:
-            return v
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for (a, b, k), c in self.brackets.items():
-            if a == i and b == j:
-                v[k - 1] = sign * c
+        """Coordinates of [e_i, e_j] (any i, j; antisymmetry applied)."""
+        v = [Fraction(0) if self.is_exact else 0.0] * self.dim
+        for k, c in self.images.get((i, j), {}).items():
+            v[k - 1] = c
         return v
 
     def bracket_vectors(self, u: list, v: list) -> list:
         """[u, v] for coordinate vectors u, v (bilinear extension)."""
-        zero = Fraction(0) if self.is_exact else 0.0
-        out = [zero] * self.dim
-        for (a, b, k), c in self.brackets.items():
-            coef = u[a - 1] * v[b - 1] - u[b - 1] * v[a - 1]
-            if coef:
-                out[k - 1] += coef * c
+        out = [Fraction(0) if self.is_exact else 0.0] * self.dim
+        for (a, b), img in self.images.items():
+            if a < b:
+                coef = u[a - 1] * v[b - 1] - u[b - 1] * v[a - 1]
+                if coef:
+                    for k, c in img.items():
+                        out[k - 1] += coef * c
         return out
 
     def ad(self, p: int) -> list[list]:
@@ -206,11 +215,6 @@ def _parse_expr(sc: _Scanner, params):
         v = v + w if tok[1] == "+" else v - w
 
 
-def _parse_coeff(sc: _Scanner, params):
-    """Coefficient after '*': a signed factor chain; '+'/'-' only in parens."""
-    return _parse_factor(sc, params)
-
-
 def parse_law(text: str, params: Mapping[str, object] | None = None, tol: float = DEFAULT_TOL) -> LieLaw:
     """Parse the law text format.
 
@@ -265,7 +269,7 @@ def parse_law(text: str, params: Mapping[str, object] | None = None, tol: float 
             tok = sc.peek()
             if tok is not None and tok[1] == "*":
                 sc.next()
-                coeff = _parse_coeff(sc, p)
+                coeff = _parse_factor(sc, p)  # '+'/'-' only inside parens
             if isinstance(coeff, float):
                 is_float = True
             if coeff == 0:
@@ -310,20 +314,24 @@ def format_law(law: LieLaw) -> str:
 # elementary invariants
 
 def jacobi_violations(law: LieLaw) -> list[tuple[int, int, int, list]]:
-    """All (i, j, k, residual) with a nonzero Jacobi sum; empty iff Lie."""
+    """All (i, j, k, residual) with a nonzero Jacobi sum; empty iff Lie.
+
+    Float laws count a residual coordinate as nonzero above `law.tol`.
+    """
     n = law.dim
+    images = law.images
+    zero = Fraction(0) if law.is_exact else 0.0
     out = []
-    basis = [linalg.e_i(n, i) if law.is_exact else [float(x) for x in linalg.e_i(n, i)] for i in range(n)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            vij = law.bracket(i, j)
             for k in range(j + 1, n + 1):
-                vjk = law.bracket(j, k)
-                vik = law.bracket(i, k)
-                r1 = law.bracket_vectors(basis[i - 1], vjk)
-                r2 = law.bracket_vectors(basis[j - 1], vik)
-                r3 = law.bracket_vectors(basis[k - 1], vij)
-                res = [a - b + c for a, b, c in zip(r1, r2, r3)]
+                # [e_i,[e_j,e_k]] - [e_j,[e_i,e_k]] + [e_k,[e_i,e_j]]
+                r1 = _bracket_sparse(law, {i: 1}, images.get((j, k), {}))
+                r2 = _bracket_sparse(law, {j: 1}, images.get((i, k), {}))
+                r3 = _bracket_sparse(law, {k: 1}, images.get((i, j), {}))
+                if not (r1 or r2 or r3):
+                    continue
+                res = [r1.get(m, zero) - r2.get(m, zero) + r3.get(m, zero) for m in range(1, n + 1)]
                 if law.is_exact:
                     bad = any(x != 0 for x in res)
                 else:
@@ -333,51 +341,47 @@ def jacobi_violations(law: LieLaw) -> list[tuple[int, int, int, list]]:
     return out
 
 
-def _span_dim(vectors: list[list[Fraction]]) -> int:
-    vs = [v for v in vectors if any(v)]
-    return linalg.rank(vs) if vs else 0
+def _bracket_sparse(law: LieLaw, u: dict, v: dict) -> dict:
+    """[u, v] for sparse vectors {index: coeff}; zero coordinates dropped."""
+    out: dict = {}
+    for a, ua in u.items():
+        for b, vb in v.items():
+            img = law.images.get((a, b))
+            if img:
+                f = ua * vb
+                for k, c in img.items():
+                    out[k] = out.get(k, 0) + f * c
+    return {k: x for k, x in out.items() if x}
 
 
-def _subspace_bracket(law: LieLaw, a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    prods = [law.bracket_vectors(u, v) for u in a for v in b]
-    prods = [p for p in prods if any(p)]
-    if not prods:
-        return []
-    red, pivots = linalg.rref(prods)
-    return red[: len(pivots)]
+def _subspace_bracket(law: LieLaw, a: list[dict], b: list[dict] | None = None) -> list[dict]:
+    """Reduced sparse basis of [A, B]; b None means [A, A], from pairs u < v."""
+    if b is None:
+        prods = [_bracket_sparse(law, u, v) for p, u in enumerate(a) for v in a[p + 1 :]]
+    else:
+        prods = [_bracket_sparse(law, u, v) for u in a for v in b]
+    return list(linalg.sparse_rref([p for p in prods if p]).values())
 
 
 def series_signature(law: LieLaw) -> SeriesSignature:
     """Dimensions of the derived series and the descending central series."""
     if not law.is_exact:
         raise LawError("series_signature requires an exact law")
-    n = law.dim
-    full = [linalg.e_i(n, i) for i in range(n)]
+    full = [{i: Fraction(1)} for i in range(1, law.dim + 1)]
 
-    derived = [n]
-    cur = full
-    while derived[-1] != 0:
-        nxt = _subspace_bracket(law, cur, cur)
-        d = len(nxt)
-        if d == derived[-1]:  # stabilised above zero: not solvable
-            break
-        derived.append(d)
-        cur = nxt
+    def dims(step) -> tuple[int, ...]:
+        out, cur = [law.dim], full
+        while out[-1] != 0:
+            cur = step(cur)
+            if len(cur) == out[-1]:  # stabilised above zero: not solvable / not nilpotent
+                break
+            out.append(len(cur))
+        return tuple(out)
 
-    lcs = [n]
-    cur = full
-    while lcs[-1] != 0:
-        nxt = _subspace_bracket(law, full, cur)
-        d = len(nxt)
-        if d == lcs[-1]:  # stabilised: not nilpotent
-            break
-        lcs.append(d)
-        cur = nxt
-    return SeriesSignature(tuple(derived), tuple(lcs))
-
-
-def is_nilpotent(law: LieLaw) -> bool:
-    return series_signature(law).nilpotent
+    return SeriesSignature(
+        dims(lambda cur: _subspace_bracket(law, cur)),
+        dims(lambda cur: _subspace_bracket(law, full, cur)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,7 @@ from . import degeneration as dg
 from . import nicebasis as nb
 from . import ricci
 from .algebra import LieLaw, jacobi_violations, parse_law, series_signature
-from .derivations import (
-    derivation_space,
-    diagonal_rank,
-    positivity_gate,
-    pre_einstein,
-)
+from .derivations import derivation_space, diagonal_rank, positivity_gate, pre_einstein
 
 EN = "EN"
 NOT_EN = "NOT_EN"
@@ -293,7 +288,7 @@ def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = N
 
     sig = series_signature(law)
     space = derivation_space(law)
-    rank, gens = diagonal_rank(law)
+    rank, gens = len(space.diag_basis), space.diag_basis
     rep.computed["dim_der"] = len(space.basis)
     rep.computed["derived"] = list(sig.derived_dims)
     rep.computed["lcs"] = list(sig.lcs_dims)
@@ -338,13 +333,14 @@ def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = N
         else:
             rep.notes.append(f"not a nice basis: {nc.reason}")
             if exp.witness_law is not None:
-                _run_witness_route(rep, law, exp, mismatch)
+                _run_witness_route(rep, law, sig, space, exp, mismatch)
             elif exp.degeneration is not None:
-                _run_recorded_degeneration(rep, law, phi, exp, mismatch)
+                _run_recorded_degeneration(rep, law, sig, space, phi, exp, mismatch)
             else:
                 found = dg.search_degeneration(
                     law, phi, search_trials,
                     zlib.crc32(entry.id.encode()) if seed is None else seed,
+                    known=(sig, space),
                 )
                 if found is not None:
                     rep.verdict = NOT_EN
@@ -399,7 +395,7 @@ def _run_nice_route(rep: Report, law: LieLaw, ws, exp: Expected, mismatch, on: s
             mismatch("x", "none_positive", "positive solution found")
 
 
-def _run_witness_route(rep: Report, law: LieLaw, exp: Expected, mismatch):
+def _run_witness_route(rep: Report, law: LieLaw, sig, space, exp: Expected, mismatch):
     witness = parse_law(exp.witness_law, tol=law.tol)
     if witness.is_exact:
         bad = jacobi_violations(witness)
@@ -408,10 +404,10 @@ def _run_witness_route(rep: Report, law: LieLaw, exp: Expected, mismatch):
             return
         # isomorphism sanity: series and dim Der are basis-independent
         # (diagonal rank is not, so distinguish() is too strict here)
-        sl, sw = series_signature(law), series_signature(witness)
-        if (sl.derived_dims, sl.lcs_dims) != (sw.derived_dims, sw.lcs_dims):
+        sw = series_signature(witness)
+        if (sig.derived_dims, sig.lcs_dims) != (sw.derived_dims, sw.lcs_dims):
             mismatch("witness_law", "isomorphic witness", "series signatures differ")
-        elif len(derivation_space(law).basis) != len(derivation_space(witness).basis):
+        elif len(space.basis) != len(derivation_space(witness).basis):
             mismatch("witness_law", "isomorphic witness", "dim Der differs")
         wc = nb.is_nice(witness)
         if not wc.nice:
@@ -448,7 +444,7 @@ def _run_witness_route(rep: Report, law: LieLaw, exp: Expected, mismatch):
             rep.computed["soliton_norm"] = fmt_rat(exp.soliton_norm)
 
 
-def _run_recorded_degeneration(rep: Report, law: LieLaw, phi, exp: Expected, mismatch):
+def _run_recorded_degeneration(rep: Report, law: LieLaw, sig, space, phi, exp: Expected, mismatch):
     rec = exp.degeneration
     rep.route = "degeneration_recorded"
     limit_law = None if rec.limit == "zero" else parse_law(rec.limit)
@@ -464,16 +460,16 @@ def _run_recorded_degeneration(rep: Report, law: LieLaw, phi, exp: Expected, mis
     if limit_law is not None:
         if jacobi_violations(limit_law):
             mismatch("degeneration.limit", "Lie algebra law", "Jacobi fails")
-        if dg.distinguish(law, limit_law) is None:
+        if dg.distinguish(law, limit_law, (sig, space)) is None:
             mismatch("degeneration.distinguishing", rec.distinguishing, "indistinguishable")
         else:
             # the record names a specific invariant, which need not be the
             # first one distinguish() reaches; evaluate the named one
             name, left, right = _parse_distinguishing(rec.distinguishing)
             if name == "rank":
-                got = (diagonal_rank(law)[0], diagonal_rank(limit_law)[0])
+                got = (len(space.diag_basis), diagonal_rank(limit_law)[0])
             elif name == "dim_der":
-                got = (len(derivation_space(law).basis), len(derivation_space(limit_law).basis))
+                got = (len(space.basis), len(derivation_space(limit_law).basis))
             else:
                 got = None
             if got is None or got != (int(left), int(right)):

@@ -100,7 +100,7 @@ def cmd_invariants(args) -> int:
     try:
         sig = series_signature(law)
         space = derivation_space(law)
-        rank, gens = diagonal_rank(law)
+        rank, gens = len(space.diag_basis), space.diag_basis
         print(f"dim: {law.dim}")
         print(f"brackets: {len(law.brackets)}")
         print(f"derived: {list(sig.derived_dims)}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import LawError, LieLaw, act, jacobi_violations, series_signature
-from .derivations import PreEinsteinDerivation, diagonal_rank, dim_der
+from .algebra import LawError, LieLaw, SeriesSignature, act, jacobi_violations, series_signature
+from .derivations import DerivationSpace, PreEinsteinDerivation, derivation_space
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,10 @@ def one_param_limit(law: LieLaw, x, frame=None) -> LimitResult:
     return LimitResult("limit", LieLaw(law.dim, kept, "exact", law.tol))
 
 
-def distinguish(a: LieLaw, b: LieLaw) -> Distinction | None:
+Invariants = tuple[SeriesSignature, DerivationSpace]
+
+
+def distinguish(a: LieLaw, b: LieLaw, known: Invariants | None = None) -> Distinction | None:
     """First invariant separating a and b, or None.
 
     Compares series signatures, then dim Der, then diagonal rank.  None
@@ -77,17 +80,20 @@ def distinguish(a: LieLaw, b: LieLaw) -> Distinction | None:
     first two rungs are isomorphism invariants outright; diagonal rank is
     one only when the diagonal torus is maximal on both sides, which holds
     for the catalog's degeneration pairs (their limits carry recorded
-    maximal tori) but not for arbitrary basis changes.
+    maximal tori) but not for arbitrary basis changes.  `known` is the
+    (series, Der) pair of `a` when the caller has already computed it.
     """
     if a.dim != b.dim:
         raise LawError("distinguish needs laws of equal dimension")
-    sa, sb = series_signature(a), series_signature(b)
+    sa = series_signature(a) if known is None else known[0]
+    sb = series_signature(b)
     if (sa.derived_dims, sa.lcs_dims) != (sb.derived_dims, sb.lcs_dims):
         return Distinction("series", (sa.derived_dims, sa.lcs_dims), (sb.derived_dims, sb.lcs_dims))
-    da, db = dim_der(a), dim_der(b)
-    if da != db:
-        return Distinction("dim_der", da, db)
-    ra, rb = diagonal_rank(a)[0], diagonal_rank(b)[0]
+    space_a = derivation_space(a) if known is None else known[1]
+    space_b = derivation_space(b)
+    if len(space_a) != len(space_b):
+        return Distinction("dim_der", len(space_a), len(space_b))
+    ra, rb = len(space_a.diag_basis), len(space_b.diag_basis)
     if ra != rb:
         return Distinction("rank", ra, rb)
     return None
@@ -132,6 +138,7 @@ def search_degeneration(
     seed: int,
     extra_pool: tuple = (),
     coeff_bound: int = 4,
+    known: Invariants | None = None,
 ) -> DegenerationWitness | None:
     """Randomised hunt for a diagonal degeneration witness.
 
@@ -139,7 +146,8 @@ def search_degeneration(
     candidates, tried first) and keeps the first X whose limit is zero or
     separated from the law by distinguish().  None after `trials` attempts
     is inconclusive: it never certifies that the orbit is closed.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  `known` is the law's (series, Der) pair;
+    when None it is computed once, at the first limit that needs it.
     """
     lattice = g_phi_lattice(phi, law.dim)
     rng = random.Random(seed)
@@ -147,6 +155,7 @@ def search_degeneration(
     checked_limits: dict = {}
 
     def consider(xvec) -> DegenerationWitness | None:
+        nonlocal known
         key = tuple(xvec)
         if key in seen or not any(xvec):
             return None
@@ -164,7 +173,9 @@ def search_degeneration(
         if lim_key in checked_limits:
             dist = checked_limits[lim_key]
         else:
-            dist = distinguish(law, res.law)
+            if known is None:
+                known = (series_signature(law), derivation_space(law))
+            dist = distinguish(law, res.law, known)
             checked_limits[lim_key] = dist
         if dist is not None:
             return DegenerationWitness(tuple(Fraction(v) for v in xvec), res, dist)

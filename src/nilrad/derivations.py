@@ -28,9 +28,6 @@ class DerivationSpace:
 class PreEinsteinDerivation:
     phi: tuple[Fraction, ...]
 
-    def is_positive(self) -> bool:
-        return all(x > 0 for x in self.phi)
-
     def first_nonpositive(self) -> int | None:
         for idx, x in enumerate(self.phi):
             if x <= 0:
@@ -42,42 +39,29 @@ def _derivation_rows(law: LieLaw) -> list[dict[int, Fraction]]:
     """Sparse equations for D[e_i,e_j] = [De_i,e_j] + [e_i,De_j].
 
     Unknowns are D_{kl} at column index (k-1)*n + (l-1); one equation per
-    pair i<j and output coordinate k.
+    pair i<j and output coordinate k.  A stored bracket [e_a,e_b] = c e_m
+    enters only the rows (a,b,.), (.,b,m) and (.,a,m), so the system is
+    built in O(#brackets * n); the row for (j,i,k) is minus that for (i,j,k).
     """
     n = law.dim
-    mu = {}
-    for (a, b, k), c in law.brackets.items():
-        mu.setdefault((a, b), {})[k] = c
+    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
 
-    def mu_comp(a, b, k):
-        if a == b:
-            return Fraction(0)
-        if a < b:
-            return mu.get((a, b), {}).get(k, Fraction(0))
-        return -mu.get((b, a), {}).get(k, Fraction(0))
+    def add(i, j, k, col, val):
+        if i > j:
+            i, j, val = j, i, -val
+        row = rows.setdefault((i, j, k), {})
+        row[col] = row.get(col, 0) + val
 
-    rows = []
-    col = lambda k, l: (k - 1) * n + (l - 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            img = mu.get((i, j), {})
-            for k in range(1, n + 1):
-                row: dict[int, Fraction] = {}
-
-                def add(c_idx, val):
-                    if val:
-                        row[c_idx] = row.get(c_idx, Fraction(0)) + val
-                        if not row[c_idx]:
-                            del row[c_idx]
-
-                for l, c in img.items():
-                    add(col(k, l), c)
-                for l in range(1, n + 1):
-                    add(col(l, i), -mu_comp(l, j, k))
-                    add(col(l, j), -mu_comp(i, l, k))
-                if row:
-                    rows.append(row)
-    return rows
+    for (a, b, m), c in law.brackets.items():
+        for k in range(1, n + 1):
+            add(a, b, k, (k - 1) * n + m - 1, c)  # D[e_a, e_b] = c D e_m, coordinate k
+        for i in range(1, n + 1):
+            if i != b:
+                add(i, b, m, (a - 1) * n + i - 1, -c)  # [D e_i, e_b] through D_ai
+            if i != a:
+                add(i, a, m, (b - 1) * n + i - 1, c)  # [D e_i, e_a] through D_bi; [e_b, e_a] = -c e_m
+    pruned = ({col: v for col, v in row.items() if v} for row in rows.values())
+    return [row for row in pruned if row]
 
 
 def derivation_space(law: LieLaw) -> DerivationSpace:
@@ -100,11 +84,7 @@ def dim_der(law: LieLaw) -> int:
 def _weight_rows(law: LieLaw) -> list[list[int]]:
     """One row f_i + f_j - f_k per stored structure-constant triple."""
     rows = []
-    seen = set()
     for (i, j, k) in law.brackets:
-        if (i, j, k) in seen:
-            continue
-        seen.add((i, j, k))
         row = [0] * law.dim
         row[i - 1] += 1
         row[j - 1] += 1

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals, plus integer lattice routines.
 
-All matrices are plain nested lists.  Systems in this project are tiny
-(ambient dimension <= 7, at most ~150 x 49 for derivation solving), so the
-code favours clarity and exactness over asymptotics.  Rational entries are
-`fractions.Fraction`; lattice routines work on Python ints.
+Matrices are plain nested lists.  There is one rational eliminator,
+`sparse_rref`, on rows {column: coeff}: it touches only nonzero entries,
+which is what the structure-constant systems (derivation equations in n^2
+unknowns, series subspaces) are made of; the dense `rref`, `solve`, `inv`
+and `nullspace` are views of it.  Rational entries are `fractions.Fraction`;
+lattice routines work on Python ints.
 """
 
 from __future__ import annotations
@@ -33,33 +35,18 @@ def matvec(a: Matrix, v: Vector) -> Vector:
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    m = [row[:] for row in a]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_p = Fraction(1) / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    """Reduced row echelon form; returns (rref, pivot column indices).
+
+    A dense view of `sparse_rref`: the pivot rows in order, then zero rows.
+    """
+    ncols = len(a[0]) if a else 0
+    reduced = sparse_rref([{c: x for c, x in enumerate(row) if x} for row in a])
+    pivots = sorted(reduced)
+    rows = [[reduced[p].get(c, Fraction(0)) for c in range(ncols)] for p in pivots]
+    return rows + [[Fraction(0)] * ncols for _ in range(len(a) - len(pivots))], pivots
 
 
 def rank(a: Matrix) -> int:
-    if not a:
-        return 0
     return len(rref(a)[1])
 
 
@@ -78,26 +65,10 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 def nullspace(a: Matrix, ncols: int | None = None) -> list[Vector]:
     """Basis of the kernel of a (rows may be empty; then pass ncols)."""
-    if not a:
-        assert ncols is not None
-        return [e_i(ncols, i) for i in range(ncols)]
-    ncols = len(a[0])
-    red, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
-
-
-def e_i(n: int, i: int) -> Vector:
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
+    if a:
+        ncols = len(a[0])
+    assert ncols is not None
+    return sparse_nullspace([{c: x for c, x in enumerate(row) if x} for row in a], ncols)
 
 
 def inv(a: Matrix) -> Matrix | None:
@@ -117,11 +88,11 @@ def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
     return rank(base) == rank(base + [list(map(Fraction, v))])
 
 
-def sparse_nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[Vector]:
-    """Kernel basis for a sparse system; rows are {col: coeff} dicts.
+def sparse_rref(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of sparse rows {col: coeff}, keyed by pivot column.
 
-    Used for the derivation equations, where each row touches only a
-    handful of the n^2 unknowns.
+    Each returned row has a 1 at its pivot and no entry in any other pivot
+    column, so the result depends only on the row space, not on row order.
     """
     work = [dict(r) for r in rows if r]
     pivot_of_col: dict[int, dict[int, Fraction]] = {}
@@ -157,6 +128,16 @@ def sparse_nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[Vector
                     row[pc] = nv
                 else:
                     row.pop(pc, None)
+    return pivot_of_col
+
+
+def sparse_nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[Vector]:
+    """Kernel basis for a sparse system; rows are {col: coeff} dicts.
+
+    Used for the derivation equations, where each row touches only a
+    handful of the n^2 unknowns.
+    """
+    pivot_of_col = sparse_rref(rows)
     free = [c for c in range(ncols) if c not in pivot_of_col]
     basis = []
     for f in free:

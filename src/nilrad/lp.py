@@ -1,7 +1,8 @@
 """Exact rational simplex (two-phase, Bland's rule).
 
 Sized for this project's systems (a dozen rows); no scaling tricks, no
-tolerances, just Fractions.
+tolerances, just Fractions.  Gram tableaux are mostly zeros, so pivots and
+reduced costs touch only nonzero entries.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ class _Tableau:
 
     def pivot(self, row: int, col: int) -> None:
         inv_p = _ONE / self.a[row][col]
-        self.a[row] = [x * inv_p for x in self.a[row]]
+        prow = self.a[row] = [x * inv_p for x in self.a[row]]
         self.b[row] *= inv_p
+        support = [(j, y) for j, y in enumerate(prow) if y]
         for r in range(self.m):
-            if r != row and self.a[r][col] != 0:
-                f = self.a[r][col]
-                self.a[r] = [x - f * y for x, y in zip(self.a[r], self.a[row])]
+            f = self.a[r][col]
+            if r != row and f:
+                ar = self.a[r]
+                for j, y in support:
+                    ar[j] -= f * y
                 self.b[r] -= f * self.b[row]
 
 
@@ -36,10 +40,10 @@ def _simplex(t: _Tableau, c: list[Fraction], basis: list[int], ncols: int):
     Only columns < ncols may enter.  Returns (status, x, value).
     """
     while True:
-        y = [c[basis[r]] for r in range(t.m)]
+        y = [(t.a[r], c[basis[r]]) for r in range(t.m) if c[basis[r]]]
         enter = None
         for j in range(ncols):
-            rj = c[j] - sum(y[r] * t.a[r][j] for r in range(t.m))
+            rj = c[j] - sum(yr * ar[j] for ar, yr in y if ar[j])
             if rj < 0:
                 enter = j
                 break

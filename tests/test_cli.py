@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from importlib import resources
 
@@ -87,6 +88,25 @@ def test_catalog_verify_green(capsys, tmp_path):
     code, out, _ = _run(capsys, ["catalog", "verify", str(p), "--only", "1.11"])
     assert code == 0
     assert "1/1 match" in out
+
+
+# SHA-256 of `catalog verify --json` with every `timing` removed.  Speed-ups
+# must leave every verdict and certificate byte-identical; change this value
+# only together with a deliberate, documented change of the report contents.
+GOLDEN_VERIFY_SHA256 = "094558aacea0d8766639efc99456775f8261211d4f39b3681f095ecd9e4c18b9"
+
+
+def test_catalog_verify_json_is_golden(capsys, tmp_path):
+    p = tmp_path / "catalog7.json"
+    p.write_text(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
+    code, out, _ = _run(capsys, ["catalog", "verify", str(p), "--json"])
+    assert code == 0
+    reports = json.loads(out)
+    for r in reports:
+        del r["timing"]
+    assert len(reports) == 136
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_VERIFY_SHA256
 
 
 def test_catalog_verify_detects_corruption(capsys, tmp_path):
