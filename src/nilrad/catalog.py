@@ -12,7 +12,7 @@ import json
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 from typing import Any
@@ -20,15 +20,19 @@ from typing import Any
 from . import degeneration as dg
 from . import nicebasis as nb
 from . import ricci
-from .algebra import LieLaw, jacobi_violations, parse_law, series_signature
-from .derivations import derivation_space, diagonal_rank, positivity_gate, pre_einstein
+from .algebra import LawError, LieLaw, jacobi_violations, parse_law, series_signature
+from .derivations import TorusNotMaximalError, derivation_space, diagonal_rank, positivity_gate, pre_einstein
 
 EN = "EN"
 NOT_EN = "NOT_EN"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-_EN_CERTS = {"positive_solution", "nilsoliton_decomposition"}
+_EN_CERTS = {"abelian", "positive_solution", "nilsoliton_decomposition"}
 _NOT_EN_CERTS = {"rank_zero", "non_positive_pre_einstein", "no_positive_solution", "non_closed_orbit"}
+
+
+class NotNilpotentError(LawError):
+    """The law's lower central series stops above 0: no verdict applies."""
 
 
 class CatalogError(ValueError):
@@ -83,8 +87,11 @@ class CatalogEntry:
     law_text: str
     expected: Expected | None  # None: classify computes without diffing
     param: tuple[str, Fraction] | None = None
+    parsed: LieLaw | None = field(default=None, compare=False, repr=False)  # law_text, already parsed
 
     def law(self) -> LieLaw:
+        if self.parsed is not None:
+            return self.parsed
         params = {self.param[0]: self.param[1]} if self.param else None
         return parse_law(self.law_text, params)
 
@@ -240,6 +247,7 @@ def load_catalog(path=None, validate_laws: bool = True) -> list[CatalogEntry]:
                     raise CatalogError(inst_id, "law", str(exc)) from exc
                 if jacobi_violations(law):
                     raise CatalogError(inst_id, "law", "Jacobi identity fails")
+                entry = replace(entry, parsed=law)
             out.append(entry)
     return out
 
@@ -272,7 +280,8 @@ def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = N
     """Run the full decision pipeline on one entry and diff against expected.
 
     With entry.expected None only the computation runs (used by the CLI for
-    bare law files).
+    bare law files).  The law must satisfy Jacobi (load_catalog and the CLI
+    check that); a law that is not nilpotent raises NotNilpotentError.
     """
     t0 = time.perf_counter()
     exp = entry.expected if entry.expected is not None else _NO_EXPECTATIONS
@@ -287,6 +296,8 @@ def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = N
             )
 
     sig = series_signature(law)
+    if not sig.nilpotent:
+        raise NotNilpotentError(f"not nilpotent: the lower central series stops at {list(sig.lcs_dims)}")
     space = derivation_space(law)
     rank, gens = len(space.diag_basis), space.diag_basis
     rep.computed["dim_der"] = len(space.basis)
@@ -311,7 +322,13 @@ def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = N
         rep.route = "rank_zero"
         rep.certificates.append({"kind": "rank_zero"})
     else:
-        phi = pre_einstein(law, space)
+        try:
+            phi = pre_einstein(law, space)
+        except TorusNotMaximalError:
+            # the diagonal torus of this basis is not maximal: no gate below is sound
+            rep.route = "basis_not_adapted"
+            rep.certificates.append({"kind": "inconclusive", "reason": "basis_not_adapted"})
+    if phi is not None:
         rep.computed["pre_einstein"] = _fmt_vec(phi.phi)
         if exp.pre_einstein is not None and tuple(phi.phi) != exp.pre_einstein:
             mismatch("pre_einstein", _fmt_vec(exp.pre_einstein), _fmt_vec(phi.phi))
@@ -327,8 +344,12 @@ def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = N
     rep.computed["nice"] = nc.nice
     if diff and nc.nice != exp.nice:
         mismatch("nice", exp.nice, nc.nice)
-    if rep.verdict == INCONCLUSIVE:
-        if nc.nice:
+    if rep.route == "none":
+        if not law.brackets:
+            rep.verdict = EN
+            rep.route = "abelian"
+            rep.certificates.append({"kind": "abelian"})
+        elif nc.nice:
             _run_nice_route(rep, law, nc.weights, exp, mismatch, on="law")
         else:
             rep.notes.append(f"not a nice basis: {nc.reason}")

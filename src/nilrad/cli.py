@@ -2,7 +2,9 @@
 
 Exit codes for `check`: 0 = Einstein nilradical certified, 1 = certified
 not an Einstein nilradical, 2 = inconclusive.  Usage and parse errors exit
-64, catalog schema errors 65.
+64; catalog schema errors and laws that are not nilpotent Lie algebras
+(Jacobi fails, lower central series does not reach 0, dim 0) exit 65.  An
+internal error exits 70, never a verdict's code.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from fractions import Fraction
 from . import __version__
 from . import degeneration as dg
 from . import nicebasis as nb
-from .algebra import DEFAULT_TOL, LawError, format_law, parse_law, series_signature
+from .algebra import DEFAULT_TOL, LawError, format_law, jacobi_violations, parse_law, series_signature
 from .catalog import (
     EN,
     INCONCLUSIVE,
     NOT_EN,
     CatalogEntry,
     CatalogError,
+    NotNilpotentError,
     classify,
     fmt_rat,
     load_catalog,
@@ -33,6 +36,7 @@ from .derivations import derivation_space, diagonal_rank, pre_einstein
 
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_SOFTWARE = 70
 
 _VERDICT_EXIT = {EN: 0, NOT_EN: 1, INCONCLUSIVE: 2}
 
@@ -53,13 +57,13 @@ def _read_law(path: str, tol: float):
         raise SystemExit(f"nilrad: cannot read {path}: {exc}") from exc
 
 
-def _pipeline_report(law_text: str, search_trials: int, seed: int):
-    """classify() without expectations: compute certificates only."""
-    entry = CatalogEntry("input", {}, law_text, None)
-    return classify(entry, search_trials=search_trials, seed=seed)
+def _pipeline_report(args):
+    """Read, gate and classify the law file: (report, None) or (None, exit code).
 
-
-def cmd_check(args) -> int:
+    classify() runs without expectations and computes certificates only, on
+    the law parsed here.  A law that is not a nilpotent Lie algebra of
+    dimension >= 1 gets no verdict.
+    """
     tol = _tol(args)
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -68,9 +72,27 @@ def cmd_check(args) -> int:
         if not law.is_exact:
             raise LawError("the decision pipeline needs exact structure constants")
     except (OSError, LawError) as exc:
-        print(f"nilrad check: {exc}", file=sys.stderr)
-        return EX_USAGE
-    rep = _pipeline_report(text, args.search, args.seed)
+        print(f"nilrad {args.command}: {exc}", file=sys.stderr)
+        return None, EX_USAGE
+    bad = jacobi_violations(law)
+    if bad:
+        problem = f"not a Lie algebra: the Jacobi identity fails at {bad[0][:3]}"
+    elif law.dim < 1:
+        problem = "dimension must be at least 1"
+    else:
+        try:
+            entry = CatalogEntry("input", {}, text, None, parsed=law)
+            return classify(entry, search_trials=args.search, seed=args.seed), None
+        except NotNilpotentError as exc:
+            problem = str(exc)
+    print(f"nilrad {args.command}: {problem}", file=sys.stderr)
+    return None, EX_DATAERR
+
+
+def cmd_check(args) -> int:
+    rep, code = _pipeline_report(args)
+    if rep is None:
+        return code
     if args.json:
         print(rep.to_json())
     else:
@@ -131,7 +153,7 @@ def cmd_catalog_verify(args) -> int:
         return EX_DATAERR
     try:
         reports = verify_catalog(entries, parallel=args.parallel, only=args.only)
-    except CatalogError as exc:
+    except (CatalogError, NotNilpotentError) as exc:
         print(f"nilrad catalog verify: {exc}", file=sys.stderr)
         return EX_DATAERR
     if args.json:
@@ -196,17 +218,9 @@ def cmd_degenerate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    tol = _tol(args)
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        law = parse_law(text, tol=tol)
-        if not law.is_exact:
-            raise LawError("the decision pipeline needs exact structure constants")
-    except (OSError, LawError) as exc:
-        print(f"nilrad report: {exc}", file=sys.stderr)
-        return EX_USAGE
-    rep = _pipeline_report(text, args.search, args.seed)
+    rep, code = _pipeline_report(args)
+    if rep is None:
+        return code
     if args.format == "json":
         print(rep.to_json())
     else:
@@ -286,7 +300,11 @@ def main(argv: list[str] | None = None) -> int:
         if exc.code not in (0, None):
             raise SystemExit(EX_USAGE) from exc
         raise
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"nilrad: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

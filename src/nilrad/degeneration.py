@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .algebra import LawError, LieLaw, SeriesSignature, act, jacobi_violations, series_signature
@@ -131,6 +132,21 @@ def g_phi_lattice(phi: PreEinsteinDerivation, dim: int) -> list[list[int]]:
     return _size_reduce(linalg.kernel_lattice([[1] * dim, wrow]))
 
 
+def lattice_weight_rows(law: LieLaw, lattice: list[list[int]]) -> list[tuple[int, ...]]:
+    """The weight of each stored bracket (i, j, k) in lattice coordinates.
+
+    Row entry p is L[p][i] + L[p][j] - L[p][k] for the lattice basis vector
+    L[p], so X = sum c_p L[p] gives the bracket weight c . row.  All-zero and
+    repeated rows are dropped: X diverges iff c . row < 0 for some row left.
+    """
+    rows = {}
+    for i, j, k in law.brackets:
+        row = tuple(v[i - 1] + v[j - 1] - v[k - 1] for v in lattice)
+        if any(row):
+            rows.setdefault(row, None)
+    return list(rows)
+
+
 def search_degeneration(
     law: LieLaw,
     phi: PreEinsteinDerivation,
@@ -148,6 +164,15 @@ def search_degeneration(
     is inconclusive: it never certifies that the orbit is closed.
     Deterministic for a fixed seed.  `known` is the law's (series, Der) pair;
     when None it is computed once, at the first limit that needs it.
+
+    A lattice sample is drawn as integer coefficients c over the lattice
+    basis and first tested against `lattice_weight_rows`: if c . row < 0 for
+    some row, a bracket has negative weight and X diverges, so it is
+    dropped before X or any Fraction is built.  Lattice samples lie in g_phi
+    by construction and skip `in_g_phi`; injected candidates do not.  The
+    filter drops only samples whose limit is divergent, which never yield a
+    witness, and the draws consume the same random stream, so the witness
+    for a given seed is the one an unfiltered loop finds.
     """
     lattice = g_phi_lattice(phi, law.dim)
     rng = random.Random(seed)
@@ -160,8 +185,6 @@ def search_degeneration(
         if key in seen or not any(xvec):
             return None
         seen.add(key)
-        if not in_g_phi(xvec, phi):
-            return None
         res = one_param_limit(law, xvec)
         if res.kind == "divergent":
             return None
@@ -182,19 +205,26 @@ def search_degeneration(
         return None
 
     for cand in extra_pool:
-        hit = consider(list(cand))
-        if hit is not None:
-            return hit
+        if in_g_phi(cand, phi):
+            hit = consider(list(cand))
+            if hit is not None:
+                return hit
     if not lattice:
         return None
     r = len(lattice)
+    rows = lattice_weight_rows(law, lattice)
+    columns = list(zip(*lattice))
+    draw = rng.randrange  # randrange(-b, b + 1) is the stream of randint(-b, b)
     for trial in range(trials):
         bound = coeff_bound * (1 + trial % 4)  # mix small and wider boxes
-        coeffs = [rng.randint(-bound, bound) for _ in range(r)]
-        xvec = [sum(coeffs[p] * lattice[p][i] for p in range(r)) for i in range(law.dim)]
-        hit = consider(xvec)
-        if hit is not None:
-            return hit
+        coeffs = [draw(-bound, bound + 1) for _ in range(r)]
+        for row in rows:
+            if sum(map(mul, coeffs, row)) < 0:
+                break
+        else:
+            hit = consider([sum(map(mul, coeffs, col)) for col in columns])
+            if hit is not None:
+                return hit
     return None
 
 

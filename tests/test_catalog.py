@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import nilrad.catalog
 from nilrad.catalog import (
     CatalogEntry,
     CatalogError,
@@ -205,3 +206,15 @@ def test_117_en_via_both_routes(by_id):
     assert res.status == "positive"
     # both routes agree on the stratum norm
     assert soliton_norm(res.x) == Fraction(65, 94) == -Fraction(-65, 94)
+
+
+def test_each_law_is_parsed_once(entries, monkeypatch):
+    # load_catalog keeps the law it parsed and validated; classify reuses it
+    assert all(e.parsed is not None and e.law() is e.parsed for e in entries)
+    assert load_catalog(validate_laws=False)[0].parsed is None
+    calls = []
+    monkeypatch.setattr(nilrad.catalog, "parse_law", lambda *a, **k: calls.append(a))
+    for e in entries:
+        if e.expected.witness_law is None and e.expected.degeneration is None:
+            classify(e)
+    assert calls == []

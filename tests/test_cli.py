@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import nilrad
+import nilrad.cli
 from nilrad.catalog import Report
 from nilrad.cli import main
 
@@ -189,3 +195,59 @@ def test_float_laws_rejected_by_pipeline(capsys, tmp_path, monkeypatch):
     code, _, err = _run(capsys, ["check", str(p)])
     assert code == 64
     assert "exact" in err
+
+
+# Laws that are not nilpotent Lie algebras get exit 65 and no verdict; laws
+# whose diagonal torus is not maximal get INCONCLUSIVE, never a traceback.
+GATE_PROBES = [
+    ("dim 3; [1,2]=3; [1,3]=1", 65, None),  # Jacobi fails
+    ("dim 3; [1,2]=2", 65, None),  # solvable, not nilpotent
+    ("dim 3; [1,2]=2*2; [1,3]=3*-2; [2,3]=1", 65, None),  # sl2
+    ("dim 0", 65, None),
+    ("dim 4; [1,2]=3; [1,3]=4; [2,3]=4", 2, "basis_not_adapted"),
+    # h3 under act([[1,1,0],[0,1,1],[1,0,2]])
+    ("dim 3; [1,2]=2*2/3+3*4/3; [1,3]=2*-1/3+3*-2/3", 2, "basis_not_adapted"),
+    ("dim 1", 0, "abelian"),
+    ("dim 2", 0, "abelian"),
+    ("dim 7", 0, "abelian"),
+]
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("text, code, route", GATE_PROBES)
+def test_gate_probes(law_file, capsys, command, text, code, route):
+    fmt = ["--json"] if command == "check" else ["--format", "json"]
+    got, out, err = _run(capsys, [command, law_file(text), *fmt])
+    if route is None:
+        assert (got, out) == (code, "")
+        assert len(err.strip().splitlines()) == 1
+        return
+    assert got == (code if command == "check" else 0) and err == ""
+    rep = Report.from_json(out)
+    assert rep.route == route
+    assert rep.verdict == {0: "EN", 2: "INCONCLUSIVE"}[code]
+    kinds = [c["kind"] for c in rep.certificates]
+    assert kinds == (["abelian"] if route == "abelian" else ["inconclusive"])
+    if route == "basis_not_adapted":
+        assert rep.certificates[0]["reason"] == "basis_not_adapted"
+
+
+def test_internal_error_exit_70(law_file, capsys, monkeypatch):
+    def broken(entry, **kwargs):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(nilrad.cli, "classify", broken)
+    code, out, err = _run(capsys, ["check", law_file(HEISENBERG)])
+    assert (code, out) == (70, "")
+    assert "internal error" in err and "planted" in err
+
+
+def test_python_m_nilrad(law_file):
+    src = str(Path(nilrad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilrad", "check", "--json", law_file(HEISENBERG)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert Report.from_json(proc.stdout).verdict == "EN"

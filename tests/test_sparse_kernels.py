@@ -5,7 +5,10 @@ of Jacobi, the two series, the derivation equations, row reduction and the
 simplex pivot.  They scan every bracket (or every matrix entry) with
 Fraction arithmetic and are kept here only as oracles: the library's sparse
 kernels must give exactly the same residuals, series dimensions, equation
-rows, Der bases, reduced matrices and LP solutions.
+rows, Der bases, reduced matrices and LP solutions.  The degeneration
+search's oracle builds every sampled X and runs `in_g_phi` and
+`one_param_limit` on it; the library's integer weight-row filter must find
+the same witness for every seed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,16 @@ import pytest
 
 from nilrad import linalg, lp
 from nilrad.algebra import act, jacobi_violations, parse_law, series_signature
-from nilrad.derivations import _derivation_rows, derivation_space
+from nilrad.degeneration import (
+    DegenerationWitness,
+    distinguish,
+    g_phi_lattice,
+    in_g_phi,
+    lattice_weight_rows,
+    one_param_limit,
+    search_degeneration,
+)
+from nilrad.derivations import _derivation_rows, derivation_space, pre_einstein
 from nilrad.nicebasis import gram_matrix, is_nice
 
 PROBES = (
@@ -206,6 +218,57 @@ def dense_max_min_component(u, rhs):
         return lp.max_min_component(u, rhs)
 
 
+def dense_search_degeneration(law, phi, trials, seed, extra_pool=(), coeff_bound=4, known=None):
+    """The unfiltered sampling loop: build every X, then in_g_phi and one_param_limit."""
+    lattice = g_phi_lattice(phi, law.dim)
+    rng = random.Random(seed)
+    seen = set()
+    checked_limits = {}
+
+    def consider(xvec):
+        nonlocal known
+        key = tuple(xvec)
+        if key in seen or not any(xvec):
+            return None
+        seen.add(key)
+        if not in_g_phi(xvec, phi):
+            return None
+        res = one_param_limit(law, xvec)
+        if res.kind == "divergent":
+            return None
+        if res.kind == "zero":
+            return DegenerationWitness(tuple(Fraction(v) for v in xvec), res, None)
+        if res.law == law:
+            return None
+        lim_key = tuple(sorted(res.law.brackets.items()))
+        if lim_key in checked_limits:
+            dist = checked_limits[lim_key]
+        else:
+            if known is None:
+                known = (series_signature(law), derivation_space(law))
+            dist = distinguish(law, res.law, known)
+            checked_limits[lim_key] = dist
+        if dist is not None:
+            return DegenerationWitness(tuple(Fraction(v) for v in xvec), res, dist)
+        return None
+
+    for cand in extra_pool:
+        hit = consider(list(cand))
+        if hit is not None:
+            return hit
+    if not lattice:
+        return None
+    r = len(lattice)
+    for trial in range(trials):
+        bound = coeff_bound * (1 + trial % 4)
+        coeffs = [rng.randint(-bound, bound) for _ in range(r)]
+        xvec = [sum(coeffs[p] * lattice[p][i] for p in range(r)) for i in range(law.dim)]
+        hit = consider(xvec)
+        if hit is not None:
+            return hit
+    return None
+
+
 # ---------------------------------------------------------------------------
 # laws to compare on
 
@@ -322,3 +385,50 @@ def test_simplex_matches_dense(entries):
         frac = [[Fraction(v) for v in row] for row in u]
         rhs = [Fraction(1)] * len(u)
         assert lp.max_min_component(frac, rhs) == dense_max_min_component(frac, rhs), u
+
+
+@pytest.fixture(scope="module")
+def search_laws(entries):
+    """(entry, law, phi, known) for every catalog law that is not nice and has rank > 0."""
+    out = []
+    for e in entries:
+        law = e.law()
+        space = derivation_space(law)
+        if space.diag_basis and not is_nice(law).nice:
+            out.append((e, law, pre_einstein(law, space), (series_signature(law), space)))
+    return out
+
+
+def test_search_matches_unfiltered_loop(search_laws):
+    assert len(search_laws) == 27
+    hits = 0
+    for entry, law, phi, known in search_laws:
+        degen = entry.expected.degeneration
+        pools = [()]
+        if degen is not None and degen.x is not None:
+            pools.append((degen.x,))
+        for pool in pools:
+            for seed in range(5):
+                got = search_degeneration(law, phi, 400, seed, extra_pool=pool, known=known)
+                assert got == dense_search_degeneration(law, phi, 400, seed, extra_pool=pool, known=known), (
+                    entry.id, seed, pool,
+                )
+                hits += got is not None
+    assert hits > 10  # the comparison covers witnesses, not only misses
+
+
+def test_weight_rows_flag_exactly_the_divergent_x(search_laws):
+    rng = random.Random(1105)
+    divergent = 0
+    for entry, law, phi, _ in search_laws:
+        lattice = g_phi_lattice(phi, law.dim)
+        rows = lattice_weight_rows(law, lattice)
+        assert all(any(row) for row in rows) and len(set(rows)) == len(rows)
+        for _ in range(200):
+            bound = rng.choice((1, 2, 4, 16))
+            coeffs = [rng.randint(-bound, bound) for _ in lattice]
+            x = [sum(c * v[i] for c, v in zip(coeffs, lattice)) for i in range(law.dim)]
+            flagged = any(sum(c * w for c, w in zip(coeffs, row)) < 0 for row in rows)
+            assert flagged == (one_param_limit(law, x).kind == "divergent"), (entry.id, coeffs)
+            divergent += flagged
+    assert 0 < divergent < 27 * 200
