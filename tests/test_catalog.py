@@ -218,3 +218,151 @@ def test_each_law_is_parsed_once(entries, monkeypatch):
         if e.expected.witness_law is None and e.expected.degeneration is None:
             classify(e)
     assert calls == []
+
+
+def _degeneration(**changes):
+    return lambda exp: {"degeneration": dataclasses.replace(exp.degeneration, **changes)}
+
+
+def _mm(field_name, expected, computed):
+    return {"field": field_name, "expected": expected, "computed": computed}
+
+
+_U_23 = "[1, 1, 0, 3, 0], [1, 1, 1, 0, 3]]"
+_PE_23 = "'32/37', '34/37', '36/37', '38/37', '40/37', '42/37']"
+_LIMIT_12II = "dim 7; [1,2]=4; [1,4]=5; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7"
+_LAW_12II = "dim 7; [1,2]=4; [1,4]=5; [1,5]=7; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7; [3,4]=7*-1"
+
+# One recorded field of one entry corrupted per case: (entry id, changes to
+# its Expected, the exact mismatches, verdict, route).  Every check of the
+# recorded data against the computation appears at least once.
+CORRUPTIONS = [
+    ("2.3", lambda e: {"dim_der": 99}, [_mm("dim_der", "99", "13")], "EN", "nice_lp"),
+    ("2.3", lambda e: {"derived": (7, 4, 0)}, [_mm("derived", "[7, 4, 0]", "[7, 5, 0]")], "EN", "nice_lp"),
+    (
+        "2.3", lambda e: {"lcs": (7, 5, 3, 1, 0)},
+        [_mm("lcs", "[7, 5, 3, 1, 0]", "[7, 5, 4, 3, 2, 1, 0]")], "EN", "nice_lp",
+    ),
+    ("2.3", lambda e: {"rank": 3}, [_mm("rank", "3", "2")], "EN", "nice_lp"),
+    (
+        "2.3", lambda e: {"pre_einstein": (Fraction(1, 37),) + e.pre_einstein[1:]},
+        [_mm("pre_einstein", "['1/37', " + _PE_23, "['2/37', " + _PE_23)], "EN", "nice_lp",
+    ),
+    ("2.3", lambda e: {"nice": False}, [_mm("nice", "False", "True")], "EN", "nice_lp"),
+    (
+        "2.3", lambda e: {"u": ((4,) + e.u[0][1:],) + e.u[1:]},
+        [_mm(
+            "U",
+            "[[4, 0, 1, 1, 1], [0, 3, 0, 1, 1], [1, 0, 3, 0, 1], " + _U_23,
+            "[[3, 0, 1, 1, 1], [0, 3, 0, 1, 1], [1, 0, 3, 0, 1], " + _U_23,
+        )],
+        "EN", "nice_lp",
+    ),
+    (
+        "2.3", lambda e: {"x": tuple(2 * v for v in e.x)},
+        [_mm("x", "recorded x solves Ux=[1], x>0", "recorded x fails re-verification")], "EN", "nice_lp",
+    ),
+    (
+        "2.3", lambda e: {"x": "none_positive"},
+        [_mm("x", "none_positive", "positive solution found")], "EN", "nice_lp",
+    ),
+    (
+        "1.1(ii)", lambda e: {"x": (Fraction(1, 7),) * 7},
+        [_mm("x", "positive solution", "no_positive_solution")], "NOT_EN", "nice_lp",
+    ),
+    ("2.3", lambda e: {"soliton_norm": Fraction(1)}, [_mm("soliton_norm", "1", "37/35")], "EN", "nice_lp"),
+    (
+        "1.11", lambda e: {"soliton_norm": Fraction(1)},
+        [_mm("soliton_norm", "1", "0.8064516129032258")], "EN", "witness_soliton",
+    ),
+    (
+        "2.37", lambda e: {"soliton_norm": Fraction(1)},
+        [_mm("soliton_norm", "1", "11/13")], "EN", "witness_nice_lp",
+    ),
+    (
+        "1.11",
+        lambda e: {"witness_law": e.witness_law.replace("sqrt(90706))", "sqrt(90707))", 1)},
+        [
+            _mm("witness_law", "Lie algebra law (within tol)", "Jacobi fails at (1, 2, 4)"),
+            _mm("verdict", "EN", "INCONCLUSIVE"),
+        ],
+        "INCONCLUSIVE", "none",
+    ),
+    (
+        "1.11", lambda e: {"witness_law": "dim 4; [1,2]=3*(1 sqrt(2)); [1,3]=4"},
+        [
+            _mm("witness_law", "m = c.Id + D with D a derivation", "no decomposition"),
+            _mm("verdict", "EN", "INCONCLUSIVE"),
+        ],
+        "INCONCLUSIVE", "witness_soliton",
+    ),
+    (
+        "2.37", lambda e: {"witness_law": "dim 7; [1,2]=3; [1,3]=4; [1,4]=5; [1,5]=6; [1,6]=7"},
+        [
+            _mm("witness_law", "isomorphic witness", "series signatures differ"),
+            _mm("soliton_norm", "11/13", "37/35"),
+        ],
+        "EN", "witness_nice_lp",
+    ),
+    (
+        "2.37", lambda e: {"witness_law": e.witness_law + "; [2,5]=7"},
+        [
+            _mm("witness_law", "Lie algebra law", "Jacobi fails at (1, 2, 3)"),
+            _mm("verdict", "EN", "INCONCLUSIVE"),
+        ],
+        "INCONCLUSIVE", "none",
+    ),
+    (
+        "1.21", lambda e: _degeneration(x=tuple(v + 1 for v in e.degeneration.x))(e),
+        [_mm("degeneration.X", "X in g_phi", "trace conditions fail")], "NOT_EN", "degeneration_recorded",
+    ),
+    (
+        "1.21", _degeneration(limit="dim 7; [1,2]=4"),
+        [
+            _mm("degeneration.limit", "recorded limit law", "zero"),
+            _mm("degeneration.distinguishing", "", " None"),
+        ],
+        "NOT_EN", "degeneration_recorded",
+    ),
+    (
+        "1.2(ii)", _degeneration(limit="zero"),
+        [_mm("degeneration.limit", "zero", "limit")], "NOT_EN", "degeneration_recorded",
+    ),
+    (
+        "1.2(ii)", _degeneration(limit=_LIMIT_12II),
+        [
+            _mm("degeneration.limit", "recorded limit law", "limit"),
+            _mm("degeneration.limit", "Lie algebra law", "Jacobi fails"),
+        ],
+        "NOT_EN", "degeneration_recorded",
+    ),
+    (
+        "1.2(ii)", _degeneration(limit=_LAW_12II),
+        [
+            _mm("degeneration.limit", "recorded limit law", "limit"),
+            _mm("degeneration.distinguishing", "rank 1 vs 2", "indistinguishable"),
+        ],
+        "NOT_EN", "degeneration_recorded",
+    ),
+    (
+        "1.2(ii)", _degeneration(distinguishing="rank 1 vs 3"),
+        [_mm("degeneration.distinguishing", "rank 1 vs 3", "rank (1, 2)")], "NOT_EN", "degeneration_recorded",
+    ),
+    ("2.3", lambda e: {"verdict": "NOT_EN"}, [_mm("verdict", "NOT_EN", "EN")], "EN", "nice_lp"),
+    (
+        "1.3(i_l)[lambda=2]", lambda e: {"verdict": "NOT_EN"},
+        [_mm("verdict", "NOT_EN", "INCONCLUSIVE")], "INCONCLUSIVE", "search_exhausted",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "eid, corrupt, mismatches, verdict, route",
+    CORRUPTIONS,
+    ids=[f"{c[0]}-{i}" for i, c in enumerate(CORRUPTIONS)],
+)
+def test_classify_reports_each_corrupted_field(by_id, eid, corrupt, mismatches, verdict, route):
+    entry = by_id[eid]
+    exp = dataclasses.replace(entry.expected, **corrupt(entry.expected))
+    rep = classify(dataclasses.replace(entry, expected=exp))
+    assert (rep.mismatches, rep.verdict, rep.route) == (mismatches, verdict, route)
