@@ -20,15 +20,12 @@ from typing import Any
 from . import degeneration as dg
 from . import nicebasis as nb
 from . import ricci
-from .algebra import LawError, LieLaw, jacobi_violations, parse_law, series_signature
+from .algebra import LawError, LieLaw, SeriesSignature, jacobi_violations, parse_law, series_signature
 from .derivations import TorusNotMaximalError, derivation_space, diagonal_rank, positivity_gate, pre_einstein
 
 EN = "EN"
 NOT_EN = "NOT_EN"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-_EN_CERTS = {"abelian", "positive_solution", "nilsoliton_decomposition"}
-_NOT_EN_CERTS = {"rank_zero", "non_positive_pre_einstein", "no_positive_solution", "non_closed_orbit"}
 
 
 class NotNilpotentError(LawError):
@@ -255,11 +252,6 @@ def load_catalog(path=None, validate_laws: bool = True) -> list[CatalogEntry]:
 # ---------------------------------------------------------------------------
 # classification
 
-_NO_EXPECTATIONS = Expected(
-    dim_der=-1, derived=(), lcs=(), rank=-1, nice=False, verdict=EN
-)
-
-
 def _fmt_vec(v) -> list[str]:
     return [fmt_rat(x) for x in v]
 
@@ -270,219 +262,187 @@ def _parse_distinguishing(s: str) -> tuple[str, str, str]:
     return name, left.strip(), right.strip()
 
 
-def _format_distinction(d: dg.Distinction) -> str:
-    if d.invariant == "series":
-        return f"series {d.left} vs {d.right}"
+def format_distinction(d: dg.Distinction) -> str:
     return f"{d.invariant} {d.left} vs {d.right}"
 
 
-def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = None) -> Report:
-    """Run the full decision pipeline on one entry and diff against expected.
-
-    With entry.expected None only the computation runs (used by the CLI for
-    bare law files).  The law must satisfy Jacobi (load_catalog and the CLI
-    check that); a law that is not nilpotent raises NotNilpotentError.
-    """
-    t0 = time.perf_counter()
-    exp = entry.expected if entry.expected is not None else _NO_EXPECTATIONS
-    diff = entry.expected is not None
-    law = entry.law()
-    rep = Report(entry.id, INCONCLUSIVE, "none")
-
-    def mismatch(field_name: str, expected_val, computed_val):
-        if diff:
-            rep.mismatches.append(
-                {"field": field_name, "expected": str(expected_val), "computed": str(computed_val)}
-            )
-
+def nilpotent_series(law: LieLaw) -> SeriesSignature:
+    """The law's series signature; NotNilpotentError when its lower central series stops above 0."""
     sig = series_signature(law)
     if not sig.nilpotent:
         raise NotNilpotentError(f"not nilpotent: the lower central series stops at {list(sig.lcs_dims)}")
+    return sig
+
+
+@dataclass
+class Decision:
+    """What one route decided, and what it found wrong in the recorded data it re-checked."""
+
+    verdict: str
+    route: str
+    certificate: dict[str, Any] | None = None
+    computed: dict[str, Any] = field(default_factory=dict)  # U and soliton_norm, where the route has them
+    soliton: ricci.SolitonDecomposition | None = None  # a float witness's decomposition
+    problems: list[tuple[str, str, str]] = field(default_factory=list)  # (field, expected, computed)
+
+
+def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = None) -> Report:
+    """Run the decision pipeline on one entry; diff it against entry.expected when that is set.
+
+    The law must satisfy Jacobi (load_catalog and the CLI check that); a law
+    that is not nilpotent raises NotNilpotentError.
+    """
+    t0 = time.perf_counter()
+    law = entry.law()
+    sig = nilpotent_series(law)
     space = derivation_space(law)
-    rank, gens = len(space.diag_basis), space.diag_basis
-    rep.computed["dim_der"] = len(space.basis)
-    rep.computed["derived"] = list(sig.derived_dims)
-    rep.computed["lcs"] = list(sig.lcs_dims)
-    rep.computed["rank"] = rank
-    rep.computed["torus"] = [list(g) for g in gens]
-
-    if diff:
-        if len(space.basis) != exp.dim_der:
-            mismatch("dim_der", exp.dim_der, len(space.basis))
-        if sig.derived_dims != exp.derived:
-            mismatch("derived", list(exp.derived), list(sig.derived_dims))
-        if sig.lcs_dims != exp.lcs:
-            mismatch("lcs", list(exp.lcs), list(sig.lcs_dims))
-        if rank != exp.rank:
-            mismatch("rank", exp.rank, rank)
-
+    nice = nb.is_nice(law)
+    computed = {
+        "dim_der": len(space.basis),
+        "derived": list(sig.derived_dims),
+        "lcs": list(sig.lcs_dims),
+        "rank": len(space.diag_basis),
+        "torus": [list(g) for g in space.diag_basis],
+        "nice": nice.nice,
+    }
     phi = None
-    if rank == 0:
-        rep.verdict = NOT_EN
-        rep.route = "rank_zero"
-        rep.certificates.append({"kind": "rank_zero"})
-    else:
+    if space.diag_basis:
         try:
             phi = pre_einstein(law, space)
+            computed["pre_einstein"] = _fmt_vec(phi.phi)
         except TorusNotMaximalError:
-            # the diagonal torus of this basis is not maximal: no gate below is sound
-            rep.route = "basis_not_adapted"
-            rep.certificates.append({"kind": "inconclusive", "reason": "basis_not_adapted"})
-    if phi is not None:
-        rep.computed["pre_einstein"] = _fmt_vec(phi.phi)
-        if exp.pre_einstein is not None and tuple(phi.phi) != exp.pre_einstein:
-            mismatch("pre_einstein", _fmt_vec(exp.pre_einstein), _fmt_vec(phi.phi))
-        passed, idx = positivity_gate(phi)
-        if not passed:
-            rep.verdict = NOT_EN
-            rep.route = "pre_einstein_positivity"
-            rep.certificates.append(
-                {"kind": "non_positive_pre_einstein", "phi": _fmt_vec(phi.phi), "index": idx}
-            )
-
-    nc = nb.is_nice(law)
-    rep.computed["nice"] = nc.nice
-    if diff and nc.nice != exp.nice:
-        mismatch("nice", exp.nice, nc.nice)
-    if rep.route == "none":
-        if not law.brackets:
-            rep.verdict = EN
-            rep.route = "abelian"
-            rep.certificates.append({"kind": "abelian"})
-        elif nc.nice:
-            _run_nice_route(rep, law, nc.weights, exp, mismatch, on="law")
-        else:
-            rep.notes.append(f"not a nice basis: {nc.reason}")
-            if exp.witness_law is not None:
-                _run_witness_route(rep, law, sig, space, exp, mismatch)
-            elif exp.degeneration is not None:
-                _run_recorded_degeneration(rep, law, sig, space, phi, exp, mismatch)
-            else:
-                found = dg.search_degeneration(
-                    law, phi, search_trials,
-                    zlib.crc32(entry.id.encode()) if seed is None else seed,
-                    known=(sig, space),
-                )
-                if found is not None:
-                    rep.verdict = NOT_EN
-                    rep.route = "degeneration_search"
-                    rep.certificates.append(_degeneration_cert(found))
-                else:
-                    rep.route = "search_exhausted"
-                    rep.certificates.append({"kind": "inconclusive", "trials": search_trials})
-
-    if diff:
-        _check_verdict(rep, exp, mismatch)
-    assert not (
-        {c["kind"] for c in rep.certificates} & _EN_CERTS
-        and {c["kind"] for c in rep.certificates} & _NOT_EN_CERTS
-    ), f"entry {entry.id} is both-certified"
+            pass  # the diagonal torus of this basis is not maximal: _decide says basis_not_adapted
+    dec = _decide(entry, law, sig, space, phi, nice, search_trials, seed)
+    assert dec.certificate is None or dec.certificate["kind"] in _CERT_KINDS[dec.verdict], entry.id
+    certificates = [] if dec.certificate is None else [dec.certificate]
+    rep = Report(entry.id, dec.verdict, dec.route, certificates, {**computed, **dec.computed})
+    if not nice.nice and dec.route not in _GATES:
+        rep.notes.append(f"not a nice basis: {nice.reason}")
+    if entry.expected is not None:
+        _diff(entry.expected, rep, dec, law.tol)
     rep.timing = time.perf_counter() - t0
     return rep
 
 
-def _run_nice_route(rep: Report, law: LieLaw, ws, exp: Expected, mismatch, on: str):
+_CERT_KINDS = {
+    EN: {"abelian", "positive_solution", "nilsoliton_decomposition"},
+    NOT_EN: {"rank_zero", "non_positive_pre_einstein", "no_positive_solution", "non_closed_orbit"},
+    INCONCLUSIVE: {"inconclusive"},
+}
+_GATES = {"rank_zero", "basis_not_adapted", "pre_einstein_positivity"}  # routes decided before the LP
+
+
+def _decide(entry: CatalogEntry, law: LieLaw, sig, space, phi, nice: nb.NiceCheck, trials: int, seed) -> Decision:
+    """The decision of the first rung of the ladder that decides.
+
+    The rungs: rank zero, a diagonal torus that is not maximal (phi is None
+    on both), a pre-Einstein derivation that is not positive, the abelian
+    law, the LP on a nice basis, then, for a law that is not nice, the
+    entry's recorded witness or degeneration, else the degeneration search.
+    """
+    if not space.diag_basis:
+        return Decision(NOT_EN, "rank_zero", {"kind": "rank_zero"})
+    if phi is None:
+        return Decision(INCONCLUSIVE, "basis_not_adapted", {"kind": "inconclusive", "reason": "basis_not_adapted"})
+    passed, idx = positivity_gate(phi)
+    if not passed:
+        cert = {"kind": "non_positive_pre_einstein", "phi": _fmt_vec(phi.phi), "index": idx}
+        return Decision(NOT_EN, "pre_einstein_positivity", cert)
+    if not law.brackets:
+        return Decision(EN, "abelian", {"kind": "abelian"})
+    if nice.nice:
+        return _nice_route(nice.weights, on="law")
+    exp = entry.expected
+    if exp is not None and exp.witness_law is not None:
+        return _witness_route(exp.witness_law, law, sig, space)
+    if exp is not None and exp.degeneration is not None:
+        return _recorded_degeneration_route(exp.degeneration, law, sig, space, phi)
+    return _search_route(law, phi, (sig, space), trials, zlib.crc32(entry.id.encode()) if seed is None else seed)
+
+
+def _search_route(law: LieLaw, phi, known: dg.Invariants, trials: int, seed: int) -> Decision:
+    """NOT_EN through a degeneration the seeded search finds; INCONCLUSIVE when it finds none."""
+    found = dg.search_degeneration(law, phi, trials, seed, known=known)
+    if found is None:
+        return Decision(INCONCLUSIVE, "search_exhausted", {"kind": "inconclusive", "trials": trials})
+    cert = {
+        "kind": "non_closed_orbit",
+        "X": _fmt_vec(found.x),
+        "limit": "zero" if found.limit.kind == "zero" else "limit law",
+        "distinguishing": None if found.distinction is None else format_distinction(found.distinction),
+    }
+    return Decision(NOT_EN, "degeneration_search", cert)
+
+
+def _nice_route(ws: nb.WeightSystem, on: str) -> Decision:
+    """Ux=[1] with x > 0 on the Gram matrix of a nice basis, of the law or of its witness."""
     u = nb.gram_matrix(ws)
-    if on == "law":
-        rep.computed["U"] = u.rows()
-        if exp.u is not None and tuple(map(tuple, u.rows())) != exp.u:
-            mismatch("U", list(map(list, exp.u)), u.rows())
     res = nb.positive_solution(u)
-    if res.status == "positive":
-        norm = nb.soliton_norm(res.x)
-        rep.verdict = EN
-        rep.route = "nice_lp" if on == "law" else "witness_nice_lp"
-        rep.certificates.append(
-            {"kind": "positive_solution", "on": on, "x": _fmt_vec(res.x), "soliton_norm": fmt_rat(norm)}
-        )
-        rep.computed["soliton_norm"] = fmt_rat(norm)
-        if exp.soliton_norm is not None and norm != exp.soliton_norm:
-            mismatch("soliton_norm", fmt_rat(exp.soliton_norm), fmt_rat(norm))
-    else:
-        rep.verdict = NOT_EN
-        rep.route = "nice_lp"
-        rep.certificates.append({"kind": "no_positive_solution", "status": res.status, "on": on})
-    if on == "law":
-        if isinstance(exp.x, tuple):
-            if res.status != "positive":
-                mismatch("x", "positive solution", res.status)
-            else:
-                ok = all(
-                    sum(Fraction(r) * xv for r, xv in zip(row, exp.x)) == 1 for row in u.rows()
-                ) and min(exp.x) > 0
-                if not ok:
-                    mismatch("x", "recorded x solves Ux=[1], x>0", "recorded x fails re-verification")
-        elif exp.x == "none_positive" and res.status == "positive":
-            mismatch("x", "none_positive", "positive solution found")
+    computed = {"U": u.rows()} if on == "law" else {}
+    if res.status != "positive":
+        return Decision(NOT_EN, "nice_lp", {"kind": "no_positive_solution", "status": res.status, "on": on}, computed)
+    norm = fmt_rat(nb.soliton_norm(res.x))
+    computed["soliton_norm"] = norm
+    cert = {"kind": "positive_solution", "on": on, "x": _fmt_vec(res.x), "soliton_norm": norm}
+    return Decision(EN, "nice_lp" if on == "law" else "witness_nice_lp", cert, computed)
 
 
-def _run_witness_route(rep: Report, law: LieLaw, sig, space, exp: Expected, mismatch):
-    witness = parse_law(exp.witness_law, tol=law.tol)
-    if witness.is_exact:
-        bad = jacobi_violations(witness)
-        if bad:
-            mismatch("witness_law", "Lie algebra law", f"Jacobi fails at {bad[0][:3]}")
-            return
-        # isomorphism sanity: series and dim Der are basis-independent
-        # (diagonal rank is not, so distinguish() is too strict here)
-        sw = series_signature(witness)
-        if (sig.derived_dims, sig.lcs_dims) != (sw.derived_dims, sw.lcs_dims):
-            mismatch("witness_law", "isomorphic witness", "series signatures differ")
-        elif len(space.basis) != len(derivation_space(witness).basis):
-            mismatch("witness_law", "isomorphic witness", "dim Der differs")
-        wc = nb.is_nice(witness)
-        if not wc.nice:
-            mismatch("witness_law", "nice witness basis", wc.reason)
-            return
-        _run_nice_route(rep, witness, wc.weights, exp, mismatch, on="witness")
-        return
+def _witness_route(witness_text: str, law: LieLaw, sig, space) -> Decision:
+    """EN through a recorded witness: an exact one must be a nice basis, a float one a nilsoliton."""
+    witness = parse_law(witness_text, tol=law.tol)
     bad = jacobi_violations(witness)
     if bad:
-        mismatch("witness_law", "Lie algebra law (within tol)", f"Jacobi fails at {bad[0][:3]}")
-        return
-    m = ricci.moment_map(witness)
-    dec = ricci.soliton_check(witness, m)
-    if dec is None:
-        rep.route = "witness_soliton"
-        rep.certificates.append({"kind": "inconclusive", "detail": "witness decomposition failed"})
-        mismatch("witness_law", "m = c.Id + D with D a derivation", "no decomposition")
-        return
-    rep.verdict = EN
-    rep.route = "witness_soliton"
-    rep.certificates.append(
-        {
+        expected = "Lie algebra law" if witness.is_exact else "Lie algebra law (within tol)"
+        return Decision(INCONCLUSIVE, "none", problems=[("witness_law", expected, f"Jacobi fails at {bad[0][:3]}")])
+    if not witness.is_exact:
+        sd = ricci.soliton_check(witness, ricci.moment_map(witness))
+        if sd is None:
+            return Decision(
+                INCONCLUSIVE, "witness_soliton", {"kind": "inconclusive", "detail": "witness decomposition failed"},
+                problems=[("witness_law", "m = c.Id + D with D a derivation", "no decomposition")],
+            )
+        cert = {
             "kind": "nilsoliton_decomposition",
             "on": "witness",
-            "c": repr(dec.c),
-            "d": [repr(v) for v in dec.d],
-            "residual": dec.residual,
+            "c": repr(sd.c),
+            "d": [repr(v) for v in sd.d],
+            "residual": sd.residual,
         }
-    )
-    if exp.soliton_norm is not None:
-        if not ricci.cross_check(exp.soliton_norm, dec, tol=witness.tol):
-            mismatch("soliton_norm", fmt_rat(exp.soliton_norm), repr(-dec.c))
-        else:
-            rep.computed["soliton_norm"] = fmt_rat(exp.soliton_norm)
+        return Decision(EN, "witness_soliton", cert, soliton=sd)
+    # isomorphism sanity: series and dim Der are basis-independent
+    # (diagonal rank is not, so distinguish() is too strict here)
+    problems = []
+    sw = series_signature(witness)
+    if (sig.derived_dims, sig.lcs_dims) != (sw.derived_dims, sw.lcs_dims):
+        problems.append(("witness_law", "isomorphic witness", "series signatures differ"))
+    elif len(space.basis) != len(derivation_space(witness).basis):
+        problems.append(("witness_law", "isomorphic witness", "dim Der differs"))
+    wc = nb.is_nice(witness)
+    if not wc.nice:
+        return Decision(INCONCLUSIVE, "none", problems=problems + [("witness_law", "nice witness basis", wc.reason)])
+    dec = _nice_route(wc.weights, on="witness")
+    dec.problems = problems
+    return dec
 
 
-def _run_recorded_degeneration(rep: Report, law: LieLaw, sig, space, phi, exp: Expected, mismatch):
-    rec = exp.degeneration
-    rep.route = "degeneration_recorded"
+def _recorded_degeneration_route(rec: Degeneration, law: LieLaw, sig, space, phi) -> Decision:
+    """NOT_EN through a recorded degeneration, with its X, limit and distinguishing invariant re-checked."""
+    problems = []
     limit_law = None if rec.limit == "zero" else parse_law(rec.limit)
     if rec.x is not None:
         if not dg.in_g_phi(rec.x, phi):
-            mismatch("degeneration.X", "X in g_phi", "trace conditions fail")
+            problems.append(("degeneration.X", "X in g_phi", "trace conditions fail"))
         res = dg.one_param_limit(law, rec.x)
         if rec.limit == "zero":
             if res.kind != "zero":
-                mismatch("degeneration.limit", "zero", res.kind)
+                problems.append(("degeneration.limit", "zero", res.kind))
         elif res.kind != "limit" or res.law != limit_law:
-            mismatch("degeneration.limit", "recorded limit law", res.kind)
+            problems.append(("degeneration.limit", "recorded limit law", res.kind))
     if limit_law is not None:
         if jacobi_violations(limit_law):
-            mismatch("degeneration.limit", "Lie algebra law", "Jacobi fails")
+            problems.append(("degeneration.limit", "Lie algebra law", "Jacobi fails"))
         if dg.distinguish(law, limit_law, (sig, space)) is None:
-            mismatch("degeneration.distinguishing", rec.distinguishing, "indistinguishable")
+            problems.append(("degeneration.distinguishing", rec.distinguishing, "indistinguishable"))
         else:
             # the record names a specific invariant, which need not be the
             # first one distinguish() reaches; evaluate the named one
@@ -494,47 +454,69 @@ def _run_recorded_degeneration(rep: Report, law: LieLaw, sig, space, phi, exp: E
             else:
                 got = None
             if got is None or got != (int(left), int(right)):
-                mismatch("degeneration.distinguishing", rec.distinguishing, f"{name} {got}")
-    rep.verdict = NOT_EN
-    rep.certificates.append(
-        {
-            "kind": "non_closed_orbit",
-            "X": None if rec.x is None else _fmt_vec(rec.x),
-            "limit": rec.limit,
-            "distinguishing": rec.distinguishing,
-        }
-    )
-
-
-def _degeneration_cert(w: dg.DegenerationWitness) -> dict[str, Any]:
-    return {
+                problems.append(("degeneration.distinguishing", rec.distinguishing, f"{name} {got}"))
+    cert = {
         "kind": "non_closed_orbit",
-        "X": _fmt_vec(w.x),
-        "limit": "zero" if w.limit.kind == "zero" else "limit law",
-        "distinguishing": None if w.distinction is None else _format_distinction(w.distinction),
+        "X": None if rec.x is None else _fmt_vec(rec.x),
+        "limit": rec.limit,
+        "distinguishing": rec.distinguishing,
     }
+    return Decision(NOT_EN, "degeneration_recorded", cert, problems=problems)
 
 
-def _check_verdict(rep: Report, exp: Expected, mismatch):
-    if rep.verdict == exp.verdict:
-        return
-    if rep.verdict == INCONCLUSIVE:
+def _diff(exp: Expected, rep: Report, dec: Decision, tol: float) -> None:
+    """Compare every recorded field with the computation; append the mismatches to rep.
+
+    A float witness decomposition confirms the recorded exact soliton norm
+    within tol, and the confirmed norm is then reported as computed.  An
+    EN record resting on a non-constructive argument accepts INCONCLUSIVE.
+    """
+    got = rep.computed
+    found = [
+        (name, want, got[name])
+        for name, want in (
+            ("dim_der", exp.dim_der), ("derived", list(exp.derived)), ("lcs", list(exp.lcs)), ("rank", exp.rank),
+        )
+        if got[name] != want
+    ]
+    if exp.pre_einstein is not None and "pre_einstein" in got and got["pre_einstein"] != _fmt_vec(exp.pre_einstein):
+        found.append(("pre_einstein", _fmt_vec(exp.pre_einstein), got["pre_einstein"]))
+    if got["nice"] != exp.nice:
+        found.append(("nice", exp.nice, got["nice"]))
+    u = got.get("U")  # present when the LP ran on the law itself
+    if exp.u is not None and u is not None and u != [list(r) for r in exp.u]:
+        found.append(("U", [list(r) for r in exp.u], u))
+    found += dec.problems
+    if exp.soliton_norm is not None:
+        want = fmt_rat(exp.soliton_norm)
+        if dec.soliton is not None:
+            if ricci.cross_check(exp.soliton_norm, dec.soliton, tol=tol):
+                got["soliton_norm"] = want
+            else:
+                found.append(("soliton_norm", want, repr(-dec.soliton.c)))
+        elif "soliton_norm" in got and got["soliton_norm"] != want:
+            found.append(("soliton_norm", want, got["soliton_norm"]))
+    if u is not None and isinstance(exp.x, tuple):
+        if dec.verdict != EN:
+            found.append(("x", "positive solution", dec.certificate["status"]))
+        elif not (all(sum(Fraction(r) * xv for r, xv in zip(row, exp.x)) == 1 for row in u) and min(exp.x) > 0):
+            found.append(("x", "recorded x solves Ux=[1], x>0", "recorded x fails re-verification"))
+    elif u is not None and exp.x == "none_positive" and dec.verdict == EN:
+        found.append(("x", "none_positive", "positive solution found"))
+    if rep.verdict != exp.verdict:
         constructive = isinstance(exp.x, tuple) or exp.witness_law is not None
-        if exp.verdict == EN and not constructive:
+        if rep.verdict == INCONCLUSIVE and exp.verdict == EN and not constructive:
             rep.notes.append(
                 "expected EN rests on a non-constructive closedness argument; "
                 "pipeline remains inconclusive by design"
             )
-            return
-    mismatch("verdict", exp.verdict, rep.verdict)
+        else:
+            found.append(("verdict", exp.verdict, rep.verdict))
+    rep.mismatches += [{"field": f, "expected": str(e), "computed": str(c)} for f, e, c in found]
 
 
 # ---------------------------------------------------------------------------
 # driver
-
-def _classify_worker(entry: CatalogEntry) -> Report:
-    return classify(entry)
-
 
 def verify_catalog(
     entries: list[CatalogEntry],
@@ -547,10 +529,8 @@ def verify_catalog(
     todo = sorted(todo, key=lambda e: e.id)
     if parallel and parallel > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            reports = list(pool.map(_classify_worker, todo))
-    else:
-        reports = [classify(e) for e in todo]
-    return reports
+            return list(pool.map(classify, todo))
+    return [classify(e) for e in todo]
 
 
 def summary_lines(reports: list[Report]) -> list[str]:

@@ -1,24 +1,28 @@
 """Command-line interface.
 
-Exit codes for `check`: 0 = Einstein nilradical certified, 1 = certified
-not an Einstein nilradical, 2 = inconclusive.  Usage and parse errors exit
-64; catalog schema errors and laws that are not nilpotent Lie algebras
-(Jacobi fails, lower central series does not reach 0, dim 0) exit 65.  An
-internal error exits 70, never a verdict's code.
+`check`, `report`, `invariants` and `degenerate` read the law file through
+one gate.  `check` exits 0 = Einstein nilradical certified, 1 = certified
+not an Einstein nilradical, 2 = inconclusive; `report` exits 0 on every
+verdict.  A law whose diagonal torus is not maximal is inconclusive: an
+INCONCLUSIVE report (route `basis_not_adapted`) from `check`/`report`, exit
+2 with `basis_not_adapted` on stderr from `invariants`/`degenerate`.  Usage
+and parse errors and float laws exit 64; catalog schema errors and laws
+that are not nilpotent Lie algebras (Jacobi fails, lower central series
+does not reach 0, dim 0) exit 65.  An internal error exits 70, never a
+verdict's code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from . import degeneration as dg
 from . import nicebasis as nb
-from .algebra import DEFAULT_TOL, LawError, format_law, jacobi_violations, parse_law, series_signature
+from .algebra import LawError, LieLaw, format_law, jacobi_violations, parse_law
 from .catalog import (
     EN,
     INCONCLUSIVE,
@@ -28,11 +32,13 @@ from .catalog import (
     NotNilpotentError,
     classify,
     fmt_rat,
+    format_distinction,
     load_catalog,
+    nilpotent_series,
     summary_lines,
     verify_catalog,
 )
-from .derivations import derivation_space, diagonal_rank, pre_einstein
+from .derivations import TorusNotMaximalError, derivation_space, pre_einstein
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -41,58 +47,44 @@ EX_SOFTWARE = 70
 _VERDICT_EXIT = {EN: 0, NOT_EN: 1, INCONCLUSIVE: 2}
 
 
-def _tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("NILRAD_TOL")
-    return float(env) if env else DEFAULT_TOL
+class Refusal(Exception):
+    """The input gets no answer: the command exits with `code` and the message on stderr."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
-def _read_law(path: str, tol: float):
+def _read_gated_law(args) -> LieLaw:
+    """The law in args.file: exact (else exit 64), Lie and of dimension >= 1 (else exit 65).
+
+    Nilpotency is checked by whatever computes the lower central series
+    (NotNilpotentError, exit 65), so no command computes it twice.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return parse_law(text, tol=tol)
-    except OSError as exc:
-        raise SystemExit(f"nilrad: cannot read {path}: {exc}") from exc
+        with open(args.file, "r", encoding="utf-8") as fh:
+            law = parse_law(fh.read())
+    except (OSError, LawError) as exc:
+        raise Refusal(EX_USAGE, str(exc)) from exc
+    if not law.is_exact:
+        raise Refusal(EX_USAGE, "the decision pipeline needs exact structure constants")
+    bad = jacobi_violations(law)
+    if bad:
+        raise Refusal(EX_DATAERR, f"not a Lie algebra: the Jacobi identity fails at {bad[0][:3]}")
+    if law.dim < 1:
+        raise Refusal(EX_DATAERR, "dimension must be at least 1")
+    return law
 
 
 def _pipeline_report(args):
-    """Read, gate and classify the law file: (report, None) or (None, exit code).
-
-    classify() runs without expectations and computes certificates only, on
-    the law parsed here.  A law that is not a nilpotent Lie algebra of
-    dimension >= 1 gets no verdict.
-    """
-    tol = _tol(args)
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        law = parse_law(text, tol=tol)
-        if not law.is_exact:
-            raise LawError("the decision pipeline needs exact structure constants")
-    except (OSError, LawError) as exc:
-        print(f"nilrad {args.command}: {exc}", file=sys.stderr)
-        return None, EX_USAGE
-    bad = jacobi_violations(law)
-    if bad:
-        problem = f"not a Lie algebra: the Jacobi identity fails at {bad[0][:3]}"
-    elif law.dim < 1:
-        problem = "dimension must be at least 1"
-    else:
-        try:
-            entry = CatalogEntry("input", {}, text, None, parsed=law)
-            return classify(entry, search_trials=args.search, seed=args.seed), None
-        except NotNilpotentError as exc:
-            problem = str(exc)
-    print(f"nilrad {args.command}: {problem}", file=sys.stderr)
-    return None, EX_DATAERR
+    """classify() on the gated law, without expectations: certificates only."""
+    law = _read_gated_law(args)
+    entry = CatalogEntry("input", {}, format_law(law), None, parsed=law)
+    return classify(entry, search_trials=args.search, seed=args.seed)
 
 
 def cmd_check(args) -> int:
-    rep, code = _pipeline_report(args)
-    if rep is None:
-        return code
+    rep = _pipeline_report(args)
     if args.json:
         print(rep.to_json())
     else:
@@ -113,49 +105,34 @@ def _print_report(rep) -> None:
 
 
 def cmd_invariants(args) -> int:
-    tol = _tol(args)
-    try:
-        law = _read_law(args.file, tol)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return EX_USAGE
-    try:
-        sig = series_signature(law)
-        space = derivation_space(law)
-        rank, gens = len(space.diag_basis), space.diag_basis
-        print(f"dim: {law.dim}")
-        print(f"brackets: {len(law.brackets)}")
-        print(f"derived: {list(sig.derived_dims)}")
-        print(f"lcs: {list(sig.lcs_dims)}")
-        print(f"nilpotent: {sig.nilpotent}")
-        print(f"dim_der: {len(space.basis)}")
-        print(f"rank: {rank}")
-        for g in gens:
-            print(f"torus_generator: {list(g)}")
-        if rank > 0:
-            phi = pre_einstein(law, space)
-            print(f"pre_einstein: {[fmt_rat(v) for v in phi.phi]}")
-        ncheck = nb.is_nice(law)
-        print(f"nice: {ncheck.nice}")
-        if not ncheck.nice:
-            print(f"nice_reason: {ncheck.reason}")
-    except LawError as exc:
-        print(f"nilrad invariants: {exc}", file=sys.stderr)
-        return EX_USAGE
+    law = _read_gated_law(args)
+    sig = nilpotent_series(law)
+    space = derivation_space(law)
+    phi = pre_einstein(law, space) if space.diag_basis else None
+    nice = nb.is_nice(law)
+    print(f"dim: {law.dim}")
+    print(f"brackets: {len(law.brackets)}")
+    print(f"derived: {list(sig.derived_dims)}")
+    print(f"lcs: {list(sig.lcs_dims)}")
+    print(f"nilpotent: {sig.nilpotent}")
+    print(f"dim_der: {len(space.basis)}")
+    print(f"rank: {len(space.diag_basis)}")
+    for g in space.diag_basis:
+        print(f"torus_generator: {list(g)}")
+    if phi is not None:
+        print(f"pre_einstein: {[fmt_rat(v) for v in phi.phi]}")
+    print(f"nice: {nice.nice}")
+    if not nice.nice:
+        print(f"nice_reason: {nice.reason}")
     return 0
 
 
 def cmd_catalog_verify(args) -> int:
     try:
         entries = load_catalog(args.file)
-    except (OSError, CatalogError) as exc:
-        print(f"nilrad catalog verify: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    try:
-        reports = verify_catalog(entries, parallel=args.parallel, only=args.only)
-    except (CatalogError, NotNilpotentError) as exc:
-        print(f"nilrad catalog verify: {exc}", file=sys.stderr)
-        return EX_DATAERR
+    except OSError as exc:
+        raise Refusal(EX_DATAERR, str(exc)) from exc
+    reports = verify_catalog(entries, parallel=args.parallel, only=args.only)
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     else:
@@ -168,59 +145,44 @@ def cmd_catalog_verify(args) -> int:
 
 
 def cmd_degenerate(args) -> int:
-    tol = _tol(args)
-    try:
-        law = _read_law(args.file, tol)
-        rank, _ = diagonal_rank(law)
-    except (SystemExit, LawError) as exc:
-        print(exc, file=sys.stderr)
-        return EX_USAGE
-    if rank == 0:
-        print("rank-zero law: no pre-Einstein derivation, degeneration flow undefined", file=sys.stderr)
-        return EX_USAGE
-    phi = pre_einstein(law)
-    print(f"pre_einstein: {[fmt_rat(v) for v in phi.phi]}")
+    law = _read_gated_law(args)
+    sig, space = nilpotent_series(law), derivation_space(law)
+    if not space.diag_basis:
+        raise Refusal(EX_USAGE, "rank-zero law: no pre-Einstein derivation, degeneration flow undefined")
+    phi = pre_einstein(law, space)
+    xvec = None
     if args.x is not None:
         try:
             xvec = [Fraction(tok) for tok in args.x.split(",")]
         except ValueError as exc:
-            print(f"nilrad degenerate: bad --X: {exc}", file=sys.stderr)
-            return EX_USAGE
+            raise Refusal(EX_USAGE, f"bad --X: {exc}") from exc
         if len(xvec) != law.dim:
-            print(f"nilrad degenerate: --X needs {law.dim} entries", file=sys.stderr)
-            return EX_USAGE
+            raise Refusal(EX_USAGE, f"--X needs {law.dim} entries")
+    print(f"pre_einstein: {[fmt_rat(v) for v in phi.phi]}")
+    if xvec is not None:
         print(f"in_g_phi: {dg.in_g_phi(xvec, phi)}")
         res = dg.one_param_limit(law, xvec)
-        if res.kind == "zero":
-            print("limit: zero")
-        elif res.kind == "divergent":
-            print("limit: divergent")
-        else:
-            print(f"limit: {format_law(res.law)}")
-            dist = dg.distinguish(law, res.law)
-            if dist is None:
-                print("distinguishing: none (not separated by series/dim Der/rank)")
-            else:
-                print(f"distinguishing: {dist.invariant} {dist.left} vs {dist.right}")
-        return 0
-    found = dg.search_degeneration(law, phi, args.search, args.seed)
-    if found is None:
-        print(f"inconclusive: no witness in {args.search} trials (not a proof of closedness)")
-        return 2
-    print(f"X: {[fmt_rat(v) for v in found.x]}")
-    if found.limit.kind == "zero":
-        print("limit: zero")
+        dist = dg.distinguish(law, res.law, (sig, space)) if res.kind == "limit" else None
     else:
-        print(f"limit: {format_law(found.limit.law)}")
-        d = found.distinction
-        print(f"distinguishing: {d.invariant} {d.left} vs {d.right}")
+        found = dg.search_degeneration(law, phi, args.search, args.seed, known=(sig, space))
+        if found is None:
+            print(f"inconclusive: no witness in {args.search} trials (not a proof of closedness)")
+            return _VERDICT_EXIT[INCONCLUSIVE]
+        print(f"X: {[fmt_rat(v) for v in found.x]}")
+        res, dist = found.limit, found.distinction
+    if res.kind != "limit":
+        print(f"limit: {res.kind}")
+        return 0
+    print(f"limit: {format_law(res.law)}")
+    if dist is None:
+        print("distinguishing: none (not separated by series/dim Der/rank)")
+    else:
+        print(f"distinguishing: {format_distinction(dist)}")
     return 0
 
 
 def cmd_report(args) -> int:
-    rep, code = _pipeline_report(args)
-    if rep is None:
-        return code
+    rep = _pipeline_report(args)
     if args.format == "json":
         print(rep.to_json())
     else:
@@ -233,21 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"nilrad {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_tol(sp):
-        sp.add_argument("--tol", type=float, default=None, help="float tolerance (default 1e-9; env NILRAD_TOL)")
-
     sp = sub.add_parser("check", help="classify a single law file")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--search", type=int, default=400, help="degeneration search trials")
     sp.add_argument("--seed", type=int, default=0)
-    add_tol(sp)
-    sp.set_defaults(func=cmd_check)
+    sp.set_defaults(func=cmd_check, prog=sp.prog)
 
     sp = sub.add_parser("invariants", help="print invariants of a law file")
     sp.add_argument("file")
-    add_tol(sp)
-    sp.set_defaults(func=cmd_invariants)
+    sp.set_defaults(func=cmd_invariants, prog=sp.prog)
 
     sp = sub.add_parser("catalog", help="catalog operations")
     csub = sp.add_subparsers(dest="catalog_command", required=True)
@@ -256,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     spv.add_argument("--parallel", type=int, default=None, metavar="N")
     spv.add_argument("--only", default=None, metavar="ID")
     spv.add_argument("--json", action="store_true")
-    spv.set_defaults(func=cmd_catalog_verify)
+    spv.set_defaults(func=cmd_catalog_verify, prog=spv.prog)
 
     sp = sub.add_parser("degenerate", help="diagonal one-parameter degenerations")
     sp.add_argument("file")
@@ -264,16 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--X", dest="x", default=None, help="comma-separated diagonal exponents")
     group.add_argument("--search", type=int, default=None, metavar="N")
     sp.add_argument("--seed", type=int, default=0, metavar="S")
-    add_tol(sp)
-    sp.set_defaults(func=cmd_degenerate)
+    sp.set_defaults(func=cmd_degenerate, prog=sp.prog)
 
     sp = sub.add_parser("report", help="full pipeline report for a law file")
     sp.add_argument("file")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--search", type=int, default=400)
     sp.add_argument("--seed", type=int, default=0)
-    add_tol(sp)
-    sp.set_defaults(func=cmd_report)
+    sp.set_defaults(func=cmd_report, prog=sp.prog)
     return p
 
 
@@ -302,6 +257,15 @@ def main(argv: list[str] | None = None) -> int:
         raise
     try:
         return args.func(args)
+    except Refusal as exc:
+        print(f"{args.prog}: {exc}", file=sys.stderr)
+        return exc.code
+    except (CatalogError, NotNilpotentError) as exc:
+        print(f"{args.prog}: {exc}", file=sys.stderr)
+        return EX_DATAERR
+    except TorusNotMaximalError:
+        print(f"{args.prog}: basis_not_adapted: the diagonal torus of this basis is not maximal", file=sys.stderr)
+        return _VERDICT_EXIT[INCONCLUSIVE]
     except Exception as exc:
         print(f"nilrad: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_SOFTWARE

@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .algebra import LawError, LieLaw, SeriesSignature, act, jacobi_violations, series_signature
+from .algebra import LawError, LieLaw, SeriesSignature, act, series_signature
 from .derivations import DerivationSpace, PreEinsteinDerivation, derivation_space
 
 
@@ -226,10 +226,3 @@ def search_degeneration(
             if hit is not None:
                 return hit
     return None
-
-
-def limit_is_lie(res: LimitResult) -> bool:
-    """Limits of Lie laws are Lie laws; exposed for the test suite."""
-    if res.kind != "limit":
-        return True
-    return not jacobi_violations(res.law)

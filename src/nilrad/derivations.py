@@ -28,12 +28,6 @@ class DerivationSpace:
 class PreEinsteinDerivation:
     phi: tuple[Fraction, ...]
 
-    def first_nonpositive(self) -> int | None:
-        for idx, x in enumerate(self.phi):
-            if x <= 0:
-                return idx
-        return None
-
 
 def _derivation_rows(law: LieLaw) -> list[dict[int, Fraction]]:
     """Sparse equations for D[e_i,e_j] = [De_i,e_j] + [e_i,De_j].
@@ -150,29 +144,8 @@ def pre_einstein(law: LieLaw, space: DerivationSpace | None = None) -> PreEinste
 
 def positivity_gate(phi: PreEinsteinDerivation) -> tuple[bool, int | None]:
     """(passed, witness index); fails at the first eigenvalue <= 0."""
-    idx = phi.first_nonpositive()
+    idx = next((i for i, x in enumerate(phi.phi) if x <= 0), None)
     return idx is None, idx
-
-
-def is_derivation(law: LieLaw, d: list[list], tol: float | None = None) -> bool:
-    """Check D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] on all basis pairs."""
-    n = law.dim
-    exact = law.is_exact
-    tol = law.tol if tol is None else tol
-    cols = [[d[a][b] for a in range(n)] for b in range(n)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            v = law.bracket(i, j)
-            lhs = [sum(d[k][l] * v[l] for l in range(n)) for k in range(n)]
-            rhs1 = law.bracket_vectors(cols[i - 1], [Fraction(int(a == j - 1)) for a in range(n)])
-            rhs2 = law.bracket_vectors([Fraction(int(a == i - 1)) for a in range(n)], cols[j - 1])
-            for k in range(n):
-                diff = lhs[k] - rhs1[k] - rhs2[k]
-                if exact and diff != 0:
-                    return False
-                if not exact and abs(diff) > tol:
-                    return False
-    return True
 
 
 def diagonal_is_derivation(law: LieLaw, d: list, tol: float | None = None) -> bool:

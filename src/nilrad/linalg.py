@@ -25,11 +25,6 @@ def transpose(a: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*a)]
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def matvec(a: Matrix, v: Vector) -> Vector:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
@@ -78,14 +73,6 @@ def inv(a: Matrix) -> Matrix | None:
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
-
-
-def in_span(vectors: Sequence[Vector], v: Vector) -> bool:
-    """Is v in the rational span of `vectors`?"""
-    if not vectors:
-        return all(x == 0 for x in v)
-    base = [list(map(Fraction, w)) for w in vectors]
-    return rank(base) == rank(base + [list(map(Fraction, v))])
 
 
 def sparse_rref(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:

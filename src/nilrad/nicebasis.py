@@ -83,10 +83,6 @@ class GramU:
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.u]
 
-    @property
-    def size(self) -> int:
-        return len(self.u)
-
 
 def gram_matrix(ws: WeightSystem) -> GramU:
     alphas = ws.alphas()
@@ -119,60 +115,3 @@ def soliton_norm(x) -> Fraction:
     if total <= 0:
         raise ValueError("soliton_norm needs a positive solution vector")
     return Fraction(1) / total
-
-
-def positive_solution_oracle(u: list[list[int]]) -> bool:
-    """Brute-force reference decision for small U (vertex/ray enumeration).
-
-    P = {x >= 0 : Ux = 1} is pointed, so it is nonempty iff it has a vertex,
-    and by convexity a strictly positive point exists iff every coordinate
-    is positive somewhere on P (vertices) or can be pushed up along a
-    recession ray.  Exponential in the number of weights; use for m <= 6.
-    """
-    from . import linalg
-
-    m = len(u)
-    frac = [[Fraction(v) for v in row] for row in u]
-    one = [Fraction(1)] * m
-    zero = [Fraction(0)] * m
-
-    def subset_rows(zset):
-        rows = [row[:] for row in frac]
-        for a in zset:
-            r = [Fraction(0)] * m
-            r[a] = Fraction(1)
-            rows.append(r)
-        return rows
-
-    vertices = []
-    rays = []
-    for mask in range(1 << m):
-        zset = [a for a in range(m) if mask >> a & 1]
-        rows = subset_rows(zset)
-        b = one + zero[: len(zset)]
-        aug = [row + [bv] for row, bv in zip(rows, b)]
-        red, pivots = linalg.rref(aug)
-        if m not in pivots and len(pivots) == m:
-            x = [Fraction(0)] * m
-            for r, cpos in enumerate(pivots):
-                x[cpos] = red[r][m]
-            if all(v >= 0 for v in x):
-                vertices.append(x)
-        # extreme rays of the recession cone {d >= 0 : Ud = 0}
-        ns = linalg.nullspace(rows, ncols=m)
-        if len(ns) == 1:
-            d = ns[0]
-            if all(v >= 0 for v in d):
-                rays.append(d)
-            elif all(v <= 0 for v in d):
-                rays.append([-v for v in d])
-
-    if not vertices:
-        return False
-    for a in range(m):
-        if any(v[a] > 0 for v in vertices):
-            continue
-        if any(r[a] > 0 for r in rays):
-            continue
-        return False
-    return True

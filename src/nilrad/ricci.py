@@ -128,9 +128,3 @@ def cross_check(norm_from_lp, dec: SolitonDecomposition, tol: float = 1e-9) -> b
     if isinstance(dec.c, Fraction) and isinstance(norm_from_lp, Fraction):
         return -dec.c == norm_from_lp
     return abs(float(norm_from_lp) + float(dec.c)) <= tol
-
-
-def norm_squared(law: LieLaw):
-    """||mu||^2 = sum of squared structure constants over stored brackets."""
-    zero = Fraction(0) if law.is_exact else 0.0
-    return sum((c * c for c in law.brackets.values()), zero)

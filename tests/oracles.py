@@ -1,0 +1,118 @@
+"""Reference checks used only by the test suite.
+
+Each one decides a question the library answers by other means (an
+exponential enumeration, a dense recomputation), so a test can compare the
+two.  They are deliberately simple and slow, and nilrad itself never calls
+them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from nilrad import linalg
+from nilrad.algebra import LieLaw, jacobi_violations
+from nilrad.degeneration import LimitResult
+
+
+def matmul(a, b):
+    bt = linalg.transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def in_span(vectors: Sequence, v) -> bool:
+    """Is v in the rational span of `vectors`?"""
+    if not vectors:
+        return all(x == 0 for x in v)
+    base = [list(map(Fraction, w)) for w in vectors]
+    return linalg.rank(base) == linalg.rank(base + [list(map(Fraction, v))])
+
+
+def is_derivation(law: LieLaw, d: list[list], tol: float | None = None) -> bool:
+    """Check D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] on all basis pairs."""
+    n = law.dim
+    exact = law.is_exact
+    tol = law.tol if tol is None else tol
+    cols = [[d[a][b] for a in range(n)] for b in range(n)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            v = law.bracket(i, j)
+            lhs = [sum(d[k][l] * v[l] for l in range(n)) for k in range(n)]
+            rhs1 = law.bracket_vectors(cols[i - 1], [Fraction(int(a == j - 1)) for a in range(n)])
+            rhs2 = law.bracket_vectors([Fraction(int(a == i - 1)) for a in range(n)], cols[j - 1])
+            for k in range(n):
+                diff = lhs[k] - rhs1[k] - rhs2[k]
+                if exact and diff != 0:
+                    return False
+                if not exact and abs(diff) > tol:
+                    return False
+    return True
+
+
+def norm_squared(law: LieLaw):
+    """||mu||^2 = sum of squared structure constants over stored brackets."""
+    zero = Fraction(0) if law.is_exact else 0.0
+    return sum((c * c for c in law.brackets.values()), zero)
+
+
+def limit_is_lie(res: LimitResult) -> bool:
+    """Limits of Lie laws are Lie laws."""
+    if res.kind != "limit":
+        return True
+    return not jacobi_violations(res.law)
+
+
+def positive_solution_oracle(u: list[list[int]]) -> bool:
+    """Brute-force reference decision for small U (vertex/ray enumeration).
+
+    P = {x >= 0 : Ux = 1} is pointed, so it is nonempty iff it has a vertex,
+    and by convexity a strictly positive point exists iff every coordinate
+    is positive somewhere on P (vertices) or can be pushed up along a
+    recession ray.  Exponential in the number of weights; use for m <= 6.
+    """
+    m = len(u)
+    frac = [[Fraction(v) for v in row] for row in u]
+    one = [Fraction(1)] * m
+    zero = [Fraction(0)] * m
+
+    def subset_rows(zset):
+        rows = [row[:] for row in frac]
+        for a in zset:
+            r = [Fraction(0)] * m
+            r[a] = Fraction(1)
+            rows.append(r)
+        return rows
+
+    vertices = []
+    rays = []
+    for mask in range(1 << m):
+        zset = [a for a in range(m) if mask >> a & 1]
+        rows = subset_rows(zset)
+        b = one + zero[: len(zset)]
+        aug = [row + [bv] for row, bv in zip(rows, b)]
+        red, pivots = linalg.rref(aug)
+        if m not in pivots and len(pivots) == m:
+            x = [Fraction(0)] * m
+            for r, cpos in enumerate(pivots):
+                x[cpos] = red[r][m]
+            if all(v >= 0 for v in x):
+                vertices.append(x)
+        # extreme rays of the recession cone {d >= 0 : Ud = 0}
+        ns = linalg.nullspace(rows, ncols=m)
+        if len(ns) == 1:
+            d = ns[0]
+            if all(v >= 0 for v in d):
+                rays.append(d)
+            elif all(v <= 0 for v in d):
+                rays.append([-v for v in d])
+
+    if not vertices:
+        return False
+    for a in range(m):
+        if any(v[a] > 0 for v in vertices):
+            continue
+        if any(r[a] > 0 for r in rays):
+            continue
+        return False
+    return True

@@ -18,7 +18,6 @@ from nilrad.catalog import fmt_rat
 from nilrad.degeneration import (
     distinguish,
     in_g_phi,
-    limit_is_lie,
     one_param_limit,
     search_degeneration,
 )
@@ -28,8 +27,9 @@ from nilrad.derivations import (
     dim_der,
     pre_einstein,
 )
-from nilrad.nicebasis import gram_matrix, is_nice, positive_solution, positive_solution_oracle, soliton_norm
-from nilrad.ricci import moment_map, norm_squared, soliton_check
+from nilrad.nicebasis import gram_matrix, is_nice, positive_solution, soliton_norm
+from nilrad.ricci import moment_map, soliton_check
+from oracles import limit_is_lie, norm_squared, positive_solution_oracle
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:

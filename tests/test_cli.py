@@ -185,8 +185,7 @@ def test_report_json_format(capsys, tmp_path):
     assert Report.from_json(out).verdict == "EN"
 
 
-def test_float_laws_rejected_by_pipeline(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("NILRAD_TOL", "1e-8")
+def test_float_laws_rejected_by_pipeline(capsys, tmp_path):
     p = tmp_path / "law.txt"
     p.write_text("dim 3; [1,2]=3*(1 sqrt(2))")
     code, _, err = _run(capsys, ["invariants", str(p)])
@@ -213,14 +212,26 @@ GATE_PROBES = [
 ]
 
 
-@pytest.mark.parametrize("command", ["check", "report"])
-@pytest.mark.parametrize("text, code, route", GATE_PROBES)
+# `invariants` and `degenerate` print no report: they take the gate rows and
+# the basis_not_adapted rows, answered on stderr alone
+GATE_CASES = [
+    (command, *probe)
+    for command in ("check", "report", "invariants", "degenerate")
+    for probe in GATE_PROBES
+    if command in ("check", "report") or probe[2] != "abelian"
+]
+GATE_ARGS = {"check": ["--json"], "report": ["--format", "json"], "invariants": [], "degenerate": ["--search", "20"]}
+
+
+@pytest.mark.parametrize(
+    "command, text, code, route", GATE_CASES, ids=[f"{t}-{c}-{r}-{cmd}" for cmd, t, c, r in GATE_CASES]
+)
 def test_gate_probes(law_file, capsys, command, text, code, route):
-    fmt = ["--json"] if command == "check" else ["--format", "json"]
-    got, out, err = _run(capsys, [command, law_file(text), *fmt])
-    if route is None:
+    got, out, err = _run(capsys, [command, law_file(text), *GATE_ARGS[command]])
+    if route is None or command in ("invariants", "degenerate"):
         assert (got, out) == (code, "")
         assert len(err.strip().splitlines()) == 1
+        assert route is None or route in err
         return
     assert got == (code if command == "check" else 0) and err == ""
     rep = Report.from_json(out)
@@ -251,3 +262,20 @@ def test_python_m_nilrad(law_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert Report.from_json(proc.stdout).verdict == "EN"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "LAW"], ["catalog", "verify", str(resources.files("nilrad").joinpath("data/catalog7.json")), "--only", "2.3"]],
+    ids=["check", "catalog-verify"],
+)
+def test_runs_without_numpy(law_file, argv):
+    # the library needs the standard library alone: numpy is blocked from import
+    src = str(Path(nilrad.__file__).resolve().parent.parent)
+    argv = [law_file(HEISENBERG) if a == "LAW" else a for a in argv]
+    code = f"import sys; sys.modules['numpy'] = None; from nilrad.cli import main; sys.exit(main({argv!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+    )
+    assert proc.returncode == 0, proc.stderr

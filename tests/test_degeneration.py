@@ -9,11 +9,11 @@ from nilrad.degeneration import (
     distinguish,
     g_phi_lattice,
     in_g_phi,
-    limit_is_lie,
     one_param_limit,
     search_degeneration,
 )
 from nilrad.derivations import PreEinsteinDerivation, pre_einstein
+from oracles import limit_is_lie
 
 
 def _phi(scale, vec):

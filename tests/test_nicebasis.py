@@ -10,9 +10,9 @@ from nilrad.nicebasis import (
     gram_matrix,
     is_nice,
     positive_solution,
-    positive_solution_oracle,
     soliton_norm,
 )
+from oracles import positive_solution_oracle
 
 
 def test_is_nice_examples(by_id):

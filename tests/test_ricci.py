@@ -10,9 +10,9 @@ from nilrad.ricci import (
     NonDiagonalMomentError,
     cross_check,
     moment_map,
-    norm_squared,
     soliton_check,
 )
+from oracles import norm_squared
 
 HEISENBERG = parse_law("dim 3; [1,2]=3")
 
