@@ -5,10 +5,15 @@ Coefficients are Fractions for exact laws, floats for laws with radical
 coefficients (used by explicit nilsoliton witnesses).  The two kinds never
 mix inside one law.
 
-`LieLaw.images` is the sparse view the kernels read: {(a, b): {k: c}} with
-[e_a, e_b] = sum c e_k, for both orders of every stored pair, built once per
-law.  Jacobi, both series and the bracket helpers walk it, so their work
-grows with the number of nonzero structure constants, not with dim^3.
+Two views of the structure constants are built once per law and read by
+every kernel.  `LieLaw.images` is {(a, b): {k: c}} with [e_a, e_b] = sum
+c e_k, for both orders of every stored pair: Jacobi, both series, Der and
+the moment map walk it, so their work grows with the number of nonzero
+structure constants, not with dim^3.  The weight map Y has one row
+f_i + f_j - f_k per stored triple, in sorted order (`weight_rows`, and
+`weights(d)` = Y.d): the diagonal torus is ker Y, U = Y Y^T, a diagonal X
+degenerates the law by the signs of Y.X, and a diagonal moment map m is a
+nilsoliton when Y.m is constant.
 """
 
 from __future__ import annotations
@@ -75,12 +80,15 @@ class LieLaw:
             out.setdefault((j, i), {})[k] = -c
         return out
 
-    def bracket(self, i: int, j: int) -> list:
-        """Coordinates of [e_i, e_j] (any i, j; antisymmetry applied)."""
-        v = [Fraction(0) if self.is_exact else 0.0] * self.dim
-        for k, c in self.images.get((i, j), {}).items():
-            v[k - 1] = c
-        return v
+    def weights(self, d) -> list:
+        """d_i + d_j - d_k for each stored triple (i, j, k), in sorted order: Y.d."""
+        return [d[i - 1] + d[j - 1] - d[k - 1] for i, j, k in sorted(self.brackets)]
+
+    @cached_property
+    def weight_rows(self) -> list[list[int]]:
+        """The weight map Y as an integer matrix: row p is `weights` of the unit vectors at triple p."""
+        units = ([int(p == q) for q in range(self.dim)] for p in range(self.dim))
+        return [list(row) for row in zip(*map(self.weights, units))]
 
     def bracket_vectors(self, u: list, v: list) -> list:
         """[u, v] for coordinate vectors u, v (bilinear extension)."""
@@ -92,20 +100,6 @@ class LieLaw:
                     for k, c in img.items():
                         out[k - 1] += coef * c
         return out
-
-    def ad(self, p: int) -> list[list]:
-        """Matrix of ad(e_p) = [e_p, .] in the standard basis."""
-        return linalg.transpose([self.bracket(p, j) for j in range(1, self.dim + 1)])
-
-    def to_float(self, tol: float | None = None) -> "LieLaw":
-        if not self.is_exact:
-            return self
-        return LieLaw(
-            self.dim,
-            {t: float(c) for t, c in self.brackets.items()},
-            "float",
-            tol if tol is not None else self.tol,
-        )
 
 
 @dataclass(frozen=True)
@@ -388,37 +382,23 @@ def series_signature(law: LieLaw) -> SeriesSignature:
 # basis change action
 
 def act(g: list[list], law: LieLaw) -> LieLaw:
-    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y)."""
+    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) for an exact law and a rational g."""
+    if not (law.is_exact and all(isinstance(x, (int, Fraction)) for row in g for x in row)):
+        raise LawError("act() needs an exact law and a matrix of ints or Fractions")
     n = law.dim
-    exact = law.is_exact and all(isinstance(x, (int, Fraction)) for row in g for x in row)
-    if exact:
-        gm = [[Fraction(x) for x in row] for row in g]
-        ginv = linalg.inv(gm)
-        if ginv is None:
-            raise LawError("singular matrix in act()")
-    else:
-        import numpy as np
-
-        gm = np.array([[float(x) for x in row] for row in g], dtype=float)
-        if abs(float(np.linalg.det(gm))) < 1e-14:
-            raise LawError("singular matrix in act()")
-        ginv = np.linalg.inv(gm)
-        lawf = law.to_float()
+    gm = [[Fraction(x) for x in row] for row in g]
+    ginv = linalg.inv(gm)
+    if ginv is None:
+        raise LawError("singular matrix in act()")
     cols = [[ginv[a][b] for a in range(n)] for b in range(n)]  # ginv columns
-    brackets: dict[Triple, object] = {}
+    brackets: dict[Triple, Fraction] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if exact:
-                w = law.bracket_vectors(cols[i - 1], cols[j - 1])
-                img = linalg.matvec(gm, w)
-            else:
-                w = lawf.bracket_vectors(cols[i - 1], cols[j - 1])
-                img = [sum(gm[a][b] * w[b] for b in range(n)) for a in range(n)]
-            for k in range(1, n + 1):
-                c = img[k - 1]
-                if (exact and c != 0) or (not exact and abs(c) > law.tol):
+            img = linalg.matvec(gm, law.bracket_vectors(cols[i - 1], cols[j - 1]))
+            for k, c in enumerate(img, 1):
+                if c != 0:
                     brackets[(i, j, k)] = c
-    return LieLaw(n, brackets, "exact" if exact else "float", law.tol)
+    return LieLaw(n, brackets, "exact", law.tol)
 
 
 def scale(law: LieLaw, s) -> LieLaw:

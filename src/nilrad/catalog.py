@@ -280,7 +280,7 @@ class Decision:
 
     verdict: str
     route: str
-    certificate: dict[str, Any] | None = None
+    certificate: dict[str, Any]
     computed: dict[str, Any] = field(default_factory=dict)  # U and soliton_norm, where the route has them
     soliton: ricci.SolitonDecomposition | None = None  # a float witness's decomposition
     problems: list[tuple[str, str, str]] = field(default_factory=list)  # (field, expected, computed)
@@ -313,9 +313,8 @@ def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = N
         except TorusNotMaximalError:
             pass  # the diagonal torus of this basis is not maximal: _decide says basis_not_adapted
     dec = _decide(entry, law, sig, space, phi, nice, search_trials, seed)
-    assert dec.certificate is None or dec.certificate["kind"] in _CERT_KINDS[dec.verdict], entry.id
-    certificates = [] if dec.certificate is None else [dec.certificate]
-    rep = Report(entry.id, dec.verdict, dec.route, certificates, {**computed, **dec.computed})
+    assert dec.certificate["kind"] in _CERT_KINDS[dec.verdict], entry.id
+    rep = Report(entry.id, dec.verdict, dec.route, [dec.certificate], {**computed, **dec.computed})
     if not nice.nice and dec.route not in _GATES:
         rep.notes.append(f"not a nice basis: {nice.reason}")
     if entry.expected is not None:
@@ -351,7 +350,7 @@ def _decide(entry: CatalogEntry, law: LieLaw, sig, space, phi, nice: nb.NiceChec
     if not law.brackets:
         return Decision(EN, "abelian", {"kind": "abelian"})
     if nice.nice:
-        return _nice_route(nice.weights, on="law")
+        return _nice_route(law, on="law")
     exp = entry.expected
     if exp is not None and exp.witness_law is not None:
         return _witness_route(exp.witness_law, law, sig, space)
@@ -374,11 +373,11 @@ def _search_route(law: LieLaw, phi, known: dg.Invariants, trials: int, seed: int
     return Decision(NOT_EN, "degeneration_search", cert)
 
 
-def _nice_route(ws: nb.WeightSystem, on: str) -> Decision:
+def _nice_route(law: LieLaw, on: str) -> Decision:
     """Ux=[1] with x > 0 on the Gram matrix of a nice basis, of the law or of its witness."""
-    u = nb.gram_matrix(ws)
+    u = nb.gram_matrix(law)
     res = nb.positive_solution(u)
-    computed = {"U": u.rows()} if on == "law" else {}
+    computed = {"U": u} if on == "law" else {}
     if res.status != "positive":
         return Decision(NOT_EN, "nice_lp", {"kind": "no_positive_solution", "status": res.status, "on": on}, computed)
     norm = fmt_rat(nb.soliton_norm(res.x))
@@ -393,7 +392,7 @@ def _witness_route(witness_text: str, law: LieLaw, sig, space) -> Decision:
     bad = jacobi_violations(witness)
     if bad:
         expected = "Lie algebra law" if witness.is_exact else "Lie algebra law (within tol)"
-        return Decision(INCONCLUSIVE, "none", problems=[("witness_law", expected, f"Jacobi fails at {bad[0][:3]}")])
+        return _witness_rejected([("witness_law", expected, f"Jacobi fails at {bad[0][:3]}")])
     if not witness.is_exact:
         sd = ricci.soliton_check(witness, ricci.moment_map(witness))
         if sd is None:
@@ -419,10 +418,16 @@ def _witness_route(witness_text: str, law: LieLaw, sig, space) -> Decision:
         problems.append(("witness_law", "isomorphic witness", "dim Der differs"))
     wc = nb.is_nice(witness)
     if not wc.nice:
-        return Decision(INCONCLUSIVE, "none", problems=problems + [("witness_law", "nice witness basis", wc.reason)])
-    dec = _nice_route(wc.weights, on="witness")
+        return _witness_rejected(problems + [("witness_law", "nice witness basis", wc.reason)])
+    dec = _nice_route(witness, on="witness")
     dec.problems = problems
     return dec
+
+
+def _witness_rejected(problems: list) -> Decision:
+    """INCONCLUSIVE: the recorded witness fails Jacobi, or an exact one is not a nice basis."""
+    cert = {"kind": "inconclusive", "reason": "witness_rejected"}
+    return Decision(INCONCLUSIVE, "witness_rejected", cert, problems=problems)
 
 
 def _recorded_degeneration_route(rec: Degeneration, law: LieLaw, sig, space, phi) -> Decision:
@@ -453,7 +458,10 @@ def _recorded_degeneration_route(rec: Degeneration, law: LieLaw, sig, space, phi
                 got = (len(space.basis), len(derivation_space(limit_law).basis))
             else:
                 got = None
-            if got is None or got != (int(left), int(right)):
+                problems.append(
+                    ("degeneration.distinguishing", rec.distinguishing, "names no known invariant (rank or dim_der)")
+                )
+            if got is not None and got != (int(left), int(right)):
                 problems.append(("degeneration.distinguishing", rec.distinguishing, f"{name} {got}"))
     cert = {
         "kind": "non_closed_orbit",

@@ -58,13 +58,10 @@ def one_param_limit(law: LieLaw, x, frame=None) -> LimitResult:
     xs = [Fraction(v) for v in x]
     if len(xs) != law.dim:
         raise LawError(f"X must have length {law.dim}")
-    kept = {}
-    for (i, j, k), c in base.brackets.items():
-        w = xs[i - 1] + xs[j - 1] - xs[k - 1]
-        if w < 0:
-            return LimitResult("divergent")
-        if w == 0:
-            kept[(i, j, k)] = c
+    weights = base.weights(xs)
+    if any(w < 0 for w in weights):
+        return LimitResult("divergent")
+    kept = {t: c for (t, c), w in zip(base.triples(), weights) if w == 0}
     if not kept and base.brackets:
         return LimitResult("zero")
     return LimitResult("limit", LieLaw(law.dim, kept, "exact", law.tol))
@@ -133,18 +130,13 @@ def g_phi_lattice(phi: PreEinsteinDerivation, dim: int) -> list[list[int]]:
 
 
 def lattice_weight_rows(law: LieLaw, lattice: list[list[int]]) -> list[tuple[int, ...]]:
-    """The weight of each stored bracket (i, j, k) in lattice coordinates.
+    """The weight of each stored bracket in lattice coordinates.
 
-    Row entry p is L[p][i] + L[p][j] - L[p][k] for the lattice basis vector
-    L[p], so X = sum c_p L[p] gives the bracket weight c . row.  All-zero and
+    Column t of [law.weights(v) for v in lattice] is the row for triple t, so
+    X = sum c_p L[p] gives the bracket weights c . row.  All-zero and
     repeated rows are dropped: X diverges iff c . row < 0 for some row left.
     """
-    rows = {}
-    for i, j, k in law.brackets:
-        row = tuple(v[i - 1] + v[j - 1] - v[k - 1] for v in lattice)
-        if any(row):
-            rows.setdefault(row, None)
-    return list(rows)
+    return list(dict.fromkeys(row for row in zip(*map(law.weights, lattice)) if any(row)))
 
 
 def search_degeneration(

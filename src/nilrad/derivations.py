@@ -67,38 +67,21 @@ def derivation_space(law: LieLaw) -> DerivationSpace:
     basis = tuple(
         tuple(tuple(v[k * n + l] for l in range(n)) for k in range(n)) for v in vecs
     )
-    diag = tuple(tuple(d) for d in _diagonal_generators(law))
-    return DerivationSpace(n, basis, diag)
+    return DerivationSpace(n, basis, tuple(map(tuple, diagonal_rank(law)[1])))
 
 
 def dim_der(law: LieLaw) -> int:
     return len(derivation_space(law).basis)
 
 
-def _weight_rows(law: LieLaw) -> list[list[int]]:
-    """One row f_i + f_j - f_k per stored structure-constant triple."""
-    rows = []
-    for (i, j, k) in law.brackets:
-        row = [0] * law.dim
-        row[i - 1] += 1
-        row[j - 1] += 1
-        row[k - 1] -= 1
-        rows.append(row)
-    return rows
-
-
-def _diagonal_generators(law: LieLaw) -> list[list[int]]:
-    rows = _weight_rows(law)
-    if not rows:
-        return [list(r) for r in linalg.hnf([[int(i == j) for j in range(law.dim)] for i in range(law.dim)])]
-    return linalg.kernel_lattice(rows)
-
-
 def diagonal_rank(law: LieLaw) -> tuple[int, list[list[int]]]:
-    """Rank of the diagonal torus and an HNF-canonical integer basis of it."""
+    """Rank of the diagonal torus and an HNF-canonical integer basis of it: the lattice ker Y."""
     if not law.is_exact:
         raise LawError("diagonal_rank requires an exact law")
-    gens = _diagonal_generators(law)
+    if law.brackets:
+        gens = linalg.kernel_lattice(law.weight_rows)
+    else:  # no weights: the whole of Z^n, whose HNF basis is the identity
+        gens = [[int(i == j) for j in range(law.dim)] for i in range(law.dim)]
     return len(gens), gens
 
 
@@ -149,13 +132,6 @@ def positivity_gate(phi: PreEinsteinDerivation) -> tuple[bool, int | None]:
 
 
 def diagonal_is_derivation(law: LieLaw, d: list, tol: float | None = None) -> bool:
-    """Derivation check for diagonal d (vector of eigenvalues)."""
+    """Derivation check for diagonal d (vector of eigenvalues): every weight Y.d vanishes."""
     tol = law.tol if tol is None else tol
-    for (i, j, k), c in law.brackets.items():
-        diff = d[i - 1] + d[j - 1] - d[k - 1]
-        if law.is_exact and isinstance(diff, Fraction):
-            if diff != 0:
-                return False
-        elif abs(diff) > tol:
-            return False
-    return True
+    return all(w == 0 if law.is_exact and isinstance(w, Fraction) else abs(w) <= tol for w in law.weights(d))

@@ -2,40 +2,23 @@
 
 For a law written in a nice basis the Einstein-nilradical question reduces
 to an exact feasibility problem: does U x = [1] admit a strictly positive
-solution?  U is the Gram matrix of the weight vectors f_k - f_i - f_j.
+solution?  U = Y Y^T is the Gram matrix of the law's weight map Y, whose
+rows are f_i + f_j - f_k, one per stored triple (Payne, arXiv:0809.1767).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import lp
 from .algebra import LawError, LieLaw
 
 
 @dataclass(frozen=True)
-class WeightSystem:
-    """Stored bracket triples in canonical (lexicographic) order."""
-
-    dim: int
-    entries: tuple[tuple[int, int, int], ...]
-
-    def alphas(self) -> list[list[int]]:
-        out = []
-        for (i, j, k) in self.entries:
-            a = [0] * self.dim
-            a[i - 1] -= 1
-            a[j - 1] -= 1
-            a[k - 1] += 1
-            out.append(a)
-        return out
-
-
-@dataclass(frozen=True)
 class NiceCheck:
     nice: bool
-    weights: WeightSystem | None = None
     reason: str | None = None
 
 
@@ -72,31 +55,19 @@ def is_nice(law: LieLaw) -> NiceCheck:
                             f"N2 fails at image {k}: pairs {pairs[a]} and {pairs[b]} share index {min(shared)}"
                         ),
                     )
-    entries = tuple(sorted(law.brackets))
-    return NiceCheck(True, weights=WeightSystem(law.dim, entries))
+    return NiceCheck(True)
 
 
-@dataclass(frozen=True)
-class GramU:
-    u: tuple[tuple[int, ...], ...]
-
-    def rows(self) -> list[list[int]]:
-        return [list(r) for r in self.u]
+def gram_matrix(law: LieLaw) -> list[list[int]]:
+    """U = Y Y^T for the weight map Y of the law, rows and columns in sorted triple order."""
+    rows = law.weight_rows
+    return [[sum(map(mul, a, b)) for b in rows] for a in rows]
 
 
-def gram_matrix(ws: WeightSystem) -> GramU:
-    alphas = ws.alphas()
-    u = tuple(
-        tuple(sum(x * y for x, y in zip(a, b)) for b in alphas) for a in alphas
-    )
-    return GramU(u)
-
-
-def positive_solution(u: GramU | list[list[int]]) -> PositiveSolutionResult:
+def positive_solution(u: list[list[int]]) -> PositiveSolutionResult:
     """Exact decision of {x : Ux = [1], x > 0} != {} via rational LP."""
-    rows = u.rows() if isinstance(u, GramU) else [list(r) for r in u]
-    m = len(rows)
-    frac_rows = [[Fraction(v) for v in row] for row in rows]
+    m = len(u)
+    frac_rows = [[Fraction(v) for v in row] for row in u]
     rhs = [Fraction(1)] * m
     status, t, x = lp.max_min_component(frac_rows, rhs)
     if status == "infeasible":

@@ -53,35 +53,31 @@ class NonDiagonalMomentError(LawError):
 
 
 def moment_map(law: LieLaw) -> MomentValue:
-    """m(mu) = 4 Ric_mu in the standard basis."""
+    """m(mu) = 4 Ric_mu in the standard basis, read from law.images.
+
+    Both sums skip zero products and keep the order of the dense formula
+    (i-major, then j; pairs a < b ascending), so float laws get its bits.
+    """
     n = law.dim
-    ads = [law.ad(p) for p in range(1, n + 1)]
+    images = law.images
+    pairs = [img for (a, b), img in images.items() if a < b]
     zero = Fraction(0) if law.is_exact else 0.0
     m = [[zero] * n for _ in range(n)]
-    for p in range(n):
-        for q in range(p, n):
+    for p in range(1, n + 1):
+        for q in range(p, n + 1):
             t1 = zero
-            for i in range(n):
-                for j in range(n):
-                    t1 += ads[p][j][i] * ads[q][j][i]
-            m[p][q] = -2 * t1 + _pair_sum(law, p, q)
-            m[q][p] = m[p][q]
+            for i in range(1, n + 1):
+                img_p, img_q = images.get((p, i)), images.get((q, i))
+                if img_p and img_q:
+                    for j, c in img_p.items():
+                        if j in img_q:
+                            t1 += c * img_q[j]
+            t2 = zero
+            for img in pairs:
+                if p in img and q in img:
+                    t2 += 2 * img[p] * img[q]
+            m[p - 1][q - 1] = m[q - 1][p - 1] = -2 * t1 + t2
     return MomentValue(tuple(tuple(row) for row in m))
-
-
-def _pair_sum(law: LieLaw, p: int, q: int):
-    """2 * sum over stored brackets of mu(e_i,e_j)_p mu(e_i,e_j)_q."""
-    zero = Fraction(0) if law.is_exact else 0.0
-    total = zero
-    by_pair: dict[tuple[int, int], dict[int, object]] = {}
-    for (a, b, k), c in law.brackets.items():
-        by_pair.setdefault((a, b), {})[k - 1] = c
-    for comps in by_pair.values():
-        cp = comps.get(p, zero)
-        cq = comps.get(q, zero)
-        if cp and cq:
-            total += 2 * cp * cq
-    return total
 
 
 def soliton_check(law: LieLaw, m: MomentValue | None = None):
@@ -100,26 +96,16 @@ def soliton_check(law: LieLaw, m: MomentValue | None = None):
             "moment map is not diagonal with respect to the given basis"
         )
     diag = m.diagonal()
-    candidates = []
-    for (i, j, k) in law.brackets:
-        candidates.append(diag[i - 1] + diag[j - 1] - diag[k - 1])
+    candidates = law.weights(diag)
     if not candidates:
         return None
     c = candidates[0]
-    if law.is_exact:
-        if any(cc != c for cc in candidates):
-            return None
-    else:
-        if any(abs(cc - c) > tol for cc in candidates):
-            return None
+    if any(cc != c if law.is_exact else abs(cc - c) > tol for cc in candidates):
+        return None
     d = tuple(v - c for v in diag)
     if not diagonal_is_derivation(law, list(d), tol):
         return None
-    residual = 0.0
-    if not law.is_exact:
-        residual = max(
-            abs(d[i - 1] + d[j - 1] - d[k - 1]) for (i, j, k) in law.brackets
-        )
+    residual = 0.0 if law.is_exact else max(map(abs, law.weights(d)))
     return SolitonDecomposition(c, d, residual)
 
 

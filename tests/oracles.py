@@ -3,7 +3,9 @@
 Each one decides a question the library answers by other means (an
 exponential enumeration, a dense recomputation), so a test can compare the
 two.  They are deliberately simple and slow, and nilrad itself never calls
-them.
+them.  The float basis change (`to_float`, `act_float`) lives here too: the
+library acts by rational matrices only, and the orthogonal rotations of the
+moment-map equivariance tests need floats and numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +14,93 @@ from fractions import Fraction
 from typing import Sequence
 
 from nilrad import linalg
-from nilrad.algebra import LieLaw, jacobi_violations
+from nilrad.algebra import LawError, LieLaw, jacobi_violations
 from nilrad.degeneration import LimitResult
+from nilrad.ricci import MomentValue
+
+
+def to_float(law: LieLaw, tol: float | None = None) -> LieLaw:
+    if not law.is_exact:
+        return law
+    return LieLaw(
+        law.dim,
+        {t: float(c) for t, c in law.brackets.items()},
+        "float",
+        tol if tol is not None else law.tol,
+    )
+
+
+def act_float(g: list[list], law: LieLaw) -> LieLaw:
+    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) in floating point, for a real g."""
+    import numpy as np
+
+    n = law.dim
+    gm = np.array([[float(x) for x in row] for row in g], dtype=float)
+    if abs(float(np.linalg.det(gm))) < 1e-14:
+        raise LawError("singular matrix in act_float()")
+    ginv = np.linalg.inv(gm)
+    lawf = to_float(law)
+    cols = [[ginv[a][b] for a in range(n)] for b in range(n)]  # ginv columns
+    brackets = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            w = lawf.bracket_vectors(cols[i - 1], cols[j - 1])
+            img = [sum(gm[a][b] * w[b] for b in range(n)) for a in range(n)]
+            for k in range(1, n + 1):
+                c = img[k - 1]
+                if abs(c) > law.tol:
+                    brackets[(i, j, k)] = c
+    return LieLaw(n, brackets, "float", law.tol)
+
+
+def bracket(law: LieLaw, i: int, j: int) -> list:
+    """Coordinates of [e_i, e_j] (any i, j; antisymmetry applied)."""
+    v = [Fraction(0) if law.is_exact else 0.0] * law.dim
+    for k, c in law.images.get((i, j), {}).items():
+        v[k - 1] = c
+    return v
+
+
+def ad(law: LieLaw, p: int) -> list[list]:
+    """Matrix of ad(e_p) = [e_p, .] in the standard basis."""
+    return linalg.transpose([bracket(law, p, j) for j in range(1, law.dim + 1)])
+
+
+def dense_moment_map(law: LieLaw) -> MomentValue:
+    """m(mu) = 4 Ric_mu from the dense ad matrices, summing every entry."""
+    n = law.dim
+    ads = [ad(law, p) for p in range(1, n + 1)]
+    zero = Fraction(0) if law.is_exact else 0.0
+    by_pair: dict[tuple[int, int], dict[int, object]] = {}
+    for (a, b, k), c in law.brackets.items():
+        by_pair.setdefault((a, b), {})[k - 1] = c
+    m = [[zero] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p, n):
+            t1 = zero
+            for i in range(n):
+                for j in range(n):
+                    t1 += ads[p][j][i] * ads[q][j][i]
+            t2 = zero
+            for comps in by_pair.values():
+                cp, cq = comps.get(p, zero), comps.get(q, zero)
+                if cp and cq:
+                    t2 += 2 * cp * cq
+            m[p][q] = -2 * t1 + t2
+            m[q][p] = m[p][q]
+    return MomentValue(tuple(tuple(row) for row in m))
+
+
+def alphas_gram(law: LieLaw) -> list[list[int]]:
+    """Gram matrix of the weight vectors f_k - f_i - f_j, in sorted triple order."""
+    alphas = []
+    for (i, j, k) in sorted(law.brackets):
+        a = [0] * law.dim
+        a[i - 1] -= 1
+        a[j - 1] -= 1
+        a[k - 1] += 1
+        alphas.append(a)
+    return [[sum(x * y for x, y in zip(a, b)) for b in alphas] for a in alphas]
 
 
 def matmul(a, b):
@@ -37,7 +124,7 @@ def is_derivation(law: LieLaw, d: list[list], tol: float | None = None) -> bool:
     cols = [[d[a][b] for a in range(n)] for b in range(n)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            v = law.bracket(i, j)
+            v = bracket(law, i, j)
             lhs = [sum(d[k][l] * v[l] for l in range(n)) for k in range(n)]
             rhs1 = law.bracket_vectors(cols[i - 1], [Fraction(int(a == j - 1)) for a in range(n)])
             rhs2 = law.bracket_vectors([Fraction(int(a == i - 1)) for a in range(n)], cols[j - 1])

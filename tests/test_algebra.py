@@ -175,3 +175,12 @@ def test_format_parse_round_trip(law):
     text = format_law(law)
     assert parse_law(text) == law
     assert format_law(parse_law(text)) == text
+
+
+def test_act_rejects_float_input():
+    # the float basis change is a test oracle (tests/oracles.py); act() is exact
+    law = parse_law(HEISENBERG)
+    with pytest.raises(LawError, match="exact"):
+        act([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], law)
+    with pytest.raises(LawError, match="exact"):
+        act([[1, 0, 0], [0, 1, 0], [0, 0, 1]], parse_law("dim 3; [1,2]=3*sqrt(2)"))

@@ -279,3 +279,9 @@ def test_runs_without_numpy(law_file, argv):
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_source_file_mentions_numpy():
+    # numpy is a test dependency: the float basis change lives in tests/oracles.py
+    root = Path(nilrad.__file__).resolve().parent
+    assert [p.name for p in sorted(root.rglob("*.py")) if "numpy" in p.read_text()] == []

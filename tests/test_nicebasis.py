@@ -16,13 +16,15 @@ from oracles import positive_solution_oracle
 
 
 def test_is_nice_examples(by_id):
-    check = is_nice(by_id["2.3"].law())
-    assert check.nice and len(check.weights.entries) == 5
+    law = by_id["2.3"].law()
+    check = is_nice(law)
+    assert check.nice and len(law.brackets) == 5
     check = is_nice(by_id["0.2"].law())
     assert not check.nice
     assert "N1" in check.reason and "(2,3)" in check.reason
-    check = is_nice(parse_law("dim 3; [1,2]=3"))
-    assert check.nice and len(check.weights.entries) == 1
+    law = parse_law("dim 3; [1,2]=3")
+    check = is_nice(law)
+    assert check.nice and len(law.brackets) == 1
 
 
 def test_is_nice_n2_violation():
@@ -31,21 +33,18 @@ def test_is_nice_n2_violation():
 
 
 def test_gram_single_weight():
-    ws = is_nice(parse_law("dim 3; [1,2]=3")).weights
-    assert gram_matrix(ws).rows() == [[3]]
+    assert gram_matrix(parse_law("dim 3; [1,2]=3")) == [[3]]
 
 
 def test_gram_42(by_id):
-    ws = is_nice(by_id["4.2"].law()).weights
-    assert gram_matrix(ws).rows() == [[3, 1, 1], [1, 3, 1], [1, 1, 3]]
+    assert gram_matrix(by_id["4.2"].law()) == [[3, 1, 1], [1, 3, 1], [1, 1, 3]]
 
 
 def test_gram_symmetric_diag3_all_nice_entries(entries):
     for entry in entries:
         if not entry.expected.nice:
             continue
-        ws = is_nice(entry.law()).weights
-        u = gram_matrix(ws).rows()
+        u = gram_matrix(entry.law())
         m = len(u)
         for a in range(m):
             assert u[a][a] == 3
@@ -64,12 +63,12 @@ def test_positive_solution_validates_witness():
 
 def test_no_positive_solution_134(by_id):
     entry = by_id["1.3(iv)"]
-    u = gram_matrix(is_nice(entry.law()).weights)
+    u = gram_matrix(entry.law())
     res = positive_solution(u)
     assert res.status == "no_positive_solution"
     # the unique solution has a negative component
     x = [Fraction(v, 17) for v in [5, 3, 4, -1, 3, 5]]
-    assert all(sum(r * xv for r, xv in zip(row, x)) == 1 for row in u.rows())
+    assert all(sum(r * xv for r, xv in zip(row, x)) == 1 for row in u)
 
 
 def test_inconsistent_system():
@@ -96,7 +95,7 @@ def test_sum_constant_on_solution_set(entries):
     for entry in entries:
         if not entry.expected.nice:
             continue
-        u = gram_matrix(is_nice(entry.law()).weights).rows()
+        u = gram_matrix(entry.law())
         m = len(u)
         frac = [[Fraction(v) for v in row] for row in u]
         if linalg.solve(frac, [Fraction(1)] * m) is None:
@@ -137,7 +136,7 @@ def test_lp_matches_oracle_random():
 
 def test_verdict_invariant_under_permutation(by_id):
     rng = random.Random(99)
-    u = gram_matrix(is_nice(by_id["1.4"].law()).weights).rows()
+    u = gram_matrix(by_id["1.4"].law())
     m = len(u)
     base = positive_solution(u).status
     for _ in range(10):

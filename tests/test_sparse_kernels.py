@@ -31,6 +31,8 @@ from nilrad.degeneration import (
 )
 from nilrad.derivations import _derivation_rows, derivation_space, pre_einstein
 from nilrad.nicebasis import gram_matrix, is_nice
+from nilrad.ricci import moment_map
+from oracles import alphas_gram, dense_moment_map
 
 PROBES = (
     "dim 3; [1,2]=3; [1,3]=1",  # fails Jacobi
@@ -379,7 +381,7 @@ def test_simplex_matches_dense(entries):
         if e.expected.witness_law:
             w = parse_law(e.expected.witness_law)
             if w.is_exact and is_nice(w).nice:
-                us.add(tuple(map(tuple, gram_matrix(is_nice(w).weights).rows())))
+                us.add(tuple(map(tuple, gram_matrix(w))))
     assert len(us) > 50
     for u in [list(map(list, u)) for u in sorted(us)] + list(_c7_random_us()):
         frac = [[Fraction(v) for v in row] for row in u]
@@ -417,6 +419,24 @@ def test_search_matches_unfiltered_loop(search_laws):
     assert hits > 10  # the comparison covers witnesses, not only misses
 
 
+def test_weight_map_and_moment_map_match_dense_oracles(entries, exact_laws):
+    """U from `law.weight_rows` and the moment map from `law.images` equal the
+    old dense versions: the Gram matrix of the weight vectors f_k - f_i - f_j
+    and the moment map summed over every entry of the ad matrices.  On the
+    float witnesses the moment maps agree bit for bit."""
+    assert {e.id for e in entries} <= set(exact_laws) and any(name.startswith("g.") for name in exact_laws)
+    for name, law in exact_laws.items():
+        assert gram_matrix(law) == alphas_gram(law), name
+        assert moment_map(law) == dense_moment_map(law), name
+    witnesses = {e.expected.witness_law for e in entries if e.expected.witness_law}
+    assert len(witnesses) == 14
+    for text in sorted(witnesses):
+        w = parse_law(text)
+        m, dense = moment_map(w), dense_moment_map(w)
+        assert m == dense and repr(m) == repr(dense), text
+        assert gram_matrix(w) == alphas_gram(w), text
+
+
 def test_weight_rows_flag_exactly_the_divergent_x(search_laws):
     rng = random.Random(1105)
     divergent = 0
@@ -424,6 +444,8 @@ def test_weight_rows_flag_exactly_the_divergent_x(search_laws):
         lattice = g_phi_lattice(phi, law.dim)
         rows = lattice_weight_rows(law, lattice)
         assert all(any(row) for row in rows) and len(set(rows)) == len(rows)
+        by_hand = {tuple(v[i - 1] + v[j - 1] - v[k - 1] for v in lattice) for i, j, k in law.brackets}
+        assert set(rows) == by_hand - {(0,) * len(lattice)}, entry.id
         for _ in range(200):
             bound = rng.choice((1, 2, 4, 16))
             coeffs = [rng.randint(-bound, bound) for _ in lattice]
