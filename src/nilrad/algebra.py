@@ -9,7 +9,9 @@ Two views of the structure constants are built once per law and read by
 every kernel.  `LieLaw.images` is {(a, b): {k: c}} with [e_a, e_b] = sum
 c e_k, for both orders of every stored pair: Jacobi, both series, Der and
 the moment map walk it, so their work grows with the number of nonzero
-structure constants, not with dim^3.  The weight map Y has one row
+structure constants, not with dim^3.  An exact constant that is an integer
+is held there as an int, so on integral laws the products and the series
+never build a Fraction.  The weight map Y has one row
 f_i + f_j - f_k per stored triple, in sorted order (`weight_rows`, and
 `weights(d)` = Y.d): the diagonal torus is ker Y, U = Y Y^T, a diagonal X
 degenerates the law by the signs of Y.X, and a diagonal moment map m is a
@@ -72,10 +74,12 @@ class LieLaw:
         return iter(sorted(self.brackets.items()))
 
     @cached_property
-    def images(self) -> dict[tuple[int, int], dict[int, Fraction | float]]:
+    def images(self) -> dict[tuple[int, int], dict[int, int | Fraction | float]]:
         """{(a, b): {k: c}} with [e_a, e_b] = sum c e_k, for both orders of a pair."""
-        out: dict[tuple[int, int], dict[int, Fraction | float]] = {}
+        out: dict[tuple[int, int], dict[int, int | Fraction | float]] = {}
         for (i, j, k), c in sorted(self.brackets.items()):
+            if self.is_exact and c.denominator == 1:
+                c = c.numerator  # integral constants as ints: products and series stay integer
             out.setdefault((i, j), {})[k] = c
             out.setdefault((j, i), {})[k] = -c
         return out
@@ -349,19 +353,23 @@ def _bracket_sparse(law: LieLaw, u: dict, v: dict) -> dict:
 
 
 def _subspace_bracket(law: LieLaw, a: list[dict], b: list[dict] | None = None) -> list[dict]:
-    """Reduced sparse basis of [A, B]; b None means [A, A], from pairs u < v."""
+    """Reduced integer basis of [A, B]; b None means [A, A], from pairs u < v.
+
+    Only the span matters, so the rows stay the primitive integer rows of
+    `linalg.integer_rref`.
+    """
     if b is None:
         prods = [_bracket_sparse(law, u, v) for p, u in enumerate(a) for v in a[p + 1 :]]
     else:
         prods = [_bracket_sparse(law, u, v) for u in a for v in b]
-    return list(linalg.sparse_rref([p for p in prods if p]).values())
+    return list(linalg.integer_rref([p for p in prods if p]).values())
 
 
 def series_signature(law: LieLaw) -> SeriesSignature:
     """Dimensions of the derived series and the descending central series."""
     if not law.is_exact:
         raise LawError("series_signature requires an exact law")
-    full = [{i: Fraction(1)} for i in range(1, law.dim + 1)]
+    full = [{i: 1} for i in range(1, law.dim + 1)]
 
     def dims(step) -> tuple[int, ...]:
         out, cur = [law.dim], full

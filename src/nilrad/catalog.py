@@ -9,9 +9,9 @@ fully green catalog run cross-validates both the code and the data.
 from __future__ import annotations
 
 import json
+import re
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
@@ -171,6 +171,9 @@ def _expected_from_json(eid: str, d: dict) -> Expected:
         missing = {"X", "limit", "distinguishing"} - set(dd)
         if missing:
             raise CatalogError(eid, f"degeneration.{sorted(missing)[0]}", "missing required field")
+        name = str(dd["distinguishing"]).partition(" ")[0]
+        if name in ("rank", "dim_der") and not re.fullmatch(rf"{name} \d+ vs \d+", dd["distinguishing"]):
+            raise CatalogError(eid, "degeneration.distinguishing", f"must read '{name} <int> vs <int>'")
         degen = Degeneration(
             None if dd["X"] is None else tuple(parse_rat(v) for v in dd["X"]),
             dd["limit"],
@@ -526,19 +529,11 @@ def _diff(exp: Expected, rep: Report, dec: Decision, tol: float) -> None:
 # ---------------------------------------------------------------------------
 # driver
 
-def verify_catalog(
-    entries: list[CatalogEntry],
-    parallel: int | None = None,
-    only: str | None = None,
-) -> list[Report]:
+def verify_catalog(entries: list[CatalogEntry], only: str | None = None) -> list[Report]:
     todo = [e for e in entries if only is None or e.id == only or e.id.startswith(f"{only}[")]
     if only is not None and not todo:
         raise CatalogError(only, "id", "no such entry")
-    todo = sorted(todo, key=lambda e: e.id)
-    if parallel and parallel > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(classify, todo))
-    return [classify(e) for e in todo]
+    return [classify(e) for e in sorted(todo, key=lambda e: e.id)]
 
 
 def summary_lines(reports: list[Report]) -> list[str]:

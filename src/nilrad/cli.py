@@ -132,7 +132,7 @@ def cmd_catalog_verify(args) -> int:
         entries = load_catalog(args.file)
     except OSError as exc:
         raise Refusal(EX_DATAERR, str(exc)) from exc
-    reports = verify_catalog(entries, parallel=args.parallel, only=args.only)
+    reports = verify_catalog(entries, only=args.only)
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     else:
@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     csub = sp.add_subparsers(dest="catalog_command", required=True)
     spv = csub.add_parser("verify", help="verify a catalog file")
     spv.add_argument("file")
-    spv.add_argument("--parallel", type=int, default=None, metavar="N")
     spv.add_argument("--only", default=None, metavar="ID")
     spv.add_argument("--json", action="store_true")
     spv.set_defaults(func=cmd_catalog_verify, prog=spv.prog)

@@ -29,7 +29,7 @@ class PreEinsteinDerivation:
     phi: tuple[Fraction, ...]
 
 
-def _derivation_rows(law: LieLaw) -> list[dict[int, Fraction]]:
+def _derivation_rows(law: LieLaw) -> list[dict[int, int | Fraction]]:
     """Sparse equations for D[e_i,e_j] = [De_i,e_j] + [e_i,De_j].
 
     Unknowns are D_{kl} at column index (k-1)*n + (l-1); one equation per
@@ -38,7 +38,7 @@ def _derivation_rows(law: LieLaw) -> list[dict[int, Fraction]]:
     built in O(#brackets * n); the row for (j,i,k) is minus that for (i,j,k).
     """
     n = law.dim
-    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    rows: dict[tuple[int, int, int], dict[int, int | Fraction]] = {}
 
     def add(i, j, k, col, val):
         if i > j:
@@ -46,14 +46,18 @@ def _derivation_rows(law: LieLaw) -> list[dict[int, Fraction]]:
         row = rows.setdefault((i, j, k), {})
         row[col] = row.get(col, 0) + val
 
-    for (a, b, m), c in law.brackets.items():
-        for k in range(1, n + 1):
-            add(a, b, k, (k - 1) * n + m - 1, c)  # D[e_a, e_b] = c D e_m, coordinate k
-        for i in range(1, n + 1):
-            if i != b:
-                add(i, b, m, (a - 1) * n + i - 1, -c)  # [D e_i, e_b] through D_ai
-            if i != a:
-                add(i, a, m, (b - 1) * n + i - 1, c)  # [D e_i, e_a] through D_bi; [e_b, e_a] = -c e_m
+    # `images` holds integral constants as ints, so the system stays integer
+    for (a, b), img in law.images.items():
+        if a > b:
+            continue  # each stored bracket once
+        for m, c in img.items():
+            for k in range(1, n + 1):
+                add(a, b, k, (k - 1) * n + m - 1, c)  # D[e_a, e_b] = c D e_m, coordinate k
+            for i in range(1, n + 1):
+                if i != b:
+                    add(i, b, m, (a - 1) * n + i - 1, -c)  # [D e_i, e_b] through D_ai
+                if i != a:
+                    add(i, a, m, (b - 1) * n + i - 1, c)  # [D e_i, e_a] through D_bi; [e_b, e_a] = -c e_m
     pruned = ({col: v for col, v in row.items() if v} for row in rows.values())
     return [row for row in pruned if row]
 
@@ -106,8 +110,8 @@ def pre_einstein(law: LieLaw, space: DerivationSpace | None = None) -> PreEinste
     if not gens:
         raise RankZeroError("rank-zero law has no pre-Einstein derivation")
     r = len(gens)
-    gram = [[Fraction(sum(a * b for a, b in zip(gens[p], gens[q]))) for q in range(r)] for p in range(r)]
-    rhs = [Fraction(sum(gens[p])) for p in range(r)]
+    gram = [[sum(a * b for a, b in zip(gens[p], gens[q])) for q in range(r)] for p in range(r)]
+    rhs = [sum(gens[p]) for p in range(r)]
     coeffs = linalg.solve(gram, rhs)
     assert coeffs is not None  # gram of independent generators is definite
     phi = tuple(
@@ -116,9 +120,8 @@ def pre_einstein(law: LieLaw, space: DerivationSpace | None = None) -> PreEinste
     )
     n = law.dim
     for psi in space.basis:
-        tr_phi_psi = sum(phi[i] * psi[i][i] for i in range(n))
-        tr_psi = sum(psi[i][i] for i in range(n))
-        if tr_phi_psi != tr_psi:
+        diag = [(phi[i], psi[i][i]) for i in range(n) if psi[i][i]]  # most are zero
+        if sum(f * x for f, x in diag) != sum(x for _, x in diag):
             raise TorusNotMaximalError(
                 "tr(phi.psi) != tr(psi) for a derivation psi; diagonal torus not maximal"
             )

@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals, plus integer lattice routines.
 
-Matrices are plain nested lists.  There is one rational eliminator,
-`sparse_rref`, on rows {column: coeff}: it touches only nonzero entries,
-which is what the structure-constant systems (derivation equations in n^2
-unknowns, series subspaces) are made of; the dense `rref`, `solve`, `inv`
-and `nullspace` are views of it.  Rational entries are `fractions.Fraction`;
-lattice routines work on Python ints.
+Matrices are plain nested lists.  There is one eliminator, `integer_rref`,
+on sparse rows {column: coeff}: it touches only nonzero entries, which is
+what the structure-constant systems (derivation equations in n^2 unknowns,
+series subspaces) are made of.  It clears each row's denominators once and
+then eliminates fraction-free on Python ints, so no `Fraction` arithmetic
+runs inside it.  `sparse_rref` is its rational view, and the dense `rref`,
+`solve`, `inv` and `nullspace` are views of that.  `fractions.Fraction`
+appears only in what these hand back: reduced rows, solutions and kernel
+vectors.  Lattice routines work on Python ints.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -75,66 +79,89 @@ def inv(a: Matrix) -> Matrix | None:
     return [row[n:] for row in red]
 
 
-def sparse_rref(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Reduced row echelon form of sparse rows {col: coeff}, keyed by pivot column.
+def _primitive(row: dict) -> dict[int, int]:
+    """A rational row {col: coeff} scaled to coprime integers, zero entries dropped."""
+    d = math.lcm(*(v.denominator for v in row.values()))
+    ints = {k: v.numerator * (d // v.denominator) for k, v in row.items() if v}
+    g = math.gcd(*ints.values())
+    return ints if g == 1 else {k: v // g for k, v in ints.items()}
 
-    Each returned row has a 1 at its pivot and no entry in any other pivot
-    column, so the result depends only on the row space, not on row order.
+
+def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
+    """a.row - b.piv with a, b the smallest integers that cancel column c; content divided out."""
+    g = math.gcd(piv[c], row[c])
+    a, b = piv[c] // g, row[c] // g
+    if a != 1:
+        row = {k: a * v for k, v in row.items()}
+    for k, v in piv.items():
+        nv = row.get(k, 0) - b * v
+        if nv:
+            row[k] = nv
+        else:
+            row.pop(k, None)
+    g = math.gcd(*row.values())
+    return row if g <= 1 else {k: v // g for k, v in row.items()}
+
+
+def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
+    """Fraction-free reduced row echelon form of sparse rational rows {col: coeff}.
+
+    Keyed by pivot column.  Each returned row is a primitive integer row
+    with a positive entry at its pivot and no entry in any other pivot
+    column, so row / row[pivot] is the unique reduced form of the row space.
+    Rows are cleared of denominators once; elimination is row <- a.row - b.piv
+    on Python ints, with the content gcd taken out after each step.
     """
-    work = [dict(r) for r in rows if r]
-    pivot_of_col: dict[int, dict[int, Fraction]] = {}
+    work = [r for r in map(_primitive, rows) if r]
+    pivot_of_col: dict[int, dict[int, int]] = {}
     while work:
         row = work.pop()
         while row:
             c = min(row)
-            if c in pivot_of_col:
-                piv = pivot_of_col[c]
-                f = row[c]
-                for pc, pv in piv.items():
-                    nv = row.get(pc, Fraction(0)) - f * pv
-                    if nv:
-                        row[pc] = nv
-                    else:
-                        row.pop(pc, None)
-            else:
-                inv_p = Fraction(1) / row[c]
-                row = {k: v * inv_p for k, v in row.items()}
-                pivot_of_col[c] = row
+            piv = pivot_of_col.get(c)
+            if piv is None:
+                pivot_of_col[c] = row if row[c] > 0 else {k: -v for k, v in row.items()}
                 break
+            row = _eliminate(row, piv, c)
     # back-substitute so each pivot row is reduced against later pivots
     for c in sorted(pivot_of_col, reverse=True):
         row = pivot_of_col[c]
         for c2 in sorted(k for k in row if k != c and k in pivot_of_col):
-            piv = pivot_of_col[c2]
-            f = row.get(c2)
-            if not f:
-                continue
-            for pc, pv in piv.items():
-                nv = row.get(pc, Fraction(0)) - f * pv
-                if nv:
-                    row[pc] = nv
-                else:
-                    row.pop(pc, None)
+            row = _eliminate(row, pivot_of_col[c2], c2)
+        pivot_of_col[c] = row
     return pivot_of_col
 
 
-def sparse_nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[Vector]:
+def sparse_rref(rows: list[dict]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of sparse rows {col: coeff}, keyed by pivot column.
+
+    The rational view of `integer_rref`: each row has a 1 at its pivot and
+    no entry in any other pivot column, so the result depends only on the
+    row space, not on row order.
+    """
+    return {
+        c: {k: Fraction(v, row[c]) for k, v in row.items()}
+        for c, row in sorted(integer_rref(rows).items())
+    }
+
+
+def sparse_nullspace(rows: list[dict], ncols: int) -> list[Vector]:
     """Kernel basis for a sparse system; rows are {col: coeff} dicts.
 
     Used for the derivation equations, where each row touches only a
-    handful of the n^2 unknowns.
+    handful of the n^2 unknowns.  One vector per free column f, with a 1 at
+    f and -row[f] / row[c] at each pivot column c.
     """
-    pivot_of_col = sparse_rref(rows)
-    free = [c for c in range(ncols) if c not in pivot_of_col]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
+    pivot_of_col = integer_rref(rows)
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivot_of_col}
+    for f, v in basis.items():
         v[f] = Fraction(1)
-        for c, row in pivot_of_col.items():
-            if f in row:
-                v[c] = -row[f]
-        basis.append(v)
-    return basis
+    for c, row in pivot_of_col.items():
+        p = row[c]
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = Fraction(-x, p)
+    return list(basis.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,139 +1,124 @@
-"""Exact rational simplex (two-phase, Bland's rule).
+"""Exact simplex (two-phase, Bland's rule) on a fraction-free integer tableau.
 
-Sized for this project's systems (a dozen rows); no scaling tricks, no
-tolerances, just Fractions.  Gram tableaux are mostly zeros, so pivots and
-reduced costs touch only nonzero entries.
+Sized for this project's systems (a dozen rows); no scaling tricks and no
+tolerances.  The data are integers.  The tableau holds Python ints over one
+common denominator d > 0, which is the previous pivot (Edmonds' integer
+pivoting, the simplex form of Bareiss elimination): pivoting on p = T[r][c]
+sets T[i][j] <- (p.T[i][j] - T[i][c].T[r][j]) / d for i != r, a division
+that is always exact, and then d <- p.  Reduced costs c_j.d - sum and ratio
+tests are integer comparisons, so the pivots are those of a rational
+tableau; `Fraction`s are made only for the returned x and value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class _Tableau:
-    def __init__(self, a: list[list[Fraction]], b: list[Fraction]):
-        self.a = [row[:] for row in a]
-        self.b = b[:]
-        self.m = len(a)
-        self.n = len(a[0]) if a else 0
+    """Integer rows [A | b] over the common denominator d; T / d is the rational tableau."""
 
-    def pivot(self, row: int, col: int) -> None:
-        inv_p = _ONE / self.a[row][col]
-        prow = self.a[row] = [x * inv_p for x in self.a[row]]
-        self.b[row] *= inv_p
-        support = [(j, y) for j, y in enumerate(prow) if y]
-        for r in range(self.m):
-            f = self.a[r][col]
-            if r != row and f:
-                ar = self.a[r]
-                for j, y in support:
-                    ar[j] -= f * y
-                self.b[r] -= f * self.b[row]
+    def __init__(self, rows: list[list[int]]):
+        self.rows = rows
+        self.d = 1
+
+    def pivot(self, r: int, c: int) -> None:
+        prow = self.rows[r]
+        p, d = prow[c], self.d
+        for i, row in enumerate(self.rows):
+            f = row[c]
+            if i == r:
+                continue
+            if f:
+                self.rows[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                self.rows[i] = [p * x // d for x in row]
+        if p < 0:  # only when a leftover artificial is driven out; keep d > 0
+            self.rows = [[-x for x in row] for row in self.rows]
+            p = -p
+        self.d = p
 
 
-def _simplex(t: _Tableau, c: list[Fraction], basis: list[int], ncols: int):
+def _simplex(t: _Tableau, c: list[int], basis: list[int], ncols: int) -> bool:
     """Minimise c.x in place from a canonical tableau; Bland's rule.
 
-    Only columns < ncols may enter.  Returns (status, x, value).
+    Only columns < ncols may enter.  Returns False when unbounded.
     """
     while True:
-        y = [(t.a[r], c[basis[r]]) for r in range(t.m) if c[basis[r]]]
-        enter = None
-        for j in range(ncols):
-            rj = c[j] - sum(yr * ar[j] for ar, yr in y if ar[j])
-            if rj < 0:
-                enter = j
-                break
+        d = t.d
+        y = [(row, c[b]) for row, b in zip(t.rows, basis) if c[b]]
+        enter = next(
+            (j for j in range(ncols) if c[j] * d - sum(cb * row[j] for row, cb in y if row[j]) < 0),
+            None,
+        )
         if enter is None:
-            x = [_ZERO] * t.n
-            for r in range(t.m):
-                x[basis[r]] = t.b[r]
-            return "optimal", x, sum(ci * xi for ci, xi in zip(c, x[: len(c)]))
-        ratios = [
-            (t.b[r] / t.a[r][enter], basis[r], r)
-            for r in range(t.m)
-            if t.a[r][enter] > 0
-        ]
-        if not ratios:
-            return "unbounded", None, None
-        _, _, leave_row = min(ratios)
-        t.pivot(leave_row, enter)
-        basis[leave_row] = enter
+            return True
+        # min over rows with a positive entry of (b_r / a_r, basis[r]), by cross-multiplication
+        leave = None
+        for r, row in enumerate(t.rows):
+            a = row[enter]
+            if a > 0:
+                if leave is not None:
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
+                        continue
+                leave, num, den = r, row[-1], a
+        if leave is None:
+            return False
+        t.pivot(leave, enter)
+        basis[leave] = enter
 
 
-def solve_standard(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]):
-    """Two-phase simplex for min c.x s.t. Ax = b, x >= 0.
+def solve_standard(a: list[list[int]], b: list[int], c: list[int]):
+    """Two-phase simplex for min c.x s.t. Ax = b, x >= 0, on integer data.
 
     Returns (status, x, value) with status in {'optimal', 'infeasible',
-    'unbounded'}.
+    'unbounded'}; x and value are Fractions.
     """
     m = len(a)
     n = len(a[0]) if a else 0
-    a1 = [row[:] for row in a]
-    b1 = [bv for bv in b]
-    for r in range(m):
-        if b1[r] < 0:
-            a1[r] = [-x for x in a1[r]]
-            b1[r] = -b1[r]
-    for r in range(m):
-        a1[r] = a1[r] + [_ONE if rr == r else _ZERO for rr in range(m)]
-    t = _Tableau(a1, b1)
+    rows = []
+    for r, (row, br) in enumerate(zip(a, b)):
+        s = -1 if br < 0 else 1
+        rows.append([s * v for v in row] + [int(rr == r) for rr in range(m)] + [s * br])
+    t = _Tableau(rows)
     basis = [n + r for r in range(m)]
-    c_p1 = [_ZERO] * n + [_ONE] * m
-    status, _, val = _simplex(t, c_p1, basis, n + m)
-    assert status == "optimal"
-    if val > 0:
+    _simplex(t, [0] * n + [1] * m, basis, n + m)  # phase 1 is bounded below by 0
+    if any(row[-1] for row, bv in zip(t.rows, basis) if bv >= n):
         return "infeasible", None, None
-    # drive leftover artificials out of the basis; all-zero rows are redundant
-    redundant = []
-    for r in range(t.m):
+    # drive leftover artificials out of the basis; the rows where that is
+    # impossible are zero on the original columns, hence redundant
+    for r in range(len(t.rows)):
         if basis[r] >= n:
-            j = next((jj for jj in range(n) if t.a[r][jj] != 0), None)
-            if j is None:
-                redundant.append(r)
-            else:
+            j = next((jj for jj in range(n) if t.rows[r][jj]), None)
+            if j is not None:
                 t.pivot(r, j)
                 basis[r] = j
-    if redundant:
-        keep = [r for r in range(t.m) if r not in redundant]
-        t.a = [t.a[r] for r in keep]
-        t.b = [t.b[r] for r in keep]
-        t.m = len(keep)
-        basis = [basis[r] for r in keep]
-    c_p2 = list(c) + [_ZERO] * m
-    status, x, val = _simplex(t, c_p2, basis, n)
-    if status != "optimal":
-        return status, None, None
-    return "optimal", x[:n], val
+    keep = [r for r, bv in enumerate(basis) if bv < n]
+    t.rows = [t.rows[r][:n] + t.rows[r][-1:] for r in keep]
+    basis = [basis[r] for r in keep]
+    if not _simplex(t, c, basis, n):
+        return "unbounded", None, None
+    x = [Fraction(0)] * n
+    for row, bv in zip(t.rows, basis):
+        x[bv] = Fraction(row[-1], t.d)
+    return "optimal", x, Fraction(sum(c[bv] * row[-1] for row, bv in zip(t.rows, basis)), t.d)
 
 
-def max_min_component(u: list[list[Fraction]], rhs: list[Fraction]):
-    """max t s.t. exists x with u x = rhs and x >= t.1, t capped at 1.
+def max_min_component(u: list[list[int]], rhs: list[int]):
+    """max t s.t. exists x with u x = rhs and x >= t.1, t capped at 1; u, rhs integer.
 
     Returns (status, t, x): status 'optimal' (t is the capped optimum, x a
     witness attaining it) or 'infeasible' (u x = rhs has no solution).
     Capping keeps the LP bounded without changing the sign of the optimum,
     which is all the positivity decision needs.
     """
-    m = len(u)
     k = len(u[0]) if u else 0
-    urow_sum = [sum(row) for row in u]
-    a = []
-    b = []
-    for r in range(m):
-        # u.(y + (tp - tm).1) = rhs with y >= 0
-        a.append([Fraction(v) for v in u[r]] + [urow_sum[r], -urow_sum[r], _ZERO])
-        b.append(Fraction(rhs[r]))
-    a.append([_ZERO] * k + [_ONE, -_ONE, _ONE])  # tp - tm + s = 1
-    b.append(_ONE)
-    c = [_ZERO] * k + [-_ONE, _ONE, _ZERO]
-    status, x, val = solve_standard(a, b, c)
+    # u.(y + (tp - tm).1) = rhs with y >= 0, and tp - tm + s = 1
+    a = [list(row) + [sum(row), -sum(row), 0] for row in u] + [[0] * k + [1, -1, 1]]
+    status, x, val = solve_standard(a, list(rhs) + [1], [0] * k + [-1, 1, 0])
     if status == "infeasible":
         return "infeasible", None, None
     assert status == "optimal"  # the cap row forbids unboundedness
     t = -val
-    witness = [xi + t for xi in x[:k]]
-    return "optimal", t, witness
+    return "optimal", t, [xi + t for xi in x[:k]]

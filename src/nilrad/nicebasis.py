@@ -8,6 +8,7 @@ rows are f_i + f_j - f_k, one per stored triple (Payne, arXiv:0809.1767).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -65,17 +66,17 @@ def gram_matrix(law: LieLaw) -> list[list[int]]:
 
 
 def positive_solution(u: list[list[int]]) -> PositiveSolutionResult:
-    """Exact decision of {x : Ux = [1], x > 0} != {} via rational LP."""
-    m = len(u)
-    frac_rows = [[Fraction(v) for v in row] for row in u]
-    rhs = [Fraction(1)] * m
-    status, t, x = lp.max_min_component(frac_rows, rhs)
+    """Exact decision of {x : Ux = [1], x > 0} != {} via the integer LP."""
+    status, t, x = lp.max_min_component(u, [1] * len(u))
     if status == "infeasible":
         return PositiveSolutionResult("inconsistent")
     if t > 0:
-        # re-validate the witness independently of the simplex bookkeeping
-        assert all(sum(r * xi for r, xi in zip(row, x)) == 1 for row in frac_rows)
-        assert min(x) > 0
+        # re-validate the witness independently of the simplex bookkeeping,
+        # in integers over the common denominator of x
+        den = math.lcm(*(v.denominator for v in x))
+        xs = [v.numerator * (den // v.denominator) for v in x]
+        assert all(sum(map(mul, row, xs)) == den for row in u)
+        assert min(xs) > 0
         return PositiveSolutionResult("positive", tuple(x))
     return PositiveSolutionResult("no_positive_solution")
 

@@ -12,6 +12,7 @@ import pytest
 
 import nilrad
 import nilrad.cli
+from nilrad.algebra import format_law
 from nilrad.catalog import Report
 from nilrad.cli import main
 
@@ -115,6 +116,28 @@ def test_catalog_verify_json_is_golden(capsys, tmp_path):
     assert digest == GOLDEN_VERIFY_SHA256
 
 
+# SHA-256 of `check --json` (every `timing` removed) on the 27 catalog laws
+# that are not nice and have rank > 0, seeds 0-2: the degeneration-search
+# route, whose witnesses depend on the seed.  Same rule as above.
+GOLDEN_CHECK_SHA256 = "a064d130f1e0290eba0bac699cac42d1c6d5749c4eda4e8c07cb202d7fb7ec8e"
+
+
+def test_check_json_is_golden(capsys, tmp_path, entries):
+    search = [e for e in entries if e.expected.rank > 0 and not e.expected.nice]
+    assert len(search) == 27
+    runs = []
+    for e in search:
+        p = tmp_path / "law.txt"
+        p.write_text(format_law(e.law()))
+        for seed in range(3):
+            code, out, _ = _run(capsys, ["check", "--json", "--seed", str(seed), str(p)])
+            rep = json.loads(out)
+            del rep["timing"]
+            runs.append([e.id, seed, code, rep])
+    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_CHECK_SHA256
+
+
 def test_catalog_verify_detects_corruption(capsys, tmp_path):
     doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
     doc["entries"] = [e for e in doc["entries"] if e["id"] == "2.3"]
@@ -124,6 +147,19 @@ def test_catalog_verify_detects_corruption(capsys, tmp_path):
     code, out, _ = _run(capsys, ["catalog", "verify", str(p)])
     assert code == 1
     assert "MISMATCH" in out and "dim_der" in out
+
+
+@pytest.mark.parametrize("distinguishing", ["rank one vs 2", "dim_der 13 vs", "rank 1 vs 2 vs 3"])
+def test_catalog_malformed_distinguishing_exit_65(capsys, tmp_path, distinguishing):
+    doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
+    entry = next(e for e in doc["entries"] if e["id"] == "1.2(ii)")
+    entry["expected"]["degeneration"]["distinguishing"] = distinguishing
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert code == 65 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "'1.2(ii)'" in err and "'degeneration.distinguishing'" in err
 
 
 def test_catalog_schema_error_exit_65(capsys, tmp_path):

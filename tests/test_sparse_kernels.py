@@ -13,6 +13,7 @@ the same witness for every seed.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -118,6 +119,22 @@ def dense_rref(a):
     return m, pivots
 
 
+def dense_rref_and_nullspace(rows, ncols):
+    """The reduced rows {pivot: {col: x}} of `dense_rref` on sparse rows, and the
+    kernel basis read from them: one vector per free column f, -red[r][f] at pivot r."""
+    a = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    red, pivots = dense_rref(a) if a else ([], [])
+    reduced = {c: {k: x for k, x in enumerate(red[r]) if x} for r, c in enumerate(pivots)}
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        out.append(v)
+    return reduced, out
+
+
 def dense_subspace_bracket(law, a, b):
     prods = [dense_bracket_vectors(law, u, v) for u in a for v in b]
     prods = [p for p in prods if any(p)]
@@ -180,7 +197,13 @@ def dense_derivation_rows(law):
     return rows
 
 
-class DenseTableau(lp._Tableau):
+class DenseTableau:
+    def __init__(self, a, b):
+        self.a = [row[:] for row in a]
+        self.b = b[:]
+        self.m = len(a)
+        self.n = len(a[0]) if a else 0
+
     def pivot(self, row, col):
         inv_p = Fraction(1) / self.a[row][col]
         self.a[row] = [x * inv_p for x in self.a[row]]
@@ -213,11 +236,53 @@ def dense_simplex(t, c, basis, ncols):
         basis[leave_row] = enter
 
 
+def dense_solve_standard(a, b, c):
+    """Two-phase simplex on a Fraction tableau with dense pivots and Bland's rule."""
+    m = len(a)
+    n = len(a[0]) if a else 0
+    a1 = [[Fraction(v) for v in row] for row in a]
+    b1 = [Fraction(v) for v in b]
+    for r in range(m):
+        if b1[r] < 0:
+            a1[r], b1[r] = [-x for x in a1[r]], -b1[r]
+        a1[r] += [Fraction(int(rr == r)) for rr in range(m)]
+    t = DenseTableau(a1, b1)
+    basis = [n + r for r in range(m)]
+    _, _, val = dense_simplex(t, [Fraction(0)] * n + [Fraction(1)] * m, basis, n + m)
+    if val > 0:
+        return "infeasible", None, None
+    redundant = []
+    for r in range(t.m):
+        if basis[r] >= n:
+            j = next((jj for jj in range(n) if t.a[r][jj] != 0), None)
+            if j is None:
+                redundant.append(r)
+            else:
+                t.pivot(r, j)
+                basis[r] = j
+    keep = [r for r in range(t.m) if r not in redundant]
+    t.a, t.b, t.m = [t.a[r] for r in keep], [t.b[r] for r in keep], len(keep)
+    basis = [basis[r] for r in keep]
+    status, x, val = dense_simplex(t, [Fraction(v) for v in c] + [Fraction(0)] * m, basis, n)
+    if status != "optimal":
+        return status, None, None
+    return "optimal", x[:n], val
+
+
+def _max_min_system(u, rhs):
+    """The LP of `lp.max_min_component`: u.(y + (tp - tm).1) = rhs, tp - tm + s = 1, min tm - tp."""
+    k = len(u[0]) if u else 0
+    a = [list(row) + [sum(row), -sum(row), 0] for row in u] + [[0] * k + [1, -1, 1]]
+    return a, list(rhs) + [1], [0] * k + [-1, 1, 0]
+
+
 def dense_max_min_component(u, rhs):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_Tableau", DenseTableau)
-        mp.setattr(lp, "_simplex", dense_simplex)
-        return lp.max_min_component(u, rhs)
+    k = len(u[0]) if u else 0
+    status, x, val = dense_solve_standard(*_max_min_system(u, rhs))
+    if status == "infeasible":
+        return "infeasible", None, None
+    t = -val
+    return "optimal", t, [xi + t for xi in x[:k]]
 
 
 def dense_search_degeneration(law, phi, trials, seed, extra_pool=(), coeff_bound=4, known=None):
@@ -363,6 +428,102 @@ def test_rref_matches_dense():
         assert linalg.rref(a) == dense_rref(a), a
 
 
+def _rational_rows(rng):
+    """Sparse rows with non-integer entries, some rational multiples of others, in random order."""
+    ncols = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        cols = rng.sample(range(ncols), rng.randint(1, ncols))
+        rows.append({c: Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 6, 35))) for c in cols})
+    for row in list(rows):
+        if rng.random() < 0.5:
+            f = Fraction(rng.choice((-5, -2, 3, 7)), rng.choice((1, 4, 9)))
+            rows.append({c: f * v for c, v in row.items()})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def test_integer_eliminator_on_rational_rows():
+    """Non-integer entries, rows that are rational multiples of one another and
+    negative leading entries: the fraction-free kernel gives the dense rational
+    reduced form and kernel."""
+    rng = random.Random(1307)
+    negative_lead = multiples = 0
+    for _ in range(400):
+        rows, ncols = _rational_rows(rng)
+        reduced, kernel = dense_rref_and_nullspace(rows, ncols)
+        assert linalg.sparse_rref(rows) == reduced, rows
+        assert linalg.sparse_nullspace(rows, ncols) == kernel, rows
+        assert all(row[c] > 0 and math.gcd(*row.values()) == 1 for c, row in linalg.integer_rref(rows).items())
+        negative_lead += any(row[min(row)] < 0 for row in rows)
+        multiples += len(reduced) < len(rows)
+    assert negative_lead > 100 and multiples > 100
+
+
+def test_derivation_basis_matches_dense_on_rational_laws(entries, exact_laws):
+    """Der from the integer kernel against the dense Fraction kernel on 1.3(ii),
+    whose law has a non-integer constant, the seeded basis changes, and laws
+    moved by a seeded g with non-integer entries."""
+    assert any(c.denominator != 1 for c in exact_laws["1.3(ii)"].brackets.values())
+    laws = {name: law for name, law in exact_laws.items() if name == "1.3(ii)" or name.startswith("g.")}
+    rng = random.Random(611)
+    for e in entries[1::12]:
+        g = linalg.identity(7)
+        for a, b in rng.sample([(a, b) for a in range(7) for b in range(7) if a != b], 3):
+            g[a][b] = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((2, 3, 5)))
+        laws[f"q.{e.id}"] = act(g, e.law())
+    rational = sum(any(c.denominator != 1 for c in law.brackets.values()) for law in laws.values())
+    assert len(laws) > 40 and rational > 10
+    for name, law in laws.items():
+        n = law.dim
+        reduced, kernel = dense_rref_and_nullspace(dense_derivation_rows(law), n * n)
+        assert linalg.sparse_rref(_derivation_rows(law)) == reduced, name
+        assert derivation_space(law).basis == tuple(
+            tuple(tuple(v[k * n + l] for l in range(n)) for k in range(n)) for v in kernel
+        ), name
+
+
+def test_solve_standard_redundant_rows_and_negative_cleanup(by_id, monkeypatch):
+    """Equal status, x and value to the dense rational simplex when an equality
+    row is redundant and when driving out a leftover artificial pivots on a
+    negative entry (the only pivot that can be negative)."""
+    negative = []
+    pivot = lp._Tableau.pivot
+
+    def spy(self, r, c):
+        negative.append(self.rows[r][c] < 0)
+        pivot(self, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", spy)
+    u = gram_matrix(by_id["1.4"].law())
+    a, b, c = _max_min_system(u + [u[1]], [1] * (len(u) + 1))  # a duplicated U row
+    got = lp.solve_standard(a, b, c)
+    assert got == dense_solve_standard(a, b, c) and got[0] == "optimal"
+    assert lp.max_min_component(u + [u[1]], [1] * (len(u) + 1)) == lp.max_min_component(u, [1] * len(u))
+    negative.clear()
+    a, b, c = [[0, 1, -2, -2], [-1, 0, -2, 0], [-1, 3, 0, 0]], [0, 0, 2], [2, 2, -2, 0]
+    got = lp.solve_standard(a, b, c)
+    assert got == dense_solve_standard(a, b, c)
+    assert got == ("optimal", [0, Fraction(2, 3), 0, Fraction(1, 3)], Fraction(4, 3))
+    assert any(negative)
+    # a seeded sweep of small systems, with redundant rows and b of both signs
+    rng = random.Random(88)
+    statuses, negatives = set(), 0
+    for _ in range(600):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        a = [[rng.choice((-2, -1, 0, 0, 1, 3)) for _ in range(n)] for _ in range(m)]
+        b = [rng.choice((-3, 0, 0, 2, 5)) for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            a[1], b[1] = [-2 * x for x in a[0]], -2 * b[0]
+        c = [rng.randint(-2, 2) for _ in range(n)]
+        negative.clear()
+        got = lp.solve_standard(a, b, c)
+        assert got == dense_solve_standard(a, b, c), (a, b, c)
+        statuses.add(got[0])
+        negatives += any(negative)
+    assert statuses == {"optimal", "infeasible", "unbounded"} and negatives > 20
+
+
 def _c7_random_us():
     rng = random.Random(20240)
     for _ in range(1000):
@@ -384,9 +545,8 @@ def test_simplex_matches_dense(entries):
                 us.add(tuple(map(tuple, gram_matrix(w))))
     assert len(us) > 50
     for u in [list(map(list, u)) for u in sorted(us)] + list(_c7_random_us()):
-        frac = [[Fraction(v) for v in row] for row in u]
-        rhs = [Fraction(1)] * len(u)
-        assert lp.max_min_component(frac, rhs) == dense_max_min_component(frac, rhs), u
+        rhs = [1] * len(u)
+        assert lp.max_min_component(u, rhs) == dense_max_min_component(u, rhs), u
 
 
 @pytest.fixture(scope="module")
