@@ -14,13 +14,12 @@ from .catalog import classify, load_catalog, verify_catalog
 from .degeneration import distinguish, in_g_phi, one_param_limit, search_degeneration
 from .derivations import derivation_space, diagonal_rank, positivity_gate, pre_einstein
 from .nicebasis import gram_matrix, is_nice, positive_solution, soliton_norm
-from .ricci import cross_check, moment_map, soliton_check
+from .ricci import moment_map, soliton_check
 
 __all__ = [
     "LieLaw",
     "act",
     "classify",
-    "cross_check",
     "derivation_space",
     "diagonal_rank",
     "distinguish",

@@ -1,17 +1,18 @@
-"""Lie algebra laws as sparse structure constants over exact rationals.
+"""Lie algebra laws as sparse structure constants over exact numbers.
 
 A law stores only brackets [e_i, e_j] with i < j; antisymmetry is structural.
-Coefficients are Fractions for exact laws, floats for laws with radical
-coefficients (used by explicit nilsoliton witnesses).  The two kinds never
-mix inside one law.
+Coefficients are Fractions, or exact `Surd`s (sums of rational multiples of
+square roots) in nilsoliton witnesses.  Der, the series, the torus and the
+LP need a rational law (`LieLaw.is_rational`); Jacobi, the moment map and
+the weight map run on surds unchanged, and nothing is ever rounded.
 
 Two views of the structure constants are built once per law and read by
 every kernel.  `LieLaw.images` is {(a, b): {k: c}} with [e_a, e_b] = sum
 c e_k, for both orders of every stored pair: Jacobi, both series, Der and
 the moment map walk it, so their work grows with the number of nonzero
-structure constants, not with dim^3.  An exact constant that is an integer
-is held there as an int, so on integral laws the products and the series
-never build a Fraction.  The weight map Y has one row
+structure constants, not with dim^3.  A rational constant that is an
+integer is held there as an int, so on integral laws the products and the
+series never build a Fraction.  The weight map Y has one row
 f_i + f_j - f_k per stored triple, in sorted order (`weight_rows`, and
 `weights(d)` = Y.d): the diagonal torus is ker Y, U = Y Y^T, a diagonal X
 degenerates the law by the signs of Y.X, and a diagonal moment map m is a
@@ -29,8 +30,6 @@ from typing import Iterator, Mapping
 
 from . import linalg
 
-DEFAULT_TOL = 1e-9
-
 Triple = tuple[int, int, int]
 
 
@@ -38,14 +37,92 @@ class LawError(ValueError):
     """Raised for malformed law text or invalid law operations."""
 
 
+class Surd:
+    """An exact real: the sum of q_m sqrt(m) over `terms` = {squarefree m: rational q_m != 0}.
+
+    Surd(pairs) sums q sqrt(m) over (squarefree m, rational q) pairs.  Square
+    roots of distinct squarefree integers are linearly independent over Q, so
+    the form is canonical and == is exact.  A value with no irrational part
+    is returned as a Fraction; only nonzero rationals divide.
+    """
+
+    __slots__ = ("terms",)
+
+    def __new__(cls, pairs):
+        terms: dict[int, Fraction] = {}
+        for m, q in pairs:
+            terms[m] = terms[m] + q if m in terms else q
+        terms = {m: q for m, q in terms.items() if q}
+        if not terms.keys() - {1}:
+            return Fraction(terms.get(1, 0))
+        self = super().__new__(cls)
+        self.terms = terms
+        return self
+
+    @classmethod
+    def sqrt(cls, r) -> Surd | Fraction:
+        """sqrt(a/b) = s/b sqrt(t) with a b = s^2 t, t squarefree, for a rational a/b >= 0."""
+        r = Fraction(r)
+        if r < 0:
+            raise LawError("sqrt of negative value")
+        n, s, t, p = r.numerator * r.denominator, 1, 1, 2
+        while p * p * p <= n:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            s, t, p = s * p ** (e // 2), t * p ** (e % 2), p + 1 + (p > 2)
+        root = math.isqrt(n)  # no prime p with p^3 <= n divides n: n has two prime factors at most
+        s, t = (s * root, t) if root * root == n else (s, t * n)
+        return cls([(t, Fraction(s, r.denominator))])
+
+    @staticmethod
+    def _pairs(x):  # the (m, q_m) of a Surd or a rational; None for any other type
+        return x.terms.items() if isinstance(x, Surd) else [(1, x)] if isinstance(x, (int, Fraction)) else None
+
+    def __add__(self, other):
+        b = Surd._pairs(other)
+        return NotImplemented if b is None else Surd([*self.terms.items(), *b])
+
+    def __mul__(self, other):
+        # sqrt(m) sqrt(n) = g sqrt(m n / g^2) with g = gcd(m, n), squarefree again
+        b, gcd = Surd._pairs(other), math.gcd
+        if b is None:
+            return NotImplemented
+        return Surd((m * n // gcd(m, n) ** 2, p * q * gcd(m, n)) for m, p in self.terms.items() for n, q in b)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, r):
+        return self * Fraction(1, r) if isinstance(r, (int, Fraction)) else NotImplemented
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Surd) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self) -> str:
+        parts = [str(q) if m == 1 else f"{q}*sqrt({m})" for m, q in sorted(self.terms.items())]
+        return parts[0] if len(parts) == 1 else f"({' + '.join(parts)})"
+
+    __repr__ = __str__
+
+
 @dataclass(frozen=True)
 class LieLaw:
     """Structure constants c_{ij}^k, keyed (i, j, k) with 1 <= i < j <= dim."""
 
     dim: int
-    brackets: Mapping[Triple, Fraction | float]
-    scalar_kind: str = "exact"  # "exact" | "float"
-    tol: float = DEFAULT_TOL
+    brackets: Mapping[Triple, Fraction | Surd]
 
     def __post_init__(self):
         for (i, j, k), c in self.brackets.items():
@@ -53,8 +130,6 @@ class LieLaw:
                 raise LawError(f"bracket index out of range: [{i},{j}]={k}")
             if c == 0:
                 raise LawError(f"zero coefficient stored at [{i},{j}]={k}")
-        if self.scalar_kind not in ("exact", "float"):
-            raise LawError(f"unknown scalar kind {self.scalar_kind!r}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -66,19 +141,20 @@ class LieLaw:
     def __hash__(self):
         return hash((self.dim, frozenset(self.brackets.items())))
 
-    @property
-    def is_exact(self) -> bool:
-        return self.scalar_kind == "exact"
+    @cached_property
+    def is_rational(self) -> bool:
+        """No surd among the structure constants: what Der, the series, the torus and the LP need."""
+        return all(isinstance(c, (int, Fraction)) for c in self.brackets.values())
 
-    def triples(self) -> Iterator[tuple[Triple, Fraction | float]]:
+    def triples(self) -> Iterator[tuple[Triple, Fraction | Surd]]:
         return iter(sorted(self.brackets.items()))
 
     @cached_property
-    def images(self) -> dict[tuple[int, int], dict[int, int | Fraction | float]]:
+    def images(self) -> dict[tuple[int, int], dict[int, int | Fraction | Surd]]:
         """{(a, b): {k: c}} with [e_a, e_b] = sum c e_k, for both orders of a pair."""
-        out: dict[tuple[int, int], dict[int, int | Fraction | float]] = {}
+        out: dict[tuple[int, int], dict[int, int | Fraction | Surd]] = {}
         for (i, j, k), c in sorted(self.brackets.items()):
-            if self.is_exact and c.denominator == 1:
+            if isinstance(c, Fraction) and c.denominator == 1:
                 c = c.numerator  # integral constants as ints: products and series stay integer
             out.setdefault((i, j), {})[k] = c
             out.setdefault((j, i), {})[k] = -c
@@ -96,7 +172,7 @@ class LieLaw:
 
     def bracket_vectors(self, u: list, v: list) -> list:
         """[u, v] for coordinate vectors u, v (bilinear extension)."""
-        out = [Fraction(0) if self.is_exact else 0.0] * self.dim
+        out = [Fraction(0)] * self.dim
         for (a, b), img in self.images.items():
             if a < b:
                 coef = u[a - 1] * v[b - 1] - u[b - 1] * v[a - 1]
@@ -174,9 +250,9 @@ def _parse_atom(sc: _Scanner, params: Mapping[str, Fraction]):
             sc.expect("(")
             inner = _parse_expr(sc, params)
             sc.expect(")")
-            if inner < 0:
-                raise LawError("sqrt of negative value")
-            return math.sqrt(inner)
+            if isinstance(inner, Surd):
+                raise LawError(f"sqrt of an irrational value {inner}")
+            return Surd.sqrt(inner)
         if val not in params:
             raise LawError(f"unknown parameter {val!r}")
         return params[val]
@@ -192,7 +268,10 @@ def _parse_factor(sc: _Scanner, params):
         val = tok[1]
         if val == "/":
             sc.next()
-            v = v / _parse_atom(sc, params)
+            den = _parse_atom(sc, params)
+            if isinstance(den, Surd) or den == 0:
+                raise LawError(f"division by {den}: a coefficient divides by nonzero rationals only")
+            v = v / den
         elif val == "*" or tok[0] in ("num", "name") or val == "(":
             # implicit product, e.g. "7/1767 sqrt(1767)" or "2*sqrt(3)"
             if val == "*":
@@ -213,17 +292,15 @@ def _parse_expr(sc: _Scanner, params):
         v = v + w if tok[1] == "+" else v - w
 
 
-def parse_law(text: str, params: Mapping[str, object] | None = None, tol: float = DEFAULT_TOL) -> LieLaw:
+def parse_law(text: str, params: Mapping[str, object] | None = None) -> LieLaw:
     """Parse the law text format.
 
     Grammar: ``dim <n>; [i,j]=image; ...`` where an image is a '+'-separated
     list of components ``k`` or ``k*<coeff>``.  Coefficients are rational
     expressions (``p/q``, parameter names, parenthesised arithmetic) with an
-    optional ``sqrt(m)`` factor; any sqrt makes the law float-valued.
+    optional ``sqrt(m)`` factor, held exactly as a `Surd`.
     """
-    p: dict[str, Fraction] = {}
-    for name, value in (params or {}).items():
-        p[name] = value if isinstance(value, Fraction) else Fraction(value)
+    p = {name: Fraction(value) for name, value in (params or {}).items()}
     sc = _Scanner(text)
     tok = sc.next()
     if tok is None or tok[1] != "dim":
@@ -235,7 +312,6 @@ def parse_law(text: str, params: Mapping[str, object] | None = None, tol: float 
     if sc.peek() is not None:
         sc.expect(";")
     brackets: dict[Triple, object] = {}
-    is_float = False
     while True:
         tok = sc.peek()
         if tok is None:
@@ -268,8 +344,6 @@ def parse_law(text: str, params: Mapping[str, object] | None = None, tol: float 
             if tok is not None and tok[1] == "*":
                 sc.next()
                 coeff = _parse_factor(sc, p)  # '+'/'-' only inside parens
-            if isinstance(coeff, float):
-                is_float = True
             if coeff == 0:
                 raise LawError(f"zero coefficient in bracket [{i},{j}]={k}")
             if (i, j, k) in brackets:
@@ -283,27 +357,17 @@ def parse_law(text: str, params: Mapping[str, object] | None = None, tol: float 
         tok = sc.peek()
         if tok is not None:
             sc.expect(";")
-    if is_float:
-        brackets = {t: float(c) for t, c in brackets.items()}
-        return LieLaw(dim, brackets, "float", tol)
-    return LieLaw(dim, brackets, "exact", tol)
+    return LieLaw(dim, brackets)
 
 
 def format_law(law: LieLaw) -> str:
-    """Canonical text for a law; exact laws round-trip through parse_law."""
+    """Canonical text for a law; it round-trips through parse_law."""
     parts = [f"dim {law.dim}"]
     by_pair: dict[tuple[int, int], list[tuple[int, object]]] = {}
     for (i, j, k), c in law.triples():
         by_pair.setdefault((i, j), []).append((k, c))
     for (i, j), comps in sorted(by_pair.items()):
-        imgs = []
-        for k, c in comps:
-            if c == 1:
-                imgs.append(f"{k}")
-            elif law.is_exact:
-                imgs.append(f"{k}*{c}")
-            else:
-                imgs.append(f"{k}*({c!r})")
+        imgs = [f"{k}" if c == 1 else f"{k}*{c}" for k, c in comps]
         parts.append(f"[{i},{j}]={'+'.join(imgs)}")
     return "; ".join(parts)
 
@@ -312,13 +376,10 @@ def format_law(law: LieLaw) -> str:
 # elementary invariants
 
 def jacobi_violations(law: LieLaw) -> list[tuple[int, int, int, list]]:
-    """All (i, j, k, residual) with a nonzero Jacobi sum; empty iff Lie.
-
-    Float laws count a residual coordinate as nonzero above `law.tol`.
-    """
+    """All (i, j, k, residual) with a nonzero Jacobi sum; empty iff Lie."""
     n = law.dim
     images = law.images
-    zero = Fraction(0) if law.is_exact else 0.0
+    zero = Fraction(0)
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -330,11 +391,7 @@ def jacobi_violations(law: LieLaw) -> list[tuple[int, int, int, list]]:
                 if not (r1 or r2 or r3):
                     continue
                 res = [r1.get(m, zero) - r2.get(m, zero) + r3.get(m, zero) for m in range(1, n + 1)]
-                if law.is_exact:
-                    bad = any(x != 0 for x in res)
-                else:
-                    bad = any(abs(x) > law.tol for x in res)
-                if bad:
+                if any(res):
                     out.append((i, j, k, res))
     return out
 
@@ -367,8 +424,8 @@ def _subspace_bracket(law: LieLaw, a: list[dict], b: list[dict] | None = None) -
 
 def series_signature(law: LieLaw) -> SeriesSignature:
     """Dimensions of the derived series and the descending central series."""
-    if not law.is_exact:
-        raise LawError("series_signature requires an exact law")
+    if not law.is_rational:
+        raise LawError("series_signature requires a rational law")
     full = [{i: 1} for i in range(1, law.dim + 1)]
 
     def dims(step) -> tuple[int, ...]:
@@ -390,9 +447,9 @@ def series_signature(law: LieLaw) -> SeriesSignature:
 # basis change action
 
 def act(g: list[list], law: LieLaw) -> LieLaw:
-    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) for an exact law and a rational g."""
-    if not (law.is_exact and all(isinstance(x, (int, Fraction)) for row in g for x in row)):
-        raise LawError("act() needs an exact law and a matrix of ints or Fractions")
+    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) for a rational law and a rational g."""
+    if not (law.is_rational and all(isinstance(x, (int, Fraction)) for row in g for x in row)):
+        raise LawError("act() needs exact input: a rational law and a matrix of ints or Fractions")
     n = law.dim
     gm = [[Fraction(x) for x in row] for row in g]
     ginv = linalg.inv(gm)
@@ -406,12 +463,10 @@ def act(g: list[list], law: LieLaw) -> LieLaw:
             for k, c in enumerate(img, 1):
                 if c != 0:
                     brackets[(i, j, k)] = c
-    return LieLaw(n, brackets, "exact", law.tol)
+    return LieLaw(n, brackets)
 
 
 def scale(law: LieLaw, s) -> LieLaw:
-    """s . mu: every structure constant multiplied by s."""
-    if s == 0:
-        return LieLaw(law.dim, {}, law.scalar_kind, law.tol)
-    factor = Fraction(s) if law.is_exact else float(s)
-    return LieLaw(law.dim, {t: c * factor for t, c in law.brackets.items()}, law.scalar_kind, law.tol)
+    """s . mu: every structure constant multiplied by the rational s."""
+    s = Fraction(s)
+    return LieLaw(law.dim, {t: c * s for t, c in law.brackets.items()} if s else {})

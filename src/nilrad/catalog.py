@@ -14,6 +14,7 @@ import time
 import zlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from typing import Any
 
@@ -42,16 +43,13 @@ class CatalogError(ValueError):
 
 
 def parse_rat(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
+    if isinstance(s, (int, str)):
         return Fraction(s)
     raise ValueError(f"not a rational: {s!r}")
 
 
 def fmt_rat(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(x))
 
 
 @dataclass(frozen=True)
@@ -59,6 +57,11 @@ class Degeneration:
     x: tuple[Fraction, ...] | None
     limit: str  # "zero" or a law text
     distinguishing: str
+
+    @cached_property
+    def limit_law(self) -> LieLaw | None:
+        """The recorded limit law, parsed once; None for a zero limit."""
+        return None if self.limit == "zero" else parse_law(self.limit)
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,11 @@ class Expected:
     soliton_norm: Fraction | None = None
     witness_law: str | None = None
     degeneration: Degeneration | None = None
+
+    @cached_property
+    def witness(self) -> LieLaw | None:
+        """The recorded witness law, parsed once."""
+        return None if self.witness_law is None else parse_law(self.witness_law)
 
 
 @dataclass(frozen=True)
@@ -179,7 +187,7 @@ def _expected_from_json(eid: str, d: dict) -> Expected:
             dd["limit"],
             dd["distinguishing"],
         )
-    return Expected(
+    exp = Expected(
         dim_der=int(d["dim_der"]),
         derived=tuple(d["derived"]),
         lcs=tuple(d["lcs"]),
@@ -193,6 +201,13 @@ def _expected_from_json(eid: str, d: dict) -> Expected:
         witness_law=d.get("witness_law"),
         degeneration=degen,
     )
+    # parse each recorded law text here, once (cached on the record): a malformed one is a schema error
+    for name, record, attr in (("witness_law", exp, "witness"), ("degeneration.limit", degen, "limit_law")):
+        try:
+            getattr(record, attr, None)  # degen is None for most entries
+        except LawError as exc:
+            raise CatalogError(eid, name, str(exc)) from exc
+    return exp
 
 
 def load_catalog(path=None, validate_laws: bool = True) -> list[CatalogEntry]:
@@ -285,7 +300,6 @@ class Decision:
     route: str
     certificate: dict[str, Any]
     computed: dict[str, Any] = field(default_factory=dict)  # U and soliton_norm, where the route has them
-    soliton: ricci.SolitonDecomposition | None = None  # a float witness's decomposition
     problems: list[tuple[str, str, str]] = field(default_factory=list)  # (field, expected, computed)
 
 
@@ -321,7 +335,7 @@ def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = N
     if not nice.nice and dec.route not in _GATES:
         rep.notes.append(f"not a nice basis: {nice.reason}")
     if entry.expected is not None:
-        _diff(entry.expected, rep, dec, law.tol)
+        _diff(entry.expected, rep, dec)
     rep.timing = time.perf_counter() - t0
     return rep
 
@@ -356,7 +370,7 @@ def _decide(entry: CatalogEntry, law: LieLaw, sig, space, phi, nice: nb.NiceChec
         return _nice_route(law, on="law")
     exp = entry.expected
     if exp is not None and exp.witness_law is not None:
-        return _witness_route(exp.witness_law, law, sig, space)
+        return _witness_route(exp.witness, law, sig, space)
     if exp is not None and exp.degeneration is not None:
         return _recorded_degeneration_route(exp.degeneration, law, sig, space, phi)
     return _search_route(law, phi, (sig, space), trials, zlib.crc32(entry.id.encode()) if seed is None else seed)
@@ -366,7 +380,8 @@ def _search_route(law: LieLaw, phi, known: dg.Invariants, trials: int, seed: int
     """NOT_EN through a degeneration the seeded search finds; INCONCLUSIVE when it finds none."""
     found = dg.search_degeneration(law, phi, trials, seed, known=known)
     if found is None:
-        return Decision(INCONCLUSIVE, "search_exhausted", {"kind": "inconclusive", "trials": trials})
+        cert = {"kind": "inconclusive", "reason": "search_exhausted", "trials": trials}
+        return Decision(INCONCLUSIVE, "search_exhausted", cert)
     cert = {
         "kind": "non_closed_orbit",
         "X": _fmt_vec(found.x),
@@ -389,28 +404,23 @@ def _nice_route(law: LieLaw, on: str) -> Decision:
     return Decision(EN, "nice_lp" if on == "law" else "witness_nice_lp", cert, computed)
 
 
-def _witness_route(witness_text: str, law: LieLaw, sig, space) -> Decision:
-    """EN through a recorded witness: an exact one must be a nice basis, a float one a nilsoliton."""
-    witness = parse_law(witness_text, tol=law.tol)
+def _witness_route(witness: LieLaw, law: LieLaw, sig, space) -> Decision:
+    """EN through a recorded witness: a rational one must be a nice basis, one with surds a nilsoliton.
+
+    A nilsoliton's -c is its soliton norm, which _diff compares with the recorded one.
+    """
     bad = jacobi_violations(witness)
     if bad:
-        expected = "Lie algebra law" if witness.is_exact else "Lie algebra law (within tol)"
-        return _witness_rejected([("witness_law", expected, f"Jacobi fails at {bad[0][:3]}")])
-    if not witness.is_exact:
-        sd = ricci.soliton_check(witness, ricci.moment_map(witness))
+        return _witness_rejected([("witness_law", "Lie algebra law", f"Jacobi fails at {bad[0][:3]}")])
+    if not witness.is_rational:
+        try:
+            sd, failure = ricci.soliton_check(witness), "no decomposition"
+        except ricci.NonDiagonalMomentError:
+            sd, failure = None, "moment map is not diagonal"
         if sd is None:
-            return Decision(
-                INCONCLUSIVE, "witness_soliton", {"kind": "inconclusive", "detail": "witness decomposition failed"},
-                problems=[("witness_law", "m = c.Id + D with D a derivation", "no decomposition")],
-            )
-        cert = {
-            "kind": "nilsoliton_decomposition",
-            "on": "witness",
-            "c": repr(sd.c),
-            "d": [repr(v) for v in sd.d],
-            "residual": sd.residual,
-        }
-        return Decision(EN, "witness_soliton", cert, soliton=sd)
+            return _witness_rejected([("witness_law", "m = c.Id + D with D a derivation", failure)])
+        cert = {"kind": "nilsoliton_decomposition", "on": "witness", "c": str(sd.c), "d": [str(v) for v in sd.d]}
+        return Decision(EN, "witness_soliton", cert, {"soliton_norm": str(-sd.c)})
     # isomorphism sanity: series and dim Der are basis-independent
     # (diagonal rank is not, so distinguish() is too strict here)
     problems = []
@@ -428,7 +438,7 @@ def _witness_route(witness_text: str, law: LieLaw, sig, space) -> Decision:
 
 
 def _witness_rejected(problems: list) -> Decision:
-    """INCONCLUSIVE: the recorded witness fails Jacobi, or an exact one is not a nice basis."""
+    """INCONCLUSIVE: the recorded witness fails Jacobi, is not a nilsoliton, or (rational) is not a nice basis."""
     cert = {"kind": "inconclusive", "reason": "witness_rejected"}
     return Decision(INCONCLUSIVE, "witness_rejected", cert, problems=problems)
 
@@ -436,7 +446,7 @@ def _witness_rejected(problems: list) -> Decision:
 def _recorded_degeneration_route(rec: Degeneration, law: LieLaw, sig, space, phi) -> Decision:
     """NOT_EN through a recorded degeneration, with its X, limit and distinguishing invariant re-checked."""
     problems = []
-    limit_law = None if rec.limit == "zero" else parse_law(rec.limit)
+    limit_law = rec.limit_law
     if rec.x is not None:
         if not dg.in_g_phi(rec.x, phi):
             problems.append(("degeneration.X", "X in g_phi", "trace conditions fail"))
@@ -475,12 +485,12 @@ def _recorded_degeneration_route(rec: Degeneration, law: LieLaw, sig, space, phi
     return Decision(NOT_EN, "degeneration_recorded", cert, problems=problems)
 
 
-def _diff(exp: Expected, rep: Report, dec: Decision, tol: float) -> None:
+def _diff(exp: Expected, rep: Report, dec: Decision) -> None:
     """Compare every recorded field with the computation; append the mismatches to rep.
 
-    A float witness decomposition confirms the recorded exact soliton norm
-    within tol, and the confirmed norm is then reported as computed.  An
-    EN record resting on a non-constructive argument accepts INCONCLUSIVE.
+    The soliton norm is compared wherever a route computed one: the LP
+    (1/sum x) or a nilsoliton witness (-c).  An EN record resting on a
+    non-constructive argument accepts INCONCLUSIVE.
     """
     got = rep.computed
     found = [
@@ -498,15 +508,8 @@ def _diff(exp: Expected, rep: Report, dec: Decision, tol: float) -> None:
     if exp.u is not None and u is not None and u != [list(r) for r in exp.u]:
         found.append(("U", [list(r) for r in exp.u], u))
     found += dec.problems
-    if exp.soliton_norm is not None:
-        want = fmt_rat(exp.soliton_norm)
-        if dec.soliton is not None:
-            if ricci.cross_check(exp.soliton_norm, dec.soliton, tol=tol):
-                got["soliton_norm"] = want
-            else:
-                found.append(("soliton_norm", want, repr(-dec.soliton.c)))
-        elif "soliton_norm" in got and got["soliton_norm"] != want:
-            found.append(("soliton_norm", want, got["soliton_norm"]))
+    if exp.soliton_norm is not None and "soliton_norm" in got and got["soliton_norm"] != fmt_rat(exp.soliton_norm):
+        found.append(("soliton_norm", fmt_rat(exp.soliton_norm), got["soliton_norm"]))
     if u is not None and isinstance(exp.x, tuple):
         if dec.verdict != EN:
             found.append(("x", "positive solution", dec.certificate["status"]))

@@ -6,10 +6,10 @@ not an Einstein nilradical, 2 = inconclusive; `report` exits 0 on every
 verdict.  A law whose diagonal torus is not maximal is inconclusive: an
 INCONCLUSIVE report (route `basis_not_adapted`) from `check`/`report`, exit
 2 with `basis_not_adapted` on stderr from `invariants`/`degenerate`.  Usage
-and parse errors and float laws exit 64; catalog schema errors and laws
-that are not nilpotent Lie algebras (Jacobi fails, lower central series
-does not reach 0, dim 0) exit 65.  An internal error exits 70, never a
-verdict's code.
+and parse errors and laws with `sqrt` coefficients exit 64; catalog schema
+errors and laws that are not nilpotent Lie algebras (Jacobi fails, lower
+central series does not reach 0, dim 0) exit 65.  An internal error exits
+70, never a verdict's code.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class Refusal(Exception):
 
 
 def _read_gated_law(args) -> LieLaw:
-    """The law in args.file: exact (else exit 64), Lie and of dimension >= 1 (else exit 65).
+    """The law in args.file: rational (else exit 64), Lie and of dimension >= 1 (else exit 65).
 
     Nilpotency is checked by whatever computes the lower central series
     (NotNilpotentError, exit 65), so no command computes it twice.
@@ -66,8 +66,8 @@ def _read_gated_law(args) -> LieLaw:
             law = parse_law(fh.read())
     except (OSError, LawError) as exc:
         raise Refusal(EX_USAGE, str(exc)) from exc
-    if not law.is_exact:
-        raise Refusal(EX_USAGE, "the decision pipeline needs exact structure constants")
+    if not law.is_rational:
+        raise Refusal(EX_USAGE, "the decision pipeline needs exact rational structure constants, not sqrt")
     bad = jacobi_violations(law)
     if bad:
         raise Refusal(EX_DATAERR, f"not a Lie algebra: the Jacobi identity fails at {bad[0][:3]}")
@@ -76,20 +76,20 @@ def _read_gated_law(args) -> LieLaw:
     return law
 
 
-def _pipeline_report(args):
-    """classify() on the gated law, without expectations: certificates only."""
+def _pipeline_report(args, as_json: bool):
+    """Classify the gated law without expectations (certificates only); print the report and return it."""
     law = _read_gated_law(args)
     entry = CatalogEntry("input", {}, format_law(law), None, parsed=law)
-    return classify(entry, search_trials=args.search, seed=args.seed)
-
-
-def cmd_check(args) -> int:
-    rep = _pipeline_report(args)
-    if args.json:
+    rep = classify(entry, search_trials=args.search, seed=args.seed)
+    if as_json:
         print(rep.to_json())
     else:
         _print_report(rep)
-    return _VERDICT_EXIT[rep.verdict]
+    return rep
+
+
+def cmd_check(args) -> int:
+    return _VERDICT_EXIT[_pipeline_report(args, args.json).verdict]
 
 
 def _print_report(rep) -> None:
@@ -182,11 +182,7 @@ def cmd_degenerate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rep = _pipeline_report(args)
-    if args.format == "json":
-        print(rep.to_json())
-    else:
-        _print_report(rep)
+    _pipeline_report(args, args.format == "json")
     return 0
 
 
@@ -236,17 +232,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # argparse would read "--X -1,2,..." as a dangling flag; fuse the pair
-    fused: list[str] = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--X" and i + 1 < len(argv):
-            fused.append(f"--X={argv[i + 1]}")
-            skip = True
-        else:
-            fused.append(tok)
+    fused, toks = [], iter(argv)
+    for tok in toks:
+        value = next(toks, None) if tok == "--X" else None
+        fused.append(tok if value is None else f"--X={value}")
     try:
         args = parser.parse_args(fused)
     except SystemExit as exc:

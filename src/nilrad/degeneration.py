@@ -52,8 +52,8 @@ def in_g_phi(x, phi: PreEinsteinDerivation | list) -> bool:
 
 def one_param_limit(law: LieLaw, x, frame=None) -> LimitResult:
     """Limit of exp(tX).(frame law) as t -> oo for diagonal exponents X."""
-    if not law.is_exact:
-        raise LawError("one_param_limit requires an exact law")
+    if not law.is_rational:
+        raise LawError("one_param_limit requires a rational law")
     base = act(frame, law) if frame is not None else law
     xs = [Fraction(v) for v in x]
     if len(xs) != law.dim:
@@ -64,7 +64,7 @@ def one_param_limit(law: LieLaw, x, frame=None) -> LimitResult:
     kept = {t: c for (t, c), w in zip(base.triples(), weights) if w == 0}
     if not kept and base.brackets:
         return LimitResult("zero")
-    return LimitResult("limit", LieLaw(law.dim, kept, "exact", law.tol))
+    return LimitResult("limit", LieLaw(law.dim, kept))
 
 
 Invariants = tuple[SeriesSignature, DerivationSpace]
@@ -110,7 +110,7 @@ def _size_reduce(basis: list[list[int]]) -> list[list[int]]:
                 den = sum(x * x for x in b[j])
                 if den == 0:
                     continue
-                q = round(sum(x * y for x, y in zip(b[i], b[j])) / den)
+                q = round(Fraction(sum(x * y for x, y in zip(b[i], b[j])), den))
                 if q:
                     cand = [x - q * y for x, y in zip(b[i], b[j])]
                     if sum(x * x for x in cand) < sum(x * x for x in b[i]):
@@ -122,9 +122,7 @@ def _size_reduce(basis: list[list[int]]) -> list[list[int]]:
 def g_phi_lattice(phi: PreEinsteinDerivation, dim: int) -> list[list[int]]:
     """Size-reduced integer basis of the diagonal part of g_phi."""
     eig = [Fraction(v) for v in (phi.phi if isinstance(phi, PreEinsteinDerivation) else phi)]
-    den = 1
-    for e in eig:
-        den = den * e.denominator // math.gcd(den, e.denominator)
+    den = math.lcm(*(e.denominator for e in eig))
     wrow = [int(e * den) for e in eig]
     return _size_reduce(linalg.kernel_lattice([[1] * dim, wrow]))
 

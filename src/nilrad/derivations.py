@@ -64,12 +64,12 @@ def _derivation_rows(law: LieLaw) -> list[dict[int, int | Fraction]]:
 
 def derivation_space(law: LieLaw) -> DerivationSpace:
     """Exact basis of Der(mu) plus integer generators of its diagonal part."""
-    if not law.is_exact:
-        raise LawError("derivation_space requires an exact law")
+    if not law.is_rational:
+        raise LawError("derivation_space requires a rational law")
     n = law.dim
     vecs = linalg.sparse_nullspace(_derivation_rows(law), n * n)
     basis = tuple(
-        tuple(tuple(v[k * n + l] for l in range(n)) for k in range(n)) for v in vecs
+        tuple(tuple(v[k * n : (k + 1) * n]) for k in range(n)) for v in vecs
     )
     return DerivationSpace(n, basis, tuple(map(tuple, diagonal_rank(law)[1])))
 
@@ -80,8 +80,8 @@ def dim_der(law: LieLaw) -> int:
 
 def diagonal_rank(law: LieLaw) -> tuple[int, list[list[int]]]:
     """Rank of the diagonal torus and an HNF-canonical integer basis of it: the lattice ker Y."""
-    if not law.is_exact:
-        raise LawError("diagonal_rank requires an exact law")
+    if not law.is_rational:
+        raise LawError("diagonal_rank requires a rational law")
     if law.brackets:
         gens = linalg.kernel_lattice(law.weight_rows)
     else:  # no weights: the whole of Z^n, whose HNF basis is the identity
@@ -134,7 +134,6 @@ def positivity_gate(phi: PreEinsteinDerivation) -> tuple[bool, int | None]:
     return idx is None, idx
 
 
-def diagonal_is_derivation(law: LieLaw, d: list, tol: float | None = None) -> bool:
+def diagonal_is_derivation(law: LieLaw, d: list) -> bool:
     """Derivation check for diagonal d (vector of eigenvalues): every weight Y.d vanishes."""
-    tol = law.tol if tol is None else tol
-    return all(w == 0 if law.is_exact and isinstance(w, Fraction) else abs(w) <= tol for w in law.weights(d))
+    return not any(law.weights(d))

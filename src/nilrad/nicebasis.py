@@ -35,8 +35,8 @@ def is_nice(law: LieLaw) -> NiceCheck:
     (N1) every bracket image is a single basis vector; (N2) two different
     bracket pairs hitting the same image vector share no index.
     """
-    if not law.is_exact:
-        raise LawError("is_nice requires an exact law")
+    if not law.is_rational:
+        raise LawError("is_nice requires a rational law")
     by_pair: dict[tuple[int, int], list[int]] = {}
     by_image: dict[int, list[tuple[int, int]]] = {}
     for (i, j, k) in law.brackets:

@@ -5,29 +5,34 @@ exponential enumeration, a dense recomputation), so a test can compare the
 two.  They are deliberately simple and slow, and nilrad itself never calls
 them.  The float basis change (`to_float`, `act_float`) lives here too: the
 library acts by rational matrices only, and the orthogonal rotations of the
-moment-map equivariance tests need floats and numpy.
+moment-map equivariance tests need floats and numpy.  Float laws are built
+as `LieLaw(n, {triple: float})`; the library's kernels compare exactly, so
+the float helpers carry their own tolerance, `FLOAT_TOL`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from nilrad import linalg
-from nilrad.algebra import LawError, LieLaw, jacobi_violations
+from nilrad.algebra import LawError, LieLaw, Surd, jacobi_violations
 from nilrad.degeneration import LimitResult
 from nilrad.ricci import MomentValue
 
 
-def to_float(law: LieLaw, tol: float | None = None) -> LieLaw:
-    if not law.is_exact:
-        return law
-    return LieLaw(
-        law.dim,
-        {t: float(c) for t, c in law.brackets.items()},
-        "float",
-        tol if tol is not None else law.tol,
-    )
+FLOAT_TOL = 1e-9
+
+
+def _rounded(c) -> float:
+    terms = c.terms if isinstance(c, Surd) else {1: c}
+    return sum(float(q) * math.sqrt(m) for m, q in terms.items())
+
+
+def to_float(law: LieLaw) -> LieLaw:
+    """The law with every coefficient, rational or `Surd`, rounded to a float."""
+    return LieLaw(law.dim, {t: _rounded(c) for t, c in law.brackets.items()})
 
 
 def act_float(g: list[list], law: LieLaw) -> LieLaw:
@@ -48,14 +53,14 @@ def act_float(g: list[list], law: LieLaw) -> LieLaw:
             img = [sum(gm[a][b] * w[b] for b in range(n)) for a in range(n)]
             for k in range(1, n + 1):
                 c = img[k - 1]
-                if abs(c) > law.tol:
+                if abs(c) > FLOAT_TOL:
                     brackets[(i, j, k)] = c
-    return LieLaw(n, brackets, "float", law.tol)
+    return LieLaw(n, brackets)
 
 
 def bracket(law: LieLaw, i: int, j: int) -> list:
     """Coordinates of [e_i, e_j] (any i, j; antisymmetry applied)."""
-    v = [Fraction(0) if law.is_exact else 0.0] * law.dim
+    v = [Fraction(0)] * law.dim
     for k, c in law.images.get((i, j), {}).items():
         v[k - 1] = c
     return v
@@ -70,7 +75,7 @@ def dense_moment_map(law: LieLaw) -> MomentValue:
     """m(mu) = 4 Ric_mu from the dense ad matrices, summing every entry."""
     n = law.dim
     ads = [ad(law, p) for p in range(1, n + 1)]
-    zero = Fraction(0) if law.is_exact else 0.0
+    zero = Fraction(0)
     by_pair: dict[tuple[int, int], dict[int, object]] = {}
     for (a, b, k), c in law.brackets.items():
         by_pair.setdefault((a, b), {})[k - 1] = c
@@ -116,11 +121,9 @@ def in_span(vectors: Sequence, v) -> bool:
     return linalg.rank(base) == linalg.rank(base + [list(map(Fraction, v))])
 
 
-def is_derivation(law: LieLaw, d: list[list], tol: float | None = None) -> bool:
+def is_derivation(law: LieLaw, d: list[list]) -> bool:
     """Check D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] on all basis pairs."""
     n = law.dim
-    exact = law.is_exact
-    tol = law.tol if tol is None else tol
     cols = [[d[a][b] for a in range(n)] for b in range(n)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -129,18 +132,14 @@ def is_derivation(law: LieLaw, d: list[list], tol: float | None = None) -> bool:
             rhs1 = law.bracket_vectors(cols[i - 1], [Fraction(int(a == j - 1)) for a in range(n)])
             rhs2 = law.bracket_vectors([Fraction(int(a == i - 1)) for a in range(n)], cols[j - 1])
             for k in range(n):
-                diff = lhs[k] - rhs1[k] - rhs2[k]
-                if exact and diff != 0:
-                    return False
-                if not exact and abs(diff) > tol:
+                if lhs[k] - rhs1[k] - rhs2[k] != 0:
                     return False
     return True
 
 
 def norm_squared(law: LieLaw):
     """||mu||^2 = sum of squared structure constants over stored brackets."""
-    zero = Fraction(0) if law.is_exact else 0.0
-    return sum((c * c for c in law.brackets.values()), zero)
+    return sum((c * c for c in law.brackets.values()), Fraction(0))
 
 
 def limit_is_lie(res: LimitResult) -> bool:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from nilrad.algebra import (
     LawError,
+    LieLaw,
+    Surd,
     act,
     format_law,
     jacobi_violations,
@@ -25,7 +27,7 @@ def test_parse_heisenberg():
     law = parse_law(HEISENBERG)
     assert law.dim == 3
     assert dict(law.brackets) == {(1, 2, 3): Fraction(1)}
-    assert law.scalar_kind == "exact"
+    assert law.is_rational
 
 
 def test_parse_block_with_nine_components():
@@ -48,10 +50,10 @@ def test_parse_multi_component_image():
     assert law.brackets[(2, 3, 7)] == 1
 
 
-def test_parse_sqrt_coefficient_makes_float_law():
+def test_parse_sqrt_coefficient_makes_surd_law():
     law = parse_law("dim 3; [1,2]=3*(1/2 sqrt(2))")
-    assert law.scalar_kind == "float"
-    assert law.brackets[(1, 2, 3)] == pytest.approx(0.7071067811865476)
+    assert not law.is_rational
+    assert law.brackets[(1, 2, 3)] == Surd.sqrt(2) / 2 == Surd.sqrt(Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
@@ -65,6 +67,10 @@ def test_parse_sqrt_coefficient_makes_float_law():
         ("dim 3; [1,2]=3*mu", "unknown parameter"),
         ("[1,2]=3", "must start with"),
         ("dim 3; [1,2]", "expected"),
+        ("dim 3; [1,2]=3*sqrt(-2)", "negative"),
+        ("dim 3; [1,2]=3*sqrt(1 sqrt(2))", "irrational"),
+        ("dim 3; [1,2]=3*(1/0)", "division by 0"),
+        ("dim 3; [1,2]=3*(1/sqrt(2))", "division by 1\\*sqrt\\(2\\)"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -175,6 +181,37 @@ def test_format_parse_round_trip(law):
     text = format_law(law)
     assert parse_law(text) == law
     assert format_law(parse_law(text)) == text
+
+
+def test_surd_values_are_canonical():
+    r2, r3 = Surd.sqrt(2), Surd.sqrt(3)
+    assert Surd.sqrt(8) == 2 * r2
+    assert Surd.sqrt(Fraction(1, 2)) == r2 / 2
+    assert Surd.sqrt(4) == 2 and type(Surd.sqrt(4)) is Fraction
+    assert r2 * Surd.sqrt(6) == 2 * r3
+    assert r2 * r3 == Surd.sqrt(6)
+    cancelled = (1 + r2) * (1 - r2) + 1 + (r3 - r3)
+    assert cancelled == 0 and type(cancelled) is Fraction
+    assert r2 != Fraction(7, 5) and r2 != r3 and r2 != 2 * r2
+
+
+def test_surd_hash_agrees_with_eq():
+    a = Surd.sqrt(8) + Surd.sqrt(3)
+    b = Surd.sqrt(12) / 2 + 2 * Surd.sqrt(2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Surd.sqrt(2)}) == 2
+    # 3 * 1009^2: the cofactor left after trial division is the square 1009^2
+    assert Surd.sqrt(3 * 1009**2) == 1009 * Surd.sqrt(3)
+    assert Surd.sqrt(605845438) * Surd.sqrt(605845438) == 605845438  # the largest radicand, in 1.14
+
+
+def test_surd_laws_round_trip(entries):
+    witnesses = {e.expected.witness for e in entries if e.expected.witness_law}
+    surd_laws = [w for w in witnesses if not w.is_rational]
+    assert len(surd_laws) == 13
+    surd_laws.append(LieLaw(3, {(1, 2, 3): 1 - Surd.sqrt(2) / 3, (1, 3, 2): -Surd.sqrt(5)}))
+    for w in surd_laws:
+        assert parse_law(format_law(w)) == w
 
 
 def test_act_rejects_float_input():

@@ -171,9 +171,9 @@ def test_117_en_via_both_routes(by_id):
 
     entry = by_id["1.17"]
     law = entry.law()
-    # route 1: the float witness decomposes
+    # route 1: the surd witness decomposes
     dec = soliton_check(parse_law(entry.expected.witness_law))
-    assert dec is not None and abs(dec.c + 65 / 94) < 1e-9
+    assert dec is not None and dec.c == Fraction(-65, 94)
 
     # route 2: an explicit rational change of basis makes the law nice
     g = [[Fraction(n, 8) for n in row] for row in [
@@ -265,7 +265,7 @@ CORRUPTIONS = [
     ("2.3", lambda e: {"soliton_norm": Fraction(1)}, [_mm("soliton_norm", "1", "37/35")], "EN", "nice_lp"),
     (
         "1.11", lambda e: {"soliton_norm": Fraction(1)},
-        [_mm("soliton_norm", "1", "0.8064516129032258")], "EN", "witness_soliton",
+        [_mm("soliton_norm", "1", "25/31")], "EN", "witness_soliton",
     ),
     (
         "2.37", lambda e: {"soliton_norm": Fraction(1)},
@@ -275,7 +275,7 @@ CORRUPTIONS = [
         "1.11",
         lambda e: {"witness_law": e.witness_law.replace("sqrt(90706))", "sqrt(90707))", 1)},
         [
-            _mm("witness_law", "Lie algebra law (within tol)", "Jacobi fails at (1, 2, 4)"),
+            _mm("witness_law", "Lie algebra law", "Jacobi fails at (1, 2, 4)"),
             _mm("verdict", "EN", "INCONCLUSIVE"),
         ],
         "INCONCLUSIVE", "witness_rejected",
@@ -286,7 +286,7 @@ CORRUPTIONS = [
             _mm("witness_law", "m = c.Id + D with D a derivation", "no decomposition"),
             _mm("verdict", "EN", "INCONCLUSIVE"),
         ],
-        "INCONCLUSIVE", "witness_soliton",
+        "INCONCLUSIVE", "witness_rejected",
     ),
     (
         "2.37", lambda e: {"witness_law": "dim 7; [1,2]=3; [1,3]=4; [1,4]=5; [1,5]=6; [1,6]=7"},
@@ -344,6 +344,14 @@ CORRUPTIONS = [
     (
         "1.3(i_l)[lambda=2]", lambda e: {"verdict": "NOT_EN"},
         [_mm("verdict", "NOT_EN", "INCONCLUSIVE")], "INCONCLUSIVE", "search_exhausted",
+    ),
+    (
+        "1.11", lambda e: {"witness_law": "dim 4; [1,2]=3*(1 sqrt(2))+4"},
+        [
+            _mm("witness_law", "m = c.Id + D with D a derivation", "moment map is not diagonal"),
+            _mm("verdict", "EN", "INCONCLUSIVE"),
+        ],
+        "INCONCLUSIVE", "witness_rejected",
     ),
 ]
 

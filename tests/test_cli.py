@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -100,7 +101,7 @@ def test_catalog_verify_green(capsys, tmp_path):
 # SHA-256 of `catalog verify --json` with every `timing` removed.  Speed-ups
 # must leave every verdict and certificate byte-identical; change this value
 # only together with a deliberate, documented change of the report contents.
-GOLDEN_VERIFY_SHA256 = "094558aacea0d8766639efc99456775f8261211d4f39b3681f095ecd9e4c18b9"
+GOLDEN_VERIFY_SHA256 = "f5900a1a5deeb1f36e4427a54d084d9472cfa1905ba08751b132eb9b5d5a1c5c"
 
 
 def test_catalog_verify_json_is_golden(capsys, tmp_path):
@@ -118,11 +119,14 @@ def test_catalog_verify_json_is_golden(capsys, tmp_path):
 
 # SHA-256 of `check --json` (every `timing` removed) on the 27 catalog laws
 # that are not nice and have rank > 0, seeds 0-2: the degeneration-search
-# route, whose witnesses depend on the seed.  Same rule as above.
+# route, whose witnesses depend on the seed.  Same rule as above.  The digest
+# covers everything but the `reason` of search_exhausted certificates, which
+# the test checks on its own.
 GOLDEN_CHECK_SHA256 = "a064d130f1e0290eba0bac699cac42d1c6d5749c4eda4e8c07cb202d7fb7ec8e"
 
 
-def test_check_json_is_golden(capsys, tmp_path, entries):
+def _check_runs(capsys, tmp_path, entries) -> list:
+    """[id, seed, exit code, report without timing] of `check --json` on the golden laws and seeds."""
     search = [e for e in entries if e.expected.rank > 0 and not e.expected.nice]
     assert len(search) == 27
     runs = []
@@ -134,8 +138,24 @@ def test_check_json_is_golden(capsys, tmp_path, entries):
             rep = json.loads(out)
             del rep["timing"]
             runs.append([e.id, seed, code, rep])
+    return runs
+
+
+def test_check_json_is_golden(capsys, tmp_path, entries):
+    runs = _check_runs(capsys, tmp_path, entries)
+    for _, _, _, rep in runs:
+        if rep["route"] == "search_exhausted":
+            assert rep["certificates"][0].pop("reason") == "search_exhausted"
     digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_CHECK_SHA256
+
+
+def test_every_inconclusive_certificate_has_a_reason(capsys, tmp_path, entries, reports):
+    certs = [c for r in reports.values() for c in r.certificates]
+    certs += [c for _, _, _, rep in _check_runs(capsys, tmp_path, entries) for c in rep["certificates"]]
+    inconclusive = [c for c in certs if c["kind"] == "inconclusive"]
+    assert len(inconclusive) > 2
+    assert [c for c in inconclusive if not c.get("reason")] == []
 
 
 def test_catalog_verify_detects_corruption(capsys, tmp_path):
@@ -149,17 +169,29 @@ def test_catalog_verify_detects_corruption(capsys, tmp_path):
     assert "MISMATCH" in out and "dim_der" in out
 
 
-@pytest.mark.parametrize("distinguishing", ["rank one vs 2", "dim_der 13 vs", "rank 1 vs 2 vs 3"])
-def test_catalog_malformed_distinguishing_exit_65(capsys, tmp_path, distinguishing):
+MALFORMED_RECORDS = [
+    pytest.param("1.2(ii)", "degeneration.distinguishing", text, id=text)
+    for text in ("rank one vs 2", "dim_der 13 vs", "rank 1 vs 2 vs 3")
+] + [
+    pytest.param("1.11", "witness_law", "dim 7; [1,2]=3*(7/1767 sqrt(1767)", id="witness_law"),
+    pytest.param("1.2(ii)", "degeneration.limit", "dim 7; [1,2]=9", id="degeneration.limit"),
+]
+
+
+@pytest.mark.parametrize("entry_id, field_name, value", MALFORMED_RECORDS)
+def test_catalog_malformed_distinguishing_exit_65(capsys, tmp_path, entry_id, field_name, value):
     doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
-    entry = next(e for e in doc["entries"] if e["id"] == "1.2(ii)")
-    entry["expected"]["degeneration"]["distinguishing"] = distinguishing
+    record = next(e for e in doc["entries"] if e["id"] == entry_id)["expected"]
+    *path, key = field_name.split(".")
+    for name in path:
+        record = record[name]
+    record[key] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
     code, out, err = _run(capsys, ["catalog", "verify", str(p)])
     assert code == 65 and out == ""
     assert len(err.splitlines()) == 1
-    assert "'1.2(ii)'" in err and "'degeneration.distinguishing'" in err
+    assert f"'{entry_id}'" in err and f"'{field_name}'" in err
 
 
 def test_catalog_schema_error_exit_65(capsys, tmp_path):
@@ -221,7 +253,7 @@ def test_report_json_format(capsys, tmp_path):
     assert Report.from_json(out).verdict == "EN"
 
 
-def test_float_laws_rejected_by_pipeline(capsys, tmp_path):
+def test_sqrt_laws_rejected_by_pipeline(capsys, tmp_path):
     p = tmp_path / "law.txt"
     p.write_text("dim 3; [1,2]=3*(1 sqrt(2))")
     code, _, err = _run(capsys, ["invariants", str(p)])
@@ -232,13 +264,16 @@ def test_float_laws_rejected_by_pipeline(capsys, tmp_path):
     assert "exact" in err
 
 
-# Laws that are not nilpotent Lie algebras get exit 65 and no verdict; laws
-# whose diagonal torus is not maximal get INCONCLUSIVE, never a traceback.
+# Text that does not parse gets exit 64 and laws that are not nilpotent Lie
+# algebras 65, with no verdict; laws whose diagonal torus is not maximal get
+# INCONCLUSIVE, never a traceback.
 GATE_PROBES = [
     ("dim 3; [1,2]=3; [1,3]=1", 65, None),  # Jacobi fails
     ("dim 3; [1,2]=2", 65, None),  # solvable, not nilpotent
     ("dim 3; [1,2]=2*2; [1,3]=3*-2; [2,3]=1", 65, None),  # sl2
     ("dim 0", 65, None),
+    ("dim 3; [1,2]=3*(1/0)", 64, None),  # parse error: division by zero
+    ("dim 3; [1,2]=3*(1/sqrt(2))", 64, None),  # parse error: division by a sqrt
     ("dim 4; [1,2]=3; [1,3]=4; [2,3]=4", 2, "basis_not_adapted"),
     # h3 under act([[1,1,0],[0,1,1],[1,0,2]])
     ("dim 3; [1,2]=2*2/3+3*4/3; [1,3]=2*-1/3+3*-2/3", 2, "basis_not_adapted"),
@@ -321,3 +356,14 @@ def test_no_source_file_mentions_numpy():
     # numpy is a test dependency: the float basis change lives in tests/oracles.py
     root = Path(nilrad.__file__).resolve().parent
     assert [p.name for p in sorted(root.rglob("*.py")) if "numpy" in p.read_text()] == []
+
+
+def test_no_float_or_tolerance_in_src():
+    # one exact arithmetic: rationals and surds, never floats compared within a tolerance
+    root = Path(nilrad.__file__).resolve().parent
+    lines = [(p.name, line.strip()) for p in sorted(root.rglob("*.py")) for line in p.read_text().splitlines()]
+    assert [x for x in lines if re.search(r"\b(tol|DEFAULT_TOL|scalar_kind)\b|math\.sqrt", x[1])] == []
+    assert [x for x in lines if re.search(r"\bfloat\b", x[1])] == [
+        ("catalog.py", "timing: float = 0.0"),
+        ("catalog.py", 'timing=float(d.get("timing", 0.0)),'),
+    ]

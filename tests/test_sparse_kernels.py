@@ -50,7 +50,7 @@ PROBES = (
 
 
 def dense_bracket(law, i, j):
-    zero = Fraction(0) if law.is_exact else 0.0
+    zero = Fraction(0)
     v = [zero] * law.dim
     if i == j:
         return v
@@ -64,7 +64,7 @@ def dense_bracket(law, i, j):
 
 
 def dense_bracket_vectors(law, u, v):
-    zero = Fraction(0) if law.is_exact else 0.0
+    zero = Fraction(0)
     out = [zero] * law.dim
     for (a, b, k), c in law.brackets.items():
         coef = u[a - 1] * v[b - 1] - u[b - 1] * v[a - 1]
@@ -76,7 +76,7 @@ def dense_bracket_vectors(law, u, v):
 def dense_jacobi_violations(law):
     n = law.dim
     out = []
-    one, zero = (Fraction(1), Fraction(0)) if law.is_exact else (1.0, 0.0)
+    one, zero = Fraction(1), Fraction(0)
     basis = [[one if a == i else zero for a in range(n)] for i in range(n)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -86,11 +86,7 @@ def dense_jacobi_violations(law):
                 r2 = dense_bracket_vectors(law, basis[j - 1], dense_bracket(law, i, k))
                 r3 = dense_bracket_vectors(law, basis[k - 1], vij)
                 res = [a - b + c for a, b, c in zip(r1, r2, r3)]
-                if law.is_exact:
-                    bad = any(x != 0 for x in res)
-                else:
-                    bad = any(abs(x) > law.tol for x in res)
-                if bad:
+                if any(x != 0 for x in res):
                     out.append((i, j, k, res))
     return out
 
@@ -367,7 +363,7 @@ def _broken(law, rng):
     brackets = dict(law.brackets)
     t = rng.choice(sorted(brackets))
     brackets[t] = brackets[t] * 3
-    return type(law)(law.dim, brackets, law.scalar_kind, law.tol)
+    return type(law)(law.dim, brackets)
 
 
 def _rows_key(rows):
@@ -391,13 +387,13 @@ def test_jacobi_matches_dense(exact_laws):
     assert nonzero > 50  # the broken laws really exercise the residuals
 
 
-def test_jacobi_matches_dense_on_float_witnesses(entries):
+def test_jacobi_matches_dense_on_surd_witnesses(entries):
     rng = random.Random(23)
     witnesses = {e.expected.witness_law for e in entries if e.expected.witness_law}
-    floats = [parse_law(w) for w in sorted(witnesses)]
-    floats = [w for w in floats if not w.is_exact]
-    assert len(floats) >= 10
-    for w in floats:
+    surds = [parse_law(w) for w in sorted(witnesses)]
+    surds = [w for w in surds if not w.is_rational]
+    assert len(surds) >= 10
+    for w in surds:
         assert jacobi_violations(w) == dense_jacobi_violations(w) == []
         broken = _broken(w, rng)
         assert jacobi_violations(broken) == dense_jacobi_violations(broken)
@@ -541,7 +537,7 @@ def test_simplex_matches_dense(entries):
     for e in entries:
         if e.expected.witness_law:
             w = parse_law(e.expected.witness_law)
-            if w.is_exact and is_nice(w).nice:
+            if w.is_rational and is_nice(w).nice:
                 us.add(tuple(map(tuple, gram_matrix(w))))
     assert len(us) > 50
     for u in [list(map(list, u)) for u in sorted(us)] + list(_c7_random_us()):
@@ -582,8 +578,8 @@ def test_search_matches_unfiltered_loop(search_laws):
 def test_weight_map_and_moment_map_match_dense_oracles(entries, exact_laws):
     """U from `law.weight_rows` and the moment map from `law.images` equal the
     old dense versions: the Gram matrix of the weight vectors f_k - f_i - f_j
-    and the moment map summed over every entry of the ad matrices.  On the
-    float witnesses the moment maps agree bit for bit."""
+    and the moment map summed over every entry of the ad matrices, on the
+    surd witnesses too."""
     assert {e.id for e in entries} <= set(exact_laws) and any(name.startswith("g.") for name in exact_laws)
     for name, law in exact_laws.items():
         assert gram_matrix(law) == alphas_gram(law), name
