@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 import time
-import zlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +20,7 @@ from typing import Any
 from . import degeneration as dg
 from . import nicebasis as nb
 from . import ricci
-from .algebra import LawError, LieLaw, SeriesSignature, jacobi_violations, parse_law, series_signature
+from .algebra import LawError, LieLaw, SeriesSignature, format_law, jacobi_violations, parse_law, series_signature
 from .derivations import TorusNotMaximalError, derivation_space, diagonal_rank, positivity_gate, pre_einstein
 
 EN = "EN"
@@ -303,7 +302,7 @@ class Decision:
     problems: list[tuple[str, str, str]] = field(default_factory=list)  # (field, expected, computed)
 
 
-def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = None) -> Report:
+def classify(entry: CatalogEntry) -> Report:
     """Run the decision pipeline on one entry; diff it against entry.expected when that is set.
 
     The law must satisfy Jacobi (load_catalog and the CLI check that); a law
@@ -329,7 +328,7 @@ def classify(entry: CatalogEntry, search_trials: int = 400, seed: int | None = N
             computed["pre_einstein"] = _fmt_vec(phi.phi)
         except TorusNotMaximalError:
             pass  # the diagonal torus of this basis is not maximal: _decide says basis_not_adapted
-    dec = _decide(entry, law, sig, space, phi, nice, search_trials, seed)
+    dec = _decide(entry, law, sig, space, phi, nice)
     assert dec.certificate["kind"] in _CERT_KINDS[dec.verdict], entry.id
     rep = Report(entry.id, dec.verdict, dec.route, [dec.certificate], {**computed, **dec.computed})
     if not nice.nice and dec.route not in _GATES:
@@ -348,13 +347,13 @@ _CERT_KINDS = {
 _GATES = {"rank_zero", "basis_not_adapted", "pre_einstein_positivity"}  # routes decided before the LP
 
 
-def _decide(entry: CatalogEntry, law: LieLaw, sig, space, phi, nice: nb.NiceCheck, trials: int, seed) -> Decision:
+def _decide(entry: CatalogEntry, law: LieLaw, sig, space, phi, nice: nb.NiceCheck) -> Decision:
     """The decision of the first rung of the ladder that decides.
 
     The rungs: rank zero, a diagonal torus that is not maximal (phi is None
     on both), a pre-Einstein derivation that is not positive, the abelian
     law, the LP on a nice basis, then, for a law that is not nice, the
-    entry's recorded witness or degeneration, else the degeneration search.
+    entry's recorded witness or degeneration, else the walk on the degeneration cone.
     """
     if not space.diag_basis:
         return Decision(NOT_EN, "rank_zero", {"kind": "rank_zero"})
@@ -373,22 +372,26 @@ def _decide(entry: CatalogEntry, law: LieLaw, sig, space, phi, nice: nb.NiceChec
         return _witness_route(exp.witness, law, sig, space)
     if exp is not None and exp.degeneration is not None:
         return _recorded_degeneration_route(exp.degeneration, law, sig, space, phi)
-    return _search_route(law, phi, (sig, space), trials, zlib.crc32(entry.id.encode()) if seed is None else seed)
+    return _search_route(law, phi, (sig, space))
 
 
-def _search_route(law: LieLaw, phi, known: dg.Invariants, trials: int, seed: int) -> Decision:
-    """NOT_EN through a degeneration the seeded search finds; INCONCLUSIVE when it finds none."""
-    found = dg.search_degeneration(law, phi, trials, seed, known=known)
-    if found is None:
-        cert = {"kind": "inconclusive", "reason": "search_exhausted", "trials": trials}
-        return Decision(INCONCLUSIVE, "search_exhausted", cert)
-    cert = {
-        "kind": "non_closed_orbit",
-        "X": _fmt_vec(found.x),
-        "limit": "zero" if found.limit.kind == "zero" else "limit law",
-        "distinguishing": None if found.distinction is None else format_distinction(found.distinction),
-    }
-    return Decision(NOT_EN, "degeneration_search", cert)
+def _search_route(law: LieLaw, phi, known: dg.Invariants) -> Decision:
+    """NOT_EN through the degeneration the cone walk finds; INCONCLUSIVE, with its reason, when it finds none.
+
+    The reason is `no_diagonal_degeneration` (the cone is trivial, with its
+    certificate y) or `limit_not_distinguished` (the walk's limit is not
+    separated from the law by series, dim Der or rank).
+    """
+    found = dg.search_degeneration(law, phi, known)
+    if isinstance(found, dg.TrivialCone):
+        reason = "no_diagonal_degeneration"
+        return Decision(INCONCLUSIVE, reason, {"kind": "inconclusive", "reason": reason, "y": _fmt_vec(found.y)})
+    cert = {"X": _fmt_vec(found.x), "limit": "zero" if found.limit.kind == "zero" else format_law(found.limit.law)}
+    if found.limit.kind == "limit" and found.distinction is None:
+        reason = "limit_not_distinguished"
+        return Decision(INCONCLUSIVE, reason, {"kind": "inconclusive", "reason": reason, **cert})
+    cert["distinguishing"] = None if found.distinction is None else format_distinction(found.distinction)
+    return Decision(NOT_EN, "degeneration_search", {"kind": "non_closed_orbit", **cert})
 
 
 def _nice_route(law: LieLaw, on: str) -> Decision:
@@ -412,6 +415,7 @@ def _witness_route(witness: LieLaw, law: LieLaw, sig, space) -> Decision:
     bad = jacobi_violations(witness)
     if bad:
         return _witness_rejected([("witness_law", "Lie algebra law", f"Jacobi fails at {bad[0][:3]}")])
+    problems = _isomorphism_problems(witness, law, sig, space)
     if not witness.is_rational:
         try:
             sd, failure = ricci.soliton_check(witness), "no decomposition"
@@ -420,21 +424,32 @@ def _witness_route(witness: LieLaw, law: LieLaw, sig, space) -> Decision:
         if sd is None:
             return _witness_rejected([("witness_law", "m = c.Id + D with D a derivation", failure)])
         cert = {"kind": "nilsoliton_decomposition", "on": "witness", "c": str(sd.c), "d": [str(v) for v in sd.d]}
-        return Decision(EN, "witness_soliton", cert, {"soliton_norm": str(-sd.c)})
-    # isomorphism sanity: series and dim Der are basis-independent
-    # (diagonal rank is not, so distinguish() is too strict here)
-    problems = []
-    sw = series_signature(witness)
-    if (sig.derived_dims, sig.lcs_dims) != (sw.derived_dims, sw.lcs_dims):
-        problems.append(("witness_law", "isomorphic witness", "series signatures differ"))
-    elif len(space.basis) != len(derivation_space(witness).basis):
-        problems.append(("witness_law", "isomorphic witness", "dim Der differs"))
+        return Decision(EN, "witness_soliton", cert, {"soliton_norm": str(-sd.c)}, problems)
     wc = nb.is_nice(witness)
     if not wc.nice:
         return _witness_rejected(problems + [("witness_law", "nice witness basis", wc.reason)])
     dec = _nice_route(witness, on="witness")
     dec.problems = problems
     return dec
+
+
+def _isomorphism_problems(witness: LieLaw, law: LieLaw, sig, space) -> list[tuple[str, str, str]]:
+    """The first basis-independent invariant on which the witness differs from the law.
+
+    Dimension for every witness; series and dim Der for a rational one (the
+    series and Der need rational constants).  Diagonal rank depends on the
+    basis, so distinguish() is too strict here.
+    """
+    if witness.dim != law.dim:
+        return [("witness_law", "isomorphic witness", "dimension differs")]
+    if not witness.is_rational:
+        return []
+    sw = series_signature(witness)
+    if (sig.derived_dims, sig.lcs_dims) != (sw.derived_dims, sw.lcs_dims):
+        return [("witness_law", "isomorphic witness", "series signatures differ")]
+    if len(space.basis) != len(derivation_space(witness).basis):
+        return [("witness_law", "isomorphic witness", "dim Der differs")]
+    return []
 
 
 def _witness_rejected(problems: list) -> Decision:

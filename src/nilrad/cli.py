@@ -5,11 +5,12 @@ one gate.  `check` exits 0 = Einstein nilradical certified, 1 = certified
 not an Einstein nilradical, 2 = inconclusive; `report` exits 0 on every
 verdict.  A law whose diagonal torus is not maximal is inconclusive: an
 INCONCLUSIVE report (route `basis_not_adapted`) from `check`/`report`, exit
-2 with `basis_not_adapted` on stderr from `invariants`/`degenerate`.  Usage
-and parse errors and laws with `sqrt` coefficients exit 64; catalog schema
-errors and laws that are not nilpotent Lie algebras (Jacobi fails, lower
-central series does not reach 0, dim 0) exit 65.  An internal error exits
-70, never a verdict's code.
+2 with `basis_not_adapted` on stderr from `invariants`/`degenerate`.
+`degenerate` without `--X` walks the degeneration cone and exits 2 when the
+walk certifies nothing.  Usage and parse errors and laws with `sqrt`
+coefficients exit 64; catalog schema errors and laws that are not nilpotent
+Lie algebras (Jacobi fails, lower central series does not reach 0, dim 0)
+exit 65.  An internal error exits 70, never a verdict's code.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _pipeline_report(args, as_json: bool):
     """Classify the gated law without expectations (certificates only); print the report and return it."""
     law = _read_gated_law(args)
     entry = CatalogEntry("input", {}, format_law(law), None, parsed=law)
-    rep = classify(entry, search_trials=args.search, seed=args.seed)
+    rep = classify(entry)
     if as_json:
         print(rep.to_json())
     else:
@@ -164,9 +165,9 @@ def cmd_degenerate(args) -> int:
         res = dg.one_param_limit(law, xvec)
         dist = dg.distinguish(law, res.law, (sig, space)) if res.kind == "limit" else None
     else:
-        found = dg.search_degeneration(law, phi, args.search, args.seed, known=(sig, space))
-        if found is None:
-            print(f"inconclusive: no witness in {args.search} trials (not a proof of closedness)")
+        found = dg.search_degeneration(law, phi, known=(sig, space))
+        if isinstance(found, dg.TrivialCone):
+            print(f"inconclusive: no_diagonal_degeneration, y = {[fmt_rat(v) for v in found.y]}")
             return _VERDICT_EXIT[INCONCLUSIVE]
         print(f"X: {[fmt_rat(v) for v in found.x]}")
         res, dist = found.limit, found.distinction
@@ -176,8 +177,8 @@ def cmd_degenerate(args) -> int:
     print(f"limit: {format_law(res.law)}")
     if dist is None:
         print("distinguishing: none (not separated by series/dim Der/rank)")
-    else:
-        print(f"distinguishing: {format_distinction(dist)}")
+        return 0 if xvec is not None else _VERDICT_EXIT[INCONCLUSIVE]
+    print(f"distinguishing: {format_distinction(dist)}")
     return 0
 
 
@@ -194,8 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="classify a single law file")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--search", type=int, default=400, help="degeneration search trials")
-    sp.add_argument("--seed", type=int, default=0)
+    # accepted and ignored: no answer depends on a seed, but perfbench's
+    # check_search workload passes --seed until that workload is redefined
+    sp.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_check, prog=sp.prog)
 
     sp = sub.add_parser("invariants", help="print invariants of a law file")
@@ -212,17 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("degenerate", help="diagonal one-parameter degenerations")
     sp.add_argument("file")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--X", dest="x", default=None, help="comma-separated diagonal exponents")
-    group.add_argument("--search", type=int, default=None, metavar="N")
-    sp.add_argument("--seed", type=int, default=0, metavar="S")
+    sp.add_argument("--X", dest="x", default=None, help="comma-separated diagonal exponents (default: walk the cone)")
     sp.set_defaults(func=cmd_degenerate, prog=sp.prog)
 
     sp = sub.add_parser("report", help="full pipeline report for a law file")
     sp.add_argument("file")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--search", type=int, default=400)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_report, prog=sp.prog)
     return p
 

@@ -8,17 +8,26 @@ of weight zero, dies to the zero law when all weights are positive, and
 diverges when a kept coefficient has negative weight.  A limit outside the
 orbit (zero, or separated from the law by an isomorphism invariant)
 certifies that the orbit is not closed, hence NOT an Einstein nilradical.
+
+`search_degeneration` finds such an X exactly, with no sampling.  Over the
+HNF basis L of the integer lattice of diagonal g_phi, X = sum c_p L[p]
+gives bracket t the weight R_t . c, so the X with a limit form the cone
+C = {c : R.c >= 0}.  Either some y > 0 has R^T y = 0 (Stiemke's
+alternative), and then every X in C has every weight zero and leaves the
+law fixed, or C has a relative-interior point c, positive on every row
+that C does not force to zero.  Its limit keeps the brackets of the forced
+rows and of the rows that are zero on all of g_phi; with none kept it is
+the zero law.  Each case is one exact LP.  The relative-interior limit is
+the only one tried: no subface of C is walked.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
-from . import linalg
+from . import linalg, lp
 from .algebra import LawError, LieLaw, SeriesSignature, act, series_signature
 from .derivations import DerivationSpace, PreEinsteinDerivation, derivation_space
 
@@ -38,9 +47,9 @@ class Distinction:
 
 @dataclass(frozen=True)
 class DegenerationWitness:
-    x: tuple[Fraction, ...]
+    x: tuple[int, ...]
     limit: LimitResult
-    distinction: Distinction | None  # None for a zero limit
+    distinction: Distinction | None  # None for a zero limit, or for a limit not separated from the law
 
 
 def in_g_phi(x, phi: PreEinsteinDerivation | list) -> bool:
@@ -97,34 +106,14 @@ def distinguish(a: LieLaw, b: LieLaw, known: Invariants | None = None) -> Distin
     return None
 
 
-def _size_reduce(basis: list[list[int]]) -> list[list[int]]:
-    """Greedy pairwise reduction; HNF bases are too skewed to sample from."""
-    b = [list(v) for v in basis]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(b)):
-            for j in range(len(b)):
-                if i == j:
-                    continue
-                den = sum(x * x for x in b[j])
-                if den == 0:
-                    continue
-                q = round(Fraction(sum(x * y for x, y in zip(b[i], b[j])), den))
-                if q:
-                    cand = [x - q * y for x, y in zip(b[i], b[j])]
-                    if sum(x * x for x in cand) < sum(x * x for x in b[i]):
-                        b[i] = cand
-                        changed = True
-    return b
 
 
 def g_phi_lattice(phi: PreEinsteinDerivation, dim: int) -> list[list[int]]:
-    """Size-reduced integer basis of the diagonal part of g_phi."""
+    """HNF integer basis of the diagonal part of g_phi."""
     eig = [Fraction(v) for v in (phi.phi if isinstance(phi, PreEinsteinDerivation) else phi)]
     den = math.lcm(*(e.denominator for e in eig))
     wrow = [int(e * den) for e in eig]
-    return _size_reduce(linalg.kernel_lattice([[1] * dim, wrow]))
+    return linalg.kernel_lattice([[1] * dim, wrow])
 
 
 def lattice_weight_rows(law: LieLaw, lattice: list[list[int]]) -> list[tuple[int, ...]]:
@@ -137,82 +126,64 @@ def lattice_weight_rows(law: LieLaw, lattice: list[list[int]]) -> list[tuple[int
     return list(dict.fromkeys(row for row in zip(*map(law.weights, lattice)) if any(row)))
 
 
+@dataclass(frozen=True)
+class TrivialCone:
+    """No X in diagonal g_phi has a limit other than the law: the walk's INCONCLUSIVE certificate.
+
+    y holds one positive weight per stored triple, in sorted order, with
+    sum_t y_t (f_i + f_j - f_k) in span(1, phi).  So every X in diagonal
+    g_phi has sum_t y_t w_t(X) = 0: no bracket weight is positive unless
+    another is negative.
+    """
+
+    y: tuple[Fraction, ...]
+
+
+def _relative_interior(rows: list[tuple[int, ...]]) -> list[Fraction]:
+    """c in C = {c : R.c >= 0} with R.c >= 1 on every row that C does not force to 0.
+
+    One LP: max sum s subject to R.c - s - w = 0 and s + v = 1, with s, w,
+    v >= 0 and c = c+ - c-.  At its optimum s = 1 exactly on the rows that
+    are not forced to 0, since C is a cone.  The columns come in the order
+    w, s, v, c+, c-: the slacks w and v then enter first, which takes the
+    simplex's first phase the fewest pivots.
+    """
+    m, r = len(rows), len(rows[0])
+    unit = [[int(p == q) for q in range(m)] for p in range(m)]
+    zero = [0] * m
+    a = [[*e, *e, *zero, *(-v for v in row), *row] for row, e in zip(rows, unit)]
+    a += [[*zero, *e, *e, *[0] * (2 * r)] for e in unit]
+    status, x, _ = lp.solve_standard(a, zero + [1] * m, zero + [-1] * m + zero + [0] * (2 * r))
+    assert status == "optimal"  # c = 0, s = 0 is feasible and sum s <= m
+    return [p - q for p, q in zip(x[3 * m : 3 * m + r], x[3 * m + r :])]
+
+
 def search_degeneration(
-    law: LieLaw,
-    phi: PreEinsteinDerivation,
-    trials: int,
-    seed: int,
-    extra_pool: tuple = (),
-    coeff_bound: int = 4,
-    known: Invariants | None = None,
-) -> DegenerationWitness | None:
-    """Randomised hunt for a diagonal degeneration witness.
+    law: LieLaw, phi: PreEinsteinDerivation, known: Invariants | None = None
+) -> DegenerationWitness | TrivialCone:
+    """The walk on the non-divergence cone C: a trivial-cone certificate, or the limit of a relative-interior X.
 
-    Samples integer X in the diagonal g_phi lattice (plus any injected
-    candidates, tried first) and keeps the first X whose limit is zero or
-    separated from the law by distinguish().  None after `trials` attempts
-    is inconclusive: it never certifies that the orbit is closed.
-    Deterministic for a fixed seed.  `known` is the law's (series, Der) pair;
-    when None it is computed once, at the first limit that needs it.
-
-    A lattice sample is drawn as integer coefficients c over the lattice
-    basis and first tested against `lattice_weight_rows`: if c . row < 0 for
-    some row, a bracket has negative weight and X diverges, so it is
-    dropped before X or any Fraction is built.  Lattice samples lie in g_phi
-    by construction and skip `in_g_phi`; injected candidates do not.  The
-    filter drops only samples whose limit is divergent, which never yield a
-    witness, and the draws consume the same random stream, so the witness
-    for a given seed is the one an unfiltered loop finds.
+    The witness's distinction is None for a zero limit, and also for a limit
+    that distinguish() does not separate from the law, which certifies
+    nothing.  `known` is the law's (series, Der) pair; when None it is
+    computed when a limit needs it.
     """
     lattice = g_phi_lattice(phi, law.dim)
-    rng = random.Random(seed)
-    seen: set[tuple] = set()
-    checked_limits: dict = {}
-
-    def consider(xvec) -> DegenerationWitness | None:
-        nonlocal known
-        key = tuple(xvec)
-        if key in seen or not any(xvec):
-            return None
-        seen.add(key)
-        res = one_param_limit(law, xvec)
-        if res.kind == "divergent":
-            return None
-        if res.kind == "zero":
-            return DegenerationWitness(tuple(Fraction(v) for v in xvec), res, None)
-        if res.law == law:
-            return None
-        lim_key = tuple(sorted(res.law.brackets.items()))
-        if lim_key in checked_limits:
-            dist = checked_limits[lim_key]
-        else:
-            if known is None:
-                known = (series_signature(law), derivation_space(law))
-            dist = distinguish(law, res.law, known)
-            checked_limits[lim_key] = dist
-        if dist is not None:
-            return DegenerationWitness(tuple(Fraction(v) for v in xvec), res, dist)
-        return None
-
-    for cand in extra_pool:
-        if in_g_phi(cand, phi):
-            hit = consider(list(cand))
-            if hit is not None:
-                return hit
-    if not lattice:
-        return None
-    r = len(lattice)
     rows = lattice_weight_rows(law, lattice)
-    columns = list(zip(*lattice))
-    draw = rng.randrange  # randrange(-b, b + 1) is the stream of randint(-b, b)
-    for trial in range(trials):
-        bound = coeff_bound * (1 + trial % 4)  # mix small and wider boxes
-        coeffs = [draw(-bound, bound + 1) for _ in range(r)]
-        for row in rows:
-            if sum(map(mul, coeffs, row)) < 0:
-                break
-        else:
-            hit = consider([sum(map(mul, coeffs, col)) for col in columns])
-            if hit is not None:
-                return hit
-    return None
+    if not rows:  # every bracket has weight 0 on all of g_phi
+        return TrivialCone((Fraction(1),) * len(law.brackets))
+    # Stiemke: R.c >= 0 forces R.c = 0 iff some y > 0 has R^T y = 0; y runs over every stored triple
+    _, t, y = lp.max_min_component([law.weights(v) for v in lattice], [0] * len(lattice))
+    if t > 0:
+        return TrivialCone(tuple(y))
+    c = _relative_interior(rows)
+    den = math.lcm(*(v.denominator for v in c))
+    x = [sum(int(cp * den) * v[i] for cp, v in zip(c, lattice)) for i in range(law.dim)]
+    g = math.gcd(*x)
+    x = tuple(v // g for v in x)
+    res = one_param_limit(law, x)
+    if res.kind == "zero":
+        return DegenerationWitness(x, res, None)
+    if known is None:
+        known = (series_signature(law), derivation_space(law))
+    return DegenerationWitness(x, res, distinguish(law, res.law, known))

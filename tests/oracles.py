@@ -149,6 +149,26 @@ def limit_is_lie(res: LimitResult) -> bool:
     return not jacobi_violations(res.law)
 
 
+def trivial_cone_certificate_holds(law: LieLaw, phi: Sequence, y: Sequence) -> bool:
+    """Does y certify that no diagonal X in g_phi moves the law to another limit?
+
+    y needs one positive entry per stored triple, in sorted order, and
+    sum_t y_t (f_i + f_j - f_k) in span(1, phi): then every X with
+    tr X = tr(X phi) = 0 has sum_t y_t w_t(X) = 0, so no weight is positive
+    unless another is negative.  Checked from the weight vectors alone.
+    """
+    y = [Fraction(v) for v in y]
+    triples = sorted(law.brackets)
+    if len(y) != len(triples) or any(v <= 0 for v in y):
+        return False
+    v = [Fraction(0)] * law.dim
+    for yt, (i, j, k) in zip(y, triples):
+        v[i - 1] += yt
+        v[j - 1] += yt
+        v[k - 1] -= yt
+    return in_span([[1] * law.dim, list(phi)], v)
+
+
 def positive_solution_oracle(u: list[list[int]]) -> bool:
     """Brute-force reference decision for small U (vertex/ray enumeration).
 

@@ -13,13 +13,12 @@ from fractions import Fraction
 import numpy as np
 
 from nilrad import linalg
-from nilrad.algebra import act, parse_law, series_signature
-from nilrad.catalog import fmt_rat
+from nilrad.algebra import act, format_law, parse_law, series_signature
+from nilrad.catalog import CatalogEntry, classify, fmt_rat
 from nilrad.degeneration import (
     distinguish,
     in_g_phi,
     one_param_limit,
-    search_degeneration,
 )
 from nilrad.derivations import (
     diagonal_is_derivation,
@@ -29,7 +28,14 @@ from nilrad.derivations import (
 )
 from nilrad.nicebasis import gram_matrix, is_nice, positive_solution, soliton_norm
 from nilrad.ricci import moment_map, soliton_check
-from oracles import act_float, limit_is_lie, norm_squared, positive_solution_oracle, to_float
+from oracles import (
+    act_float,
+    limit_is_lie,
+    norm_squared,
+    positive_solution_oracle,
+    to_float,
+    trivial_cone_certificate_holds,
+)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -159,7 +165,7 @@ def test_c5_degeneration_records(entries, reports):
         if rec.limit != "zero":
             limit_law = parse_law(rec.limit)
             assert distinguish(law, limit_law) is not None, entry.id
-            parts = rec.distinguishing.split()  # e.g. "rank 1 vs 2"
+            parts = rec.distinguishing.split()  # e.g. "dim_der 12 vs 13"
             name, left, right = parts[0], parts[1], parts[3]
             if name == "rank":
                 got = (diagonal_rank(law)[0], diagonal_rank(limit_law)[0])
@@ -277,21 +283,28 @@ def test_c7_property_suites(entries, by_id):
 
 
 def test_c8_search_sanity(by_id):
+    # each law bare, with no recorded data: the walk alone decides or certifies a trivial cone
     found = []
     for eid in ("1.2(ii)", "1.2(iv)", "1.3(ii)", "1.3(v)", "1.21", "2.2"):
-        entry = by_id[eid]
-        law = entry.law()
-        phi = pre_einstein(law)
-        recorded_x = [Fraction(v) for v in entry.expected.degeneration.x]
-        w = search_degeneration(law, phi, trials=200, seed=3, extra_pool=(recorded_x,))
-        assert w is not None, eid
-        found.append(eid)
+        law = by_id[eid].law()
+        rep = classify(CatalogEntry(eid, {}, format_law(law), None, parsed=law))
+        cert = rep.certificates[0]
+        assert (rep.verdict, rep.route, cert["kind"]) == ("NOT_EN", "degeneration_search", "non_closed_orbit"), eid
+        x = [Fraction(v) for v in cert["X"]]
+        assert in_g_phi(x, pre_einstein(law)), eid
+        res = one_param_limit(law, x)
+        if cert["limit"] == "zero":
+            assert res.kind == "zero" and cert["distinguishing"] is None, eid
+        else:
+            assert res.law == parse_law(cert["limit"]) and cert["distinguishing"].startswith("dim_der "), eid
+        found.append(f"{eid} ({cert['distinguishing'] or 'zero'})")
     law = by_id["1.3(i_l)[lambda=2]"].law()
-    phi = pre_einstein(law)
-    none_result = search_degeneration(law, phi, trials=10_000, seed=0)
-    assert none_result is None
+    rep = classify(CatalogEntry("1.3(i_l)", {}, format_law(law), None, parsed=law))
+    cert = rep.certificates[0]
+    assert (rep.verdict, rep.route, cert["reason"]) == ("INCONCLUSIVE",) + ("no_diagonal_degeneration",) * 2
+    assert trivial_cone_certificate_holds(law, pre_einstein(law).phi, cert["y"])
     _verdict(
         "criterion 8", True,
-        f"witness found with injected X for {', '.join(found)}; "
-        "1.3(i_l)[lambda=2] stays None after 10000 trials (no diagonal witness exists for this family)",
+        f"the cone walk decides {', '.join(found)} with no recorded data; "
+        "1.3(i_l)[lambda=2] has a trivial cone, with a checked y",
     )

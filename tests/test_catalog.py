@@ -332,7 +332,7 @@ CORRUPTIONS = [
         "1.2(ii)", _degeneration(limit=_LAW_12II),
         [
             _mm("degeneration.limit", "recorded limit law", "limit"),
-            _mm("degeneration.distinguishing", "rank 1 vs 2", "indistinguishable"),
+            _mm("degeneration.distinguishing", "dim_der 12 vs 13", "indistinguishable"),
         ],
         "NOT_EN", "degeneration_recorded",
     ),
@@ -343,7 +343,7 @@ CORRUPTIONS = [
     ("2.3", lambda e: {"verdict": "NOT_EN"}, [_mm("verdict", "NOT_EN", "EN")], "EN", "nice_lp"),
     (
         "1.3(i_l)[lambda=2]", lambda e: {"verdict": "NOT_EN"},
-        [_mm("verdict", "NOT_EN", "INCONCLUSIVE")], "INCONCLUSIVE", "search_exhausted",
+        [_mm("verdict", "NOT_EN", "INCONCLUSIVE")], "INCONCLUSIVE", "no_diagonal_degeneration",
     ),
     (
         "1.11", lambda e: {"witness_law": "dim 4; [1,2]=3*(1 sqrt(2))+4"},
@@ -352,6 +352,11 @@ CORRUPTIONS = [
             _mm("verdict", "EN", "INCONCLUSIVE"),
         ],
         "INCONCLUSIVE", "witness_rejected",
+    ),
+    (
+        # a nilsoliton with the recorded norm, but of the wrong dimension
+        "1.11", lambda e: {"witness_law": "dim 3; [1,2]=3*(5/186 sqrt(186))"},
+        [_mm("witness_law", "isomorphic witness", "dimension differs")], "EN", "witness_soliton",
     ),
 ]
 

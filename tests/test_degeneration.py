@@ -3,17 +3,22 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from nilrad.algebra import parse_law
+from nilrad.catalog import format_distinction
 from nilrad.degeneration import (
     DegenerationWitness,
+    TrivialCone,
     distinguish,
     g_phi_lattice,
     in_g_phi,
     one_param_limit,
     search_degeneration,
 )
-from nilrad.derivations import PreEinsteinDerivation, pre_einstein
-from oracles import limit_is_lie
+from nilrad.derivations import PreEinsteinDerivation, derivation_space, pre_einstein
+from nilrad.nicebasis import is_nice
+from oracles import limit_is_lie, trivial_cone_certificate_holds
 
 
 def _phi(scale, vec):
@@ -65,16 +70,55 @@ def test_limits_satisfy_jacobi(entries):
         assert limit_is_lie(res), entry.id
 
 
-def test_searched_limits_satisfy_jacobi(by_id):
-    law = by_id["1.21"].law()
-    phi = pre_einstein(law)
-    found = 0
-    for seed in range(8):
-        w = search_degeneration(law, phi, trials=4000, seed=seed)
-        if w is not None and w.limit.kind == "limit":
-            found += 1
-            assert limit_is_lie(w.limit)
-    assert found >= 3
+@pytest.fixture(scope="module")
+def walked(entries):
+    """(entry, law, phi, walk result) for every catalog law that is not nice and has rank > 0."""
+    out = []
+    for e in entries:
+        law = e.law()
+        space = derivation_space(law)
+        if space.diag_basis and not is_nice(law).nice:
+            phi = pre_einstein(law, space)
+            out.append((e, law, phi, search_degeneration(law, phi)))
+    return out
+
+
+def test_searched_limits_satisfy_jacobi(walked):
+    assert len(walked) == 27
+    limits = [w for _, _, _, w in walked if isinstance(w, DegenerationWitness) and w.limit.kind == "limit"]
+    assert len(limits) == 3  # 1.2(ii), 1.3(v), 2.2
+    assert all(limit_is_lie(w.limit) for w in limits)
+
+
+def test_walk_witnesses_lie_in_g_phi_and_match_their_limit(walked):
+    decided = {}
+    for e, law, phi, w in walked:
+        if isinstance(w, DegenerationWitness):
+            assert in_g_phi(w.x, phi) and any(w.x), e.id
+            assert one_param_limit(law, w.x) == w.limit, e.id
+            assert w.limit.kind == "zero" or w.distinction is not None, e.id
+            decided[e.id] = "zero" if w.distinction is None else format_distinction(w.distinction)
+    # the four laws the positivity gate decides first also walk to a zero limit
+    assert decided == {
+        "1.01(i)": "zero", "1.01(ii)": "zero", "1.02": "zero", "1.03": "zero",
+        "1.2(ii)": "dim_der 12 vs 13", "1.2(iv)": "zero", "1.3(ii)": "zero", "1.3(v)": "dim_der 13 vs 14",
+        "1.21": "zero", "2.2": "dim_der 15 vs 17",
+    }
+
+
+def test_trivial_cone_certificates(walked):
+    trivial = [(e, law, phi, w) for e, law, phi, w in walked if isinstance(w, TrivialCone)]
+    # all 16 EN laws that are not nice, and 1.3(i_0), whose recorded limit needs a basis change
+    assert sorted(e.expected.verdict for e, *_ in trivial) == ["EN"] * 16 + ["NOT_EN"]
+    assert [e.id for e, *_ in trivial if e.expected.verdict == "NOT_EN"] == ["1.3(i_0)"]
+    for e, law, phi, w in trivial:
+        assert trivial_cone_certificate_holds(law, phi.phi, w.y), e.id
+        # corrupting any single weight breaks the certificate
+        for t in range(len(w.y)):
+            bad = list(w.y)
+            bad[t] += 1
+            assert not trivial_cone_certificate_holds(law, phi.phi, bad), (e.id, t)
+        assert not trivial_cone_certificate_holds(law, phi.phi, w.y[:-1])
 
 
 def test_distinguish_self(by_id):
@@ -117,28 +161,21 @@ def test_g_phi_lattice_members(by_id):
         assert in_g_phi(row, phi)
 
 
-def test_search_finds_injected_witness(by_id):
-    entry = by_id["1.21"]
-    law = entry.law()
-    phi = pre_einstein(law)
-    recorded_x = [Fraction(v) for v in entry.expected.degeneration.x]
-    w = search_degeneration(law, phi, trials=0, seed=0, extra_pool=(recorded_x,))
-    assert isinstance(w, DegenerationWitness)
-    assert list(w.x) == recorded_x
-    assert w.limit.kind == "zero"
-
-
-def test_search_deterministic(by_id):
-    law = by_id["1.21"].law()
-    phi = pre_einstein(law)
-    a = search_degeneration(law, phi, trials=500, seed=42)
-    b = search_degeneration(law, phi, trials=500, seed=42)
-    assert (a is None) == (b is None)
-    if a is not None:
-        assert a.x == b.x
+def test_search_finds_injected_witness(entries):
+    # every recorded X is a witness of its own: one_param_limit gives the recorded limit
+    recorded = [e for e in entries if e.expected.degeneration is not None and e.expected.degeneration.x is not None]
+    assert len(recorded) == 6
+    for entry in recorded:
+        rec = entry.expected.degeneration
+        res = one_param_limit(entry.law(), rec.x)
+        assert in_g_phi(rec.x, pre_einstein(entry.law())), entry.id
+        if rec.limit == "zero":
+            assert res.kind == "zero", entry.id
+        else:
+            assert (res.kind, res.law) == ("limit", rec.limit_law), entry.id
 
 
 def test_search_none_on_abelian():
     law = parse_law("dim 7;")
     phi = PreEinsteinDerivation(tuple(Fraction(1) for _ in range(7)))
-    assert search_degeneration(law, phi, trials=50, seed=0) is None
+    assert search_degeneration(law, phi) == TrivialCone(())

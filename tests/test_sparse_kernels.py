@@ -5,10 +5,8 @@ of Jacobi, the two series, the derivation equations, row reduction and the
 simplex pivot.  They scan every bracket (or every matrix entry) with
 Fraction arithmetic and are kept here only as oracles: the library's sparse
 kernels must give exactly the same residuals, series dimensions, equation
-rows, Der bases, reduced matrices and LP solutions.  The degeneration
-search's oracle builds every sampled X and runs `in_g_phi` and
-`one_param_limit` on it; the library's integer weight-row filter must find
-the same witness for every seed.
+rows, Der bases, reduced matrices and LP solutions.  The integer weight
+rows of the degeneration cone must flag exactly the X whose limit diverges.
 """
 
 from __future__ import annotations
@@ -21,15 +19,7 @@ import pytest
 
 from nilrad import linalg, lp
 from nilrad.algebra import act, jacobi_violations, parse_law, series_signature
-from nilrad.degeneration import (
-    DegenerationWitness,
-    distinguish,
-    g_phi_lattice,
-    in_g_phi,
-    lattice_weight_rows,
-    one_param_limit,
-    search_degeneration,
-)
+from nilrad.degeneration import g_phi_lattice, lattice_weight_rows, one_param_limit
 from nilrad.derivations import _derivation_rows, derivation_space, pre_einstein
 from nilrad.nicebasis import gram_matrix, is_nice
 from nilrad.ricci import moment_map
@@ -281,57 +271,6 @@ def dense_max_min_component(u, rhs):
     return "optimal", t, [xi + t for xi in x[:k]]
 
 
-def dense_search_degeneration(law, phi, trials, seed, extra_pool=(), coeff_bound=4, known=None):
-    """The unfiltered sampling loop: build every X, then in_g_phi and one_param_limit."""
-    lattice = g_phi_lattice(phi, law.dim)
-    rng = random.Random(seed)
-    seen = set()
-    checked_limits = {}
-
-    def consider(xvec):
-        nonlocal known
-        key = tuple(xvec)
-        if key in seen or not any(xvec):
-            return None
-        seen.add(key)
-        if not in_g_phi(xvec, phi):
-            return None
-        res = one_param_limit(law, xvec)
-        if res.kind == "divergent":
-            return None
-        if res.kind == "zero":
-            return DegenerationWitness(tuple(Fraction(v) for v in xvec), res, None)
-        if res.law == law:
-            return None
-        lim_key = tuple(sorted(res.law.brackets.items()))
-        if lim_key in checked_limits:
-            dist = checked_limits[lim_key]
-        else:
-            if known is None:
-                known = (series_signature(law), derivation_space(law))
-            dist = distinguish(law, res.law, known)
-            checked_limits[lim_key] = dist
-        if dist is not None:
-            return DegenerationWitness(tuple(Fraction(v) for v in xvec), res, dist)
-        return None
-
-    for cand in extra_pool:
-        hit = consider(list(cand))
-        if hit is not None:
-            return hit
-    if not lattice:
-        return None
-    r = len(lattice)
-    for trial in range(trials):
-        bound = coeff_bound * (1 + trial % 4)
-        coeffs = [rng.randint(-bound, bound) for _ in range(r)]
-        xvec = [sum(coeffs[p] * lattice[p][i] for p in range(r)) for i in range(law.dim)]
-        hit = consider(xvec)
-        if hit is not None:
-            return hit
-    return None
-
-
 # ---------------------------------------------------------------------------
 # laws to compare on
 
@@ -555,24 +494,6 @@ def search_laws(entries):
         if space.diag_basis and not is_nice(law).nice:
             out.append((e, law, pre_einstein(law, space), (series_signature(law), space)))
     return out
-
-
-def test_search_matches_unfiltered_loop(search_laws):
-    assert len(search_laws) == 27
-    hits = 0
-    for entry, law, phi, known in search_laws:
-        degen = entry.expected.degeneration
-        pools = [()]
-        if degen is not None and degen.x is not None:
-            pools.append((degen.x,))
-        for pool in pools:
-            for seed in range(5):
-                got = search_degeneration(law, phi, 400, seed, extra_pool=pool, known=known)
-                assert got == dense_search_degeneration(law, phi, 400, seed, extra_pool=pool, known=known), (
-                    entry.id, seed, pool,
-                )
-                hits += got is not None
-    assert hits > 10  # the comparison covers witnesses, not only misses
 
 
 def test_weight_map_and_moment_map_match_dense_oracles(entries, exact_laws):
