@@ -12,7 +12,11 @@ c e_k, for both orders of every stored pair: Jacobi, both series, Der and
 the moment map walk it, so their work grows with the number of nonzero
 structure constants, not with dim^3.  A rational constant that is an
 integer is held there as an int, so on integral laws the products and the
-series never build a Fraction.  The weight map Y has one row
+series never build a Fraction.  Jacobi is a join of the stored brackets
+with `images`: each c.e_m in [e_a, e_b] meets each d.e_l in [e_i, e_m] and
+adds +-c.d to the residual of the triple {i, a, b}, so no index triple is
+enumerated.  Both series start from [g, g], the span of the stored
+images, row-reduced once.  The weight map Y has one row
 f_i + f_j - f_k per stored triple, in sorted order (`weight_rows`, and
 `weights(d)` = Y.d): the diagonal torus is ker Y, U = Y Y^T, a diagonal X
 degenerates the law by the signs of Y.X, and a diagonal moment map m is a
@@ -204,21 +208,22 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._at = -1  # the position `_match` was found at
+        self._match: re.Match | None = None
 
     def peek(self) -> tuple[str, str] | None:
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
-            if self.text[self.pos :].strip():
+        if self._at != self.pos:
+            m = _TOKEN.match(self.text, self.pos)
+            if m is None and self.text[self.pos :].strip():
                 raise LawError(f"syntax error at position {self.pos}: {self.text[self.pos:self.pos+10]!r}")
-            return None
-        kind = m.lastgroup
-        return kind, m.group(kind)
+            self._at, self._match = self.pos, m
+        m = self._match
+        return None if m is None else (m.lastgroup, m.group(m.lastgroup))
 
     def next(self) -> tuple[str, str] | None:
         tok = self.peek()
         if tok is not None:
-            m = _TOKEN.match(self.text, self.pos)
-            self.pos = m.end()
+            self.pos = self._match.end()
         return tok
 
     def expect(self, value: str) -> None:
@@ -376,23 +381,41 @@ def format_law(law: LieLaw) -> str:
 # elementary invariants
 
 def jacobi_violations(law: LieLaw) -> list[tuple[int, int, int, list]]:
-    """All (i, j, k, residual) with a nonzero Jacobi sum; empty iff Lie."""
+    """All (i, j, k, residual) with a nonzero Jacobi sum; empty iff Lie.
+
+    The residual of i < j < k is [e_i,[e_j,e_k]] - [e_j,[e_i,e_k]] + [e_k,[e_i,e_j]].
+    Each term is [e_i, [e_a, e_b]] for a stored a < b and i outside {a, b},
+    so the sum is a join: a stored c.e_m in [e_a, e_b] meets every stored
+    d.e_l in [e_i, e_m], and c.d goes to coordinate l of J(sorted(i, a, b)),
+    negated when i lies between a and b (an odd permutation of the sorted triple).
+    """
     n = law.dim
     images = law.images
-    zero = Fraction(0)
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                # [e_i,[e_j,e_k]] - [e_j,[e_i,e_k]] + [e_k,[e_i,e_j]]
-                r1 = _bracket_sparse(law, {i: 1}, images.get((j, k), {}))
-                r2 = _bracket_sparse(law, {j: 1}, images.get((i, k), {}))
-                r3 = _bracket_sparse(law, {k: 1}, images.get((i, j), {}))
-                if not (r1 or r2 or r3):
+    into: dict[int, list] = {}  # m -> [(i, [e_i, e_m])] over the stored pairs
+    for (i, m), img in images.items():
+        into.setdefault(m, []).append((i, img))
+    sums: dict[Triple, dict[int, object]] = {}
+    for (a, b), img_ab in images.items():
+        if a > b:
+            continue  # each stored bracket once
+        for m, c in img_ab.items():
+            for i, img in into.get(m, ()):
+                if i == a or i == b:
                     continue
-                res = [r1.get(m, zero) - r2.get(m, zero) + r3.get(m, zero) for m in range(1, n + 1)]
-                if any(res):
-                    out.append((i, j, k, res))
+                if i < a:
+                    key, f = (i, a, b), c
+                elif i < b:
+                    key, f = (a, i, b), -c
+                else:
+                    key, f = (a, b, i), c
+                acc = sums.setdefault(key, {})
+                for l, d in img.items():
+                    acc[l] = acc.get(l, 0) + f * d
+    out = []
+    for key in sorted(sums):
+        acc = sums[key]
+        if any(acc.values()):
+            out.append((*key, [acc.get(m, 0) for m in range(1, n + 1)]))
     return out
 
 
@@ -423,18 +446,23 @@ def _subspace_bracket(law: LieLaw, a: list[dict], b: list[dict] | None = None) -
 
 
 def series_signature(law: LieLaw) -> SeriesSignature:
-    """Dimensions of the derived series and the descending central series."""
+    """Dimensions of the derived series and the descending central series.
+
+    Both series start from [g, g], the span of the stored images, which is
+    row-reduced once.
+    """
     if not law.is_rational:
         raise LawError("series_signature requires a rational law")
     full = [{i: 1} for i in range(1, law.dim + 1)]
+    gg = list(linalg.integer_rref([img for (a, b), img in law.images.items() if a < b]).values())
 
     def dims(step) -> tuple[int, ...]:
-        out, cur = [law.dim], full
-        while out[-1] != 0:
-            cur = step(cur)
-            if len(cur) == out[-1]:  # stabilised above zero: not solvable / not nilpotent
-                break
+        out, cur = [law.dim], gg
+        while len(cur) != out[-1]:  # equal above zero: stabilised, not solvable / not nilpotent
             out.append(len(cur))
+            if not cur:
+                break
+            cur = step(cur)
         return tuple(out)
 
     return SeriesSignature(

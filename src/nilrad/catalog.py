@@ -474,21 +474,25 @@ def _recorded_degeneration_route(rec: Degeneration, law: LieLaw, sig, space, phi
     if limit_law is not None:
         if jacobi_violations(limit_law):
             problems.append(("degeneration.limit", "Lie algebra law", "Jacobi fails"))
-        if dg.distinguish(law, limit_law, (sig, space)) is None:
+        dist = dg.distinguish(law, limit_law, (sig, space))
+        if dist is None:
             problems.append(("degeneration.distinguishing", rec.distinguishing, "indistinguishable"))
         else:
             # the record names a specific invariant, which need not be the
-            # first one distinguish() reaches; evaluate the named one
+            # first one distinguish() reaches; evaluate the named one, read
+            # from the distinction when it is that rung
             name, left, right = _parse_distinguishing(rec.distinguishing)
-            if name == "rank":
-                got = (len(space.diag_basis), diagonal_rank(limit_law)[0])
-            elif name == "dim_der":
-                got = (len(space.basis), len(derivation_space(limit_law).basis))
-            else:
+            if name not in ("rank", "dim_der"):
                 got = None
                 problems.append(
                     ("degeneration.distinguishing", rec.distinguishing, "names no known invariant (rank or dim_der)")
                 )
+            elif dist.invariant == name:
+                got = (dist.left, dist.right)
+            elif name == "rank":
+                got = (len(space.diag_basis), diagonal_rank(limit_law)[0])
+            else:
+                got = (len(space.basis), len(derivation_space(limit_law).basis))
             if got is not None and got != (int(left), int(right)):
                 problems.append(("degeneration.distinguishing", rec.distinguishing, f"{name} {got}"))
     cert = {
@@ -528,7 +532,7 @@ def _diff(exp: Expected, rep: Report, dec: Decision) -> None:
     if u is not None and isinstance(exp.x, tuple):
         if dec.verdict != EN:
             found.append(("x", "positive solution", dec.certificate["status"]))
-        elif not (all(sum(Fraction(r) * xv for r, xv in zip(row, exp.x)) == 1 for row in u) and min(exp.x) > 0):
+        elif not nb.solves_positively(u, exp.x):
             found.append(("x", "recorded x solves Ux=[1], x>0", "recorded x fails re-verification"))
     elif u is not None and exp.x == "none_positive" and dec.verdict == EN:
         found.append(("x", "none_positive", "positive solution found"))

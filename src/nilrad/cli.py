@@ -16,6 +16,7 @@ exit 65.  An internal error exits 70, never a verdict's code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -187,6 +188,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nilrad", description="Einstein nilradical verifier")
     p.add_argument("--version", action="version", version=f"nilrad {__version__}")

@@ -2,13 +2,16 @@
 
 Everything is exact: the derivation identity is a linear system over Q in
 the n^2 matrix entries, the diagonal torus is an integer kernel lattice,
-and the pre-Einstein derivation solves a rational Gram system.
+and the pre-Einstein derivation solves the integer Gram system of that
+lattice's basis fraction-free.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem, mul
 
 from . import linalg
 from .algebra import LawError, LieLaw
@@ -102,7 +105,8 @@ def pre_einstein(law: LieLaw, space: DerivationSpace | None = None) -> PreEinste
 
     Solved inside the diagonal torus, then verified against the full
     derivation basis; failure of that check means the diagonal torus was
-    not maximal and is reported rather than patched.
+    not maximal and is reported rather than patched.  phi = v / d with an
+    integer vector v and d > 0, so the check reads sum_i (v_i - d) psi_ii = 0.
     """
     if space is None:
         space = derivation_space(law)
@@ -110,22 +114,22 @@ def pre_einstein(law: LieLaw, space: DerivationSpace | None = None) -> PreEinste
     if not gens:
         raise RankZeroError("rank-zero law has no pre-Einstein derivation")
     r = len(gens)
-    gram = [[sum(a * b for a, b in zip(gens[p], gens[q])) for q in range(r)] for p in range(r)]
-    rhs = [sum(gens[p]) for p in range(r)]
-    coeffs = linalg.solve(gram, rhs)
-    assert coeffs is not None  # gram of independent generators is definite
-    phi = tuple(
-        sum((coeffs[p] * gens[p][i] for p in range(r)), Fraction(0))
-        for i in range(law.dim)
-    )
-    n = law.dim
+    # phi = sum_p c_p gens[p] with G c = (sum gens[p])_p for the Gram matrix G, which is
+    # definite: row p of the reduced augmented system reads a_p c_p = b_p (column r is b)
+    system = [{**{q: sum(map(mul, gp, gq)) for q, gq in enumerate(gens)}, r: sum(gp)} for gp in gens]
+    reduced = linalg.integer_rref(system)
+    den = math.lcm(*(reduced[p][p] for p in range(r)))
+    coeffs = [reduced[p].get(r, 0) * (den // reduced[p][p]) for p in range(r)]
+    v = [sum(map(mul, coeffs, col)) for col in zip(*gens)]
+    weights = [x - den for x in v]
+    diagonal = range(law.dim)
     for psi in space.basis:
-        diag = [(phi[i], psi[i][i]) for i in range(n) if psi[i][i]]  # most are zero
-        if sum(f * x for f, x in diag) != sum(x for _, x in diag):
+        d = list(map(getitem, psi, diagonal))
+        if any(d) and sum(map(mul, weights, d)):  # most diagonals are zero
             raise TorusNotMaximalError(
                 "tr(phi.psi) != tr(psi) for a derivation psi; diagonal torus not maximal"
             )
-    return PreEinsteinDerivation(phi)
+    return PreEinsteinDerivation(tuple(Fraction(x, den) for x in v))
 
 
 def positivity_gate(phi: PreEinsteinDerivation) -> tuple[bool, int | None]:

@@ -5,10 +5,14 @@ on sparse rows {column: coeff}: it touches only nonzero entries, which is
 what the structure-constant systems (derivation equations in n^2 unknowns,
 series subspaces) are made of.  It clears each row's denominators once and
 then eliminates fraction-free on Python ints, so no `Fraction` arithmetic
-runs inside it.  `sparse_rref` is its rational view, and the dense `rref`,
-`solve`, `inv` and `nullspace` are views of that.  `fractions.Fraction`
-appears only in what these hand back: reduced rows, solutions and kernel
-vectors.  Lattice routines work on Python ints.
+runs inside it.  A row with one entry is already a reduced pivot row
+{c: 1}: those are taken first and their columns dropped from the other
+rows, so elimination and back-substitution never see them (most rows of a
+derivation system are of this kind).  The reduced form is unique, so this
+order changes no output.  `sparse_rref` is its rational view, and the
+dense `rref`, `solve`, `inv` and `nullspace` are views of that.
+`fractions.Fraction` appears only in what these hand back: reduced rows,
+solutions and kernel vectors.  Lattice routines work on Python ints.
 """
 
 from __future__ import annotations
@@ -80,7 +84,9 @@ def inv(a: Matrix) -> Matrix | None:
 
 
 def _primitive(row: dict) -> dict[int, int]:
-    """A rational row {col: coeff} scaled to coprime integers, zero entries dropped."""
+    """A rational row {col: coeff} scaled to coprime integers, zero entries dropped; {c: 1} for one entry."""
+    if len(row) == 1:
+        return {c: 1 for c, v in row.items() if v}
     d = math.lcm(*(v.denominator for v in row.values()))
     ints = {k: v.numerator * (d // v.denominator) for k, v in row.items() if v}
     g = math.gcd(*ints.values())
@@ -103,6 +109,15 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, in
     return row if g <= 1 else {k: v // g for k, v in row.items()}
 
 
+def _without(row: dict[int, int], cols) -> dict[int, int]:
+    """The row with the entries in `cols` dropped, its content divided out."""
+    if not any(k in cols for k in row):
+        return row
+    row = {k: v for k, v in row.items() if k not in cols}
+    g = math.gcd(*row.values())
+    return row if g <= 1 else {k: v // g for k, v in row.items()}
+
+
 def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
     """Fraction-free reduced row echelon form of sparse rational rows {col: coeff}.
 
@@ -113,6 +128,12 @@ def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
     on Python ints, with the content gcd taken out after each step.
     """
     work = [r for r in map(_primitive, rows) if r]
+    # a one-entry row is the pivot {c: 1} of the reduced form: take those first
+    # and drop their columns from the other rows, so neither elimination nor
+    # back-substitution ever meets them
+    units = {c: {c: 1} for r in work if len(r) == 1 for c in r}
+    if units:
+        work = [r for r in (_without(r, units) for r in work if len(r) > 1) if r]
     pivot_of_col: dict[int, dict[int, int]] = {}
     while work:
         row = work.pop()
@@ -129,6 +150,7 @@ def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
         for c2 in sorted(k for k in row if k != c and k in pivot_of_col):
             row = _eliminate(row, pivot_of_col[c2], c2)
         pivot_of_col[c] = row
+    pivot_of_col.update(units)
     return pivot_of_col
 
 

@@ -71,14 +71,16 @@ def positive_solution(u: list[list[int]]) -> PositiveSolutionResult:
     if status == "infeasible":
         return PositiveSolutionResult("inconsistent")
     if t > 0:
-        # re-validate the witness independently of the simplex bookkeeping,
-        # in integers over the common denominator of x
-        den = math.lcm(*(v.denominator for v in x))
-        xs = [v.numerator * (den // v.denominator) for v in x]
-        assert all(sum(map(mul, row, xs)) == den for row in u)
-        assert min(xs) > 0
+        assert solves_positively(u, x)  # re-validated independently of the simplex bookkeeping
         return PositiveSolutionResult("positive", tuple(x))
     return PositiveSolutionResult("no_positive_solution")
+
+
+def solves_positively(u: list[list[int]], x) -> bool:
+    """U x = [1] and x > 0 for a rational x, checked in integers over the common denominator of x."""
+    den = math.lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (den // v.denominator) for v in x]
+    return all(sum(map(mul, row, xs)) == den for row in u) and min(xs) > 0
 
 
 def soliton_norm(x) -> Fraction:

@@ -19,6 +19,7 @@ from typing import Sequence
 from nilrad import linalg
 from nilrad.algebra import LawError, LieLaw, Surd, jacobi_violations
 from nilrad.degeneration import LimitResult
+from nilrad.derivations import DerivationSpace, PreEinsteinDerivation, RankZeroError, TorusNotMaximalError
 from nilrad.ricci import MomentValue
 
 
@@ -135,6 +136,25 @@ def is_derivation(law: LieLaw, d: list[list]) -> bool:
                 if lhs[k] - rhs1[k] - rhs2[k] != 0:
                     return False
     return True
+
+
+def fraction_pre_einstein(law: LieLaw, space: DerivationSpace) -> PreEinsteinDerivation:
+    """phi from a rational solve of the Gram system, with tr(phi psi) = tr(psi) checked in Fractions."""
+    gens = space.diag_basis
+    if not gens:
+        raise RankZeroError("rank-zero law has no pre-Einstein derivation")
+    r = len(gens)
+    gram = [[sum(a * b for a, b in zip(gens[p], gens[q])) for q in range(r)] for p in range(r)]
+    rhs = [sum(gens[p]) for p in range(r)]
+    coeffs = linalg.solve(gram, rhs)
+    assert coeffs is not None  # gram of independent generators is definite
+    phi = tuple(sum((coeffs[p] * gens[p][i] for p in range(r)), Fraction(0)) for i in range(law.dim))
+    n = law.dim
+    for psi in space.basis:
+        diag = [(phi[i], psi[i][i]) for i in range(n) if psi[i][i]]  # most are zero
+        if sum(f * x for f, x in diag) != sum(x for _, x in diag):
+            raise TorusNotMaximalError("tr(phi.psi) != tr(psi) for a derivation psi; diagonal torus not maximal")
+    return PreEinsteinDerivation(phi)
 
 
 def norm_squared(law: LieLaw):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -210,6 +213,39 @@ def test_each_law_is_parsed_once(entries, monkeypatch):
         if e.expected.witness_law is None and e.expected.degeneration is None:
             classify(e)
     assert calls == []
+
+
+def _count_calls_per_law(monkeypatch, module: str, name: str) -> Counter:
+    """Count the calls of nilrad.<module>.<name> per law argument, through every module's binding."""
+    original = getattr(importlib.import_module(f"nilrad.{module}"), name)
+    calls = Counter()
+
+    def counted(law, *args, **kwargs):
+        calls[law] += 1
+        return original(law, *args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "nilrad" or key.startswith("nilrad."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_each_invariant_is_computed_once_per_law(monkeypatch):
+    # laws compare by their structure constants, so a recomputation on a
+    # re-parsed copy of a law counts as a second call too
+    kernels = [("derivations", "derivation_space"), ("algebra", "series_signature"), ("algebra", "jacobi_violations")]
+    calls = {name: _count_calls_per_law(monkeypatch, module, name) for module, name in kernels}
+    entries = load_catalog()
+    assert len(entries) == 136
+    assert calls["jacobi_violations"] == Counter(e.law() for e in entries)
+    for counter in calls.values():
+        counter.clear()
+    verify_catalog(entries)
+    for name, counter in calls.items():
+        assert counter and max(counter.values()) == 1, name
+    assert sum(calls["derivation_space"].values()) == 142  # the 136 laws, the rational witness and 5 recorded limits
 
 
 def _degeneration(**changes):

@@ -81,6 +81,37 @@ def test_usage_error_exit_64():
     assert exc.value.code == 64
 
 
+def _answer(capsys, argv):
+    """Exit code, stdout (a JSON report without its timing) and stderr of one in-process call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    text = out.out
+    if text.startswith("{"):
+        rep = json.loads(text)
+        del rep["timing"]
+        text = json.dumps(rep, sort_keys=True)
+    return code, text, out.err
+
+
+def test_one_parser_per_process_answers_like_a_fresh_one(law_file, capsys):
+    # a usage error, --version and a check in turn share one parser, and each
+    # answers as a call with a freshly built parser does
+    argvs = [["check"], ["--version"], ["check", "--json", law_file(HEISENBERG)]]
+    parser = nilrad.cli.build_parser()
+    shared = [_answer(capsys, argv) for argv in argvs]
+    assert nilrad.cli.build_parser() is parser
+    fresh = []
+    for argv in argvs:
+        nilrad.cli.build_parser.cache_clear()
+        fresh.append(_answer(capsys, argv))
+    assert [code for code, _, _ in shared] == [64, 0, 0]
+    assert "required: file" in shared[0][2] and shared[1][1] == f"nilrad {nilrad.__version__}\n"
+    assert shared == fresh
+
+
 def test_invariants(law_file, capsys):
     code, out, _ = _run(capsys, ["invariants", law_file(HEISENBERG)])
     assert code == 0
