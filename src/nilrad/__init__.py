@@ -9,14 +9,15 @@ a one-parameter degeneration showing the relevant orbit is not closed.
 
 __version__ = "0.1.0"
 
-from .algebra import LieLaw, act, format_law, jacobi_violations, parse_law, scale, series_signature
+from .algebra import LieLaw, act, format_law, jacobi_violations, parse_law, series_signature
 from .catalog import classify, load_catalog, verify_catalog
 from .degeneration import distinguish, in_g_phi, one_param_limit, search_degeneration
-from .derivations import derivation_space, diagonal_rank, positivity_gate, pre_einstein
+from .derivations import Invariants, derivation_space, diagonal_rank, positivity_gate, pre_einstein
 from .nicebasis import gram_matrix, is_nice, positive_solution, soliton_norm
 from .ricci import moment_map, soliton_check
 
 __all__ = [
+    "Invariants",
     "LieLaw",
     "act",
     "classify",
@@ -35,7 +36,6 @@ __all__ = [
     "positive_solution",
     "positivity_gate",
     "pre_einstein",
-    "scale",
     "search_degeneration",
     "series_signature",
     "soliton_check",

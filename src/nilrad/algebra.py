@@ -492,9 +492,3 @@ def act(g: list[list], law: LieLaw) -> LieLaw:
                 if c != 0:
                     brackets[(i, j, k)] = c
     return LieLaw(n, brackets)
-
-
-def scale(law: LieLaw, s) -> LieLaw:
-    """s . mu: every structure constant multiplied by the rational s."""
-    s = Fraction(s)
-    return LieLaw(law.dim, {t: c * s for t, c in law.brackets.items()} if s else {})

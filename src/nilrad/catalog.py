@@ -9,19 +9,21 @@ fully green catalog run cross-validates both the code and the data.
 from __future__ import annotations
 
 import json
+import operator
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from typing import Any
+from pathlib import Path
+from typing import Any, Callable
 
 from . import degeneration as dg
 from . import nicebasis as nb
 from . import ricci
-from .algebra import LawError, LieLaw, SeriesSignature, format_law, jacobi_violations, parse_law, series_signature
-from .derivations import TorusNotMaximalError, derivation_space, diagonal_rank, positivity_gate, pre_einstein
+from .algebra import LawError, LieLaw, SeriesSignature, format_law, jacobi_violations, parse_law
+from .derivations import Invariants, TorusNotMaximalError, positivity_gate
 
 EN = "EN"
 NOT_EN = "NOT_EN"
@@ -90,14 +92,10 @@ class CatalogEntry:
     aliases: dict[str, str]
     law_text: str
     expected: Expected | None  # None: classify computes without diffing
-    param: tuple[str, Fraction] | None = None
-    parsed: LieLaw | None = field(default=None, compare=False, repr=False)  # law_text, already parsed
+    parsed: LieLaw = field(compare=False, repr=False)  # law_text, parsed (with its parameter bound)
 
     def law(self) -> LieLaw:
-        if self.parsed is not None:
-            return self.parsed
-        params = {self.param[0]: self.param[1]} if self.param else None
-        return parse_law(self.law_text, params)
+        return self.parsed
 
 
 @dataclass
@@ -151,118 +149,129 @@ class Report:
 # ---------------------------------------------------------------------------
 # loading
 
-_EXPECTED_KEYS = {
-    "dim_der", "derived", "lcs", "rank", "pre_einstein", "nice", "U", "x",
-    "verdict", "soliton_norm", "witness_law", "degeneration",
-}
-_ENTRY_KEYS = {"id", "aliases", "params", "law", "expected"}
+def _x(v):
+    return v if v == "none_positive" else _as([Fraction], v)
 
 
-def _expected_from_json(eid: str, d: dict) -> Expected:
-    unknown = set(d) - _EXPECTED_KEYS
-    if unknown:
-        raise CatalogError(eid, sorted(unknown)[0], "unknown field")
-    for key in ("dim_der", "derived", "lcs", "rank", "nice", "verdict"):
-        if key not in d:
-            raise CatalogError(eid, key, "missing required field")
-    if d["verdict"] not in (EN, NOT_EN):
-        raise CatalogError(eid, "verdict", f"must be 'EN' or 'NOT_EN', got {d['verdict']!r}")
-    x: Any = d.get("x")
-    if isinstance(x, list):
-        x = tuple(parse_rat(v) for v in x)
-    elif x is not None and x != "none_positive":
-        raise CatalogError(eid, "x", "must be a rational vector or 'none_positive'")
-    degen = None
-    if d.get("degeneration") is not None:
-        dd = d["degeneration"]
-        missing = {"X", "limit", "distinguishing"} - set(dd)
-        if missing:
-            raise CatalogError(eid, f"degeneration.{sorted(missing)[0]}", "missing required field")
-        name = str(dd["distinguishing"]).partition(" ")[0]
-        if name in ("rank", "dim_der") and not re.fullmatch(rf"{name} \d+ vs \d+", dd["distinguishing"]):
-            raise CatalogError(eid, "degeneration.distinguishing", f"must read '{name} <int> vs <int>'")
-        degen = Degeneration(
-            None if dd["X"] is None else tuple(parse_rat(v) for v in dd["X"]),
-            dd["limit"],
-            dd["distinguishing"],
-        )
-    exp = Expected(
-        dim_der=int(d["dim_der"]),
-        derived=tuple(d["derived"]),
-        lcs=tuple(d["lcs"]),
-        rank=int(d["rank"]),
-        nice=bool(d["nice"]),
-        verdict=d["verdict"],
-        pre_einstein=None if d.get("pre_einstein") is None else tuple(parse_rat(v) for v in d["pre_einstein"]),
-        u=None if d.get("U") is None else tuple(tuple(int(v) for v in row) for row in d["U"]),
-        x=x,
-        soliton_norm=None if d.get("soliton_norm") is None else parse_rat(d["soliton_norm"]),
-        witness_law=d.get("witness_law"),
-        degeneration=degen,
-    )
-    # parse each recorded law text here, once (cached on the record): a malformed one is a schema error
-    for name, record, attr in (("witness_law", exp, "witness"), ("degeneration.limit", degen, "limit_law")):
+def _distinguishing(v) -> str:
+    name = _as(str, v).partition(" ")[0]
+    if name in ("rank", "dim_der") and not re.fullmatch(rf"{name} \d+ vs \d+", v):
+        raise ValueError(f"must read '{name} <int> vs <int>'")
+    return v
+
+
+@dataclass(frozen=True)
+class _Object:
+    """A JSON object of the catalog: the spec of each field, the required ones, what they build, its law texts."""
+
+    fields: dict[str, Any]
+    required: tuple[str, ...]
+    build: Callable = dict  # called with the converted fields, keys lower-cased
+    laws: tuple[tuple[str, str], ...] = ()  # (field, attribute of the built record that parses it)
+
+
+_DEGENERATION = _Object(
+    {"X": lambda v: None if v is None else _as([Fraction], v), "limit": str, "distinguishing": _distinguishing},
+    ("X", "limit", "distinguishing"),
+    Degeneration,
+    (("limit", "limit_law"),),
+)
+_EXPECTED = _Object(
+    {
+        "dim_der": int, "derived": [int], "lcs": [int], "rank": int, "nice": bool, "verdict": (EN, NOT_EN),
+        "pre_einstein": [Fraction], "U": [[int]], "x": _x, "soliton_norm": Fraction, "witness_law": str,
+        "degeneration": _DEGENERATION,
+    },
+    ("dim_der", "derived", "lcs", "rank", "nice", "verdict"),
+    Expected,
+    (("witness_law", "witness"),),
+)
+_PARAMS = _Object({"name": str, "samples": [Fraction], "excluded": [Fraction]}, ("name", "samples"))
+_ENTRY = _Object(
+    {"id": str, "aliases": dict, "params": _PARAMS, "law": str, "expected": dict}, ("id", "law", "expected")
+)
+
+
+def _as(spec, v):
+    """v read as spec: Fraction, a JSON type (exactly), [spec] (a list), a tuple (its values) or a converter."""
+    if spec is Fraction:
+        return parse_rat(v)
+    if type(spec) is type:
+        if type(v) is not spec:
+            raise TypeError(f"not {spec.__name__}: {v!r}")
+        return v
+    if type(spec) is list:
+        return tuple([_as(spec[0], e) for e in _as(list, v)])
+    if type(spec) is tuple:
+        if v not in spec:
+            raise ValueError(f"must be one of {spec}, got {v!r}")
+        return v
+    return spec(v)
+
+
+def _convert(eid: str, name: str | None, spec, value):
+    """The catalog value of field `name` of entry `eid`, read as `spec`: the one place a malformed value is caught.
+
+    A value that does not fit its spec, a field an object does not know or
+    lacks, and a law text that does not parse are each a CatalogError
+    naming the entry and the field.  An optional field may be null.
+    """
+    if not isinstance(spec, _Object):
         try:
-            getattr(record, attr, None)  # degen is None for most entries
-        except LawError as exc:
+            return _as(spec, value)
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise CatalogError(eid, name, str(exc)) from exc
-    return exp
+    if type(value) is not dict:
+        raise CatalogError(eid, name, f"must be an object, got {value!r}")
+    path = (lambda key: key) if name is None else (lambda key: f"{name}.{key}")
+    unknown = set(value) - set(spec.fields)
+    if unknown:
+        raise CatalogError(eid, path(sorted(unknown)[0]), "unknown field")
+    missing = [key for key in spec.required if key not in value]
+    if missing:
+        raise CatalogError(eid, path(missing[0]), "missing required field")
+    record = spec.build(**{
+        key.lower(): None if v is None and key not in spec.required else _convert(eid, path(key), spec.fields[key], v)
+        for key, v in value.items()
+    })
+    for key, attr in spec.laws:  # parse each recorded law text here, once (cached on the record)
+        _convert(eid, path(key), operator.attrgetter(attr), record)
+    return record
 
 
-def load_catalog(path=None, validate_laws: bool = True) -> list[CatalogEntry]:
-    """Load and instantiate the catalog; parametric entries expand per sample."""
-    if path is None:
-        raw = resources.files("nilrad").joinpath("data/catalog7.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+def load_catalog(path=None) -> list[CatalogEntry]:
+    """Load and check the catalog, and parse each law once; parametric entries expand per sample."""
+    source = resources.files("nilrad").joinpath("data/catalog7.json") if path is None else Path(path)
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(None, None, f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "entries" not in doc:
+        doc = json.loads(source.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CatalogError(None, None, f"not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict) or type(doc.get("entries")) is not list:
         raise CatalogError(None, "entries", "top-level object must have an 'entries' list")
     out: list[CatalogEntry] = []
     seen_ids = set()
     for raw_entry in doc["entries"]:
+        if type(raw_entry) is not dict:
+            raise CatalogError(None, "entries", f"entry {raw_entry!r} is not an object")
         eid = raw_entry.get("id", "<missing id>")
-        unknown = set(raw_entry) - _ENTRY_KEYS
-        if unknown:
-            raise CatalogError(eid, sorted(unknown)[0], "unknown field")
-        for key in ("id", "law", "expected"):
-            if key not in raw_entry:
-                raise CatalogError(eid, key, "missing required field")
+        entry = _convert(eid, None, _ENTRY, raw_entry)
+        expected = _convert(eid, None, _EXPECTED, entry["expected"])  # fields named `x`, not `expected.x`
         if eid in seen_ids:
             raise CatalogError(eid, "id", "duplicate id")
         seen_ids.add(eid)
-        expected = _expected_from_json(eid, raw_entry["expected"])
-        aliases = raw_entry.get("aliases", {})
-        params = raw_entry.get("params")
+        params = entry.get("params")
         if params is None:
             instances = [(eid, None)]
         else:
-            for key in ("name", "samples"):
-                if key not in params:
-                    raise CatalogError(eid, f"params.{key}", "missing required field")
-            excluded = {parse_rat(v) for v in params.get("excluded", [])}
-            samples = [parse_rat(v) for v in params["samples"]]
-            bad = [s for s in samples if s in excluded]
+            bad = [s for s in params["samples"] if s in (params.get("excluded") or ())]
             if bad:
                 raise CatalogError(eid, "params.samples", f"sample {fmt_rat(bad[0])} is excluded")
-            instances = [
-                (f"{eid}[{params['name']}={fmt_rat(s)}]", (params["name"], s)) for s in samples
-            ]
-        for inst_id, param in instances:
-            entry = CatalogEntry(inst_id, aliases, raw_entry["law"], expected, param)
-            if validate_laws:
-                try:
-                    law = entry.law()
-                except Exception as exc:
-                    raise CatalogError(inst_id, "law", str(exc)) from exc
-                if jacobi_violations(law):
-                    raise CatalogError(inst_id, "law", "Jacobi identity fails")
-                entry = replace(entry, parsed=law)
-            out.append(entry)
+            instances = [(f"{eid}[{params['name']}={fmt_rat(s)}]", {params["name"]: s}) for s in params["samples"]]
+        for inst_id, bound in instances:
+            law = _convert(inst_id, "law", lambda text: parse_law(text, bound), entry["law"])
+            if jacobi_violations(law):
+                raise CatalogError(inst_id, "law", "Jacobi identity fails")
+            out.append(CatalogEntry(inst_id, entry.get("aliases") or {}, entry["law"], expected, law))
     return out
 
 
@@ -273,19 +282,9 @@ def _fmt_vec(v) -> list[str]:
     return [fmt_rat(x) for x in v]
 
 
-def _parse_distinguishing(s: str) -> tuple[str, str, str]:
-    name, _, rest = s.partition(" ")
-    left, _, right = rest.partition(" vs ")
-    return name, left.strip(), right.strip()
-
-
-def format_distinction(d: dg.Distinction) -> str:
-    return f"{d.invariant} {d.left} vs {d.right}"
-
-
-def nilpotent_series(law: LieLaw) -> SeriesSignature:
+def nilpotent_series(inv: Invariants) -> SeriesSignature:
     """The law's series signature; NotNilpotentError when its lower central series stops above 0."""
-    sig = series_signature(law)
+    sig = inv.series
     if not sig.nilpotent:
         raise NotNilpotentError(f"not nilpotent: the lower central series stops at {list(sig.lcs_dims)}")
     return sig
@@ -309,30 +308,23 @@ def classify(entry: CatalogEntry) -> Report:
     that is not nilpotent raises NotNilpotentError.
     """
     t0 = time.perf_counter()
-    law = entry.law()
-    sig = nilpotent_series(law)
-    space = derivation_space(law)
-    nice = nb.is_nice(law)
+    inv = Invariants(entry.law())
+    sig = nilpotent_series(inv)
+    dec = _decide(entry, inv)
+    assert dec.certificate["kind"] in _CERT_KINDS[dec.verdict], entry.id
     computed = {
-        "dim_der": len(space.basis),
+        "dim_der": inv.dim_der,
         "derived": list(sig.derived_dims),
         "lcs": list(sig.lcs_dims),
-        "rank": len(space.diag_basis),
-        "torus": [list(g) for g in space.diag_basis],
-        "nice": nice.nice,
+        "rank": inv.rank,
+        "torus": [list(g) for g in inv.der.diag_basis],
+        "nice": inv.nice.nice,
     }
-    phi = None
-    if space.diag_basis:
-        try:
-            phi = pre_einstein(law, space)
-            computed["pre_einstein"] = _fmt_vec(phi.phi)
-        except TorusNotMaximalError:
-            pass  # the diagonal torus of this basis is not maximal: _decide says basis_not_adapted
-    dec = _decide(entry, law, sig, space, phi, nice)
-    assert dec.certificate["kind"] in _CERT_KINDS[dec.verdict], entry.id
+    if inv.rank and dec.route != "basis_not_adapted":
+        computed["pre_einstein"] = _fmt_vec(inv.phi.phi)
     rep = Report(entry.id, dec.verdict, dec.route, [dec.certificate], {**computed, **dec.computed})
-    if not nice.nice and dec.route not in _GATES:
-        rep.notes.append(f"not a nice basis: {nice.reason}")
+    if not inv.nice.nice and dec.route not in _GATES:
+        rep.notes.append(f"not a nice basis: {inv.nice.reason}")
     if entry.expected is not None:
         _diff(entry.expected, rep, dec)
     rep.timing = time.perf_counter() - t0
@@ -347,42 +339,45 @@ _CERT_KINDS = {
 _GATES = {"rank_zero", "basis_not_adapted", "pre_einstein_positivity"}  # routes decided before the LP
 
 
-def _decide(entry: CatalogEntry, law: LieLaw, sig, space, phi, nice: nb.NiceCheck) -> Decision:
+def _decide(entry: CatalogEntry, inv: Invariants) -> Decision:
     """The decision of the first rung of the ladder that decides.
 
-    The rungs: rank zero, a diagonal torus that is not maximal (phi is None
-    on both), a pre-Einstein derivation that is not positive, the abelian
-    law, the LP on a nice basis, then, for a law that is not nice, the
-    entry's recorded witness or degeneration, else the walk on the degeneration cone.
+    The rungs: rank zero, a diagonal torus that is not maximal (phi raises
+    TorusNotMaximalError), a pre-Einstein derivation that is not positive,
+    the abelian law, the LP on a nice basis, then, for a law that is not
+    nice, the entry's recorded witness or degeneration, else the walk on
+    the degeneration cone.
     """
-    if not space.diag_basis:
+    if not inv.rank:
         return Decision(NOT_EN, "rank_zero", {"kind": "rank_zero"})
-    if phi is None:
+    try:
+        phi = inv.phi
+    except TorusNotMaximalError:
         return Decision(INCONCLUSIVE, "basis_not_adapted", {"kind": "inconclusive", "reason": "basis_not_adapted"})
     passed, idx = positivity_gate(phi)
     if not passed:
         cert = {"kind": "non_positive_pre_einstein", "phi": _fmt_vec(phi.phi), "index": idx}
         return Decision(NOT_EN, "pre_einstein_positivity", cert)
-    if not law.brackets:
+    if not inv.law.brackets:
         return Decision(EN, "abelian", {"kind": "abelian"})
-    if nice.nice:
-        return _nice_route(law, on="law")
+    if inv.nice.nice:
+        return _nice_route(inv.law, on="law")
     exp = entry.expected
     if exp is not None and exp.witness_law is not None:
-        return _witness_route(exp.witness, law, sig, space)
+        return _witness_route(Invariants(exp.witness), inv)
     if exp is not None and exp.degeneration is not None:
-        return _recorded_degeneration_route(exp.degeneration, law, sig, space, phi)
-    return _search_route(law, phi, (sig, space))
+        return _recorded_degeneration_route(exp.degeneration, inv)
+    return _search_route(inv)
 
 
-def _search_route(law: LieLaw, phi, known: dg.Invariants) -> Decision:
+def _search_route(inv: Invariants) -> Decision:
     """NOT_EN through the degeneration the cone walk finds; INCONCLUSIVE, with its reason, when it finds none.
 
     The reason is `no_diagonal_degeneration` (the cone is trivial, with its
     certificate y) or `limit_not_distinguished` (the walk's limit is not
     separated from the law by series, dim Der or rank).
     """
-    found = dg.search_degeneration(law, phi, known)
+    found = dg.search_degeneration(inv)
     if isinstance(found, dg.TrivialCone):
         reason = "no_diagonal_degeneration"
         return Decision(INCONCLUSIVE, reason, {"kind": "inconclusive", "reason": reason, "y": _fmt_vec(found.y)})
@@ -390,7 +385,7 @@ def _search_route(law: LieLaw, phi, known: dg.Invariants) -> Decision:
     if found.limit.kind == "limit" and found.distinction is None:
         reason = "limit_not_distinguished"
         return Decision(INCONCLUSIVE, reason, {"kind": "inconclusive", "reason": reason, **cert})
-    cert["distinguishing"] = None if found.distinction is None else format_distinction(found.distinction)
+    cert["distinguishing"] = None if found.distinction is None else str(found.distinction)
     return Decision(NOT_EN, "degeneration_search", {"kind": "non_closed_orbit", **cert})
 
 
@@ -407,47 +402,45 @@ def _nice_route(law: LieLaw, on: str) -> Decision:
     return Decision(EN, "nice_lp" if on == "law" else "witness_nice_lp", cert, computed)
 
 
-def _witness_route(witness: LieLaw, law: LieLaw, sig, space) -> Decision:
+def _witness_route(w: Invariants, inv: Invariants) -> Decision:
     """EN through a recorded witness: a rational one must be a nice basis, one with surds a nilsoliton.
 
     A nilsoliton's -c is its soliton norm, which _diff compares with the recorded one.
     """
-    bad = jacobi_violations(witness)
+    bad = jacobi_violations(w.law)
     if bad:
         return _witness_rejected([("witness_law", "Lie algebra law", f"Jacobi fails at {bad[0][:3]}")])
-    problems = _isomorphism_problems(witness, law, sig, space)
-    if not witness.is_rational:
+    problems = _isomorphism_problems(w, inv)
+    if not w.law.is_rational:
         try:
-            sd, failure = ricci.soliton_check(witness), "no decomposition"
+            sd, failure = ricci.soliton_check(w.law), "no decomposition"
         except ricci.NonDiagonalMomentError:
             sd, failure = None, "moment map is not diagonal"
         if sd is None:
             return _witness_rejected([("witness_law", "m = c.Id + D with D a derivation", failure)])
         cert = {"kind": "nilsoliton_decomposition", "on": "witness", "c": str(sd.c), "d": [str(v) for v in sd.d]}
         return Decision(EN, "witness_soliton", cert, {"soliton_norm": str(-sd.c)}, problems)
-    wc = nb.is_nice(witness)
-    if not wc.nice:
-        return _witness_rejected(problems + [("witness_law", "nice witness basis", wc.reason)])
-    dec = _nice_route(witness, on="witness")
+    if not w.nice.nice:
+        return _witness_rejected(problems + [("witness_law", "nice witness basis", w.nice.reason)])
+    dec = _nice_route(w.law, on="witness")
     dec.problems = problems
     return dec
 
 
-def _isomorphism_problems(witness: LieLaw, law: LieLaw, sig, space) -> list[tuple[str, str, str]]:
+def _isomorphism_problems(w: Invariants, inv: Invariants) -> list[tuple[str, str, str]]:
     """The first basis-independent invariant on which the witness differs from the law.
 
     Dimension for every witness; series and dim Der for a rational one (the
     series and Der need rational constants).  Diagonal rank depends on the
     basis, so distinguish() is too strict here.
     """
-    if witness.dim != law.dim:
+    if w.law.dim != inv.law.dim:
         return [("witness_law", "isomorphic witness", "dimension differs")]
-    if not witness.is_rational:
+    if not w.law.is_rational:
         return []
-    sw = series_signature(witness)
-    if (sig.derived_dims, sig.lcs_dims) != (sw.derived_dims, sw.lcs_dims):
+    if w.series != inv.series:
         return [("witness_law", "isomorphic witness", "series signatures differ")]
-    if len(space.basis) != len(derivation_space(witness).basis):
+    if w.dim_der != inv.dim_der:
         return [("witness_law", "isomorphic witness", "dim Der differs")]
     return []
 
@@ -458,42 +451,33 @@ def _witness_rejected(problems: list) -> Decision:
     return Decision(INCONCLUSIVE, "witness_rejected", cert, problems=problems)
 
 
-def _recorded_degeneration_route(rec: Degeneration, law: LieLaw, sig, space, phi) -> Decision:
+def _recorded_degeneration_route(rec: Degeneration, inv: Invariants) -> Decision:
     """NOT_EN through a recorded degeneration, with its X, limit and distinguishing invariant re-checked."""
     problems = []
-    limit_law = rec.limit_law
     if rec.x is not None:
-        if not dg.in_g_phi(rec.x, phi):
+        if not dg.in_g_phi(rec.x, inv.phi):
             problems.append(("degeneration.X", "X in g_phi", "trace conditions fail"))
-        res = dg.one_param_limit(law, rec.x)
+        res = dg.one_param_limit(inv.law, rec.x)
         if rec.limit == "zero":
             if res.kind != "zero":
                 problems.append(("degeneration.limit", "zero", res.kind))
-        elif res.kind != "limit" or res.law != limit_law:
+        elif res.kind != "limit" or res.law != rec.limit_law:
             problems.append(("degeneration.limit", "recorded limit law", res.kind))
-    if limit_law is not None:
-        if jacobi_violations(limit_law):
+    if rec.limit_law is not None:
+        if jacobi_violations(rec.limit_law):
             problems.append(("degeneration.limit", "Lie algebra law", "Jacobi fails"))
-        dist = dg.distinguish(law, limit_law, (sig, space))
-        if dist is None:
+        limit = Invariants(rec.limit_law)
+        if dg.distinguish(inv, limit) is None:
             problems.append(("degeneration.distinguishing", rec.distinguishing, "indistinguishable"))
         else:
-            # the record names a specific invariant, which need not be the
-            # first one distinguish() reaches; evaluate the named one, read
-            # from the distinction when it is that rung
-            name, left, right = _parse_distinguishing(rec.distinguishing)
-            if name not in ("rank", "dim_der"):
-                got = None
+            # the record names a specific invariant, which need not be the first one distinguish() reaches
+            name = rec.distinguishing.partition(" ")[0]
+            got = (getattr(inv, name), getattr(limit, name)) if name in ("rank", "dim_der") else None
+            if got is None:
                 problems.append(
                     ("degeneration.distinguishing", rec.distinguishing, "names no known invariant (rank or dim_der)")
                 )
-            elif dist.invariant == name:
-                got = (dist.left, dist.right)
-            elif name == "rank":
-                got = (len(space.diag_basis), diagonal_rank(limit_law)[0])
-            else:
-                got = (len(space.basis), len(derivation_space(limit_law).basis))
-            if got is not None and got != (int(left), int(right)):
+            elif rec.distinguishing != f"{name} {got[0]} vs {got[1]}":
                 problems.append(("degeneration.distinguishing", rec.distinguishing, f"{name} {got}"))
     cert = {
         "kind": "non_closed_orbit",

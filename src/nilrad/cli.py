@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from . import __version__
 from . import degeneration as dg
-from . import nicebasis as nb
 from .algebra import LawError, LieLaw, format_law, jacobi_violations, parse_law
 from .catalog import (
     EN,
@@ -34,13 +33,12 @@ from .catalog import (
     NotNilpotentError,
     classify,
     fmt_rat,
-    format_distinction,
     load_catalog,
     nilpotent_series,
     summary_lines,
     verify_catalog,
 )
-from .derivations import TorusNotMaximalError, derivation_space, pre_einstein
+from .derivations import Invariants, TorusNotMaximalError
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -66,7 +64,7 @@ def _read_gated_law(args) -> LieLaw:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             law = parse_law(fh.read())
-    except (OSError, LawError) as exc:
+    except (OSError, UnicodeDecodeError, LawError) as exc:
         raise Refusal(EX_USAGE, str(exc)) from exc
     if not law.is_rational:
         raise Refusal(EX_USAGE, "the decision pipeline needs exact rational structure constants, not sqrt")
@@ -107,25 +105,22 @@ def _print_report(rep) -> None:
 
 
 def cmd_invariants(args) -> int:
-    law = _read_gated_law(args)
-    sig = nilpotent_series(law)
-    space = derivation_space(law)
-    phi = pre_einstein(law, space) if space.diag_basis else None
-    nice = nb.is_nice(law)
-    print(f"dim: {law.dim}")
-    print(f"brackets: {len(law.brackets)}")
+    inv = Invariants(_read_gated_law(args))
+    sig, phi = nilpotent_series(inv), inv.phi  # both may refuse the law: before anything is printed
+    print(f"dim: {inv.law.dim}")
+    print(f"brackets: {len(inv.law.brackets)}")
     print(f"derived: {list(sig.derived_dims)}")
     print(f"lcs: {list(sig.lcs_dims)}")
     print(f"nilpotent: {sig.nilpotent}")
-    print(f"dim_der: {len(space.basis)}")
-    print(f"rank: {len(space.diag_basis)}")
-    for g in space.diag_basis:
+    print(f"dim_der: {inv.dim_der}")
+    print(f"rank: {inv.rank}")
+    for g in inv.der.diag_basis:
         print(f"torus_generator: {list(g)}")
     if phi is not None:
         print(f"pre_einstein: {[fmt_rat(v) for v in phi.phi]}")
-    print(f"nice: {nice.nice}")
-    if not nice.nice:
-        print(f"nice_reason: {nice.reason}")
+    print(f"nice: {inv.nice.nice}")
+    if not inv.nice.nice:
+        print(f"nice_reason: {inv.nice.reason}")
     return 0
 
 
@@ -147,11 +142,11 @@ def cmd_catalog_verify(args) -> int:
 
 
 def cmd_degenerate(args) -> int:
-    law = _read_gated_law(args)
-    sig, space = nilpotent_series(law), derivation_space(law)
-    if not space.diag_basis:
+    inv = Invariants(_read_gated_law(args))
+    nilpotent_series(inv)
+    law, phi = inv.law, inv.phi
+    if phi is None:
         raise Refusal(EX_USAGE, "rank-zero law: no pre-Einstein derivation, degeneration flow undefined")
-    phi = pre_einstein(law, space)
     xvec = None
     if args.x is not None:
         try:
@@ -164,9 +159,9 @@ def cmd_degenerate(args) -> int:
     if xvec is not None:
         print(f"in_g_phi: {dg.in_g_phi(xvec, phi)}")
         res = dg.one_param_limit(law, xvec)
-        dist = dg.distinguish(law, res.law, (sig, space)) if res.kind == "limit" else None
+        dist = dg.distinguish(inv, Invariants(res.law)) if res.kind == "limit" else None
     else:
-        found = dg.search_degeneration(law, phi, known=(sig, space))
+        found = dg.search_degeneration(inv)
         if isinstance(found, dg.TrivialCone):
             print(f"inconclusive: no_diagonal_degeneration, y = {[fmt_rat(v) for v in found.y]}")
             return _VERDICT_EXIT[INCONCLUSIVE]
@@ -179,7 +174,7 @@ def cmd_degenerate(args) -> int:
     if dist is None:
         print("distinguishing: none (not separated by series/dim Der/rank)")
         return 0 if xvec is not None else _VERDICT_EXIT[INCONCLUSIVE]
-    print(f"distinguishing: {format_distinction(dist)}")
+    print(f"distinguishing: {dist}")
     return 0
 
 

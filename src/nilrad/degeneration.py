@@ -24,12 +24,12 @@ the only one tried: no subface of C is walked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 from . import linalg, lp
-from .algebra import LawError, LieLaw, SeriesSignature, act, series_signature
-from .derivations import DerivationSpace, PreEinsteinDerivation, derivation_space
+from .algebra import LawError, LieLaw, act
+from .derivations import Invariants, PreEinsteinDerivation
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,9 @@ class Distinction:
     left: object
     right: object
 
+    def __str__(self) -> str:
+        return f"{self.invariant} {self.left} vs {self.right}"
+
 
 @dataclass(frozen=True)
 class DegenerationWitness:
@@ -52,11 +55,9 @@ class DegenerationWitness:
     distinction: Distinction | None  # None for a zero limit, or for a limit not separated from the law
 
 
-def in_g_phi(x, phi: PreEinsteinDerivation | list) -> bool:
-    """Membership of a diagonal X in g_phi: tr X = 0 and tr(X phi) = 0."""
-    eig = phi.phi if isinstance(phi, PreEinsteinDerivation) else phi
-    xs = [Fraction(v) for v in x]
-    return sum(xs) == 0 and sum(e * v for e, v in zip(eig, xs)) == 0
+def in_g_phi(x, phi: PreEinsteinDerivation) -> bool:
+    """Membership of a diagonal X (ints or Fractions) in g_phi: tr X = 0 and tr(X phi) = 0."""
+    return sum(x) == 0 and sum(e * v for e, v in zip(phi.phi, x)) == 0
 
 
 def one_param_limit(law: LieLaw, x, frame=None) -> LimitResult:
@@ -76,43 +77,31 @@ def one_param_limit(law: LieLaw, x, frame=None) -> LimitResult:
     return LimitResult("limit", LieLaw(law.dim, kept))
 
 
-Invariants = tuple[SeriesSignature, DerivationSpace]
-
-
-def distinguish(a: LieLaw, b: LieLaw, known: Invariants | None = None) -> Distinction | None:
-    """First invariant separating a and b, or None.
+def distinguish(a: Invariants, b: Invariants) -> Distinction | None:
+    """First invariant separating the laws of a and b, or None.
 
     Compares series signatures, then dim Der, then diagonal rank.  None
     means "not separated by these invariants", not "isomorphic".  The
     first two rungs are isomorphism invariants outright; diagonal rank is
     one only when the diagonal torus is maximal on both sides, which holds
     for the catalog's degeneration pairs (their limits carry recorded
-    maximal tori) but not for arbitrary basis changes.  `known` is the
-    (series, Der) pair of `a` when the caller has already computed it.
+    maximal tori) but not for arbitrary basis changes.
     """
-    if a.dim != b.dim:
+    if a.law.dim != b.law.dim:
         raise LawError("distinguish needs laws of equal dimension")
-    sa = series_signature(a) if known is None else known[0]
-    sb = series_signature(b)
-    if (sa.derived_dims, sa.lcs_dims) != (sb.derived_dims, sb.lcs_dims):
-        return Distinction("series", (sa.derived_dims, sa.lcs_dims), (sb.derived_dims, sb.lcs_dims))
-    space_a = derivation_space(a) if known is None else known[1]
-    space_b = derivation_space(b)
-    if len(space_a) != len(space_b):
-        return Distinction("dim_der", len(space_a), len(space_b))
-    ra, rb = len(space_a.diag_basis), len(space_b.diag_basis)
-    if ra != rb:
-        return Distinction("rank", ra, rb)
+    if a.series != b.series:
+        return Distinction("series", astuple(a.series), astuple(b.series))
+    for name in ("dim_der", "rank"):
+        left, right = getattr(a, name), getattr(b, name)
+        if left != right:
+            return Distinction(name, left, right)
     return None
-
-
 
 
 def g_phi_lattice(phi: PreEinsteinDerivation, dim: int) -> list[list[int]]:
     """HNF integer basis of the diagonal part of g_phi."""
-    eig = [Fraction(v) for v in (phi.phi if isinstance(phi, PreEinsteinDerivation) else phi)]
-    den = math.lcm(*(e.denominator for e in eig))
-    wrow = [int(e * den) for e in eig]
+    den = math.lcm(*(e.denominator for e in phi.phi))
+    wrow = [int(e * den) for e in phi.phi]
     return linalg.kernel_lattice([[1] * dim, wrow])
 
 
@@ -158,16 +147,14 @@ def _relative_interior(rows: list[tuple[int, ...]]) -> list[Fraction]:
     return [p - q for p, q in zip(x[3 * m : 3 * m + r], x[3 * m + r :])]
 
 
-def search_degeneration(
-    law: LieLaw, phi: PreEinsteinDerivation, known: Invariants | None = None
-) -> DegenerationWitness | TrivialCone:
+def search_degeneration(inv: Invariants) -> DegenerationWitness | TrivialCone:
     """The walk on the non-divergence cone C: a trivial-cone certificate, or the limit of a relative-interior X.
 
-    The witness's distinction is None for a zero limit, and also for a limit
-    that distinguish() does not separate from the law, which certifies
-    nothing.  `known` is the law's (series, Der) pair; when None it is
-    computed when a limit needs it.
+    The law must have positive rank.  The witness's distinction is None for
+    a zero limit, and also for a limit that distinguish() does not separate
+    from the law, which certifies nothing.
     """
+    law, phi = inv.law, inv.phi
     lattice = g_phi_lattice(phi, law.dim)
     rows = lattice_weight_rows(law, lattice)
     if not rows:  # every bracket has weight 0 on all of g_phi
@@ -184,6 +171,4 @@ def search_degeneration(
     res = one_param_limit(law, x)
     if res.kind == "zero":
         return DegenerationWitness(x, res, None)
-    if known is None:
-        known = (series_signature(law), derivation_space(law))
-    return DegenerationWitness(x, res, distinguish(law, res.law, known))
+    return DegenerationWitness(x, res, distinguish(inv, Invariants(res.law)))

@@ -1,4 +1,4 @@
-"""Derivation algebra, diagonal torus, and the pre-Einstein derivation.
+"""Derivation algebra, diagonal torus, the pre-Einstein derivation, and a law's invariants.
 
 Everything is exact: the derivation identity is a linear system over Q in
 the n^2 matrix entries, the diagonal torus is an integer kernel lattice,
@@ -11,20 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import getitem, mul
 
 from . import linalg
-from .algebra import LawError, LieLaw
+from .algebra import LawError, LieLaw, SeriesSignature, series_signature
+from .nicebasis import NiceCheck, is_nice
 
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    dim: int
     basis: tuple[tuple[tuple[Fraction, ...], ...], ...]  # each an n x n matrix
     diag_basis: tuple[tuple[int, ...], ...]  # integer diagonal generators (HNF rows)
-
-    def __len__(self) -> int:
-        return len(self.basis)
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ def derivation_space(law: LieLaw) -> DerivationSpace:
     basis = tuple(
         tuple(tuple(v[k * n : (k + 1) * n]) for k in range(n)) for v in vecs
     )
-    return DerivationSpace(n, basis, tuple(map(tuple, diagonal_rank(law)[1])))
+    return DerivationSpace(basis, tuple(map(tuple, diagonal_rank(law)[1])))
 
 
 def dim_der(law: LieLaw) -> int:
@@ -100,7 +98,7 @@ class TorusNotMaximalError(LawError):
     """Full-basis verification of the pre-Einstein derivation failed."""
 
 
-def pre_einstein(law: LieLaw, space: DerivationSpace | None = None) -> PreEinsteinDerivation:
+def pre_einstein(space: DerivationSpace) -> PreEinsteinDerivation:
     """The diagonal derivation phi with tr(phi psi) = tr(psi) for all psi in Der.
 
     Solved inside the diagonal torus, then verified against the full
@@ -108,8 +106,6 @@ def pre_einstein(law: LieLaw, space: DerivationSpace | None = None) -> PreEinste
     not maximal and is reported rather than patched.  phi = v / d with an
     integer vector v and d > 0, so the check reads sum_i (v_i - d) psi_ii = 0.
     """
-    if space is None:
-        space = derivation_space(law)
     gens = space.diag_basis
     if not gens:
         raise RankZeroError("rank-zero law has no pre-Einstein derivation")
@@ -122,7 +118,7 @@ def pre_einstein(law: LieLaw, space: DerivationSpace | None = None) -> PreEinste
     coeffs = [reduced[p].get(r, 0) * (den // reduced[p][p]) for p in range(r)]
     v = [sum(map(mul, coeffs, col)) for col in zip(*gens)]
     weights = [x - den for x in v]
-    diagonal = range(law.dim)
+    diagonal = range(len(gens[0]))
     for psi in space.basis:
         d = list(map(getitem, psi, diagonal))
         if any(d) and sum(map(mul, weights, d)):  # most diagonals are zero
@@ -141,3 +137,40 @@ def positivity_gate(phi: PreEinsteinDerivation) -> tuple[bool, int | None]:
 def diagonal_is_derivation(law: LieLaw, d: list) -> bool:
     """Derivation check for diagonal d (vector of eigenvalues): every weight Y.d vanishes."""
     return not any(law.weights(d))
+
+
+@dataclass(frozen=True)
+class Invariants:
+    """The invariants of one law, each computed on first use and kept.
+
+    The one place the pipeline computes the series, Der, phi and niceness
+    of a law: classify, every route, distinguish, the degeneration search
+    and the CLI commands read them here.
+    """
+
+    law: LieLaw
+
+    @cached_property
+    def series(self) -> SeriesSignature:
+        return series_signature(self.law)
+
+    @cached_property
+    def der(self) -> DerivationSpace:
+        return derivation_space(self.law)
+
+    @property
+    def dim_der(self) -> int:
+        return len(self.der.basis)
+
+    @property
+    def rank(self) -> int:
+        return len(self.der.diag_basis)
+
+    @cached_property
+    def phi(self) -> PreEinsteinDerivation | None:
+        """None at rank zero; TorusNotMaximalError when the diagonal torus of the basis is not maximal."""
+        return pre_einstein(self.der) if self.rank else None
+
+    @cached_property
+    def nice(self) -> NiceCheck:
+        return is_nice(self.law)

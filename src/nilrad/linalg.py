@@ -10,7 +10,7 @@ runs inside it.  A row with one entry is already a reduced pivot row
 rows, so elimination and back-substitution never see them (most rows of a
 derivation system are of this kind).  The reduced form is unique, so this
 order changes no output.  `sparse_rref` is its rational view, and the
-dense `rref`, `solve`, `inv` and `nullspace` are views of that.
+dense `rref`, `solve` and `inv` are views of that.
 `fractions.Fraction` appears only in what these hand back: reduced rows,
 solutions and kernel vectors.  Lattice routines work on Python ints.
 """
@@ -49,10 +49,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return rows + [[Fraction(0)] * ncols for _ in range(len(a) - len(pivots))], pivots
 
 
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
-
-
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a x = b, or None when inconsistent."""
     ncols = len(a[0]) if a else 0
@@ -64,14 +60,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     for r, c in enumerate(pivots):
         x[c] = red[r][ncols]
     return x
-
-
-def nullspace(a: Matrix, ncols: int | None = None) -> list[Vector]:
-    """Basis of the kernel of a (rows may be empty; then pass ncols)."""
-    if a:
-        ncols = len(a[0])
-    assert ncols is not None
-    return sparse_nullspace([{c: x for c, x in enumerate(row) if x} for row in a], ncols)
 
 
 def inv(a: Matrix) -> Matrix | None:

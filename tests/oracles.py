@@ -109,6 +109,24 @@ def alphas_gram(law: LieLaw) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(a, b)) for b in alphas] for a in alphas]
 
 
+def rank(a: list[list]) -> int:
+    return len(linalg.rref(a)[1])
+
+
+def nullspace(a: list[list], ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of the kernel of a dense matrix (rows may be empty; then pass ncols)."""
+    if a:
+        ncols = len(a[0])
+    assert ncols is not None
+    return linalg.sparse_nullspace([{c: x for c, x in enumerate(row) if x} for row in a], ncols)
+
+
+def scale(law: LieLaw, s) -> LieLaw:
+    """s . mu: every structure constant multiplied by the rational s."""
+    s = Fraction(s)
+    return LieLaw(law.dim, {t: c * s for t, c in law.brackets.items()} if s else {})
+
+
 def matmul(a, b):
     bt = linalg.transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
@@ -119,7 +137,7 @@ def in_span(vectors: Sequence, v) -> bool:
     if not vectors:
         return all(x == 0 for x in v)
     base = [list(map(Fraction, w)) for w in vectors]
-    return linalg.rank(base) == linalg.rank(base + [list(map(Fraction, v))])
+    return rank(base) == rank(base + [list(map(Fraction, v))])
 
 
 def is_derivation(law: LieLaw, d: list[list]) -> bool:
@@ -225,7 +243,7 @@ def positive_solution_oracle(u: list[list[int]]) -> bool:
             if all(v >= 0 for v in x):
                 vertices.append(x)
         # extreme rays of the recession cone {d >= 0 : Ud = 0}
-        ns = linalg.nullspace(rows, ncols=m)
+        ns = nullspace(rows, ncols=m)
         if len(ns) == 1:
             d = ns[0]
             if all(v >= 0 for v in d):

@@ -21,10 +21,10 @@ from nilrad.degeneration import (
     one_param_limit,
 )
 from nilrad.derivations import (
+    Invariants,
     diagonal_is_derivation,
     diagonal_rank,
     dim_der,
-    pre_einstein,
 )
 from nilrad.nicebasis import gram_matrix, is_nice, positive_solution, soliton_norm
 from nilrad.ricci import moment_map, soliton_check
@@ -153,7 +153,7 @@ def test_c5_degeneration_records(entries, reports):
         if rec is None:
             continue
         law = entry.law()
-        phi = pre_einstein(law)
+        phi = Invariants(law).phi
         if rec.x is not None:
             assert in_g_phi(rec.x, phi), entry.id
             res = one_param_limit(law, rec.x)
@@ -164,7 +164,7 @@ def test_c5_degeneration_records(entries, reports):
                 assert res.law == parse_law(rec.limit), entry.id
         if rec.limit != "zero":
             limit_law = parse_law(rec.limit)
-            assert distinguish(law, limit_law) is not None, entry.id
+            assert distinguish(Invariants(law), Invariants(limit_law)) is not None, entry.id
             parts = rec.distinguishing.split()  # e.g. "dim_der 12 vs 13"
             name, left, right = parts[0], parts[1], parts[3]
             if name == "rank":
@@ -266,7 +266,7 @@ def test_c7_property_suites(entries, by_id):
         if rec and rec.x is not None:
             assert limit_is_lie(one_param_limit(entry.law(), rec.x)), entry.id
     law = by_id["1.3(i_l)[lambda=2]"].law()
-    phi = pre_einstein(law)
+    phi = Invariants(law).phi
     from nilrad.degeneration import g_phi_lattice
 
     lattice = g_phi_lattice(phi, 7)
@@ -291,7 +291,7 @@ def test_c8_search_sanity(by_id):
         cert = rep.certificates[0]
         assert (rep.verdict, rep.route, cert["kind"]) == ("NOT_EN", "degeneration_search", "non_closed_orbit"), eid
         x = [Fraction(v) for v in cert["X"]]
-        assert in_g_phi(x, pre_einstein(law)), eid
+        assert in_g_phi(x, Invariants(law).phi), eid
         res = one_param_limit(law, x)
         if cert["limit"] == "zero":
             assert res.kind == "zero" and cert["distinguishing"] is None, eid
@@ -302,7 +302,7 @@ def test_c8_search_sanity(by_id):
     rep = classify(CatalogEntry("1.3(i_l)", {}, format_law(law), None, parsed=law))
     cert = rep.certificates[0]
     assert (rep.verdict, rep.route, cert["reason"]) == ("INCONCLUSIVE",) + ("no_diagonal_degeneration",) * 2
-    assert trivial_cone_certificate_holds(law, pre_einstein(law).phi, cert["y"])
+    assert trivial_cone_certificate_holds(law, Invariants(law).phi.phi, cert["y"])
     _verdict(
         "criterion 8", True,
         f"the cone walk decides {', '.join(found)} with no recorded data; "

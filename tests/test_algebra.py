@@ -15,10 +15,9 @@ from nilrad.algebra import (
     format_law,
     jacobi_violations,
     parse_law,
-    scale,
     series_signature,
 )
-from oracles import matmul
+from oracles import matmul, scale
 
 HEISENBERG = "dim 3; [1,2]=3"
 

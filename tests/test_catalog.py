@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 import nilrad.catalog
+import nilrad.cli
+from nilrad.algebra import parse_law
 from nilrad.catalog import (
     CatalogEntry,
     CatalogError,
@@ -23,7 +25,8 @@ from nilrad.catalog import (
 def test_load_counts(entries):
     assert len(entries) >= 90
     family = [e for e in entries if e.id.startswith("1.1(i_l)")]
-    assert [e.param for e in family] == [("lambda", Fraction(2)), ("lambda", Fraction(3))]
+    assert [e.id for e in family] == ["1.1(i_l)[lambda=2]", "1.1(i_l)[lambda=3]"]
+    assert family[0].law_text == family[1].law_text and family[0].law() != family[1].law()
 
 
 def test_entry_01_shape(by_id):
@@ -147,7 +150,7 @@ def test_verify_only_selects_family_instances(entries):
 
 
 def test_classify_without_expectations():
-    entry = CatalogEntry("adhoc", {}, "dim 3; [1,2]=3", None)
+    entry = CatalogEntry("adhoc", {}, "dim 3; [1,2]=3", None, parse_law("dim 3; [1,2]=3"))
     rep = classify(entry)
     assert rep.verdict == "EN"
     assert rep.mismatches == []
@@ -206,7 +209,6 @@ def test_117_en_via_both_routes(by_id):
 def test_each_law_is_parsed_once(entries, monkeypatch):
     # load_catalog keeps the law it parsed and validated; classify reuses it
     assert all(e.parsed is not None and e.law() is e.parsed for e in entries)
-    assert load_catalog(validate_laws=False)[0].parsed is None
     calls = []
     monkeypatch.setattr(nilrad.catalog, "parse_law", lambda *a, **k: calls.append(a))
     for e in entries:
@@ -232,10 +234,14 @@ def _count_calls_per_law(monkeypatch, module: str, name: str) -> Counter:
     return calls
 
 
-def test_each_invariant_is_computed_once_per_law(monkeypatch):
+def test_each_invariant_is_computed_once_per_law(monkeypatch, capsys, tmp_path):
     # laws compare by their structure constants, so a recomputation on a
-    # re-parsed copy of a law counts as a second call too
-    kernels = [("derivations", "derivation_space"), ("algebra", "series_signature"), ("algebra", "jacobi_violations")]
+    # re-parsed copy of a law counts as a second call too; pre_einstein is
+    # counted per derivation space, its one argument
+    kernels = [
+        ("derivations", "derivation_space"), ("algebra", "series_signature"), ("algebra", "jacobi_violations"),
+        ("derivations", "pre_einstein"), ("nicebasis", "is_nice"),
+    ]
     calls = {name: _count_calls_per_law(monkeypatch, module, name) for module, name in kernels}
     entries = load_catalog()
     assert len(entries) == 136
@@ -246,6 +252,19 @@ def test_each_invariant_is_computed_once_per_law(monkeypatch):
     for name, counter in calls.items():
         assert counter and max(counter.values()) == 1, name
     assert sum(calls["derivation_space"].values()) == 142  # the 136 laws, the rational witness and 5 recorded limits
+    assert sum(calls["pre_einstein"].values()) == 128  # the laws of rank > 0
+    assert sum(calls["is_nice"].values()) == 137  # the 136 laws and the rational witness
+    # one run of each law command on each law computes each invariant of a law at most once
+    law_file = tmp_path / "law.txt"
+    for e in entries:
+        law_file.write_text(nilrad.format_law(e.law()))
+        for command in ("check", "invariants", "degenerate"):
+            for counter in calls.values():
+                counter.clear()
+            assert nilrad.cli.main([command, str(law_file)]) in (0, 1, 2, 64), (e.id, command)
+            capsys.readouterr()
+            for name, counter in calls.items():
+                assert max(counter.values(), default=0) <= 1, (e.id, command, name)
 
 
 def _degeneration(**changes):

@@ -181,6 +181,24 @@ def test_check_json_is_golden(capsys, tmp_path, entries):
     assert digest == GOLDEN_CHECK_SHA256
 
 
+# SHA-256 of [id, command, exit code, stdout] of `invariants` and of
+# `degenerate` (no --X) on every catalog law.  Same rule as above.
+GOLDEN_INVARIANTS_DEGENERATE_SHA256 = "1c6ab7e69d1dac82e10a9d972746da1141f20affe644d0fa7a008ae370d8493a"
+
+
+def test_invariants_and_degenerate_are_golden(capsys, tmp_path, entries):
+    assert len(entries) == 136
+    p = tmp_path / "law.txt"
+    runs = []
+    for e in sorted(entries, key=lambda e: e.id):
+        p.write_text(format_law(e.law()))
+        for command in ("invariants", "degenerate"):
+            code, out, _ = _run(capsys, [command, str(p)])
+            runs.append([e.id, command, code, out])
+    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_INVARIANTS_DEGENERATE_SHA256
+
+
 def test_every_inconclusive_certificate_has_a_reason(capsys, tmp_path, entries, reports):
     certs = [c for r in reports.values() for c in r.certificates]
     certs += [c for _, _, _, rep in _check_runs(capsys, tmp_path, entries) for c in rep["certificates"]]
@@ -231,6 +249,45 @@ def test_catalog_schema_error_exit_65(capsys, tmp_path):
     code, _, err = _run(capsys, ["catalog", "verify", str(p)])
     assert code == 65
     assert "missing required field" in err
+
+
+# A value of the wrong kind in a catalog field, or an entry that is not an
+# object: (field, value) set on entry 2.3's expected record, or None to
+# append a bare number to the entries
+MALFORMED_VALUES = [
+    ("soliton_norm", 0.5), ("pre_einstein", ["a"]), ("dim_der", "x"), ("U", [["q"]]), ("derived", 5),
+    ("nice", "no"), ("rank", 2.0), ("verdict", ["EN"]), ("x", "positive"), ("pre_einstein", ["1/0"]), (None, None),
+]
+
+
+@pytest.mark.parametrize("field_name, value", MALFORMED_VALUES, ids=[f"{f}={v!r}" for f, v in MALFORMED_VALUES])
+def test_catalog_malformed_value_exit_65(capsys, tmp_path, field_name, value):
+    doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
+    if field_name is None:
+        doc["entries"].append(5)
+    else:
+        next(e for e in doc["entries"] if e["id"] == "2.3")["expected"][field_name] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert (code, out) == (65, "")
+    assert len(err.splitlines()) == 1 and "internal error" not in err
+    assert ("entry 5 is not an object" if field_name is None else f"entry '2.3', field '{field_name}'") in err
+
+
+def test_files_that_are_not_utf8(capsys, tmp_path):
+    # a law file exits 64 from the gate of every law command, a catalog 65
+    p = tmp_path / "law.txt"
+    p.write_bytes(b"dim 3; [1,2]=3 \xff\n")
+    for argv in (["check"], ["report"], ["invariants"], ["degenerate"]):
+        code, out, err = _run(capsys, [*argv, str(p)])
+        assert (code, out) == (64, ""), argv
+        assert "utf-8" in err and "internal error" not in err, argv
+    p = tmp_path / "catalog.json"
+    p.write_bytes(b'{"entries": []} \xff')
+    code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert (code, out) == (65, "")
+    assert "UTF-8" in err and "internal error" not in err
 
 
 def test_degenerate_explicit_x(capsys, tmp_path, by_id):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from nilrad.algebra import parse_law
-from nilrad.catalog import format_distinction
 from nilrad.degeneration import (
     DegenerationWitness,
     TrivialCone,
@@ -16,8 +15,7 @@ from nilrad.degeneration import (
     one_param_limit,
     search_degeneration,
 )
-from nilrad.derivations import PreEinsteinDerivation, derivation_space, pre_einstein
-from nilrad.nicebasis import is_nice
+from nilrad.derivations import Invariants, PreEinsteinDerivation
 from oracles import limit_is_lie, trivial_cone_certificate_holds
 
 
@@ -75,11 +73,9 @@ def walked(entries):
     """(entry, law, phi, walk result) for every catalog law that is not nice and has rank > 0."""
     out = []
     for e in entries:
-        law = e.law()
-        space = derivation_space(law)
-        if space.diag_basis and not is_nice(law).nice:
-            phi = pre_einstein(law, space)
-            out.append((e, law, phi, search_degeneration(law, phi)))
+        inv = Invariants(e.law())
+        if inv.rank and not inv.nice.nice:
+            out.append((e, inv.law, inv.phi, search_degeneration(inv)))
     return out
 
 
@@ -97,7 +93,7 @@ def test_walk_witnesses_lie_in_g_phi_and_match_their_limit(walked):
             assert in_g_phi(w.x, phi) and any(w.x), e.id
             assert one_param_limit(law, w.x) == w.limit, e.id
             assert w.limit.kind == "zero" or w.distinction is not None, e.id
-            decided[e.id] = "zero" if w.distinction is None else format_distinction(w.distinction)
+            decided[e.id] = "zero" if w.distinction is None else str(w.distinction)
     # the four laws the positivity gate decides first also walk to a zero limit
     assert decided == {
         "1.01(i)": "zero", "1.01(ii)": "zero", "1.02": "zero", "1.03": "zero",
@@ -122,19 +118,20 @@ def test_trivial_cone_certificates(walked):
 
 
 def test_distinguish_self(by_id):
-    law = by_id["2.3"].law()
-    assert distinguish(law, law) is None
+    inv = Invariants(by_id["2.3"].law())
+    assert distinguish(inv, inv) is None
+    assert distinguish(inv, Invariants(by_id["2.3"].law())) is None
 
 
 def test_distinguish_examples(by_id):
     entry = by_id["1.3(ii)"]
     limit = parse_law(entry.expected.degeneration.limit)
-    d = distinguish(entry.law(), limit)
+    d = distinguish(Invariants(entry.law()), Invariants(limit))
     assert d is not None  # separated (series fires first; dim Der is 14 vs 21)
 
     entry = by_id["1.2(ii)"]
     limit = parse_law(entry.expected.degeneration.limit)
-    d = distinguish(entry.law(), limit)
+    d = distinguish(Invariants(entry.law()), Invariants(limit))
     assert d is not None
 
 
@@ -151,12 +148,11 @@ def test_distinguish_invariant_under_monomial_changes(by_id):
         g = [[Fraction(0)] * 7 for _ in range(7)]
         for i, p in enumerate(perm):
             g[i][p] = Fraction(rng.choice([1, 2, -1]))
-        assert distinguish(law, act(g, law)) is None
+        assert distinguish(Invariants(law), Invariants(act(g, law))) is None
 
 
 def test_g_phi_lattice_members(by_id):
-    law = by_id["1.21"].law()
-    phi = pre_einstein(law)
+    phi = Invariants(by_id["1.21"].law()).phi
     for row in g_phi_lattice(phi, 7):
         assert in_g_phi(row, phi)
 
@@ -168,7 +164,7 @@ def test_search_finds_injected_witness(entries):
     for entry in recorded:
         rec = entry.expected.degeneration
         res = one_param_limit(entry.law(), rec.x)
-        assert in_g_phi(rec.x, pre_einstein(entry.law())), entry.id
+        assert in_g_phi(rec.x, Invariants(entry.law()).phi), entry.id
         if rec.limit == "zero":
             assert res.kind == "zero", entry.id
         else:
@@ -176,6 +172,6 @@ def test_search_finds_injected_witness(entries):
 
 
 def test_search_none_on_abelian():
-    law = parse_law("dim 7;")
-    phi = PreEinsteinDerivation(tuple(Fraction(1) for _ in range(7)))
-    assert search_degeneration(law, phi) == TrivialCone(())
+    inv = Invariants(parse_law("dim 7;"))
+    assert inv.phi == PreEinsteinDerivation((Fraction(1),) * 7)
+    assert search_degeneration(inv) == TrivialCone(())

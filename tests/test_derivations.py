@@ -8,6 +8,7 @@ import pytest
 from nilrad import linalg
 from nilrad.algebra import act, parse_law
 from nilrad.derivations import (
+    Invariants,
     RankZeroError,
     derivation_space,
     diagonal_is_derivation,
@@ -41,7 +42,7 @@ def test_phi_commutes_with_torus(by_id):
     for eid in ("2.3", "3.8"):
         law = by_id[eid].law()
         rank, gens = diagonal_rank(law)
-        phi = pre_einstein(law)
+        phi = Invariants(law).phi
         for g in gens:
             lhs = [p * Fraction(v) for p, v in zip(phi.phi, g)]
             rhs = [Fraction(v) * p for p, v in zip(phi.phi, g)]
@@ -74,11 +75,11 @@ def test_rank_examples(by_id):
 
 
 def test_pre_einstein_examples(by_id):
-    phi = pre_einstein(by_id["1.1(i_l)[lambda=2]"].law())
+    phi = Invariants(by_id["1.1(i_l)[lambda=2]"].law()).phi
     assert list(phi.phi) == [Fraction(k, 5) for k in range(1, 8)]
-    phi = pre_einstein(by_id["1.2(i_0)"].law())
+    phi = Invariants(by_id["1.2(i_0)"].law()).phi
     assert list(phi.phi) == [Fraction(4 * v, 11) for v in [1, 1, 2, 2, 3, 3, 4]]
-    phi = pre_einstein(by_id["1.01(i)"].law())
+    phi = Invariants(by_id["1.01(i)"].law()).phi
     assert list(phi.phi) == [Fraction(v) for v in [0, 1, 0, 1, 1, 1, 1]]
 
 
@@ -86,7 +87,7 @@ def test_pre_einstein_trace_property(by_id):
     for eid in ("2.3", "1.4", "3.8"):
         law = by_id[eid].law()
         space = derivation_space(law)
-        phi = pre_einstein(law, space)
+        phi = pre_einstein(space)
         n = law.dim
         for psi in space.basis:
             tr_phi_psi = sum(phi.phi[i] * psi[i][i] for i in range(n))
@@ -96,7 +97,8 @@ def test_pre_einstein_trace_property(by_id):
 
 def test_pre_einstein_rank_zero_rejected(by_id):
     with pytest.raises(RankZeroError):
-        pre_einstein(by_id["0.1"].law())
+        pre_einstein(derivation_space(by_id["0.1"].law()))
+    assert Invariants(by_id["0.1"].law()).phi is None
 
 
 def test_positivity_gate():

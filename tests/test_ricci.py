@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilrad.algebra import parse_law, scale
+from nilrad.algebra import parse_law
 from nilrad.ricci import (
     NonDiagonalMomentError,
     moment_map,
     soliton_check,
 )
-from oracles import act_float, norm_squared, to_float
+from oracles import act_float, norm_squared, scale, to_float
 
 HEISENBERG = parse_law("dim 3; [1,2]=3")
 

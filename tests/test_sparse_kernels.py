@@ -23,7 +23,14 @@ import pytest
 from nilrad import linalg, lp
 from nilrad.algebra import act, jacobi_violations, parse_law, series_signature
 from nilrad.degeneration import g_phi_lattice, lattice_weight_rows, one_param_limit
-from nilrad.derivations import RankZeroError, TorusNotMaximalError, _derivation_rows, derivation_space, pre_einstein
+from nilrad.derivations import (
+    Invariants,
+    RankZeroError,
+    TorusNotMaximalError,
+    _derivation_rows,
+    derivation_space,
+    pre_einstein,
+)
 from nilrad.nicebasis import gram_matrix, is_nice
 from nilrad.ricci import moment_map
 from oracles import alphas_gram, dense_moment_map, fraction_pre_einstein
@@ -373,7 +380,7 @@ def test_pre_einstein_matches_fraction_oracle(exact_laws):
     outcomes = {}
     for name, law in exact_laws.items():
         space = derivation_space(law)
-        got = outcomes[name] = _pre_einstein_outcome(pre_einstein, law, space)
+        got = outcomes[name] = _pre_einstein_outcome(lambda _, der: pre_einstein(der), law, space)
         assert got == _pre_einstein_outcome(fraction_pre_einstein, law, space), name
         assert isinstance(got, type) or all(type(v) is Fraction for v in got), name
     assert [name for name in PROBES if outcomes[name] is TorusNotMaximalError] == [PROBES[2], PROBES[6]]
@@ -546,13 +553,12 @@ def test_simplex_matches_dense(entries):
 
 @pytest.fixture(scope="module")
 def search_laws(entries):
-    """(entry, law, phi, known) for every catalog law that is not nice and has rank > 0."""
+    """(entry, law, phi) for every catalog law that is not nice and has rank > 0."""
     out = []
     for e in entries:
-        law = e.law()
-        space = derivation_space(law)
-        if space.diag_basis and not is_nice(law).nice:
-            out.append((e, law, pre_einstein(law, space), (series_signature(law), space)))
+        inv = Invariants(e.law())
+        if inv.rank and not inv.nice.nice:
+            out.append((e, inv.law, inv.phi))
     return out
 
 
@@ -577,7 +583,7 @@ def test_weight_map_and_moment_map_match_dense_oracles(entries, exact_laws):
 def test_weight_rows_flag_exactly_the_divergent_x(search_laws):
     rng = random.Random(1105)
     divergent = 0
-    for entry, law, phi, _ in search_laws:
+    for entry, law, phi in search_laws:
         lattice = g_phi_lattice(phi, law.dim)
         rows = lattice_weight_rows(law, lattice)
         assert all(any(row) for row in rows) and len(set(rows)) == len(rows)
