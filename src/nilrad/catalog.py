@@ -154,9 +154,9 @@ def _x(v):
 
 
 def _distinguishing(v) -> str:
-    name = _as(str, v).partition(" ")[0]
-    if name in ("rank", "dim_der") and not re.fullmatch(rf"{name} \d+ vs \d+", v):
-        raise ValueError(f"must read '{name} <int> vs <int>'")
+    """'' (a zero limit) or 'dim_der <int> vs <int>': dim Der is the one invariant a record names."""
+    if _as(str, v) and not re.fullmatch(r"dim_der \d+ vs \d+", v):
+        raise ValueError("must be '' or read 'dim_der <int> vs <int>'")
     return v
 
 
@@ -374,8 +374,8 @@ def _search_route(inv: Invariants) -> Decision:
     """NOT_EN through the degeneration the cone walk finds; INCONCLUSIVE, with its reason, when it finds none.
 
     The reason is `no_diagonal_degeneration` (the cone is trivial, with its
-    certificate y) or `limit_not_distinguished` (the walk's limit is not
-    separated from the law by series, dim Der or rank).
+    certificate y) or `limit_not_distinguished` (distinguish() does not
+    separate the walk's limit from the law).
     """
     found = dg.search_degeneration(inv)
     if isinstance(found, dg.TrivialCone):
@@ -428,21 +428,17 @@ def _witness_route(w: Invariants, inv: Invariants) -> Decision:
 
 
 def _isomorphism_problems(w: Invariants, inv: Invariants) -> list[tuple[str, str, str]]:
-    """The first basis-independent invariant on which the witness differs from the law.
+    """The first basis-free invariant on which the witness differs from the law.
 
-    Dimension for every witness; series and dim Der for a rational one (the
-    series and Der need rational constants).  Diagonal rank depends on the
-    basis, so distinguish() is too strict here.
+    Dimension for every witness; for a rational one also what distinguish()
+    finds (the series and Der need rational constants).
     """
     if w.law.dim != inv.law.dim:
         return [("witness_law", "isomorphic witness", "dimension differs")]
     if not w.law.is_rational:
         return []
-    if w.series != inv.series:
-        return [("witness_law", "isomorphic witness", "series signatures differ")]
-    if w.dim_der != inv.dim_der:
-        return [("witness_law", "isomorphic witness", "dim Der differs")]
-    return []
+    dist = dg.distinguish(w, inv)
+    return [] if dist is None else [("witness_law", "isomorphic witness", str(dist))]
 
 
 def _witness_rejected(problems: list) -> Decision:
@@ -470,15 +466,12 @@ def _recorded_degeneration_route(rec: Degeneration, inv: Invariants) -> Decision
         if dg.distinguish(inv, limit) is None:
             problems.append(("degeneration.distinguishing", rec.distinguishing, "indistinguishable"))
         else:
-            # the record names a specific invariant, which need not be the first one distinguish() reaches
-            name = rec.distinguishing.partition(" ")[0]
-            got = (getattr(inv, name), getattr(limit, name)) if name in ("rank", "dim_der") else None
-            if got is None:
-                problems.append(
-                    ("degeneration.distinguishing", rec.distinguishing, "names no known invariant (rank or dim_der)")
-                )
-            elif rec.distinguishing != f"{name} {got[0]} vs {got[1]}":
-                problems.append(("degeneration.distinguishing", rec.distinguishing, f"{name} {got}"))
+            # a record names dim Der, which need not be the first invariant distinguish() reaches
+            named = str(dg.Distinction("dim_der", inv.dim_der, limit.dim_der))
+            if inv.dim_der == limit.dim_der:
+                problems.append(("degeneration.distinguishing", "a separating dim Der", named))
+            elif rec.distinguishing != named:
+                problems.append(("degeneration.distinguishing", rec.distinguishing, named))
     cert = {
         "kind": "non_closed_orbit",
         "X": None if rec.x is None else _fmt_vec(rec.x),

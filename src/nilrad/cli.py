@@ -7,10 +7,12 @@ verdict.  A law whose diagonal torus is not maximal is inconclusive: an
 INCONCLUSIVE report (route `basis_not_adapted`) from `check`/`report`, exit
 2 with `basis_not_adapted` on stderr from `invariants`/`degenerate`.
 `degenerate` without `--X` walks the degeneration cone and exits 2 when the
-walk certifies nothing.  Usage and parse errors and laws with `sqrt`
-coefficients exit 64; catalog schema errors and laws that are not nilpotent
-Lie algebras (Jacobi fails, lower central series does not reach 0, dim 0)
-exit 65.  An internal error exits 70, never a verdict's code.
+walk certifies nothing; a rank-zero law has no degeneration flow, and
+`degenerate` exits 2 on it with the reason on stderr.  Usage and parse
+errors and laws with `sqrt` coefficients exit 64; catalog schema errors and
+laws that are not nilpotent Lie algebras (Jacobi fails, lower central
+series does not reach 0, dim 0) exit 65.  An internal error exits 70, never
+a verdict's code.
 """
 
 from __future__ import annotations
@@ -144,9 +146,7 @@ def cmd_catalog_verify(args) -> int:
 def cmd_degenerate(args) -> int:
     inv = Invariants(_read_gated_law(args))
     nilpotent_series(inv)
-    law, phi = inv.law, inv.phi
-    if phi is None:
-        raise Refusal(EX_USAGE, "rank-zero law: no pre-Einstein derivation, degeneration flow undefined")
+    law = inv.law
     xvec = None
     if args.x is not None:
         try:
@@ -155,6 +155,11 @@ def cmd_degenerate(args) -> int:
             raise Refusal(EX_USAGE, f"bad --X: {exc}") from exc
         if len(xvec) != law.dim:
             raise Refusal(EX_USAGE, f"--X needs {law.dim} entries")
+    phi = inv.phi
+    if phi is None:
+        raise Refusal(
+            _VERDICT_EXIT[INCONCLUSIVE], "rank-zero law: no pre-Einstein derivation, degeneration flow undefined"
+        )
     print(f"pre_einstein: {[fmt_rat(v) for v in phi.phi]}")
     if xvec is not None:
         print(f"in_g_phi: {dg.in_g_phi(xvec, phi)}")
@@ -172,7 +177,7 @@ def cmd_degenerate(args) -> int:
         return 0
     print(f"limit: {format_law(res.law)}")
     if dist is None:
-        print("distinguishing: none (not separated by series/dim Der/rank)")
+        print("distinguishing: none (not separated by series/dim Der)")
         return 0 if xvec is not None else _VERDICT_EXIT[INCONCLUSIVE]
     print(f"distinguishing: {dist}")
     return 0

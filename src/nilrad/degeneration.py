@@ -40,7 +40,7 @@ class LimitResult:
 
 @dataclass(frozen=True)
 class Distinction:
-    invariant: str  # "series" | "dim_der" | "rank"
+    invariant: str  # "series" | "dim_der"
     left: object
     right: object
 
@@ -78,23 +78,20 @@ def one_param_limit(law: LieLaw, x, frame=None) -> LimitResult:
 
 
 def distinguish(a: Invariants, b: Invariants) -> Distinction | None:
-    """First invariant separating the laws of a and b, or None.
+    """First basis-free invariant separating the laws of a and b, or None.
 
-    Compares series signatures, then dim Der, then diagonal rank.  None
-    means "not separated by these invariants", not "isomorphic".  The
-    first two rungs are isomorphism invariants outright; diagonal rank is
-    one only when the diagonal torus is maximal on both sides, which holds
-    for the catalog's degeneration pairs (their limits carry recorded
-    maximal tori) but not for arbitrary basis changes.
+    Compares series signatures, then dim Der: the one place that decides
+    which invariants separate two laws.  None means "not separated by these
+    invariants", not "isomorphic".  Diagonal rank is not compared: it is the
+    rank of a maximal torus only when the diagonal torus of the basis is
+    maximal, so it would separate a law from an isomorphic copy of itself.
     """
     if a.law.dim != b.law.dim:
         raise LawError("distinguish needs laws of equal dimension")
     if a.series != b.series:
         return Distinction("series", astuple(a.series), astuple(b.series))
-    for name in ("dim_der", "rank"):
-        left, right = getattr(a, name), getattr(b, name)
-        if left != right:
-            return Distinction(name, left, right)
+    if a.dim_der != b.dim_der:
+        return Distinction("dim_der", a.dim_der, b.dim_der)
     return None
 
 

@@ -66,14 +66,13 @@ def moment_map(law: LieLaw) -> MomentValue:
     return MomentValue(tuple(tuple(row) for row in m))
 
 
-def soliton_check(law: LieLaw, m: MomentValue | None = None) -> SolitonDecomposition | None:
+def soliton_check(law: LieLaw) -> SolitonDecomposition | None:
     """Try to write m(law) = c.Id + D with D a (diagonal) derivation.
 
     Each stored bracket (i,j,k) forces c = m_ii + m_jj - m_kk; all brackets
     must agree exactly, and the resulting D is re-verified as a derivation.
     """
-    if m is None:
-        m = moment_map(law)
+    m = moment_map(law)
     if not m.is_diagonal():
         raise NonDiagonalMomentError("moment map is not diagonal with respect to the given basis")
     diag = m.diagonal()

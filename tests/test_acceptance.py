@@ -23,7 +23,6 @@ from nilrad.degeneration import (
 from nilrad.derivations import (
     Invariants,
     diagonal_is_derivation,
-    diagonal_rank,
     dim_der,
 )
 from nilrad.nicebasis import gram_matrix, is_nice, positive_solution, soliton_norm
@@ -127,7 +126,7 @@ def test_c4_moment_map_audit(by_id, moment_data):
         m = moment_map(witness)
         assert m.is_diagonal(), eid
         assert m.diagonal() == [Fraction(v) for v in rec["diag"]], eid
-        dec = soliton_check(witness, m)
+        dec = soliton_check(witness)
         assert dec is not None, eid
         assert dec.c == Fraction(rec["c"]), eid
         d_recorded = [Fraction(rec["d_scale"]) * v for v in rec["d"]]
@@ -165,12 +164,9 @@ def test_c5_degeneration_records(entries, reports):
         if rec.limit != "zero":
             limit_law = parse_law(rec.limit)
             assert distinguish(Invariants(law), Invariants(limit_law)) is not None, entry.id
-            parts = rec.distinguishing.split()  # e.g. "dim_der 12 vs 13"
-            name, left, right = parts[0], parts[1], parts[3]
-            if name == "rank":
-                got = (diagonal_rank(law)[0], diagonal_rank(limit_law)[0])
-            else:
-                got = (dim_der(law), dim_der(limit_law))
+            name, left, _, right = rec.distinguishing.split()  # e.g. "dim_der 12 vs 13"
+            assert name == "dim_der", entry.id
+            got = (dim_der(law), dim_der(limit_law))
             assert got == (int(left), int(right)), (entry.id, got)
         bad = [m for m in reports[entry.id].mismatches if m["field"].startswith("degeneration")]
         assert not bad, (entry.id, bad)

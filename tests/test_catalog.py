@@ -279,6 +279,7 @@ _U_23 = "[1, 1, 0, 3, 0], [1, 1, 1, 0, 3]]"
 _PE_23 = "'32/37', '34/37', '36/37', '38/37', '40/37', '42/37']"
 _LIMIT_12II = "dim 7; [1,2]=4; [1,4]=5; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7"
 _LAW_12II = "dim 7; [1,2]=4; [1,4]=5; [1,5]=7; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7; [3,4]=7*-1"
+_LAW_13IV = "dim 7; [1,2]=4; [1,3]=5; [1,4]=6; [2,3]=6; [2,4]=7; [3,5]=7"
 
 # One recorded field of one entry corrupted per case: (entry id, changes to
 # its Expected, the exact mismatches, verdict, route).  Every check of the
@@ -346,7 +347,10 @@ CORRUPTIONS = [
     (
         "2.37", lambda e: {"witness_law": "dim 7; [1,2]=3; [1,3]=4; [1,4]=5; [1,5]=6; [1,6]=7"},
         [
-            _mm("witness_law", "isomorphic witness", "series signatures differ"),
+            _mm(
+                "witness_law", "isomorphic witness",
+                "series ((7, 5, 0), (7, 5, 4, 3, 2, 1, 0)) vs ((7, 4, 0), (7, 4, 3, 1, 0))",
+            ),
             _mm("soliton_norm", "11/13", "37/35"),
         ],
         "EN", "witness_nice_lp",
@@ -367,7 +371,7 @@ CORRUPTIONS = [
         "1.21", _degeneration(limit="dim 7; [1,2]=4"),
         [
             _mm("degeneration.limit", "recorded limit law", "zero"),
-            _mm("degeneration.distinguishing", "", "names no known invariant (rank or dim_der)"),
+            _mm("degeneration.distinguishing", "", "dim_der 11 vs 34"),
         ],
         "NOT_EN", "degeneration_recorded",
     ),
@@ -393,7 +397,7 @@ CORRUPTIONS = [
     ),
     (
         "1.2(ii)", _degeneration(distinguishing="rank 1 vs 3"),
-        [_mm("degeneration.distinguishing", "rank 1 vs 3", "rank (1, 2)")], "NOT_EN", "degeneration_recorded",
+        [_mm("degeneration.distinguishing", "rank 1 vs 3", "dim_der 12 vs 13")], "NOT_EN", "degeneration_recorded",
     ),
     ("2.3", lambda e: {"verdict": "NOT_EN"}, [_mm("verdict", "NOT_EN", "EN")], "EN", "nice_lp"),
     (
@@ -412,6 +416,12 @@ CORRUPTIONS = [
         # a nilsoliton with the recorded norm, but of the wrong dimension
         "1.11", lambda e: {"witness_law": "dim 3; [1,2]=3*(5/186 sqrt(186))"},
         [_mm("witness_law", "isomorphic witness", "dimension differs")], "EN", "witness_soliton",
+    ),
+    (
+        # a limit that only the series separate: a record naming its equal dim Der certifies nothing
+        "1.3(i_0)", _degeneration(limit=_LAW_13IV, distinguishing="dim_der 13 vs 13"),
+        [_mm("degeneration.distinguishing", "a separating dim Der", "dim_der 13 vs 13")],
+        "NOT_EN", "degeneration_recorded",
     ),
 ]
 

@@ -62,6 +62,16 @@ def test_check_inconclusive_exit_two(law_file, capsys):
     assert "INCONCLUSIVE" in out
 
 
+def test_check_sheared_41_is_not_separated(law_file, capsys):
+    # 4.1 moved by I + E_13 (e1 and e3 share a phi eigenvalue): its walk limit is 4.1 itself,
+    # which only the basis-dependent diagonal rank (3 vs 4) would separate
+    text = "dim 7; [1,2]=5; [1,3]=6; [2,3]=5; [3,4]=7"
+    code, out, _ = _run(capsys, ["check", "--json", law_file(text)])
+    rep = Report.from_json(out)
+    assert (code, rep.verdict, rep.route) == (2, "INCONCLUSIVE", "limit_not_distinguished")
+    assert "distinguishing" not in rep.certificates[0]
+
+
 def test_check_parse_error_exit_64(law_file, capsys):
     code, _, err = _run(capsys, ["check", law_file("dim 3; [1,2]=")])
     assert code == 64
@@ -183,7 +193,7 @@ def test_check_json_is_golden(capsys, tmp_path, entries):
 
 # SHA-256 of [id, command, exit code, stdout] of `invariants` and of
 # `degenerate` (no --X) on every catalog law.  Same rule as above.
-GOLDEN_INVARIANTS_DEGENERATE_SHA256 = "1c6ab7e69d1dac82e10a9d972746da1141f20affe644d0fa7a008ae370d8493a"
+GOLDEN_INVARIANTS_DEGENERATE_SHA256 = "48c44459a0c097d82187aaff1adb9ac8b31b40763c5bd09654b9b532cf503284"
 
 
 def test_invariants_and_degenerate_are_golden(capsys, tmp_path, entries):
@@ -220,7 +230,7 @@ def test_catalog_verify_detects_corruption(capsys, tmp_path):
 
 MALFORMED_RECORDS = [
     pytest.param("1.2(ii)", "degeneration.distinguishing", text, id=text)
-    for text in ("rank one vs 2", "dim_der 13 vs", "rank 1 vs 2 vs 3")
+    for text in ("rank one vs 2", "dim_der 13 vs", "rank 1 vs 2 vs 3", "rank 1 vs 3", "series (7, 5, 0) vs (7, 4, 0)")
 ] + [
     pytest.param("1.11", "witness_law", "dim 7; [1,2]=3*(7/1767 sqrt(1767)", id="witness_law"),
     pytest.param("1.2(ii)", "degeneration.limit", "dim 7; [1,2]=9", id="degeneration.limit"),
@@ -336,6 +346,20 @@ def test_degenerate_search(capsys, tmp_path, by_id):
     code, out, _ = _run(capsys, ["degenerate", str(p)])
     assert code == 2
     assert "no_diagonal_degeneration, y = ['13/5', '2', '16/5', '9/5', '1', '1', '1', '13/5']" in out
+
+
+def test_degenerate_rank_zero_exit_2(capsys, tmp_path, by_id):
+    # a valid law of rank zero has no degeneration flow: inconclusive, not a usage error
+    p = tmp_path / "law.txt"
+    p.write_text(by_id["0.1"].law_text)
+    code, out, err = _run(capsys, ["degenerate", str(p)])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "rank-zero" in err
+    # a bad --X is still a usage error
+    for x in ("1,2,q", "1,2"):
+        code, out, err = _run(capsys, ["degenerate", str(p), "--X", x])
+        assert (code, out) == (64, "")
+        assert len(err.splitlines()) == 1 and "--X" in err
 
 
 def test_report_json_format(capsys, tmp_path):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilrad.algebra import parse_law
+from nilrad.algebra import act, format_law, parse_law
+from nilrad.catalog import NOT_EN, CatalogEntry, classify
 from nilrad.degeneration import (
     DegenerationWitness,
     TrivialCone,
@@ -136,10 +138,8 @@ def test_distinguish_examples(by_id):
 
 
 def test_distinguish_invariant_under_monomial_changes(by_id):
-    # monomial basis changes preserve diagonal rank, so the whole ladder is
-    # invariant for them
-    from nilrad.algebra import act
-
+    # distinguish compares only basis-free invariants, so no basis change
+    # separates a law from itself
     rng = random.Random(31)
     law = by_id["2.5"].law()
     for _ in range(5):
@@ -175,3 +175,28 @@ def test_search_none_on_abelian():
     inv = Invariants(parse_law("dim 7;"))
     assert inv.phi == PreEinsteinDerivation((Fraction(1),) * 7)
     assert search_degeneration(inv) == TrivialCone(())
+
+
+def test_same_phi_unit_shears_get_no_false_not_en(entries):
+    # A unit shear I + E_ij between two basis vectors with the same phi
+    # eigenvalue moves an EN law to an isomorphic one whose diagonal torus
+    # may be smaller.  Diagonal rank depends on the basis, so it must never
+    # separate such a law from its limit: no shear may get NOT_EN.
+    moved = []
+    for e in entries:
+        inv = Invariants(e.law())
+        if e.expected.verdict != "EN" or not inv.rank:
+            continue
+        phi, n = inv.phi.phi, inv.law.dim
+        for i, j in itertools.permutations(range(n), 2):
+            if phi[i] == phi[j]:
+                g = [[int(a == b or (a, b) == (i, j)) for b in range(n)] for a in range(n)]
+                moved.append((e.id, i, j, act(g, inv.law)))
+    assert len(moved) == 272
+    wrong = []
+    for eid, i, j, law in moved:
+        rep = classify(CatalogEntry("input", {}, format_law(law), None, parsed=law))
+        distinctions = [str(c.get("distinguishing") or "") for c in rep.certificates]
+        if rep.verdict == NOT_EN or any(d.startswith("rank") for d in distinctions):
+            wrong.append((eid, i + 1, j + 1, rep.route, distinctions))
+    assert wrong == []

@@ -67,7 +67,7 @@ def test_soliton_check_rejects_non_soliton(by_id):
     law = by_id["2.3"].law()
     m = moment_map(law)
     if m.is_diagonal():
-        assert soliton_check(law, m) is None
+        assert soliton_check(law) is None
 
 
 def test_soliton_check_non_diagonal_reported():
