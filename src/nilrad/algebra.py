@@ -174,17 +174,6 @@ class LieLaw:
         units = ([int(p == q) for q in range(self.dim)] for p in range(self.dim))
         return [list(row) for row in zip(*map(self.weights, units))]
 
-    def bracket_vectors(self, u: list, v: list) -> list:
-        """[u, v] for coordinate vectors u, v (bilinear extension)."""
-        out = [Fraction(0)] * self.dim
-        for (a, b), img in self.images.items():
-            if a < b:
-                coef = u[a - 1] * v[b - 1] - u[b - 1] * v[a - 1]
-                if coef:
-                    for k, c in img.items():
-                        out[k - 1] += coef * c
-        return out
-
 
 @dataclass(frozen=True)
 class SeriesSignature:
@@ -475,7 +464,11 @@ def series_signature(law: LieLaw) -> SeriesSignature:
 # basis change action
 
 def act(g: list[list], law: LieLaw) -> LieLaw:
-    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) for a rational law and a rational g."""
+    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) for a rational law and a rational g.
+
+    The sparse columns of g^{-1} are bracketed with `_bracket_sparse`, and g
+    is applied to each sparse image through its own sparse columns.
+    """
     if not (law.is_rational and all(isinstance(x, (int, Fraction)) for row in g for x in row)):
         raise LawError("act() needs exact input: a rational law and a matrix of ints or Fractions")
     n = law.dim
@@ -483,12 +476,13 @@ def act(g: list[list], law: LieLaw) -> LieLaw:
     ginv = linalg.inv(gm)
     if ginv is None:
         raise LawError("singular matrix in act()")
-    cols = [[ginv[a][b] for a in range(n)] for b in range(n)]  # ginv columns
+    g_cols, inv_cols = ([{a: row[b] for a, row in enumerate(m, 1) if row[b]} for b in range(n)] for m in (gm, ginv))
     brackets: dict[Triple, Fraction] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            img = linalg.matvec(gm, law.bracket_vectors(cols[i - 1], cols[j - 1]))
-            for k, c in enumerate(img, 1):
-                if c != 0:
-                    brackets[(i, j, k)] = c
+            img: dict[int, Fraction] = {}
+            for b, w in _bracket_sparse(law, inv_cols[i - 1], inv_cols[j - 1]).items():
+                for a, x in g_cols[b - 1].items():
+                    img[a] = img.get(a, 0) + x * w
+            brackets.update(((i, j, k), img[k]) for k in sorted(img) if img[k])
     return LieLaw(n, brackets)

@@ -31,7 +31,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 
 class NotNilpotentError(LawError):
-    """The law's lower central series stops above 0: no verdict applies."""
+    """Not a nilpotent Lie algebra: dimension 0, Jacobi fails, or the lower central series stops above 0."""
 
 
 class CatalogError(ValueError):
@@ -41,6 +41,22 @@ class CatalogError(ValueError):
         super().__init__(
             message if entry_id is None else f"entry {entry_id!r}, field {field_name!r}: {message}"
         )
+
+
+def gate_law(law: LieLaw) -> LieLaw:
+    """The law, if the pipeline decides it: LawError unless rational, NotNilpotentError unless Lie of dimension >= 1.
+
+    The one gate of a law from a file or a catalog; nilpotency is checked by
+    whatever computes the lower central series, so nothing computes it twice.
+    """
+    if not law.is_rational:
+        raise LawError("the decision pipeline needs exact rational structure constants, not sqrt")
+    bad = jacobi_violations(law)
+    if bad:
+        raise NotNilpotentError(f"not a Lie algebra: the Jacobi identity fails at {bad[0][:3]}")
+    if law.dim < 1:
+        raise NotNilpotentError("dimension must be at least 1")
+    return law
 
 
 def parse_rat(s) -> Fraction:
@@ -268,9 +284,7 @@ def load_catalog(path=None) -> list[CatalogEntry]:
                 raise CatalogError(eid, "params.samples", f"sample {fmt_rat(bad[0])} is excluded")
             instances = [(f"{eid}[{params['name']}={fmt_rat(s)}]", {params["name"]: s}) for s in params["samples"]]
         for inst_id, bound in instances:
-            law = _convert(inst_id, "law", lambda text: parse_law(text, bound), entry["law"])
-            if jacobi_violations(law):
-                raise CatalogError(inst_id, "law", "Jacobi identity fails")
+            law = _convert(inst_id, "law", lambda text: gate_law(parse_law(text, bound)), entry["law"])
             out.append(CatalogEntry(inst_id, entry.get("aliases") or {}, entry["law"], expected, law))
     return out
 
@@ -304,7 +318,7 @@ class Decision:
 def classify(entry: CatalogEntry) -> Report:
     """Run the decision pipeline on one entry; diff it against entry.expected when that is set.
 
-    The law must satisfy Jacobi (load_catalog and the CLI check that); a law
+    The law must pass `gate_law` (load_catalog and the CLI call it); a law
     that is not nilpotent raises NotNilpotentError.
     """
     t0 = time.perf_counter()
@@ -448,8 +462,27 @@ def _witness_rejected(problems: list) -> Decision:
 
 
 def _recorded_degeneration_route(rec: Degeneration, inv: Invariants) -> Decision:
-    """NOT_EN through a recorded degeneration, with its X, limit and distinguishing invariant re-checked."""
-    problems = []
+    """NOT_EN through a recorded degeneration, with its X, limit and distinguishing invariant re-checked.
+
+    An X or a limit that does not fit the law (another length or dimension,
+    a limit with sqrt) is reported before anything runs on it, and alone.
+    """
+    cert = {
+        "kind": "non_closed_orbit",
+        "X": None if rec.x is None else _fmt_vec(rec.x),
+        "limit": rec.limit,
+        "distinguishing": rec.distinguishing,
+    }
+    decision = Decision(NOT_EN, "degeneration_recorded", cert)
+    problems, n = decision.problems, inv.law.dim
+    if rec.x is not None and len(rec.x) != n:
+        problems.append(("degeneration.X", f"X of length {n}", f"length {len(rec.x)}"))
+    if rec.limit_law is not None and rec.limit_law.dim != n:
+        problems.append(("degeneration.limit", "limit of the law's dimension", "dimension differs"))
+    elif rec.limit_law is not None and not rec.limit_law.is_rational:
+        problems.append(("degeneration.limit", "rational limit law", "sqrt coefficients"))
+    if problems:
+        return decision
     if rec.x is not None:
         if not dg.in_g_phi(rec.x, inv.phi):
             problems.append(("degeneration.X", "X in g_phi", "trace conditions fail"))
@@ -472,13 +505,7 @@ def _recorded_degeneration_route(rec: Degeneration, inv: Invariants) -> Decision
                 problems.append(("degeneration.distinguishing", "a separating dim Der", named))
             elif rec.distinguishing != named:
                 problems.append(("degeneration.distinguishing", rec.distinguishing, named))
-    cert = {
-        "kind": "non_closed_orbit",
-        "X": None if rec.x is None else _fmt_vec(rec.x),
-        "limit": rec.limit,
-        "distinguishing": rec.distinguishing,
-    }
-    return Decision(NOT_EN, "degeneration_recorded", cert, problems=problems)
+    return decision
 
 
 def _diff(exp: Expected, rep: Report, dec: Decision) -> None:

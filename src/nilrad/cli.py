@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import degeneration as dg
-from .algebra import LawError, LieLaw, format_law, jacobi_violations, parse_law
+from .algebra import LawError, LieLaw, format_law, parse_law
 from .catalog import (
     EN,
     INCONCLUSIVE,
@@ -35,6 +35,7 @@ from .catalog import (
     NotNilpotentError,
     classify,
     fmt_rat,
+    gate_law,
     load_catalog,
     nilpotent_series,
     summary_lines,
@@ -58,24 +59,14 @@ class Refusal(Exception):
 
 
 def _read_gated_law(args) -> LieLaw:
-    """The law in args.file: rational (else exit 64), Lie and of dimension >= 1 (else exit 65).
-
-    Nilpotency is checked by whatever computes the lower central series
-    (NotNilpotentError, exit 65), so no command computes it twice.
-    """
+    """The law in args.file, through `gate_law`: rational (else exit 64), Lie and of dimension >= 1 (else exit 65)."""
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
-            law = parse_law(fh.read())
+            return gate_law(parse_law(fh.read()))
+    except NotNilpotentError:
+        raise  # exit 65, in main
     except (OSError, UnicodeDecodeError, LawError) as exc:
         raise Refusal(EX_USAGE, str(exc)) from exc
-    if not law.is_rational:
-        raise Refusal(EX_USAGE, "the decision pipeline needs exact rational structure constants, not sqrt")
-    bad = jacobi_violations(law)
-    if bad:
-        raise Refusal(EX_DATAERR, f"not a Lie algebra: the Jacobi identity fails at {bad[0][:3]}")
-    if law.dim < 1:
-        raise Refusal(EX_DATAERR, "dimension must be at least 1")
-    return law
 
 
 def _pipeline_report(args, as_json: bool):
@@ -151,7 +142,7 @@ def cmd_degenerate(args) -> int:
     if args.x is not None:
         try:
             xvec = [Fraction(tok) for tok in args.x.split(",")]
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise Refusal(EX_USAGE, f"bad --X: {exc}") from exc
         if len(xvec) != law.dim:
             raise Refusal(EX_USAGE, f"--X needs {law.dim} entries")

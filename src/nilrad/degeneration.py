@@ -28,7 +28,7 @@ from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 from . import linalg, lp
-from .algebra import LawError, LieLaw, act
+from .algebra import LawError, LieLaw
 from .derivations import Invariants, PreEinsteinDerivation
 
 
@@ -60,19 +60,18 @@ def in_g_phi(x, phi: PreEinsteinDerivation) -> bool:
     return sum(x) == 0 and sum(e * v for e, v in zip(phi.phi, x)) == 0
 
 
-def one_param_limit(law: LieLaw, x, frame=None) -> LimitResult:
-    """Limit of exp(tX).(frame law) as t -> oo for diagonal exponents X."""
+def one_param_limit(law: LieLaw, x) -> LimitResult:
+    """Limit of exp(tX).law as t -> oo for diagonal exponents X (in a frame g: pass act(g, law))."""
     if not law.is_rational:
         raise LawError("one_param_limit requires a rational law")
-    base = act(frame, law) if frame is not None else law
     xs = [Fraction(v) for v in x]
     if len(xs) != law.dim:
         raise LawError(f"X must have length {law.dim}")
-    weights = base.weights(xs)
+    weights = law.weights(xs)
     if any(w < 0 for w in weights):
         return LimitResult("divergent")
-    kept = {t: c for (t, c), w in zip(base.triples(), weights) if w == 0}
-    if not kept and base.brackets:
+    kept = {t: c for (t, c), w in zip(law.triples(), weights) if w == 0}
+    if not kept and law.brackets:
         return LimitResult("zero")
     return LimitResult("limit", LieLaw(law.dim, kept))
 

@@ -134,11 +134,6 @@ def positivity_gate(phi: PreEinsteinDerivation) -> tuple[bool, int | None]:
     return idx is None, idx
 
 
-def diagonal_is_derivation(law: LieLaw, d: list) -> bool:
-    """Derivation check for diagonal d (vector of eigenvalues): every weight Y.d vanishes."""
-    return not any(law.weights(d))
-
-
 @dataclass(frozen=True)
 class Invariants:
     """The invariants of one law, each computed on first use and kept.

@@ -9,17 +9,17 @@ runs inside it.  A row with one entry is already a reduced pivot row
 {c: 1}: those are taken first and their columns dropped from the other
 rows, so elimination and back-substitution never see them (most rows of a
 derivation system are of this kind).  The reduced form is unique, so this
-order changes no output.  `sparse_rref` is its rational view, and the
-dense `rref`, `solve` and `inv` are views of that.
+order changes no output.  `sparse_nullspace` reads its kernel from it, and
+the dense `rref`, with `solve` and `inv` on top, its reduced rows.
 `fractions.Fraction` appears only in what these hand back: reduced rows,
-solutions and kernel vectors.  Lattice routines work on Python ints.
+solutions and kernel vectors.  There is one lattice routine, `hnf`, on
+Python ints: `kernel_lattice` is one HNF of [M^T | I].
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
@@ -29,23 +29,16 @@ def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def transpose(a: Sequence[Sequence]) -> list[list]:
-    return [list(col) for col in zip(*a)]
-
-
-def matvec(a: Matrix, v: Vector) -> Vector:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices).
 
-    A dense view of `sparse_rref`: the pivot rows in order, then zero rows.
+    A dense view of `integer_rref`: the pivot rows, each divided by its
+    pivot entry, in order, then zero rows.
     """
     ncols = len(a[0]) if a else 0
-    reduced = sparse_rref([{c: x for c, x in enumerate(row) if x} for row in a])
+    reduced = integer_rref([{c: x for c, x in enumerate(row) if x} for row in a])
     pivots = sorted(reduced)
-    rows = [[reduced[p].get(c, Fraction(0)) for c in range(ncols)] for p in pivots]
+    rows = [[Fraction(reduced[p].get(c, 0), reduced[p][p]) for c in range(ncols)] for p in pivots]
     return rows + [[Fraction(0)] * ncols for _ in range(len(a) - len(pivots))], pivots
 
 
@@ -142,19 +135,6 @@ def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
     return pivot_of_col
 
 
-def sparse_rref(rows: list[dict]) -> dict[int, dict[int, Fraction]]:
-    """Reduced row echelon form of sparse rows {col: coeff}, keyed by pivot column.
-
-    The rational view of `integer_rref`: each row has a 1 at its pivot and
-    no entry in any other pivot column, so the result depends only on the
-    row space, not on row order.
-    """
-    return {
-        c: {k: Fraction(v, row[c]) for k, v in row.items()}
-        for c, row in sorted(integer_rref(rows).items())
-    }
-
-
 def sparse_nullspace(rows: list[dict], ncols: int) -> list[Vector]:
     """Kernel basis for a sparse system; rows are {col: coeff} dicts.
 
@@ -178,12 +158,11 @@ def sparse_nullspace(rows: list[dict], ncols: int) -> list[Vector]:
 # integer lattices
 
 
-def hnf_with_transform(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form: returns (h, u) with u unimodular, u*mat = h."""
+def hnf(mat: list[list[int]]) -> list[list[int]]:
+    """Nonzero rows of the row Hermite normal form (canonical lattice basis)."""
     h = [list(map(int, row)) for row in mat]
     nrows = len(h)
     ncols = len(h[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     r = 0
     for c in range(ncols):
         while True:
@@ -192,13 +171,11 @@ def hnf_with_transform(mat: list[list[int]]) -> tuple[list[list[int]], list[list
                 break
             i0 = min(nz, key=lambda i: abs(h[i][c]))
             h[r], h[i0] = h[i0], h[r]
-            u[r], u[i0] = u[i0], u[r]
             done = True
             for i in range(r + 1, nrows):
                 if h[i][c] != 0:
                     q = h[i][c] // h[r][c]
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
                     if h[i][c] != 0:
                         done = False
             if done:
@@ -206,31 +183,26 @@ def hnf_with_transform(mat: list[list[int]]) -> tuple[list[list[int]], list[list
         if r < nrows and h[r][c] != 0:
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
             for i in range(r):
                 q = h[i][c] // h[r][c]
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
             if r == nrows:
                 break
-    return h, u
-
-
-def hnf(mat: list[list[int]]) -> list[list[int]]:
-    """Nonzero rows of the row Hermite normal form (canonical lattice basis)."""
-    h, _ = hnf_with_transform(mat)
     return [row for row in h if any(row)]
 
 
 def kernel_lattice(mat: list[list[int]]) -> list[list[int]]:
-    """HNF basis of the lattice {x in Z^n : mat @ x = 0} (mat is m x n)."""
+    """HNF basis of the lattice {x in Z^n : mat @ x = 0} (mat is m x n).
+
+    The rows of [mat^T | I] span {(mat x, x) : x in Z^n}.  Their HNF is
+    echelon, so its rows that vanish on the first m columns are a reduced
+    basis of {(0, x) : mat x = 0}: cut to their last n entries, they are the
+    (unique) HNF of the kernel.
+    """
     if not mat:
         return []
-    mt = transpose(mat)
-    h, u = hnf_with_transform(mt)
-    kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
-    if not kernel_rows:
-        return []
-    return hnf(kernel_rows)
+    m, n = len(mat), len(mat[0])
+    rows = [[*col, *(int(i == j) for j in range(n))] for i, col in enumerate(zip(*mat))]
+    return [row[m:] for row in hnf(rows) if not any(row[:m])]

@@ -3,11 +3,12 @@
 Each one decides a question the library answers by other means (an
 exponential enumeration, a dense recomputation), so a test can compare the
 two.  They are deliberately simple and slow, and nilrad itself never calls
-them.  The float basis change (`to_float`, `act_float`) lives here too: the
-library acts by rational matrices only, and the orthogonal rotations of the
-moment-map equivariance tests need floats and numpy.  Float laws are built
-as `LieLaw(n, {triple: float})`; the library's kernels compare exactly, so
-the float helpers carry their own tolerance, `FLOAT_TOL`.
+them.  The dense basis change (`dense_act`, on `bracket_vectors`) and its
+float twin (`to_float`, `act_float`) live here too: the library acts by
+rational matrices only, through the sparse bracket, and the orthogonal
+rotations of the moment-map equivariance tests need floats and numpy.
+Float laws are built as `LieLaw(n, {triple: float})`; the library's kernels
+compare exactly, so the float helpers carry their own tolerance, `FLOAT_TOL`.
 """
 
 from __future__ import annotations
@@ -36,27 +37,48 @@ def to_float(law: LieLaw) -> LieLaw:
     return LieLaw(law.dim, {t: _rounded(c) for t, c in law.brackets.items()})
 
 
-def act_float(g: list[list], law: LieLaw) -> LieLaw:
-    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) in floating point, for a real g."""
-    import numpy as np
+def bracket_vectors(law: LieLaw, u: Sequence, v: Sequence) -> list:
+    """[u, v] for dense coordinate vectors u, v: the bilinear extension over every stored bracket, in sorted order."""
+    out = [Fraction(0)] * law.dim
+    for (a, b, k), c in sorted(law.brackets.items()):
+        coef = u[a - 1] * v[b - 1] - u[b - 1] * v[a - 1]
+        if coef:
+            out[k - 1] += coef * c
+    return out
 
+
+def _act_dense(gm, ginv, law: LieLaw, keep) -> LieLaw:
+    """g mu(g^{-1} e_i, g^{-1} e_j) for each i < j by dense brackets and a matrix product; `keep` picks the nonzeros."""
     n = law.dim
-    gm = np.array([[float(x) for x in row] for row in g], dtype=float)
-    if abs(float(np.linalg.det(gm))) < 1e-14:
-        raise LawError("singular matrix in act_float()")
-    ginv = np.linalg.inv(gm)
-    lawf = to_float(law)
     cols = [[ginv[a][b] for a in range(n)] for b in range(n)]  # ginv columns
     brackets = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            w = lawf.bracket_vectors(cols[i - 1], cols[j - 1])
+            w = bracket_vectors(law, cols[i - 1], cols[j - 1])
             img = [sum(gm[a][b] * w[b] for b in range(n)) for a in range(n)]
-            for k in range(1, n + 1):
-                c = img[k - 1]
-                if abs(c) > FLOAT_TOL:
+            for k, c in enumerate(img, 1):
+                if keep(c):
                     brackets[(i, j, k)] = c
     return LieLaw(n, brackets)
+
+
+def dense_act(g: list[list], law: LieLaw) -> LieLaw:
+    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) over Q, dense: the reference for `algebra.act`."""
+    gm = [[Fraction(x) for x in row] for row in g]
+    ginv = linalg.inv(gm)
+    if ginv is None:
+        raise LawError("singular matrix in dense_act()")
+    return _act_dense(gm, ginv, law, bool)
+
+
+def act_float(g: list[list], law: LieLaw) -> LieLaw:
+    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) in floating point, for a real g."""
+    import numpy as np
+
+    gm = np.array([[float(x) for x in row] for row in g], dtype=float)
+    if abs(float(np.linalg.det(gm))) < 1e-14:
+        raise LawError("singular matrix in act_float()")
+    return _act_dense(gm, np.linalg.inv(gm), to_float(law), lambda c: abs(c) > FLOAT_TOL)
 
 
 def bracket(law: LieLaw, i: int, j: int) -> list:
@@ -69,7 +91,7 @@ def bracket(law: LieLaw, i: int, j: int) -> list:
 
 def ad(law: LieLaw, p: int) -> list[list]:
     """Matrix of ad(e_p) = [e_p, .] in the standard basis."""
-    return linalg.transpose([bracket(law, p, j) for j in range(1, law.dim + 1)])
+    return transpose([bracket(law, p, j) for j in range(1, law.dim + 1)])
 
 
 def dense_moment_map(law: LieLaw) -> MomentValue:
@@ -127,8 +149,12 @@ def scale(law: LieLaw, s) -> LieLaw:
     return LieLaw(law.dim, {t: c * s for t, c in law.brackets.items()} if s else {})
 
 
+def transpose(a: Sequence[Sequence]) -> list[list]:
+    return [list(col) for col in zip(*a)]
+
+
 def matmul(a, b):
-    bt = linalg.transpose(b)
+    bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
@@ -148,12 +174,72 @@ def is_derivation(law: LieLaw, d: list[list]) -> bool:
         for j in range(i + 1, n + 1):
             v = bracket(law, i, j)
             lhs = [sum(d[k][l] * v[l] for l in range(n)) for k in range(n)]
-            rhs1 = law.bracket_vectors(cols[i - 1], [Fraction(int(a == j - 1)) for a in range(n)])
-            rhs2 = law.bracket_vectors([Fraction(int(a == i - 1)) for a in range(n)], cols[j - 1])
+            rhs1 = bracket_vectors(law, cols[i - 1], [Fraction(int(a == j - 1)) for a in range(n)])
+            rhs2 = bracket_vectors(law, [Fraction(int(a == i - 1)) for a in range(n)], cols[j - 1])
             for k in range(n):
                 if lhs[k] - rhs1[k] - rhs2[k] != 0:
                     return False
     return True
+
+
+def sparse_rref(rows: list[dict]) -> dict[int, dict[int, Fraction]]:
+    """`linalg.integer_rref` as rationals: each row divided by its pivot entry, keyed by pivot column in order.
+
+    The reduced form of the row space, so it does not depend on row order.
+    """
+    return {
+        c: {k: Fraction(v, row[c]) for k, v in row.items()}
+        for c, row in sorted(linalg.integer_rref(rows).items())
+    }
+
+
+def hnf_with_transform(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite normal form with its transform: (h, u) with u unimodular and u.mat = h."""
+    h = [list(map(int, row)) for row in mat]
+    nrows = len(h)
+    ncols = len(h[0]) if nrows else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, nrows) if h[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(h[i][c]))
+            h[r], h[i0] = h[i0], h[r]
+            u[r], u[i0] = u[i0], u[r]
+            done = True
+            for i in range(r + 1, nrows):
+                if h[i][c] != 0:
+                    q = h[i][c] // h[r][c]
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                    if h[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < nrows and h[r][c] != 0:
+            if h[r][c] < 0:
+                h[r] = [-x for x in h[r]]
+                u[r] = [-x for x in u[r]]
+            for i in range(r):
+                q = h[i][c] // h[r][c]
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+            r += 1
+            if r == nrows:
+                break
+    return h, u
+
+
+def two_pass_kernel_lattice(mat: list[list[int]]) -> list[list[int]]:
+    """The kernel lattice by two HNFs: the rows of u with h = u.mat^T zero, then the HNF of those rows."""
+    if not mat:
+        return []
+    h, u = hnf_with_transform(transpose(mat))
+    kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
+    return [row for row in hnf_with_transform(kernel_rows)[0] if any(row)] if kernel_rows else []
 
 
 def fraction_pre_einstein(law: LieLaw, space: DerivationSpace) -> PreEinsteinDerivation:

@@ -423,6 +423,26 @@ CORRUPTIONS = [
         [_mm("degeneration.distinguishing", "a separating dim Der", "dim_der 13 vs 13")],
         "NOT_EN", "degeneration_recorded",
     ),
+    # a recorded X or limit that does not fit the law is reported before anything runs on it
+    (
+        "1.2(ii)", _degeneration(limit="dim 6; [1,2]=4"),
+        [_mm("degeneration.limit", "limit of the law's dimension", "dimension differs")],
+        "NOT_EN", "degeneration_recorded",
+    ),
+    (
+        "1.3(i_0)", _degeneration(limit="dim 8; [1,2]=4"),
+        [_mm("degeneration.limit", "limit of the law's dimension", "dimension differs")],
+        "NOT_EN", "degeneration_recorded",
+    ),
+    (
+        "1.2(ii)", _degeneration(limit=_LIMIT_12II.replace("[2,5]=7", "[2,5]=7*(2 sqrt(3))")),
+        [_mm("degeneration.limit", "rational limit law", "sqrt coefficients")],
+        "NOT_EN", "degeneration_recorded",
+    ),
+    (
+        "1.21", _degeneration(x=(Fraction(1), Fraction(-1))),
+        [_mm("degeneration.X", "X of length 7", "length 2")], "NOT_EN", "degeneration_recorded",
+    ),
 ]
 
 

@@ -253,6 +253,26 @@ def test_catalog_malformed_distinguishing_exit_65(capsys, tmp_path, entry_id, fi
     assert f"'{entry_id}'" in err and f"'{field_name}'" in err
 
 
+# A catalog law the CLI's gate refuses, which the loader refuses too:
+# (entry, law text, instance id named in the error, message)
+MALFORMED_LAWS = [
+    ("1.1(i_l)", "dim 7; [1,2]=3*(lambda sqrt(2))", "1.1(i_l)[lambda=2]", "not sqrt"),
+    ("2.3", "dim 0", "2.3", "dimension must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("entry_id, law, instance_id, message", MALFORMED_LAWS, ids=[m[1] for m in MALFORMED_LAWS])
+def test_catalog_malformed_law_exit_65(capsys, tmp_path, entry_id, law, instance_id, message):
+    doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
+    next(e for e in doc["entries"] if e["id"] == entry_id)["law"] = law
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert (code, out) == (65, "")
+    assert len(err.splitlines()) == 1 and "internal error" not in err
+    assert f"entry '{instance_id}', field 'law'" in err and message in err
+
+
 def test_catalog_schema_error_exit_65(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{\"entries\": [{\"id\": \"x\"}]}")
@@ -356,7 +376,7 @@ def test_degenerate_rank_zero_exit_2(capsys, tmp_path, by_id):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and "rank-zero" in err
     # a bad --X is still a usage error
-    for x in ("1,2,q", "1,2"):
+    for x in ("1,2,q", "1,2", "1/0,0,0,0,0,0,0"):
         code, out, err = _run(capsys, ["degenerate", str(p), "--X", x])
         assert (code, out) == (64, "")
         assert len(err.splitlines()) == 1 and "--X" in err

@@ -11,7 +11,6 @@ from nilrad.derivations import (
     Invariants,
     RankZeroError,
     derivation_space,
-    diagonal_is_derivation,
     diagonal_rank,
     dim_der,
     positivity_gate,
@@ -61,7 +60,7 @@ def test_diag_basis_elements_are_derivations(by_id):
     law = by_id["2.5"].law()
     _, gens = diagonal_rank(law)
     for g in gens:
-        assert diagonal_is_derivation(law, [Fraction(v) for v in g])
+        assert not any(law.weights(g))
 
 
 def test_rank_examples(by_id):

@@ -43,6 +43,16 @@ def test_hnf_canonical_for_lattice():
     assert linalg.hnf(b1) == linalg.hnf(b2)
 
 
+def test_kernel_lattice_is_one_hnf(monkeypatch):
+    calls = []
+    hnf = linalg.hnf
+    monkeypatch.setattr(linalg, "hnf", lambda mat: calls.append(mat) or hnf(mat))
+    assert linalg.kernel_lattice([]) == [] and calls == []
+    assert linalg.kernel_lattice([[1, 1, 0]]) == [[1, -1, 0], [0, 0, 1]]
+    assert linalg.kernel_lattice([[1, 2], [3, 4]]) == []
+    assert len(calls) == 2
+
+
 def test_kernel_lattice_membership():
     rng = random.Random(5)
     for _ in range(25):

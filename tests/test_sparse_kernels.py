@@ -7,7 +7,9 @@ Fraction arithmetic and are kept here only as oracles: the library's sparse
 kernels must give exactly the same residuals, series dimensions, equation
 rows, Der bases, reduced matrices and LP solutions, and the integer
 pre-Einstein derivation the same phi as the Fraction one in
-`oracles.fraction_pre_einstein`.  The integer weight rows of the
+`oracles.fraction_pre_einstein`.  The one-HNF kernel lattice must equal the
+two-pass one of `oracles.two_pass_kernel_lattice`, and the sparse basis
+change the dense `oracles.dense_act`.  The integer weight rows of the
 degeneration cone must flag exactly the X whose limit diverges.
 """
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 import pytest
 
 from nilrad import linalg, lp
-from nilrad.algebra import act, jacobi_violations, parse_law, series_signature
+from nilrad.algebra import LawError, act, jacobi_violations, parse_law, series_signature
 from nilrad.degeneration import g_phi_lattice, lattice_weight_rows, one_param_limit
 from nilrad.derivations import (
     Invariants,
@@ -33,7 +35,15 @@ from nilrad.derivations import (
 )
 from nilrad.nicebasis import gram_matrix, is_nice
 from nilrad.ricci import moment_map
-from oracles import alphas_gram, dense_moment_map, fraction_pre_einstein
+from oracles import (
+    alphas_gram,
+    bracket_vectors,
+    dense_act,
+    dense_moment_map,
+    fraction_pre_einstein,
+    sparse_rref,
+    two_pass_kernel_lattice,
+)
 
 PROBES = (
     "dim 3; [1,2]=3; [1,3]=1",  # fails Jacobi
@@ -64,16 +74,6 @@ def dense_bracket(law, i, j):
     return v
 
 
-def dense_bracket_vectors(law, u, v):
-    zero = Fraction(0)
-    out = [zero] * law.dim
-    for (a, b, k), c in law.brackets.items():
-        coef = u[a - 1] * v[b - 1] - u[b - 1] * v[a - 1]
-        if coef:
-            out[k - 1] += coef * c
-    return out
-
-
 def dense_jacobi_violations(law):
     n = law.dim
     out = []
@@ -83,9 +83,9 @@ def dense_jacobi_violations(law):
         for j in range(i + 1, n + 1):
             vij = dense_bracket(law, i, j)
             for k in range(j + 1, n + 1):
-                r1 = dense_bracket_vectors(law, basis[i - 1], dense_bracket(law, j, k))
-                r2 = dense_bracket_vectors(law, basis[j - 1], dense_bracket(law, i, k))
-                r3 = dense_bracket_vectors(law, basis[k - 1], vij)
+                r1 = bracket_vectors(law, basis[i - 1], dense_bracket(law, j, k))
+                r2 = bracket_vectors(law, basis[j - 1], dense_bracket(law, i, k))
+                r3 = bracket_vectors(law, basis[k - 1], vij)
                 res = [a - b + c for a, b, c in zip(r1, r2, r3)]
                 if any(x != 0 for x in res):
                     out.append((i, j, k, res))
@@ -133,7 +133,7 @@ def dense_rref_and_nullspace(rows, ncols):
 
 
 def dense_subspace_bracket(law, a, b):
-    prods = [dense_bracket_vectors(law, u, v) for u in a for v in b]
+    prods = [bracket_vectors(law, u, v) for u in a for v in b]
     prods = [p for p in prods if any(p)]
     if not prods:
         return []
@@ -437,7 +437,7 @@ def test_integer_eliminator_on_rational_rows():
     for _ in range(400):
         rows, ncols = _rational_rows(rng)
         reduced, kernel = dense_rref_and_nullspace(rows, ncols)
-        assert linalg.sparse_rref(rows) == reduced, rows
+        assert sparse_rref(rows) == reduced, rows
         assert linalg.sparse_nullspace(rows, ncols) == kernel, rows
         assert all(row[c] > 0 and math.gcd(*row.values()) == 1 for c, row in linalg.integer_rref(rows).items())
         negative_lead += any(row[min(row)] < 0 for row in rows)
@@ -453,7 +453,7 @@ def test_integer_eliminator_on_rational_rows():
         rows = rows + units
         rng.shuffle(rows)
         reduced, kernel = dense_rref_and_nullspace(rows, ncols)
-        assert linalg.sparse_rref(rows) == reduced, rows
+        assert sparse_rref(rows) == reduced, rows
         assert linalg.sparse_nullspace(rows, ncols) == kernel, rows
         assert all(row[c] > 0 and math.gcd(*row.values()) == 1 for c, row in linalg.integer_rref(rows).items())
         repeated += len(set(unit_cols)) < len(unit_cols)
@@ -479,7 +479,7 @@ def test_derivation_basis_matches_dense_on_rational_laws(entries, exact_laws):
     for name, law in laws.items():
         n = law.dim
         reduced, kernel = dense_rref_and_nullspace(dense_derivation_rows(law), n * n)
-        assert linalg.sparse_rref(_derivation_rows(law)) == reduced, name
+        assert sparse_rref(_derivation_rows(law)) == reduced, name
         assert derivation_space(law).basis == tuple(
             tuple(tuple(v[k * n + l] for l in range(n)) for k in range(n)) for v in kernel
         ), name
@@ -597,3 +597,61 @@ def test_weight_rows_flag_exactly_the_divergent_x(search_laws):
             assert flagged == (one_param_limit(law, x).kind == "divergent"), (entry.id, coeffs)
             divergent += flagged
     assert 0 < divergent < 27 * 200
+
+
+def test_kernel_lattice_matches_two_pass_oracle(entries):
+    """One HNF of [M^T | I] gives the lattice of the HNF-with-transform pass and
+    the HNF of its kernel rows: on every catalog weight map, every g_phi
+    lattice and seeded random integer matrices, empty kernels included."""
+    mats = []
+    for e in entries:
+        inv = Invariants(e.law())
+        mats.append(inv.law.weight_rows)
+        try:
+            phi = inv.phi
+        except TorusNotMaximalError:
+            continue
+        if phi is not None:
+            den = math.lcm(*(v.denominator for v in phi.phi))
+            mats.append([[1] * inv.law.dim, [int(v * den) for v in phi.phi]])
+            assert g_phi_lattice(phi, inv.law.dim) == two_pass_kernel_lattice(mats[-1]), e.id
+    assert len(mats) > 250
+    rng = random.Random(12)
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 8)
+        bound = rng.choice((1, 3, 9))
+        mats.append([[rng.choice((0, 0, rng.randint(-bound, bound))) for _ in range(n)] for _ in range(m)])
+    sizes = Counter()
+    for mat in mats:
+        got = linalg.kernel_lattice(mat)
+        assert got == two_pass_kernel_lattice(mat), mat
+        sizes[min(len(got), 2)] += 1
+    assert sizes[0] > 20 and sizes[1] > 20 and sizes[2] > 200
+
+
+def test_act_matches_dense_oracle(entries):
+    """The sparse basis change gives the dense one's law, bracket order and
+    Fraction coefficients, for seeded integer and Fraction g; a singular g
+    raises LawError."""
+    rng = random.Random(407)
+    moved = singular = 0
+    for e in entries[::3]:
+        law = e.law()
+        for denominators in ((1,), (1, 2, 3, 5)):  # ints only, then Fractions among them
+            g = [[int(a == b) for b in range(law.dim)] for a in range(law.dim)]
+            for a, b in rng.sample([(a, b) for a in range(law.dim) for b in range(law.dim)], 5):
+                v, d = rng.choice((-3, -1, 0, 1, 2)), rng.choice(denominators)
+                g[a][b] = v if d == 1 else Fraction(v, d)
+            if linalg.inv(g) is None:
+                singular += 1
+                with pytest.raises(LawError, match="singular"):
+                    act(g, law)
+                continue
+            got, want = act(g, law), dense_act(g, law)
+            assert list(got.brackets.items()) == list(want.brackets.items()), (e.id, g)
+            assert all(type(c) is Fraction for c in got.brackets.values()), e.id
+            moved += got != law
+    assert moved > 60 and singular > 0
+    singular = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
+    with pytest.raises(LawError, match="singular"):
+        act(singular, parse_law("dim 3; [1,2]=3"))
