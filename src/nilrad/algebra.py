@@ -65,11 +65,13 @@ class Surd:
 
     @classmethod
     def sqrt(cls, r) -> Surd | Fraction:
-        """sqrt(a/b) = s/b sqrt(t) with a b = s^2 t, t squarefree, for a rational a/b >= 0."""
+        """sqrt(a/b) = s/b sqrt(t) with a b = s^2 t, t squarefree, for a rational a/b >= 0 with a b <= 10^12."""
         r = Fraction(r)
         if r < 0:
             raise LawError("sqrt of negative value")
         n, s, t, p = r.numerator * r.denominator, 1, 1, 2
+        if n > 10**12:  # the trial division below runs to (a b)^(1/3): at most 10^4 steps
+            raise LawError(f"sqrt of {r}: numerator times denominator is above 10^12")
         while p * p * p <= n:
             e = 0
             while n % p == 0:
@@ -188,169 +190,137 @@ class SeriesSignature:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<punct>[\[\],;=+\-*/()]))"
-)
+_DIM = re.compile(r"\s*dim(?![A-Za-z_0-9])\s*(\d+)\s*")  # a name ends at any other character: `dim٣3` is dim 33
+_BRACKET = re.compile(r"\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=(.*)", re.S)
+_COMPONENT = re.compile(r"\s*(\d+)\s*(?:\*(.*))?", re.S)
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\S")  # a numeral, a name or any other single character
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._at = -1  # the position `_match` was found at
-        self._match: re.Match | None = None
-
-    def peek(self) -> tuple[str, str] | None:
-        if self._at != self.pos:
-            m = _TOKEN.match(self.text, self.pos)
-            if m is None and self.text[self.pos :].strip():
-                raise LawError(f"syntax error at position {self.pos}: {self.text[self.pos:self.pos+10]!r}")
-            self._at, self._match = self.pos, m
-        m = self._match
-        return None if m is None else (m.lastgroup, m.group(m.lastgroup))
-
-    def next(self) -> tuple[str, str] | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos = self._match.end()
-        return tok
-
-    def expect(self, value: str) -> None:
-        tok = self.next()
-        if tok is None or tok[1] != value:
-            got = "end of input" if tok is None else repr(tok[1])
-            raise LawError(f"expected {value!r} at position {self.pos}, got {got}")
+def _int(numeral: str) -> int:
+    try:
+        return int(numeral)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise LawError(f"numeral of {len(numeral)} digits is too long") from None
 
 
-def _parse_atom(sc: _Scanner, params: Mapping[str, Fraction]):
-    tok = sc.peek()
-    if tok is None:
-        raise LawError("unexpected end of coefficient")
-    kind, val = tok
-    if val == "-":
-        sc.next()
-        return -_parse_atom(sc, params)
-    if val == "(":
-        sc.next()
-        v = _parse_expr(sc, params)
-        sc.expect(")")
+def _shown(text: str) -> str:  # stripped, cut and quoted for an error message
+    return repr(text.strip()[:40])
+
+
+def _components(image: str) -> list[str]:
+    """`image` split at each `+` outside parentheses."""
+    cuts, depth = [-1], 0
+    for m in re.finditer(r"[()+]", image):
+        depth += {"(": 1, ")": -1}.get(m[0], 0)
+        if m[0] == "+" and depth == 0:
+            cuts.append(m.start())
+    return [image[a + 1 : b] for a, b in zip(cuts, [*cuts[1:], len(image)])]
+
+
+def _take(toks: list[str], value: str) -> None:
+    if not toks or toks.pop() != value:
+        raise LawError(f"expected {value!r}")
+
+
+def _atom(toks: list[str], params: Mapping[str, Fraction]):
+    """numeral | name | -atom | (expr) | sqrt(expr), popped from the end of `toks`."""
+    if not toks:
+        raise LawError("unexpected end")
+    tok = toks.pop()
+    if tok == "-":
+        return -_atom(toks, params)
+    if tok == "(":
+        v = _expr(toks, params)
+        _take(toks, ")")
         return v
-    if kind == "num":
-        sc.next()
-        return Fraction(int(val))
-    if kind == "name":
-        sc.next()
-        if val == "sqrt":
-            sc.expect("(")
-            inner = _parse_expr(sc, params)
-            sc.expect(")")
-            if isinstance(inner, Surd):
-                raise LawError(f"sqrt of an irrational value {inner}")
-            return Surd.sqrt(inner)
-        if val not in params:
-            raise LawError(f"unknown parameter {val!r}")
-        return params[val]
-    raise LawError(f"syntax error in coefficient near {val!r}")
+    if tok.isdecimal():
+        return Fraction(_int(tok))
+    if tok == "sqrt":
+        _take(toks, "(")
+        v = _expr(toks, params)
+        _take(toks, ")")
+        if isinstance(v, Surd):
+            raise LawError(f"sqrt of an irrational value {v}")
+        return Surd.sqrt(v)
+    if tok.isascii() and tok.isidentifier():  # a name
+        if tok not in params:
+            raise LawError(f"unknown parameter {tok!r}")
+        return params[tok]
+    raise LawError(f"syntax error near {tok!r}")
 
 
-def _parse_factor(sc: _Scanner, params):
-    v = _parse_atom(sc, params)
-    while True:
-        tok = sc.peek()
-        if tok is None:
-            return v
-        val = tok[1]
-        if val == "/":
-            sc.next()
-            den = _parse_atom(sc, params)
-            if isinstance(den, Surd) or den == 0:
-                raise LawError(f"division by {den}: a coefficient divides by nonzero rationals only")
-            v = v / den
-        elif val == "*" or tok[0] in ("num", "name") or val == "(":
-            # implicit product, e.g. "7/1767 sqrt(1767)" or "2*sqrt(3)"
-            if val == "*":
-                sc.next()
-            v = v * _parse_atom(sc, params)
-        else:
-            return v
+def _product(toks: list[str], params: Mapping[str, Fraction]):
+    """Atoms joined by `*`, `/` or juxtaposition (`7/1767 sqrt(1767)`)."""
+    v = _atom(toks, params)
+    while toks and toks[-1] not in (")", "+", "-"):
+        op = toks.pop() if toks[-1] in ("*", "/") else "*"
+        w = _atom(toks, params)
+        if op == "/" and (isinstance(w, Surd) or w == 0):
+            raise LawError(f"division by {w}: a coefficient divides by nonzero rationals only")
+        v = v / w if op == "/" else v * w
+    return v
 
 
-def _parse_expr(sc: _Scanner, params):
-    v = _parse_factor(sc, params)
-    while True:
-        tok = sc.peek()
-        if tok is None or tok[1] not in "+-":
-            return v
-        sc.next()
-        w = _parse_factor(sc, params)
-        v = v + w if tok[1] == "+" else v - w
+def _expr(toks: list[str], params: Mapping[str, Fraction]):
+    """Products joined by `+` or `-`: only inside parentheses."""
+    v = _product(toks, params)
+    while toks and toks[-1] in ("+", "-"):
+        v = v + _product(toks, params) if toks.pop() == "+" else v - _product(toks, params)
+    return v
+
+
+def _coefficient(text: str, params: Mapping[str, Fraction]) -> Fraction | Surd:
+    """One coefficient, a product, by recursive descent over its tokens, reversed: the next is `toks[-1]`."""
+    toks = _TOKEN.findall(text)[::-1]
+    try:
+        v = _product(toks, params)
+        if toks:
+            raise LawError(f"syntax error near {toks[-1]!r}")
+        return v
+    except (LawError, RecursionError) as exc:
+        why = "nested too deeply" if isinstance(exc, RecursionError) else exc
+        raise LawError(f"coefficient {_shown(text)}: {why}") from None
 
 
 def parse_law(text: str, params: Mapping[str, object] | None = None) -> LieLaw:
-    """Parse the law text format.
+    """Parse the law text format ``dim <n>; [i,j]=image; ...``.
 
-    Grammar: ``dim <n>; [i,j]=image; ...`` where an image is a '+'-separated
-    list of components ``k`` or ``k*<coeff>``.  Coefficients are rational
-    expressions (``p/q``, parameter names, parenthesised arithmetic) with an
-    optional ``sqrt(m)`` factor, held exactly as a `Surd`.
+    The grammar above the coefficients is regular, so it is matched by
+    patterns: the text is split at `;`, the first statement must be ``dim
+    <n>`` and every other non-blank one ``[i,j]=image``.  An image is split at
+    each `+` outside parentheses into components ``k`` or ``k*<coeff>``.  Only
+    a coefficient is parsed by recursive descent (`_coefficient`): rational
+    arithmetic on numerals and the bound parameters, with `sqrt` held exactly
+    as a `Surd`.  Every malformed text raises LawError, including a numeral too
+    long for `int` and a coefficient nested too deeply to recurse.
     """
     p = {name: Fraction(value) for name, value in (params or {}).items()}
-    sc = _Scanner(text)
-    tok = sc.next()
-    if tok is None or tok[1] != "dim":
-        raise LawError("law text must start with 'dim <n>;'")
-    tok = sc.next()
-    if tok is None or tok[0] != "num":
-        raise LawError("missing dimension after 'dim'")
-    dim = int(tok[1])
-    if sc.peek() is not None:
-        sc.expect(";")
+    head, *statements = text.split(";")
+    m = _DIM.fullmatch(head)
+    if m is None:
+        raise LawError(f"law text must start with 'dim <n>;', got {_shown(head)}")
+    dim = _int(m[1])
     brackets: dict[Triple, object] = {}
-    while True:
-        tok = sc.peek()
-        if tok is None:
-            break
-        if tok[1] == ";":
-            sc.next()
-            continue
-        sc.expect("[")
-        ti = sc.next()
-        if ti is None or ti[0] != "num":
-            raise LawError(f"expected index at position {sc.pos}")
-        sc.expect(",")
-        tj = sc.next()
-        if tj is None or tj[0] != "num":
-            raise LawError(f"expected index at position {sc.pos}")
-        sc.expect("]")
-        sc.expect("=")
-        i, j = int(ti[1]), int(tj[1])
+    for statement in filter(str.strip, statements):  # blank statements are skipped
+        m = _BRACKET.fullmatch(statement)
+        if m is None:
+            raise LawError(f"expected '[i,j]=image', got {_shown(statement)}")
+        i, j = _int(m[1]), _int(m[2])
         if not (1 <= i < j <= dim):
             raise LawError(f"index out of range in bracket [{i},{j}] (need 1 <= i < j <= {dim})")
-        while True:
-            tk = sc.next()
-            if tk is None or tk[0] != "num":
-                raise LawError(f"expected image basis index at position {sc.pos}")
-            k = int(tk[1])
+        for component in _components(m[3]):
+            c = _COMPONENT.fullmatch(component)
+            if c is None:
+                raise LawError(f"expected 'k' or 'k*coeff' in bracket [{i},{j}], got {_shown(component)}")
+            k = _int(c[1])
             if not (1 <= k <= dim):
                 raise LawError(f"image index {k} out of range in bracket [{i},{j}]")
-            coeff: object = Fraction(1)
-            tok = sc.peek()
-            if tok is not None and tok[1] == "*":
-                sc.next()
-                coeff = _parse_factor(sc, p)  # '+'/'-' only inside parens
+            coeff = Fraction(1) if c[2] is None else _coefficient(c[2], p)
             if coeff == 0:
                 raise LawError(f"zero coefficient in bracket [{i},{j}]={k}")
             if (i, j, k) in brackets:
                 raise LawError(f"duplicate bracket component [{i},{j}]={k}")
             brackets[(i, j, k)] = coeff
-            tok = sc.peek()
-            if tok is not None and tok[1] == "+":
-                sc.next()
-                continue
-            break
-        tok = sc.peek()
-        if tok is not None:
-            sc.expect(";")
     return LieLaw(dim, brackets)
 
 

@@ -260,8 +260,8 @@ def load_catalog(path=None) -> list[CatalogEntry]:
     source = resources.files("nilrad").joinpath("data/catalog7.json") if path is None else Path(path)
     try:
         doc = json.loads(source.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CatalogError(None, None, f"not valid UTF-8 JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer beyond int(), too deep
+        raise CatalogError(None, None, f"not readable as UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict) or type(doc.get("entries")) is not list:
         raise CatalogError(None, "entries", "top-level object must have an 'entries' list")
     out: list[CatalogEntry] = []

@@ -9,16 +9,19 @@ rational matrices only, through the sparse bracket, and the orthogonal
 rotations of the moment-map equivariance tests need floats and numpy.
 Float laws are built as `LieLaw(n, {triple: float})`; the library's kernels
 compare exactly, so the float helpers carry their own tolerance, `FLOAT_TOL`.
+The token-scanner law parser (`scanner_parse_law`) is the reference that
+`algebra.parse_law`, which matches statements with patterns, is compared with.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from nilrad import linalg
-from nilrad.algebra import LawError, LieLaw, Surd, jacobi_violations
+from nilrad.algebra import LawError, LieLaw, Surd, Triple, jacobi_violations
 from nilrad.degeneration import LimitResult
 from nilrad.derivations import DerivationSpace, PreEinsteinDerivation, RankZeroError, TorusNotMaximalError
 from nilrad.ricci import MomentValue
@@ -240,6 +243,174 @@ def two_pass_kernel_lattice(mat: list[list[int]]) -> list[list[int]]:
     h, u = hnf_with_transform(transpose(mat))
     kernel_rows = [u[i] for i in range(len(h)) if not any(h[i])]
     return [row for row in hnf_with_transform(kernel_rows)[0] if any(row)] if kernel_rows else []
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<punct>[\[\],;=+\-*/()]))"
+)
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self._at = -1  # the position `_match` was found at
+        self._match: re.Match | None = None
+
+    def peek(self) -> tuple[str, str] | None:
+        if self._at != self.pos:
+            m = _TOKEN.match(self.text, self.pos)
+            if m is None and self.text[self.pos :].strip():
+                raise LawError(f"syntax error at position {self.pos}: {self.text[self.pos:self.pos+10]!r}")
+            self._at, self._match = self.pos, m
+        m = self._match
+        return None if m is None else (m.lastgroup, m.group(m.lastgroup))
+
+    def next(self) -> tuple[str, str] | None:
+        tok = self.peek()
+        if tok is not None:
+            self.pos = self._match.end()
+        return tok
+
+    def expect(self, value: str) -> None:
+        tok = self.next()
+        if tok is None or tok[1] != value:
+            got = "end of input" if tok is None else repr(tok[1])
+            raise LawError(f"expected {value!r} at position {self.pos}, got {got}")
+
+
+def _parse_atom(sc: _Scanner, params: Mapping[str, Fraction]):
+    tok = sc.peek()
+    if tok is None:
+        raise LawError("unexpected end of coefficient")
+    kind, val = tok
+    if val == "-":
+        sc.next()
+        return -_parse_atom(sc, params)
+    if val == "(":
+        sc.next()
+        v = _parse_expr(sc, params)
+        sc.expect(")")
+        return v
+    if kind == "num":
+        sc.next()
+        return Fraction(int(val))
+    if kind == "name":
+        sc.next()
+        if val == "sqrt":
+            sc.expect("(")
+            inner = _parse_expr(sc, params)
+            sc.expect(")")
+            if isinstance(inner, Surd):
+                raise LawError(f"sqrt of an irrational value {inner}")
+            return Surd.sqrt(inner)
+        if val not in params:
+            raise LawError(f"unknown parameter {val!r}")
+        return params[val]
+    raise LawError(f"syntax error in coefficient near {val!r}")
+
+
+def _parse_factor(sc: _Scanner, params):
+    v = _parse_atom(sc, params)
+    while True:
+        tok = sc.peek()
+        if tok is None:
+            return v
+        val = tok[1]
+        if val == "/":
+            sc.next()
+            den = _parse_atom(sc, params)
+            if isinstance(den, Surd) or den == 0:
+                raise LawError(f"division by {den}: a coefficient divides by nonzero rationals only")
+            v = v / den
+        elif val == "*" or tok[0] in ("num", "name") or val == "(":
+            # implicit product, e.g. "7/1767 sqrt(1767)" or "2*sqrt(3)"
+            if val == "*":
+                sc.next()
+            v = v * _parse_atom(sc, params)
+        else:
+            return v
+
+
+def _parse_expr(sc: _Scanner, params):
+    v = _parse_factor(sc, params)
+    while True:
+        tok = sc.peek()
+        if tok is None or tok[1] not in "+-":
+            return v
+        sc.next()
+        w = _parse_factor(sc, params)
+        v = v + w if tok[1] == "+" else v - w
+
+
+def scanner_parse_law(text: str, params: Mapping[str, object] | None = None) -> LieLaw:
+    """The token-scanner parser that `algebra.parse_law` replaced: the reference for the differential tests.
+
+    Parse the law text format.
+
+    Grammar: ``dim <n>; [i,j]=image; ...`` where an image is a '+'-separated
+    list of components ``k`` or ``k*<coeff>``.  Coefficients are rational
+    expressions (``p/q``, parameter names, parenthesised arithmetic) with an
+    optional ``sqrt(m)`` factor, held exactly as a `Surd`.
+    """
+    p = {name: Fraction(value) for name, value in (params or {}).items()}
+    sc = _Scanner(text)
+    tok = sc.next()
+    if tok is None or tok[1] != "dim":
+        raise LawError("law text must start with 'dim <n>;'")
+    tok = sc.next()
+    if tok is None or tok[0] != "num":
+        raise LawError("missing dimension after 'dim'")
+    dim = int(tok[1])
+    if sc.peek() is not None:
+        sc.expect(";")
+    brackets: dict[Triple, object] = {}
+    while True:
+        tok = sc.peek()
+        if tok is None:
+            break
+        if tok[1] == ";":
+            sc.next()
+            continue
+        sc.expect("[")
+        ti = sc.next()
+        if ti is None or ti[0] != "num":
+            raise LawError(f"expected index at position {sc.pos}")
+        sc.expect(",")
+        tj = sc.next()
+        if tj is None or tj[0] != "num":
+            raise LawError(f"expected index at position {sc.pos}")
+        sc.expect("]")
+        sc.expect("=")
+        i, j = int(ti[1]), int(tj[1])
+        if not (1 <= i < j <= dim):
+            raise LawError(f"index out of range in bracket [{i},{j}] (need 1 <= i < j <= {dim})")
+        while True:
+            tk = sc.next()
+            if tk is None or tk[0] != "num":
+                raise LawError(f"expected image basis index at position {sc.pos}")
+            k = int(tk[1])
+            if not (1 <= k <= dim):
+                raise LawError(f"image index {k} out of range in bracket [{i},{j}]")
+            coeff: object = Fraction(1)
+            tok = sc.peek()
+            if tok is not None and tok[1] == "*":
+                sc.next()
+                coeff = _parse_factor(sc, p)  # '+'/'-' only inside parens
+            if coeff == 0:
+                raise LawError(f"zero coefficient in bracket [{i},{j}]={k}")
+            if (i, j, k) in brackets:
+                raise LawError(f"duplicate bracket component [{i},{j}]={k}")
+            brackets[(i, j, k)] = coeff
+            tok = sc.peek()
+            if tok is not None and tok[1] == "+":
+                sc.next()
+                continue
+            break
+        tok = sc.peek()
+        if tok is not None:
+            sc.expect(";")
+    return LieLaw(dim, brackets)
 
 
 def fraction_pre_einstein(law: LieLaw, space: DerivationSpace) -> PreEinsteinDerivation:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from nilrad.algebra import (
     parse_law,
     series_signature,
 )
-from oracles import matmul, scale
+from oracles import matmul, scale, scanner_parse_law
 
 HEISENBERG = "dim 3; [1,2]=3"
 
@@ -70,11 +72,132 @@ def test_parse_sqrt_coefficient_makes_surd_law():
         ("dim 3; [1,2]=3*sqrt(1 sqrt(2))", "irrational"),
         ("dim 3; [1,2]=3*(1/0)", "division by 0"),
         ("dim 3; [1,2]=3*(1/sqrt(2))", "division by 1\\*sqrt\\(2\\)"),
+        ("dim 3; [1,2]=3*2$", "coefficient '2\\$': syntax error near '\\$'"),
+        ("dim 3; [1,2]=3*", "coefficient '': unexpected end"),
+        ("dim 3; [1,2]=3*2*", "coefficient '2\\*': unexpected end"),
+        ("dim ;", "must start with 'dim <n>;', got 'dim'"),
+        ("dim 3; [a,2]=3", "expected '\\[i,j\\]=image', got '\\[a,2\\]=3'"),
+        ("dim 3; [1,2]=3 [1,3]=2", "expected 'k' or 'k\\*coeff' in bracket \\[1,2\\], got '3 \\[1,3\\]=2'"),
+        ("dim 3; [1,2]=3*(1+2", "coefficient '\\(1\\+2': expected '\\)'"),
+        ("dim 3; [1,2]=3*1)", "coefficient '1\\)': syntax error near '\\)'"),
+        ("dim 3; [1,2]=3*" + "(" * 3000 + "1" + ")" * 3000, "nested too deeply"),
+        ("dim 3; [1,2]=3*" + "-" * 3000 + "1", "nested too deeply"),
+        ("dim 3; [1,2]=3*" + "7" * 5000, "numeral of 5000 digits is too long"),
+        ("dim " + "3" * 5000, "numeral of 5000 digits is too long"),
+        ("dim 3; [1,2]=3*sqrt(1000000000000000000000007)", "above 10\\^12"),
     ],
+    ids=lambda v: v if len(v) <= 60 else f"{v[:30]}...{len(v)} chars",
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(LawError, match=fragment):
         parse_law(text)
+
+
+def test_parse_errors_agree_with_scanner_oracle():
+    # the error paths above are errors of the scanner too; the five refusals
+    # at the end met RecursionError, ValueError or a trial division of hours there
+    for text in ("dim 3; [1,2]=3*2$", "dim 3; [1,2]=3*", "dim 3; [1,2]=3*2*", "dim ;", "dim 3; [a,2]=3",
+                 "dim 3; [1,2]=3 [1,3]=2", "dim 3; [1,2]=3*(1+2", "dim 3; [1,2]=3*1)"):
+        with pytest.raises(LawError):
+            scanner_parse_law(text)
+
+
+def test_empty_statements_are_accepted():
+    law = parse_law("dim 3; [1,2]=3")
+    assert parse_law(" dim 3;; [1,2]=3 ;;\n;") == law == scanner_parse_law(" dim 3;; [1,2]=3 ;;\n;")
+    assert parse_law("dim 3;;") == LieLaw(3, {})
+
+
+# "é" is bound but is no name of the grammar: the text "2é" stays an error
+PARSE_PARAMS = {"a": Fraction(2), "lam": Fraction(-1, 3), "z": Fraction(0), "é": Fraction(5)}
+
+
+def _parsed(parse, text, params=None):
+    """(dim, {triple: (type, value)}) of the law `parse` reads from text, or None when it raises LawError."""
+    try:
+        law = parse(text, params)
+    except LawError:
+        return None
+    return law.dim, {t: (type(c), c) for t, c in law.brackets.items()}
+
+
+def _catalog_texts() -> list[tuple[str, dict | None]]:
+    """Every law text of the shipped catalog with its parameter binding: laws per sample, witnesses, limits."""
+    doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
+    out = []
+    for e in doc["entries"]:
+        params = e.get("params")
+        samples = [{params["name"]: Fraction(v)} for v in params["samples"]] if params else [None]
+        out += [(e["law"], bound) for bound in samples]
+        exp = e["expected"]
+        out += [(exp["witness_law"], None)] if exp.get("witness_law") else []
+        limit = (exp.get("degeneration") or {}).get("limit")
+        out += [(limit, None)] if limit not in (None, "zero") else []
+    return out
+
+
+def test_parser_agrees_with_scanner_oracle_on_catalog_texts():
+    texts = _catalog_texts()
+    assert len(texts) == 155
+    for text, bound in texts:
+        ours = _parsed(parse_law, text, bound)
+        assert ours is not None and ours == _parsed(scanner_parse_law, text, bound), text
+
+
+# the characters of law texts, and characters that no law text contains
+LAW_ALPHABET = "0123456789 dimsqrtalz[],;=+-*/()"
+JUNK = "$.é٣²_\t\n\u00a0"
+
+
+def _random_coefficient(rng, depth):
+    """A random coefficient of at most `depth` nested levels, from the grammar (`mu` is unbound)."""
+    pick = rng.randrange(8 if depth else 3)
+    sub = lambda: _random_coefficient(rng, depth - 1)  # noqa: E731
+    return [
+        lambda: str(rng.randrange(13)),
+        lambda: rng.choice(("a", "lam", "z", "mu")),
+        lambda: f"sqrt({rng.randrange(13)})",
+        lambda: f"-{sub()}",
+        lambda: f"({sub()}{rng.choice('+-')}{sub()})",
+        lambda: f"{sub()}{rng.choice(('*', '/', ' ', ''))}{sub()}",
+        lambda: f"sqrt({sub()})",
+        lambda: f"({sub()})",
+    ][pick]()
+
+
+def random_law_text(rng) -> str:
+    """A law text from the grammar, then up to three edits that insert, delete or repeat characters."""
+    n = rng.randrange(2, 6)
+    statements = [f"dim {n}"]
+    for _ in range(rng.randrange(4)):
+        top = n + (rng.random() < 0.1)  # n + 1 is out of range
+        i, j = sorted(rng.sample(range(1, top + 1), 2))
+        comps = [f"{rng.randint(1, top)}" + rng.choice(("", f"*{_random_coefficient(rng, 2)}")) for _ in range(2)]
+        statements.append(f"[{i},{j}]={'+'.join(comps[: rng.randrange(1, 3)])}")
+    text = rng.choice(("; ", ";", " ;\n", ";;")).join(statements)
+    for _ in range(rng.choice((0, 0, 0, 1, 2, 3))):
+        p = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:p] + rng.choice(LAW_ALPHABET + JUNK) + text[p:]
+        elif edit == 1:
+            text = text[:p] + text[p + 1 :]
+        else:
+            text = text[:p] + text[p : p + rng.randrange(1, 4)] + text[p:]
+    return text
+
+
+def test_parser_agrees_with_scanner_oracle_on_random_texts():
+    # the same accept/reject, equal laws and the same coefficient types
+    rng = random.Random(13)
+    accepted = surds = 0
+    for _ in range(20_000):
+        text = random_law_text(rng)
+        ours = _parsed(parse_law, text, PARSE_PARAMS)
+        assert ours == _parsed(scanner_parse_law, text, PARSE_PARAMS), text
+        accepted += ours is not None
+        surds += ours is not None and any(t is Surd for t, _ in ours[1].values())
+    assert accepted > 4_000 and surds > 400
 
 
 def test_jacobi_heisenberg_empty():

@@ -97,6 +97,8 @@ def test_loader_schema_errors(tmp_path):
     dup = [_minimal_entry(), _minimal_entry()]
     with pytest.raises(CatalogError, match="duplicate id"):
         load_catalog(_write_catalog(tmp_path, {"entries": dup}))
+    with pytest.raises(CatalogError, match="field 'params': must be an object"):
+        load_catalog(_write_catalog(tmp_path, {"entries": [_minimal_entry(params=[])]}))
 
 
 def test_loader_rejects_non_jacobi_law(tmp_path):
@@ -280,6 +282,7 @@ _PE_23 = "'32/37', '34/37', '36/37', '38/37', '40/37', '42/37']"
 _LIMIT_12II = "dim 7; [1,2]=4; [1,4]=5; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7"
 _LAW_12II = "dim 7; [1,2]=4; [1,4]=5; [1,5]=7; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7; [3,4]=7*-1"
 _LAW_13IV = "dim 7; [1,2]=4; [1,3]=5; [1,4]=6; [2,3]=6; [2,4]=7; [3,5]=7"
+_LAW_111 = "dim 7; [1,2]=4; [1,4]=5; [1,5]=6; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7; [3,4]=7*-1"
 
 # One recorded field of one entry corrupted per case: (entry id, changes to
 # its Expected, the exact mismatches, verdict, route).  Every check of the
@@ -442,6 +445,15 @@ CORRUPTIONS = [
     (
         "1.21", _degeneration(x=(Fraction(1), Fraction(-1))),
         [_mm("degeneration.X", "X of length 7", "length 2")], "NOT_EN", "degeneration_recorded",
+    ),
+    (
+        # a rational witness that is isomorphic (the law itself) but not a nice basis
+        "1.11", lambda e: {"witness_law": _LAW_111},
+        [
+            _mm("witness_law", "nice witness basis", "N2 fails at image 6: pairs (2, 3) and (2, 4) share index 2"),
+            _mm("verdict", "EN", "INCONCLUSIVE"),
+        ],
+        "INCONCLUSIVE", "witness_rejected",
     ),
 ]
 

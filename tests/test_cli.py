@@ -19,6 +19,19 @@ from nilrad.cli import main
 
 HEISENBERG = "dim 3; [1,2]=3\n"
 
+# law texts that once reached an internal error or ran for hours: nesting
+# deeper than the recursion limit, a numeral beyond int(), and a radicand
+# whose trial division took 22.7 s
+DEEP_PARENS = "dim 3; [1,2]=3*" + "(" * 3000 + "1" + ")" * 3000
+DEEP_MINUS = "dim 3; [1,2]=3*" + "-" * 3000 + "1"
+LONG_NUMERAL = "dim 3; [1,2]=3*" + "7" * 5000
+BIG_RADICAND = "dim 3; [1,2]=3*sqrt(1000000000000000000000007)"
+
+
+def _short(text: str) -> str:
+    """A test id for a law text: long texts cut to their head and length."""
+    return text if len(text) <= 60 else f"{text[:20]}...{len(text)}-chars"
+
 
 @pytest.fixture()
 def law_file(tmp_path):
@@ -258,10 +271,16 @@ def test_catalog_malformed_distinguishing_exit_65(capsys, tmp_path, entry_id, fi
 MALFORMED_LAWS = [
     ("1.1(i_l)", "dim 7; [1,2]=3*(lambda sqrt(2))", "1.1(i_l)[lambda=2]", "not sqrt"),
     ("2.3", "dim 0", "2.3", "dimension must be at least 1"),
+    ("2.3", DEEP_PARENS, "2.3", "nested too deeply"),
+    ("2.3", DEEP_MINUS, "2.3", "nested too deeply"),
+    ("2.3", LONG_NUMERAL, "2.3", "numeral of 5000 digits is too long"),
+    ("2.3", BIG_RADICAND, "2.3", "above 10^12"),
 ]
 
 
-@pytest.mark.parametrize("entry_id, law, instance_id, message", MALFORMED_LAWS, ids=[m[1] for m in MALFORMED_LAWS])
+@pytest.mark.parametrize(
+    "entry_id, law, instance_id, message", MALFORMED_LAWS, ids=[_short(m[1]) for m in MALFORMED_LAWS]
+)
 def test_catalog_malformed_law_exit_65(capsys, tmp_path, entry_id, law, instance_id, message):
     doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
     next(e for e in doc["entries"] if e["id"] == entry_id)["law"] = law
@@ -287,6 +306,7 @@ def test_catalog_schema_error_exit_65(capsys, tmp_path):
 MALFORMED_VALUES = [
     ("soliton_norm", 0.5), ("pre_einstein", ["a"]), ("dim_der", "x"), ("U", [["q"]]), ("derived", 5),
     ("nice", "no"), ("rank", 2.0), ("verdict", ["EN"]), ("x", "positive"), ("pre_einstein", ["1/0"]), (None, None),
+    ("degeneration", "zero"),
 ]
 
 
@@ -303,6 +323,7 @@ def test_catalog_malformed_value_exit_65(capsys, tmp_path, field_name, value):
     assert (code, out) == (65, "")
     assert len(err.splitlines()) == 1 and "internal error" not in err
     assert ("entry 5 is not an object" if field_name is None else f"entry '2.3', field '{field_name}'") in err
+    assert field_name != "degeneration" or "must be an object" in err
 
 
 def test_files_that_are_not_utf8(capsys, tmp_path):
@@ -318,6 +339,25 @@ def test_files_that_are_not_utf8(capsys, tmp_path):
     code, out, err = _run(capsys, ["catalog", "verify", str(p)])
     assert (code, out) == (65, "")
     assert "UTF-8" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "text", ['{"entries": [' + "1" * 5000 + "]}", '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["integer-of-5000-digits", "arrays-nested-100000-deep"],
+)
+def test_catalog_json_that_json_cannot_read(capsys, tmp_path, text):
+    # json.loads raises ValueError (int conversion) or RecursionError, not JSONDecodeError
+    p = tmp_path / "catalog.json"
+    p.write_text(text)
+    code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert (code, out) == (65, "")
+    assert len(err.splitlines()) == 1 and "UTF-8 JSON" in err and "internal error" not in err
+
+
+def test_catalog_verify_missing_file_exit_65(capsys, tmp_path):
+    code, out, err = _run(capsys, ["catalog", "verify", str(tmp_path / "missing.json")])
+    assert (code, out) == (65, "")
+    assert len(err.splitlines()) == 1 and "No such file" in err
 
 
 def test_degenerate_explicit_x(capsys, tmp_path, by_id):
@@ -411,6 +451,10 @@ GATE_PROBES = [
     ("dim 0", 65, None),
     ("dim 3; [1,2]=3*(1/0)", 64, None),  # parse error: division by zero
     ("dim 3; [1,2]=3*(1/sqrt(2))", 64, None),  # parse error: division by a sqrt
+    (DEEP_PARENS, 64, None),
+    (DEEP_MINUS, 64, None),
+    (LONG_NUMERAL, 64, None),
+    (BIG_RADICAND, 64, None),
     ("dim 4; [1,2]=3; [1,3]=4; [2,3]=4", 2, "basis_not_adapted"),
     # h3 under act([[1,1,0],[0,1,1],[1,0,2]])
     ("dim 3; [1,2]=2*2/3+3*4/3; [1,3]=2*-1/3+3*-2/3", 2, "basis_not_adapted"),
@@ -432,7 +476,7 @@ GATE_ARGS = {"check": ["--json"], "report": ["--format", "json"], "invariants": 
 
 
 @pytest.mark.parametrize(
-    "command, text, code, route", GATE_CASES, ids=[f"{t}-{c}-{r}-{cmd}" for cmd, t, c, r in GATE_CASES]
+    "command, text, code, route", GATE_CASES, ids=[f"{_short(t)}-{c}-{r}-{cmd}" for cmd, t, c, r in GATE_CASES]
 )
 def test_gate_probes(law_file, capsys, command, text, code, route):
     got, out, err = _run(capsys, [command, law_file(text), *GATE_ARGS[command]])
