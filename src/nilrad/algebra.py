@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -217,6 +218,16 @@ def _components(image: str) -> list[str]:
     return [image[a + 1 : b] for a, b in zip(cuts, [*cuts[1:], len(image)])]
 
 
+def _bounded(v):
+    """v, unless a numerator, denominator or radicand of it has more digits than int() reads and str() prints."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    for m, q in v.terms.items() if isinstance(v, Surd) else [(1, v)]:
+        n = max(m, abs(q.numerator), q.denominator)
+        if limit and n.bit_length() * 100 > limit * 332 and n >= 10**limit:  # below 2^(3.32 limit), n < 10^limit
+            raise LawError(f"a part of its value has more than {limit} digits")
+    return v
+
+
 def _take(toks: list[str], value: str) -> None:
     if not toks or toks.pop() != value:
         raise LawError(f"expected {value!r}")
@@ -257,7 +268,7 @@ def _product(toks: list[str], params: Mapping[str, Fraction]):
         w = _atom(toks, params)
         if op == "/" and (isinstance(w, Surd) or w == 0):
             raise LawError(f"division by {w}: a coefficient divides by nonzero rationals only")
-        v = v / w if op == "/" else v * w
+        v = _bounded(v / w if op == "/" else v * w)
     return v
 
 
@@ -265,7 +276,7 @@ def _expr(toks: list[str], params: Mapping[str, Fraction]):
     """Products joined by `+` or `-`: only inside parentheses."""
     v = _product(toks, params)
     while toks and toks[-1] in ("+", "-"):
-        v = v + _product(toks, params) if toks.pop() == "+" else v - _product(toks, params)
+        v = _bounded(v + _product(toks, params) if toks.pop() == "+" else v - _product(toks, params))
     return v
 
 

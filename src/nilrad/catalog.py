@@ -22,12 +22,13 @@ from typing import Any, Callable
 from . import degeneration as dg
 from . import nicebasis as nb
 from . import ricci
-from .algebra import LawError, LieLaw, SeriesSignature, format_law, jacobi_violations, parse_law
+from .algebra import LawError, LieLaw, SeriesSignature, jacobi_violations, parse_law
 from .derivations import Invariants, TorusNotMaximalError, positivity_gate
 
 EN = "EN"
 NOT_EN = "NOT_EN"
 INCONCLUSIVE = "INCONCLUSIVE"
+MAX_DIM = 40  # the largest dimension gate_law passes: a Der basis holds up to dim^4 entries
 
 
 class NotNilpotentError(LawError):
@@ -44,11 +45,13 @@ class CatalogError(ValueError):
 
 
 def gate_law(law: LieLaw) -> LieLaw:
-    """The law, if the pipeline decides it: LawError unless rational, NotNilpotentError unless Lie of dimension >= 1.
+    """The law, if the pipeline decides it; else LawError (sqrt, dim > MAX_DIM) or NotNilpotentError (not Lie, dim 0).
 
     The one gate of a law from a file or a catalog; nilpotency is checked by
     whatever computes the lower central series, so nothing computes it twice.
     """
+    if law.dim > MAX_DIM:
+        raise LawError(f"dimension {law.dim} is above {MAX_DIM}, the largest the pipeline takes")
     if not law.is_rational:
         raise LawError("the decision pipeline needs exact rational structure constants, not sqrt")
     bad = jacobi_violations(law)
@@ -130,32 +133,14 @@ class Report:
         return not self.mismatches
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "verdict": self.verdict,
-            "route": self.route,
-            "certificates": self.certificates,
-            "computed": self.computed,
-            "mismatches": self.mismatches,
-            "notes": self.notes,
-            "timing": round(self.timing, 6),
-        }
+        return {**vars(self), "timing": round(self.timing, 6)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "Report":
-        return cls(
-            id=d["id"],
-            verdict=d["verdict"],
-            route=d["route"],
-            certificates=list(d.get("certificates", [])),
-            computed=dict(d.get("computed", {})),
-            mismatches=list(d.get("mismatches", [])),
-            notes=list(d.get("notes", [])),
-            timing=float(d.get("timing", 0.0)),
-        )
+        return cls(**{**d, "timing": float(d.get("timing", 0.0))})
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
@@ -260,7 +245,7 @@ def load_catalog(path=None) -> list[CatalogEntry]:
     source = resources.files("nilrad").joinpath("data/catalog7.json") if path is None else Path(path)
     try:
         doc = json.loads(source.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an integer beyond int(), too deep
+    except (OSError, ValueError, RecursionError) as exc:  # no file, not UTF-8, not JSON, beyond int(), too deep
         raise CatalogError(None, None, f"not readable as UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict) or type(doc.get("entries")) is not list:
         raise CatalogError(None, "entries", "top-level object must have an 'entries' list")
@@ -335,7 +320,7 @@ def classify(entry: CatalogEntry) -> Report:
         "nice": inv.nice.nice,
     }
     if inv.rank and dec.route != "basis_not_adapted":
-        computed["pre_einstein"] = _fmt_vec(inv.phi.phi)
+        computed["pre_einstein"] = _fmt_vec(inv.phi)
     rep = Report(entry.id, dec.verdict, dec.route, [dec.certificate], {**computed, **dec.computed})
     if not inv.nice.nice and dec.route not in _GATES:
         rep.notes.append(f"not a nice basis: {inv.nice.reason}")
@@ -368,9 +353,9 @@ def _decide(entry: CatalogEntry, inv: Invariants) -> Decision:
         phi = inv.phi
     except TorusNotMaximalError:
         return Decision(INCONCLUSIVE, "basis_not_adapted", {"kind": "inconclusive", "reason": "basis_not_adapted"})
-    passed, idx = positivity_gate(phi)
-    if not passed:
-        cert = {"kind": "non_positive_pre_einstein", "phi": _fmt_vec(phi.phi), "index": idx}
+    idx = positivity_gate(phi)
+    if idx is not None:
+        cert = {"kind": "non_positive_pre_einstein", "phi": _fmt_vec(phi), "index": idx}
         return Decision(NOT_EN, "pre_einstein_positivity", cert)
     if not inv.law.brackets:
         return Decision(EN, "abelian", {"kind": "abelian"})
@@ -381,21 +366,21 @@ def _decide(entry: CatalogEntry, inv: Invariants) -> Decision:
         return _witness_route(Invariants(exp.witness), inv)
     if exp is not None and exp.degeneration is not None:
         return _recorded_degeneration_route(exp.degeneration, inv)
-    return _search_route(inv)
+    return search_route(inv)
 
 
-def _search_route(inv: Invariants) -> Decision:
+def search_route(inv: Invariants) -> Decision:
     """NOT_EN through the degeneration the cone walk finds; INCONCLUSIVE, with its reason, when it finds none.
 
     The reason is `no_diagonal_degeneration` (the cone is trivial, with its
     certificate y) or `limit_not_distinguished` (distinguish() does not
-    separate the walk's limit from the law).
+    separate the walk's limit from the law).  `check` and `degenerate` print this one decision.
     """
     found = dg.search_degeneration(inv)
     if isinstance(found, dg.TrivialCone):
         reason = "no_diagonal_degeneration"
         return Decision(INCONCLUSIVE, reason, {"kind": "inconclusive", "reason": reason, "y": _fmt_vec(found.y)})
-    cert = {"X": _fmt_vec(found.x), "limit": "zero" if found.limit.kind == "zero" else format_law(found.limit.law)}
+    cert = {"X": _fmt_vec(found.x), "limit": str(found.limit)}
     if found.limit.kind == "limit" and found.distinction is None:
         reason = "limit_not_distinguished"
         return Decision(INCONCLUSIVE, reason, {"kind": "inconclusive", "reason": reason, **cert})

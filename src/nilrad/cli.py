@@ -38,6 +38,7 @@ from .catalog import (
     gate_law,
     load_catalog,
     nilpotent_series,
+    search_route,
     summary_lines,
     verify_catalog,
 )
@@ -110,7 +111,7 @@ def cmd_invariants(args) -> int:
     for g in inv.der.diag_basis:
         print(f"torus_generator: {list(g)}")
     if phi is not None:
-        print(f"pre_einstein: {[fmt_rat(v) for v in phi.phi]}")
+        print(f"pre_einstein: {[fmt_rat(v) for v in phi]}")
     print(f"nice: {inv.nice.nice}")
     if not inv.nice.nice:
         print(f"nice_reason: {inv.nice.reason}")
@@ -118,11 +119,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_catalog_verify(args) -> int:
-    try:
-        entries = load_catalog(args.file)
-    except OSError as exc:
-        raise Refusal(EX_DATAERR, str(exc)) from exc
-    reports = verify_catalog(entries, only=args.only)
+    reports = verify_catalog(load_catalog(args.file), only=args.only)
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     else:
@@ -151,27 +148,27 @@ def cmd_degenerate(args) -> int:
         raise Refusal(
             _VERDICT_EXIT[INCONCLUSIVE], "rank-zero law: no pre-Einstein derivation, degeneration flow undefined"
         )
-    print(f"pre_einstein: {[fmt_rat(v) for v in phi.phi]}")
+    print(f"pre_einstein: {[fmt_rat(v) for v in phi]}")
     if xvec is not None:
         print(f"in_g_phi: {dg.in_g_phi(xvec, phi)}")
-        res = dg.one_param_limit(law, xvec)
-        dist = dg.distinguish(inv, Invariants(res.law)) if res.kind == "limit" else None
-    else:
-        found = dg.search_degeneration(inv)
-        if isinstance(found, dg.TrivialCone):
-            print(f"inconclusive: no_diagonal_degeneration, y = {[fmt_rat(v) for v in found.y]}")
-            return _VERDICT_EXIT[INCONCLUSIVE]
-        print(f"X: {[fmt_rat(v) for v in found.x]}")
-        res, dist = found.limit, found.distinction
-    if res.kind != "limit":
-        print(f"limit: {res.kind}")
+        found = dg.degenerate(inv, xvec)
+        _print_limit(str(found.limit), found.distinction)
         return 0
-    print(f"limit: {format_law(res.law)}")
-    if dist is None:
-        print("distinguishing: none (not separated by series/dim Der)")
-        return 0 if xvec is not None else _VERDICT_EXIT[INCONCLUSIVE]
-    print(f"distinguishing: {dist}")
-    return 0
+    dec = search_route(inv)  # the walk's decision, as `check` reaches it
+    cert = dec.certificate
+    if "y" in cert:
+        print(f"inconclusive: no_diagonal_degeneration, y = {cert['y']}")
+    else:
+        print(f"X: {cert['X']}")
+        _print_limit(cert["limit"], cert.get("distinguishing"))
+    return _VERDICT_EXIT[INCONCLUSIVE] if dec.verdict == INCONCLUSIVE else 0
+
+
+def _print_limit(limit: str, distinction) -> None:
+    """A degeneration's limit and, for a limit law, the invariant that separates it from the law."""
+    print(f"limit: {limit}")
+    if limit not in ("zero", "divergent"):
+        print(f"distinguishing: {distinction or 'none (not separated by series/dim Der)'}")
 
 
 def cmd_report(args) -> int:

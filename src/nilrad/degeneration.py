@@ -28,14 +28,17 @@ from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 from . import linalg, lp
-from .algebra import LawError, LieLaw
-from .derivations import Invariants, PreEinsteinDerivation
+from .algebra import LawError, LieLaw, format_law
+from .derivations import Invariants
 
 
 @dataclass(frozen=True)
 class LimitResult:
     kind: str  # "limit" | "zero" | "divergent"
     law: LieLaw | None = None
+
+    def __str__(self) -> str:  # "zero", "divergent" or the limit law's text
+        return self.kind if self.law is None else format_law(self.law)
 
 
 @dataclass(frozen=True)
@@ -50,14 +53,14 @@ class Distinction:
 
 @dataclass(frozen=True)
 class DegenerationWitness:
-    x: tuple[int, ...]
+    x: tuple[int | Fraction, ...]
     limit: LimitResult
     distinction: Distinction | None  # None for a zero limit, or for a limit not separated from the law
 
 
-def in_g_phi(x, phi: PreEinsteinDerivation) -> bool:
+def in_g_phi(x, phi: tuple[Fraction, ...]) -> bool:
     """Membership of a diagonal X (ints or Fractions) in g_phi: tr X = 0 and tr(X phi) = 0."""
-    return sum(x) == 0 and sum(e * v for e, v in zip(phi.phi, x)) == 0
+    return sum(x) == 0 and sum(e * v for e, v in zip(phi, x)) == 0
 
 
 def one_param_limit(law: LieLaw, x) -> LimitResult:
@@ -94,21 +97,21 @@ def distinguish(a: Invariants, b: Invariants) -> Distinction | None:
     return None
 
 
-def g_phi_lattice(phi: PreEinsteinDerivation, dim: int) -> list[list[int]]:
+def g_phi_lattice(phi: tuple[Fraction, ...], dim: int) -> list[list[int]]:
     """HNF integer basis of the diagonal part of g_phi."""
-    den = math.lcm(*(e.denominator for e in phi.phi))
-    wrow = [int(e * den) for e in phi.phi]
+    den = math.lcm(*(e.denominator for e in phi))
+    wrow = [int(e * den) for e in phi]
     return linalg.kernel_lattice([[1] * dim, wrow])
 
 
-def lattice_weight_rows(law: LieLaw, lattice: list[list[int]]) -> list[tuple[int, ...]]:
-    """The weight of each stored bracket in lattice coordinates.
+def lattice_weight_rows(weights: list[list[int]]) -> list[tuple[int, ...]]:
+    """The weight of each stored bracket in lattice coordinates, from weights[p] = law.weights(L[p]).
 
-    Column t of [law.weights(v) for v in lattice] is the row for triple t, so
-    X = sum c_p L[p] gives the bracket weights c . row.  All-zero and
-    repeated rows are dropped: X diverges iff c . row < 0 for some row left.
+    Column t of `weights` is the row for triple t, so X = sum c_p L[p]
+    gives the bracket weights c . row.  All-zero and repeated rows are
+    dropped: X diverges iff c . row < 0 for some row left.
     """
-    return list(dict.fromkeys(row for row in zip(*map(law.weights, lattice)) if any(row)))
+    return list(dict.fromkeys(row for row in zip(*weights) if any(row)))
 
 
 @dataclass(frozen=True)
@@ -150,21 +153,24 @@ def search_degeneration(inv: Invariants) -> DegenerationWitness | TrivialCone:
     a zero limit, and also for a limit that distinguish() does not separate
     from the law, which certifies nothing.
     """
-    law, phi = inv.law, inv.phi
-    lattice = g_phi_lattice(phi, law.dim)
-    rows = lattice_weight_rows(law, lattice)
+    law = inv.law
+    lattice = g_phi_lattice(inv.phi, law.dim)
+    weights = [law.weights(v) for v in lattice]
+    rows = lattice_weight_rows(weights)
     if not rows:  # every bracket has weight 0 on all of g_phi
         return TrivialCone((Fraction(1),) * len(law.brackets))
     # Stiemke: R.c >= 0 forces R.c = 0 iff some y > 0 has R^T y = 0; y runs over every stored triple
-    _, t, y = lp.max_min_component([law.weights(v) for v in lattice], [0] * len(lattice))
+    _, t, y = lp.max_min_component(weights, [0] * len(lattice))
     if t > 0:
         return TrivialCone(tuple(y))
     c = _relative_interior(rows)
     den = math.lcm(*(v.denominator for v in c))
     x = [sum(int(cp * den) * v[i] for cp, v in zip(c, lattice)) for i in range(law.dim)]
     g = math.gcd(*x)
-    x = tuple(v // g for v in x)
-    res = one_param_limit(law, x)
-    if res.kind == "zero":
-        return DegenerationWitness(x, res, None)
-    return DegenerationWitness(x, res, distinguish(inv, Invariants(res.law)))
+    return degenerate(inv, [v // g for v in x])
+
+
+def degenerate(inv: Invariants, x) -> DegenerationWitness:
+    """The limit of exp(tX).law and, when it is a law, the first invariant that separates it from inv's law."""
+    res = one_param_limit(inv.law, x)
+    return DegenerationWitness(tuple(x), res, distinguish(inv, Invariants(res.law)) if res.kind == "limit" else None)

@@ -25,11 +25,6 @@ class DerivationSpace:
     diag_basis: tuple[tuple[int, ...], ...]  # integer diagonal generators (HNF rows)
 
 
-@dataclass(frozen=True)
-class PreEinsteinDerivation:
-    phi: tuple[Fraction, ...]
-
-
 def _derivation_rows(law: LieLaw) -> list[dict[int, int | Fraction]]:
     """Sparse equations for D[e_i,e_j] = [De_i,e_j] + [e_i,De_j].
 
@@ -72,22 +67,20 @@ def derivation_space(law: LieLaw) -> DerivationSpace:
     basis = tuple(
         tuple(tuple(v[k * n : (k + 1) * n]) for k in range(n)) for v in vecs
     )
-    return DerivationSpace(basis, tuple(map(tuple, diagonal_rank(law)[1])))
+    return DerivationSpace(basis, tuple(map(tuple, diagonal_rank(law))))
 
 
 def dim_der(law: LieLaw) -> int:
     return len(derivation_space(law).basis)
 
 
-def diagonal_rank(law: LieLaw) -> tuple[int, list[list[int]]]:
-    """Rank of the diagonal torus and an HNF-canonical integer basis of it: the lattice ker Y."""
+def diagonal_rank(law: LieLaw) -> list[list[int]]:
+    """An HNF-canonical integer basis of the diagonal torus, the lattice ker Y: the rank is its length."""
     if not law.is_rational:
         raise LawError("diagonal_rank requires a rational law")
     if law.brackets:
-        gens = linalg.kernel_lattice(law.weight_rows)
-    else:  # no weights: the whole of Z^n, whose HNF basis is the identity
-        gens = [[int(i == j) for j in range(law.dim)] for i in range(law.dim)]
-    return len(gens), gens
+        return linalg.kernel_lattice(law.weight_rows)
+    return [[int(i == j) for j in range(law.dim)] for i in range(law.dim)]  # no weights: Z^n, HNF basis I
 
 
 class RankZeroError(LawError):
@@ -98,8 +91,8 @@ class TorusNotMaximalError(LawError):
     """Full-basis verification of the pre-Einstein derivation failed."""
 
 
-def pre_einstein(space: DerivationSpace) -> PreEinsteinDerivation:
-    """The diagonal derivation phi with tr(phi psi) = tr(psi) for all psi in Der.
+def pre_einstein(space: DerivationSpace) -> tuple[Fraction, ...]:
+    """The diagonal of the derivation phi with tr(phi psi) = tr(psi) for all psi in Der.
 
     Solved inside the diagonal torus, then verified against the full
     derivation basis; failure of that check means the diagonal torus was
@@ -125,13 +118,12 @@ def pre_einstein(space: DerivationSpace) -> PreEinsteinDerivation:
             raise TorusNotMaximalError(
                 "tr(phi.psi) != tr(psi) for a derivation psi; diagonal torus not maximal"
             )
-    return PreEinsteinDerivation(tuple(Fraction(x, den) for x in v))
+    return tuple(Fraction(x, den) for x in v)
 
 
-def positivity_gate(phi: PreEinsteinDerivation) -> tuple[bool, int | None]:
-    """(passed, witness index); fails at the first eigenvalue <= 0."""
-    idx = next((i for i, x in enumerate(phi.phi) if x <= 0), None)
-    return idx is None, idx
+def positivity_gate(phi: tuple[Fraction, ...]) -> int | None:
+    """The index of the first eigenvalue <= 0, or None when every eigenvalue is positive."""
+    return next((i for i, x in enumerate(phi) if x <= 0), None)
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,7 @@ class Invariants:
         return len(self.der.diag_basis)
 
     @cached_property
-    def phi(self) -> PreEinsteinDerivation | None:
+    def phi(self) -> tuple[Fraction, ...] | None:
         """None at rank zero; TorusNotMaximalError when the diagonal torus of the basis is not maximal."""
         return pre_einstein(self.der) if self.rank else None
 

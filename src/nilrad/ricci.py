@@ -21,17 +21,6 @@ from .algebra import LawError, LieLaw, Surd
 
 
 @dataclass(frozen=True)
-class MomentValue:
-    m: tuple[tuple, ...]
-
-    def diagonal(self) -> list:
-        return [self.m[i][i] for i in range(len(self.m))]
-
-    def is_diagonal(self) -> bool:
-        return not any(v for i, row in enumerate(self.m) for j, v in enumerate(row) if i != j)
-
-
-@dataclass(frozen=True)
 class SolitonDecomposition:
     c: Fraction | Surd
     d: tuple  # diagonal derivation, eigenvalue vector
@@ -41,7 +30,7 @@ class NonDiagonalMomentError(LawError):
     """moment map is not diagonal in the given basis; no frame supplied."""
 
 
-def moment_map(law: LieLaw) -> MomentValue:
+def moment_map(law: LieLaw) -> tuple[tuple, ...]:
     """m(mu) = 4 Ric_mu in the standard basis, read from law.images; both sums skip zero products."""
     n = law.dim
     images = law.images
@@ -62,7 +51,7 @@ def moment_map(law: LieLaw) -> MomentValue:
                 if p in img and q in img:
                     t2 += 2 * img[p] * img[q]
             m[p - 1][q - 1] = m[q - 1][p - 1] = -2 * t1 + t2
-    return MomentValue(tuple(tuple(row) for row in m))
+    return tuple(tuple(row) for row in m)
 
 
 def soliton_check(law: LieLaw) -> SolitonDecomposition | None:
@@ -73,9 +62,9 @@ def soliton_check(law: LieLaw) -> SolitonDecomposition | None:
     is zero, so D is a derivation by construction.
     """
     m = moment_map(law)
-    if not m.is_diagonal():
+    if any(v for i, row in enumerate(m) for j, v in enumerate(row) if i != j):
         raise NonDiagonalMomentError("moment map is not diagonal with respect to the given basis")
-    diag = m.diagonal()
+    diag = [row[i] for i, row in enumerate(m)]
     candidates = set(law.weights(diag))
     if len(candidates) != 1:
         return None

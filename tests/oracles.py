@@ -23,8 +23,7 @@ from typing import Mapping, Sequence
 from nilrad import linalg
 from nilrad.algebra import LawError, LieLaw, Surd, Triple, jacobi_violations
 from nilrad.degeneration import LimitResult
-from nilrad.derivations import DerivationSpace, PreEinsteinDerivation, RankZeroError, TorusNotMaximalError
-from nilrad.ricci import MomentValue
+from nilrad.derivations import DerivationSpace, RankZeroError, TorusNotMaximalError
 
 
 FLOAT_TOL = 1e-9
@@ -97,7 +96,7 @@ def ad(law: LieLaw, p: int) -> list[list]:
     return transpose([bracket(law, p, j) for j in range(1, law.dim + 1)])
 
 
-def dense_moment_map(law: LieLaw) -> MomentValue:
+def dense_moment_map(law: LieLaw) -> tuple[tuple, ...]:
     """m(mu) = 4 Ric_mu from the dense ad matrices, summing every entry."""
     n = law.dim
     ads = [ad(law, p) for p in range(1, n + 1)]
@@ -119,7 +118,7 @@ def dense_moment_map(law: LieLaw) -> MomentValue:
                     t2 += 2 * cp * cq
             m[p][q] = -2 * t1 + t2
             m[q][p] = m[p][q]
-    return MomentValue(tuple(tuple(row) for row in m))
+    return tuple(tuple(row) for row in m)
 
 
 def alphas_gram(law: LieLaw) -> list[list[int]]:
@@ -413,7 +412,7 @@ def scanner_parse_law(text: str, params: Mapping[str, object] | None = None) -> 
     return LieLaw(dim, brackets)
 
 
-def fraction_pre_einstein(law: LieLaw, space: DerivationSpace) -> PreEinsteinDerivation:
+def fraction_pre_einstein(law: LieLaw, space: DerivationSpace) -> tuple[Fraction, ...]:
     """phi from a rational solve of the Gram system, with tr(phi psi) = tr(psi) checked in Fractions."""
     gens = space.diag_basis
     if not gens:
@@ -429,7 +428,7 @@ def fraction_pre_einstein(law: LieLaw, space: DerivationSpace) -> PreEinsteinDer
         diag = [(phi[i], psi[i][i]) for i in range(n) if psi[i][i]]  # most are zero
         if sum(f * x for f, x in diag) != sum(x for _, x in diag):
             raise TorusNotMaximalError("tr(phi.psi) != tr(psi) for a derivation psi; diagonal torus not maximal")
-    return PreEinsteinDerivation(phi)
+    return phi
 
 
 def norm_squared(law: LieLaw):

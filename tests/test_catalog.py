@@ -101,6 +101,14 @@ def test_loader_schema_errors(tmp_path):
         load_catalog(_write_catalog(tmp_path, {"entries": [_minimal_entry(params=[])]}))
 
 
+def test_loader_unreadable_file_is_a_catalog_error(tmp_path):
+    # a missing file or a directory: CatalogError with the OS message, as any other catalog that cannot be read
+    with pytest.raises(CatalogError, match="No such file"):
+        load_catalog(tmp_path / "missing.json")
+    with pytest.raises(CatalogError, match="directory"):
+        load_catalog(tmp_path)
+
+
 def test_loader_rejects_non_jacobi_law(tmp_path):
     bad = _minimal_entry(law="dim 3; [1,2]=3; [2,3]=1; [1,3]=3")
     with pytest.raises(CatalogError, match="Jacobi"):

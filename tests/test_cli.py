@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -20,12 +23,16 @@ from nilrad.cli import main
 HEISENBERG = "dim 3; [1,2]=3\n"
 
 # law texts that once reached an internal error or ran for hours: nesting
-# deeper than the recursion limit, a numeral beyond int(), and a radicand
-# whose trial division took 22.7 s
+# deeper than the recursion limit, a numeral beyond int(), a radicand whose
+# trial division took 22.7 s, a product too long for str() (exit 70), 50
+# fractions of 4,001-digit numerals whose product took 1.5 s, and dimensions
+# whose Der basis of dim^4 entries exhausts memory
 DEEP_PARENS = "dim 3; [1,2]=3*" + "(" * 3000 + "1" + ")" * 3000
 DEEP_MINUS = "dim 3; [1,2]=3*" + "-" * 3000 + "1"
 LONG_NUMERAL = "dim 3; [1,2]=3*" + "7" * 5000
 BIG_RADICAND = "dim 3; [1,2]=3*sqrt(1000000000000000000000007)"
+LONG_PRODUCT = "dim 3; [1,2]=3*" + "7" * 3000 + " " + "7" * 3000
+MANY_FRACTIONS = "dim 3; [1,2]=3*" + " ".join(["1" + "0" * 4000 + "/" + "7" * 4001] * 50)
 
 
 def _short(text: str) -> str:
@@ -171,6 +178,28 @@ def test_catalog_verify_json_is_golden(capsys, tmp_path):
     assert digest == GOLDEN_VERIFY_SHA256
 
 
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_catalog_verify_is_golden_under_other_pythons(version):
+    # pyproject.toml promises Python >= 3.10: every other interpreter on PATH gives the same reports.
+    # PYENV_VERSION lets a pyenv shim run the version its name asks for; other interpreters ignore it
+    src = str(Path(nilrad.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYENV_VERSION=version, PYTHONPATH=path)
+    exe = shutil.which(f"python{version}")
+    if exe is None or subprocess.run([exe, "-c", ""], env=env, capture_output=True, timeout=60).returncode:
+        pytest.skip(f"no python{version} on PATH")
+    catalog = str(resources.files("nilrad").joinpath("data/catalog7.json"))
+    proc = subprocess.run(
+        [exe, "-B", "-m", "nilrad", "catalog", "verify", "--json", catalog],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)
+    for r in reports:
+        del r["timing"]
+    assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest() == GOLDEN_VERIFY_SHA256
+
+
 # SHA-256 of `check --json` (every `timing` removed) on the 27 catalog laws
 # that are not nice and have rank > 0, seeds 0-2: the degeneration-cone walk.
 # `check` accepts --seed and ignores it, so the three seeds give one output.
@@ -220,6 +249,72 @@ def test_invariants_and_degenerate_are_golden(capsys, tmp_path, entries):
             runs.append([e.id, command, code, out])
     digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_INVARIANTS_DEGENERATE_SHA256
+
+
+def _degenerate_lines(out: str) -> dict[str, str]:
+    """The `key: value` lines of `degenerate`, the y of a trivial cone under `y`."""
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    if "inconclusive" in lines:
+        lines["y"] = lines.pop("inconclusive").split(", y = ")[1]
+    return lines
+
+
+# SHA-256 of [id, X, exit code, stdout] of `degenerate --X` on every catalog
+# law of positive rank, for each recorded degeneration X, the walk's X (read
+# from `degenerate`), the zero X and the divergent X = (-1, ..., -1).  Same
+# rule as above.
+GOLDEN_DEGENERATE_X_SHA256 = "ef678d8ed71a9c4c900a9a012afa6c5dc2ab2ea39490ed5c23b8f219378044b1"
+
+
+def test_degenerate_x_is_golden(capsys, tmp_path, entries):
+    p = tmp_path / "law.txt"
+    runs = []
+    for e in sorted(entries, key=lambda e: e.id):
+        if e.expected.rank == 0:
+            continue
+        p.write_text(format_law(e.law()))
+        n = e.law().dim
+        xs = []
+        if e.expected.degeneration is not None and e.expected.degeneration.x is not None:
+            xs.append(",".join(map(str, e.expected.degeneration.x)))
+        walk = _degenerate_lines(_run(capsys, ["degenerate", str(p)])[1])
+        if "X" in walk:
+            xs.append(",".join(ast.literal_eval(walk["X"])))
+        xs += [",".join(["0"] * n), ",".join(["-1"] * n)]
+        for x in xs:
+            code, out, _ = _run(capsys, ["degenerate", str(p), "--X", x])
+            runs.append([e.id, x, code, out])
+    assert len({x for _, x, _, _ in runs}) > 30
+    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_DEGENERATE_X_SHA256
+
+
+WALK_ROUTES = {"degeneration_search", "no_diagonal_degeneration", "limit_not_distinguished"}
+
+
+def test_degenerate_prints_the_walk_decision_of_check(capsys, tmp_path, entries):
+    # on every law whose check reaches the cone walk, degenerate prints the
+    # certificate's X, limit, distinguishing and y, and exits 2 exactly on INCONCLUSIVE
+    p = tmp_path / "law.txt"
+    routes = []
+    for e in entries:
+        p.write_text(format_law(e.law()))
+        check_code, out, _ = _run(capsys, ["check", "--json", str(p)])
+        rep = Report.from_json(out)
+        if rep.route not in WALK_ROUTES:
+            continue
+        routes.append(rep.route)
+        code, out, _ = _run(capsys, ["degenerate", str(p)])
+        lines = _degenerate_lines(out)
+        cert = rep.certificates[0]
+        for key in ("X", "y"):
+            assert lines.get(key) == (str(cert[key]) if key in cert else None), (e.id, key)
+        assert lines.get("limit") == cert.get("limit"), e.id
+        shown = lines.get("distinguishing")
+        assert (None if shown is None or shown.startswith("none") else shown) == cert.get("distinguishing"), e.id
+        assert (code == 2) == (rep.verdict == "INCONCLUSIVE") and code in (0, 2), e.id
+        assert (check_code == 2) == (code == 2), e.id
+    assert {"degeneration_search", "no_diagonal_degeneration"} <= set(routes), routes
 
 
 def test_every_inconclusive_certificate_has_a_reason(capsys, tmp_path, entries, reports):
@@ -275,6 +370,10 @@ MALFORMED_LAWS = [
     ("2.3", DEEP_MINUS, "2.3", "nested too deeply"),
     ("2.3", LONG_NUMERAL, "2.3", "numeral of 5000 digits is too long"),
     ("2.3", BIG_RADICAND, "2.3", "above 10^12"),
+    ("2.3", LONG_PRODUCT, "2.3", "more than 4300 digits"),
+    ("2.3", MANY_FRACTIONS, "2.3", "more than 4300 digits"),
+    ("2.3", "dim 41", "2.3", "dimension 41 is above 40"),
+    ("2.3", "dim 100000", "2.3", "dimension 100000 is above 40"),
 ]
 
 
@@ -286,7 +385,9 @@ def test_catalog_malformed_law_exit_65(capsys, tmp_path, entry_id, law, instance
     next(e for e in doc["entries"] if e["id"] == entry_id)["law"] = law
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
+    start = time.perf_counter()
     code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert time.perf_counter() - start < 1
     assert (code, out) == (65, "")
     assert len(err.splitlines()) == 1 and "internal error" not in err
     assert f"entry '{instance_id}', field 'law'" in err and message in err
@@ -441,9 +542,9 @@ def test_sqrt_laws_rejected_by_pipeline(capsys, tmp_path):
     assert "exact" in err
 
 
-# Text that does not parse gets exit 64 and laws that are not nilpotent Lie
-# algebras 65, with no verdict; laws whose diagonal torus is not maximal get
-# INCONCLUSIVE, never a traceback.
+# Text that does not parse and a dimension above 40 get exit 64, and laws that
+# are not nilpotent Lie algebras 65, with no verdict, within a second; laws
+# whose diagonal torus is not maximal get INCONCLUSIVE, never a traceback.
 GATE_PROBES = [
     ("dim 3; [1,2]=3; [1,3]=1", 65, None),  # Jacobi fails
     ("dim 3; [1,2]=2", 65, None),  # solvable, not nilpotent
@@ -455,6 +556,10 @@ GATE_PROBES = [
     (DEEP_MINUS, 64, None),
     (LONG_NUMERAL, 64, None),
     (BIG_RADICAND, 64, None),
+    (LONG_PRODUCT, 64, None),
+    (MANY_FRACTIONS, 64, None),
+    ("dim 41", 64, None),
+    ("dim 100000", 64, None),
     ("dim 4; [1,2]=3; [1,3]=4; [2,3]=4", 2, "basis_not_adapted"),
     # h3 under act([[1,1,0],[0,1,1],[1,0,2]])
     ("dim 3; [1,2]=2*2/3+3*4/3; [1,3]=2*-1/3+3*-2/3", 2, "basis_not_adapted"),
@@ -479,7 +584,9 @@ GATE_ARGS = {"check": ["--json"], "report": ["--format", "json"], "invariants": 
     "command, text, code, route", GATE_CASES, ids=[f"{_short(t)}-{c}-{r}-{cmd}" for cmd, t, c, r in GATE_CASES]
 )
 def test_gate_probes(law_file, capsys, command, text, code, route):
+    start = time.perf_counter()
     got, out, err = _run(capsys, [command, law_file(text), *GATE_ARGS[command]])
+    assert time.perf_counter() - start < 1
     if route is None or command in ("invariants", "degenerate"):
         assert (got, out) == (code, "")
         assert len(err.strip().splitlines()) == 1
@@ -553,5 +660,5 @@ def test_no_float_or_tolerance_in_src():
     assert [x for x in lines if re.search(r"\b(tol|DEFAULT_TOL|scalar_kind)\b|math\.sqrt", x[1])] == []
     assert [x for x in lines if re.search(r"\bfloat\b", x[1])] == [
         ("catalog.py", "timing: float = 0.0"),
-        ("catalog.py", 'timing=float(d.get("timing", 0.0)),'),
+        ("catalog.py", 'return cls(**{**d, "timing": float(d.get("timing", 0.0))})'),
     ]

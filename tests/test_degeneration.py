@@ -10,19 +10,21 @@ from nilrad.algebra import act, format_law, parse_law
 from nilrad.catalog import NOT_EN, CatalogEntry, classify
 from nilrad.degeneration import (
     DegenerationWitness,
+    LimitResult,
     TrivialCone,
+    degenerate,
     distinguish,
     g_phi_lattice,
     in_g_phi,
     one_param_limit,
     search_degeneration,
 )
-from nilrad.derivations import Invariants, PreEinsteinDerivation
+from nilrad.derivations import Invariants
 from oracles import limit_is_lie, trivial_cone_certificate_holds
 
 
 def _phi(scale, vec):
-    return PreEinsteinDerivation(tuple(Fraction(scale) * v for v in vec))
+    return tuple(Fraction(scale) * v for v in vec)
 
 
 def test_in_g_phi_examples():
@@ -110,13 +112,13 @@ def test_trivial_cone_certificates(walked):
     assert sorted(e.expected.verdict for e, *_ in trivial) == ["EN"] * 16 + ["NOT_EN"]
     assert [e.id for e, *_ in trivial if e.expected.verdict == "NOT_EN"] == ["1.3(i_0)"]
     for e, law, phi, w in trivial:
-        assert trivial_cone_certificate_holds(law, phi.phi, w.y), e.id
+        assert trivial_cone_certificate_holds(law, phi, w.y), e.id
         # corrupting any single weight breaks the certificate
         for t in range(len(w.y)):
             bad = list(w.y)
             bad[t] += 1
-            assert not trivial_cone_certificate_holds(law, phi.phi, bad), (e.id, t)
-        assert not trivial_cone_certificate_holds(law, phi.phi, w.y[:-1])
+            assert not trivial_cone_certificate_holds(law, phi, bad), (e.id, t)
+        assert not trivial_cone_certificate_holds(law, phi, w.y[:-1])
 
 
 def test_distinguish_self(by_id):
@@ -151,6 +153,18 @@ def test_distinguish_invariant_under_monomial_changes(by_id):
         assert distinguish(Invariants(law), Invariants(act(g, law))) is None
 
 
+def test_degenerate_separates_only_a_limit_law(by_id):
+    # the walk's witness is degenerate() at its X; the zero X keeps the law, which nothing separates from itself
+    inv = Invariants(by_id["1.2(ii)"].law())
+    found = search_degeneration(inv)
+    assert degenerate(inv, found.x) == found and str(found.distinction) == "dim_der 12 vs 13"
+    assert degenerate(inv, [0] * 7) == DegenerationWitness((0,) * 7, LimitResult("limit", inv.law), None)
+    half = (Fraction(-1, 2),) * 7
+    diverging = degenerate(inv, half)
+    assert (diverging.x, diverging.limit, diverging.distinction) == (half, LimitResult("divergent"), None)
+    assert [str(r) for r in (found.limit, diverging.limit)] == [format_law(found.limit.law), "divergent"]
+
+
 def test_g_phi_lattice_members(by_id):
     phi = Invariants(by_id["1.21"].law()).phi
     for row in g_phi_lattice(phi, 7):
@@ -173,7 +187,7 @@ def test_search_finds_injected_witness(entries):
 
 def test_search_none_on_abelian():
     inv = Invariants(parse_law("dim 7;"))
-    assert inv.phi == PreEinsteinDerivation((Fraction(1),) * 7)
+    assert inv.phi == (Fraction(1),) * 7
     assert search_degeneration(inv) == TrivialCone(())
 
 
@@ -187,7 +201,7 @@ def test_same_phi_unit_shears_get_no_false_not_en(entries):
         inv = Invariants(e.law())
         if e.expected.verdict != "EN" or not inv.rank:
             continue
-        phi, n = inv.phi.phi, inv.law.dim
+        phi, n = inv.phi, inv.law.dim
         for i, j in itertools.permutations(range(n), 2):
             if phi[i] == phi[j]:
                 g = [[int(a == b or (a, b) == (i, j)) for b in range(n)] for a in range(n)]
