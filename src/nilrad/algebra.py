@@ -218,8 +218,14 @@ def _components(image: str) -> list[str]:
     return [image[a + 1 : b] for a, b in zip(cuts, [*cuts[1:], len(image)])]
 
 
+_MAX_TERMS = 64  # a catalog surd has one term; k factors (sqrt(p) + sqrt(q)) of distinct primes have 2^k
+
+
 def _bounded(v):
-    """v, unless a numerator, denominator or radicand of it has more digits than int() reads and str() prints."""
+    """v, unless it has more than _MAX_TERMS square-root terms, or a numerator, denominator or
+    radicand of it has more digits than int() reads and str() prints."""
+    if isinstance(v, Surd) and len(v.terms) > _MAX_TERMS:
+        raise LawError(f"its value has more than {_MAX_TERMS} square-root terms")
     limit = sys.get_int_max_str_digits()  # 0: no limit
     for m, q in v.terms.items() if isinstance(v, Surd) else [(1, v)]:
         n = max(m, abs(q.numerator), q.denominator)
@@ -303,7 +309,8 @@ def parse_law(text: str, params: Mapping[str, object] | None = None) -> LieLaw:
     a coefficient is parsed by recursive descent (`_coefficient`): rational
     arithmetic on numerals and the bound parameters, with `sqrt` held exactly
     as a `Surd`.  Every malformed text raises LawError, including a numeral too
-    long for `int` and a coefficient nested too deeply to recurse.
+    long for `int`, a coefficient nested too deeply to recurse and one with
+    more than `_MAX_TERMS` square-root terms.
     """
     p = {name: Fraction(value) for name, value in (params or {}).items()}
     head, *statements = text.split(";")

@@ -3,7 +3,10 @@
 Everything is exact: the derivation identity is a linear system over Q in
 the n^2 matrix entries, the diagonal torus is an integer kernel lattice,
 and the pre-Einstein derivation solves the integer Gram system of that
-lattice's basis fraction-free.
+lattice's basis fraction-free.  Der is kept as the sparse integer kernel
+vectors of that system: the pipeline reads only their number (dim Der) and
+their diagonal entries (the maximal-torus check of `pre_einstein`), so the
+dense rational matrices (`DerivationSpace.basis`) are built only when read.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import getitem, mul
+from operator import mul
 
 from . import linalg
 from .algebra import LawError, LieLaw, SeriesSignature, series_signature
@@ -21,8 +24,24 @@ from .nicebasis import NiceCheck, is_nice
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    basis: tuple[tuple[tuple[Fraction, ...], ...], ...]  # each an n x n matrix
+    """A basis of Der, plus integer generators of its diagonal part.
+
+    Each of `vectors` is one kernel vector of `linalg.sparse_nullspace` as
+    its (column, int) pairs, column (k-1)*n + (l-1) holding D_kl, in
+    increasing column order: the last pair is the free entry p > 0, and the
+    derivation is the vector divided by p.
+    """
+
+    dim: int
+    vectors: tuple[tuple[tuple[int, int], ...], ...]
     diag_basis: tuple[tuple[int, ...], ...]  # integer diagonal generators (HNF rows)
+
+    @cached_property
+    def basis(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The derivations as dense n x n rational matrices, each with 1 at its free entry."""
+        n = self.dim
+        cells = [{k: Fraction(x, vec[-1][1]) for k, x in vec} for vec in self.vectors]
+        return tuple(tuple(tuple(d.get(k * n + l, Fraction(0)) for l in range(n)) for k in range(n)) for d in cells)
 
 
 def _derivation_rows(law: LieLaw) -> list[dict[int, int | Fraction]]:
@@ -64,14 +83,11 @@ def derivation_space(law: LieLaw) -> DerivationSpace:
         raise LawError("derivation_space requires a rational law")
     n = law.dim
     vecs = linalg.sparse_nullspace(_derivation_rows(law), n * n)
-    basis = tuple(
-        tuple(tuple(v[k * n : (k + 1) * n]) for k in range(n)) for v in vecs
-    )
-    return DerivationSpace(basis, tuple(map(tuple, diagonal_rank(law))))
+    return DerivationSpace(n, tuple(tuple(v.items()) for v in vecs), tuple(map(tuple, diagonal_rank(law))))
 
 
 def dim_der(law: LieLaw) -> int:
-    return len(derivation_space(law).basis)
+    return len(derivation_space(law).vectors)
 
 
 def diagonal_rank(law: LieLaw) -> list[list[int]]:
@@ -98,6 +114,8 @@ def pre_einstein(space: DerivationSpace) -> tuple[Fraction, ...]:
     derivation basis; failure of that check means the diagonal torus was
     not maximal and is reported rather than patched.  phi = v / d with an
     integer vector v and d > 0, so the check reads sum_i (v_i - d) psi_ii = 0.
+    It is homogeneous in psi, so it runs in integers on the diagonal columns
+    i (n + 1) of each sparse Der vector, whatever its scaling.
     """
     gens = space.diag_basis
     if not gens:
@@ -110,11 +128,10 @@ def pre_einstein(space: DerivationSpace) -> tuple[Fraction, ...]:
     den = math.lcm(*(reduced[p][p] for p in range(r)))
     coeffs = [reduced[p].get(r, 0) * (den // reduced[p][p]) for p in range(r)]
     v = [sum(map(mul, coeffs, col)) for col in zip(*gens)]
-    weights = [x - den for x in v]
-    diagonal = range(len(gens[0]))
-    for psi in space.basis:
-        d = list(map(getitem, psi, diagonal))
-        if any(d) and sum(map(mul, weights, d)):  # most diagonals are zero
+    step = len(v) + 1
+    weights = {i * step: x - den for i, x in enumerate(v) if x != den}  # column of D_ii: v_i - d
+    for vec in space.vectors:
+        if sum(weights[k] * x for k, x in vec if k in weights):
             raise TorusNotMaximalError(
                 "tr(phi.psi) != tr(psi) for a derivation psi; diagonal torus not maximal"
             )
@@ -147,7 +164,7 @@ class Invariants:
 
     @property
     def dim_der(self) -> int:
-        return len(self.der.basis)
+        return len(self.der.vectors)
 
     @property
     def rank(self) -> int:

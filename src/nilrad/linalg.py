@@ -9,11 +9,12 @@ runs inside it.  A row with one entry is already a reduced pivot row
 {c: 1}: those are taken first and their columns dropped from the other
 rows, so elimination and back-substitution never see them (most rows of a
 derivation system are of this kind).  The reduced form is unique, so this
-order changes no output.  `sparse_nullspace` reads its kernel from it, and
-the dense `rref`, with `solve` and `inv` on top, its reduced rows.
-`fractions.Fraction` appears only in what these hand back: reduced rows,
-solutions and kernel vectors.  There is one lattice routine, `hnf`, on
-Python ints: `kernel_lattice` is one HNF of [M^T | I].
+order changes no output.  `sparse_nullspace` reads its kernel from it as
+sparse integer vectors, one per free column, and the dense `rref`, with
+`solve` and `inv` on top, its reduced rows.  `fractions.Fraction` appears
+only in what the dense routines hand back: reduced rows and solutions.
+There is one lattice routine, `hnf`, on Python ints: `kernel_lattice` is
+one HNF of [M^T | I].
 """
 
 from __future__ import annotations
@@ -65,13 +66,21 @@ def inv(a: Matrix) -> Matrix | None:
 
 
 def _primitive(row: dict) -> dict[int, int]:
-    """A rational row {col: coeff} scaled to coprime integers, zero entries dropped; {c: 1} for one entry."""
+    """A rational row {col: coeff} scaled to coprime integers, zero entries dropped; {c: 1} for one entry.
+
+    A row of ints (most Der and series rows) has no denominators to clear:
+    `math.gcd` takes it as it is and refuses a `Fraction`.
+    """
     if len(row) == 1:
-        return {c: 1 for c, v in row.items() if v}
-    d = math.lcm(*(v.denominator for v in row.values()))
-    ints = {k: v.numerator * (d // v.denominator) for k, v in row.items() if v}
-    g = math.gcd(*ints.values())
-    return ints if g == 1 else {k: v // g for k, v in ints.items()}
+        [(c, v)] = row.items()
+        return {c: 1} if v else {}
+    try:
+        g = math.gcd(*row.values())
+    except TypeError:
+        d = math.lcm(*(v.denominator for v in row.values()))
+        row = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
+        g = math.gcd(*row.values())
+    return {k: v for k, v in row.items() if v} if g == 1 else {k: v // g for k, v in row.items() if v}
 
 
 def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
@@ -135,23 +144,30 @@ def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
     return pivot_of_col
 
 
-def sparse_nullspace(rows: list[dict], ncols: int) -> list[Vector]:
+def sparse_nullspace(rows: list[dict], ncols: int) -> list[dict[int, int]]:
     """Kernel basis for a sparse system; rows are {col: coeff} dicts.
 
     Used for the derivation equations, where each row touches only a
-    handful of the n^2 unknowns.  One vector per free column f, with a 1 at
-    f and -row[f] / row[c] at each pivot column c.
+    handful of the n^2 unknowns.  One sparse integer vector per free column
+    f: p at f and -row[f] * (p / row[c]) at each pivot column c whose
+    reduced row has an entry at f, with p the lcm of those pivot entries, so
+    no `Fraction` is made.  Dividing by p gives the rational basis vector
+    with 1 at f.  A pivot row has entries only right of its pivot, so every
+    key is below f: the keys come in increasing order and f is the last.
     """
     pivot_of_col = integer_rref(rows)
-    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivot_of_col}
-    for f, v in basis.items():
-        v[f] = Fraction(1)
-    for c, row in pivot_of_col.items():
-        p = row[c]
-        for f, x in row.items():
+    touching: dict[int, list[int]] = {f: [] for f in range(ncols) if f not in pivot_of_col}
+    for c in sorted(pivot_of_col):
+        for f in pivot_of_col[c]:
             if f != c:
-                basis[f][c] = Fraction(-x, p)
-    return list(basis.values())
+                touching[f].append(c)
+    basis = []
+    for f, cols in touching.items():
+        p = math.lcm(*(pivot_of_col[c][c] for c in cols))
+        v = {c: -pivot_of_col[c][f] * (p // pivot_of_col[c][c]) for c in cols}
+        v[f] = p
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------

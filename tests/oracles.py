@@ -137,12 +137,18 @@ def rank(a: list[list]) -> int:
     return len(linalg.rref(a)[1])
 
 
+def densified_nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
+    """`linalg.sparse_nullspace` of sparse rows as dense rational vectors, each with 1 at its free
+    column, its largest key (a reduced row has entries only right of its pivot)."""
+    return [[Fraction(v.get(c, 0), v[max(v)]) for c in range(ncols)] for v in linalg.sparse_nullspace(rows, ncols)]
+
+
 def nullspace(a: list[list], ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of the kernel of a dense matrix (rows may be empty; then pass ncols)."""
     if a:
         ncols = len(a[0])
     assert ncols is not None
-    return linalg.sparse_nullspace([{c: x for c, x in enumerate(row) if x} for row in a], ncols)
+    return densified_nullspace([{c: x for c, x in enumerate(row) if x} for row in a], ncols)
 
 
 def scale(law: LieLaw, s) -> LieLaw:
@@ -175,9 +181,9 @@ def is_derivation(law: LieLaw, d: list[list]) -> bool:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             v = bracket(law, i, j)
-            lhs = [sum(d[k][l] * v[l] for l in range(n)) for k in range(n)]
-            rhs1 = bracket_vectors(law, cols[i - 1], [Fraction(int(a == j - 1)) for a in range(n)])
-            rhs2 = bracket_vectors(law, [Fraction(int(a == i - 1)) for a in range(n)], cols[j - 1])
+            lhs = [sum(d[k][l] * v[l] for l in range(n) if v[l]) for k in range(n)]
+            rhs1 = bracket_vectors(law, cols[i - 1], [int(a == j - 1) for a in range(n)])
+            rhs2 = bracket_vectors(law, [int(a == i - 1) for a in range(n)], cols[j - 1])
             for k in range(n):
                 if lhs[k] - rhs1[k] - rhs2[k] != 0:
                     return False

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -22,6 +23,9 @@ from nilrad.algebra import (
 from oracles import matmul, scale, scanner_parse_law
 
 HEISENBERG = "dim 3; [1,2]=3"
+PRIMES = [p for p in range(2, 230) if all(p % q for q in range(2, p))]  # the first 50
+# 25 factors (sqrt(p) + sqrt(q)) of distinct primes: their product has 2^25 terms
+MANY_SURDS = "dim 3; [1,2]=3*" + "".join(f"(sqrt({p})+sqrt({q}))" for p, q in zip(PRIMES[::2], PRIMES[1::2]))
 
 
 def test_parse_heisenberg():
@@ -85,12 +89,15 @@ def test_parse_sqrt_coefficient_makes_surd_law():
         ("dim 3; [1,2]=3*" + "7" * 5000, "numeral of 5000 digits is too long"),
         ("dim " + "3" * 5000, "numeral of 5000 digits is too long"),
         ("dim 3; [1,2]=3*sqrt(1000000000000000000000007)", "above 10\\^12"),
+        (MANY_SURDS, "more than 64 square-root terms"),
     ],
     ids=lambda v: v if len(v) <= 60 else f"{v[:30]}...{len(v)} chars",
 )
 def test_parse_errors(text, fragment):
+    start = time.perf_counter()
     with pytest.raises(LawError, match=fragment):
         parse_law(text)
+    assert time.perf_counter() - start < 1
 
 
 def test_parse_errors_agree_with_scanner_oracle():

@@ -17,7 +17,8 @@ import pytest
 import nilrad
 import nilrad.cli
 from nilrad.algebra import format_law
-from nilrad.catalog import Report
+from nilrad.catalog import Report, verify_catalog
+from nilrad.derivations import DerivationSpace
 from nilrad.cli import main
 
 HEISENBERG = "dim 3; [1,2]=3\n"
@@ -25,14 +26,17 @@ HEISENBERG = "dim 3; [1,2]=3\n"
 # law texts that once reached an internal error or ran for hours: nesting
 # deeper than the recursion limit, a numeral beyond int(), a radicand whose
 # trial division took 22.7 s, a product too long for str() (exit 70), 50
-# fractions of 4,001-digit numerals whose product took 1.5 s, and dimensions
-# whose Der basis of dim^4 entries exhausts memory
+# fractions of 4,001-digit numerals whose product took 1.5 s, 25 factors
+# (sqrt(p) + sqrt(q)) whose product doubles its terms per factor, and
+# dimensions whose Der basis of dim^4 entries exhausts memory
 DEEP_PARENS = "dim 3; [1,2]=3*" + "(" * 3000 + "1" + ")" * 3000
 DEEP_MINUS = "dim 3; [1,2]=3*" + "-" * 3000 + "1"
 LONG_NUMERAL = "dim 3; [1,2]=3*" + "7" * 5000
 BIG_RADICAND = "dim 3; [1,2]=3*sqrt(1000000000000000000000007)"
 LONG_PRODUCT = "dim 3; [1,2]=3*" + "7" * 3000 + " " + "7" * 3000
 MANY_FRACTIONS = "dim 3; [1,2]=3*" + " ".join(["1" + "0" * 4000 + "/" + "7" * 4001] * 50)
+PRIMES = [p for p in range(2, 230) if all(p % q for q in range(2, p))]  # the first 50
+MANY_SURDS = "dim 3; [1,2]=3*" + "".join(f"(sqrt({p})+sqrt({q}))" for p, q in zip(PRIMES[::2], PRIMES[1::2]))
 
 
 def _short(text: str) -> str:
@@ -233,6 +237,27 @@ def test_check_json_is_golden(capsys, tmp_path, entries):
     assert digest == GOLDEN_CHECK_SHA256
 
 
+def test_pipeline_never_reads_the_dense_der_basis(capsys, law_file, monkeypatch, entries, reports):
+    """The pipeline reads Der only as sparse integer vectors: with the dense
+    `DerivationSpace.basis` refused, `verify_catalog` on the catalog and `check`
+    on every catalog law give the same reports as with it."""
+
+    def checks():
+        runs = []
+        for e in entries:
+            code, out, _ = _run(capsys, ["check", "--json", law_file(format_law(e.law()))])
+            runs.append((e.id, code, {**json.loads(out), "timing": None}))
+        return runs
+
+    def untimed(reps):
+        return [{**r.to_dict(), "timing": None} for r in reps]
+
+    before = checks()
+    monkeypatch.setattr(DerivationSpace, "basis", property(lambda _: pytest.fail("DerivationSpace.basis read")))
+    assert untimed(verify_catalog(entries)) == untimed(reports.values())
+    assert checks() == before
+
+
 # SHA-256 of [id, command, exit code, stdout] of `invariants` and of
 # `degenerate` (no --X) on every catalog law.  Same rule as above.
 GOLDEN_INVARIANTS_DEGENERATE_SHA256 = "48c44459a0c097d82187aaff1adb9ac8b31b40763c5bd09654b9b532cf503284"
@@ -372,6 +397,7 @@ MALFORMED_LAWS = [
     ("2.3", BIG_RADICAND, "2.3", "above 10^12"),
     ("2.3", LONG_PRODUCT, "2.3", "more than 4300 digits"),
     ("2.3", MANY_FRACTIONS, "2.3", "more than 4300 digits"),
+    ("2.3", MANY_SURDS, "2.3", "more than 64 square-root terms"),
     ("2.3", "dim 41", "2.3", "dimension 41 is above 40"),
     ("2.3", "dim 100000", "2.3", "dimension 100000 is above 40"),
 ]
@@ -558,6 +584,7 @@ GATE_PROBES = [
     (BIG_RADICAND, 64, None),
     (LONG_PRODUCT, 64, None),
     (MANY_FRACTIONS, 64, None),
+    (MANY_SURDS, 64, None),
     ("dim 41", 64, None),
     ("dim 100000", 64, None),
     ("dim 4; [1,2]=3; [1,3]=4; [2,3]=4", 2, "basis_not_adapted"),

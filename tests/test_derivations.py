@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +125,19 @@ def test_torus_generators_lie_in_span(by_id, torus_data):
             span = [[Fraction(v) for v in g] for g in diagonal_rank(entry.law())]
             for recorded in gens:
                 assert in_span(span, [Fraction(v) for v in recorded]), (entry.id, recorded)
+
+
+# SHA-256 of one pass of the hand-run `basis_change` benchmark workload (seed 1),
+# whose output prints the dense Der basis of seven moved catalog laws entry by entry
+BASIS_CHANGE_SHA256 = "13784da3abd653fe9793dcc0af6893fb6983eae18c74139efb5c4525c543ab65"
+
+
+def test_basis_change_workload_output_is_unchanged(monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root))
+    from perfbench.reference import digest
+    from perfbench.workloads import BasisChange
+
+    done = BasisChange(root, 1).run_pass(0, calibrated=False)
+    assert len(done.answers) == 7 and [a.failure for a in done.answers if a.failure] == []
+    assert digest(done.outputs) == BASIS_CHANGE_SHA256

@@ -40,7 +40,9 @@ from oracles import (
     bracket_vectors,
     dense_act,
     dense_moment_map,
+    densified_nullspace,
     fraction_pre_einstein,
+    is_derivation,
     sparse_rref,
     two_pass_kernel_lattice,
 )
@@ -359,11 +361,28 @@ def test_derivation_rows_and_basis_match_dense(exact_laws):
     for name, law in exact_laws.items():
         rows = dense_derivation_rows(law)
         assert _rows_key(_derivation_rows(law)) == _rows_key(rows), name
-        dense_basis = linalg.sparse_nullspace(rows, law.dim**2)
+        dense_basis = densified_nullspace(rows, law.dim**2)
         n = law.dim
         assert derivation_space(law).basis == tuple(
             tuple(tuple(v[k * n + l] for l in range(n)) for k in range(n)) for v in dense_basis
         ), name
+
+
+def test_der_vectors_are_integral_derivations(exact_laws):
+    """Each sparse Der vector is integral, positive at its own free column and
+    zero at every other free column, and is a derivation: on the catalog laws,
+    the seeded basis changes and the probes."""
+    for name, law in exact_laws.items():
+        n, space = law.dim, derivation_space(law)
+        free = [vec[-1][0] for vec in space.vectors]
+        assert len(set(free)) == len(free) == n * n - len(linalg.integer_rref(_derivation_rows(law))), name
+        for vec, f in zip(space.vectors, free):
+            assert all(type(x) is int and x for _, x in vec) and vec[-1][1] > 0, name
+            assert [k for k, _ in vec] == sorted({k for k, _ in vec}) and not {k for k, _ in vec[:-1]} & set(free), name
+            d = [[0] * n for _ in range(n)]
+            for k, x in vec:
+                d[k // n][k % n] = x
+            assert is_derivation(law, d), name
 
 
 def _pre_einstein_outcome(fn, law, space):
@@ -438,7 +457,7 @@ def test_integer_eliminator_on_rational_rows():
         rows, ncols = _rational_rows(rng)
         reduced, kernel = dense_rref_and_nullspace(rows, ncols)
         assert sparse_rref(rows) == reduced, rows
-        assert linalg.sparse_nullspace(rows, ncols) == kernel, rows
+        assert densified_nullspace(rows, ncols) == kernel, rows
         assert all(row[c] > 0 and math.gcd(*row.values()) == 1 for c, row in linalg.integer_rref(rows).items())
         negative_lead += any(row[min(row)] < 0 for row in rows)
         multiples += len(reduced) < len(rows)
@@ -454,7 +473,7 @@ def test_integer_eliminator_on_rational_rows():
         rng.shuffle(rows)
         reduced, kernel = dense_rref_and_nullspace(rows, ncols)
         assert sparse_rref(rows) == reduced, rows
-        assert linalg.sparse_nullspace(rows, ncols) == kernel, rows
+        assert densified_nullspace(rows, ncols) == kernel, rows
         assert all(row[c] > 0 and math.gcd(*row.values()) == 1 for c, row in linalg.integer_rref(rows).items())
         repeated += len(set(unit_cols)) < len(unit_cols)
         shared += any(len(r) > 1 and set(r) & set(unit_cols) for r in rows)
