@@ -23,7 +23,7 @@ from . import degeneration as dg
 from . import nicebasis as nb
 from . import ricci
 from .algebra import LawError, LieLaw, SeriesSignature, jacobi_violations, parse_law
-from .derivations import Invariants, TorusNotMaximalError, positivity_gate
+from .derivations import Invariants, positivity_gate
 
 EN = "EN"
 NOT_EN = "NOT_EN"
@@ -316,10 +316,10 @@ def classify(entry: CatalogEntry) -> Report:
         "derived": list(sig.derived_dims),
         "lcs": list(sig.lcs_dims),
         "rank": inv.rank,
-        "torus": [list(g) for g in inv.der.diag_basis],
+        "torus": [list(g) for g in inv.torus],
         "nice": inv.nice.nice,
     }
-    if inv.rank and dec.route != "basis_not_adapted":
+    if not isinstance(inv.phi, str):  # else the reason the basis gives no phi
         computed["pre_einstein"] = _fmt_vec(inv.phi)
     rep = Report(entry.id, dec.verdict, dec.route, [dec.certificate], {**computed, **dec.computed})
     if not inv.nice.nice and dec.route not in _GATES:
@@ -341,17 +341,16 @@ _GATES = {"rank_zero", "basis_not_adapted", "pre_einstein_positivity"}  # routes
 def _decide(entry: CatalogEntry, inv: Invariants) -> Decision:
     """The decision of the first rung of the ladder that decides.
 
-    The rungs: rank zero, a diagonal torus that is not maximal (phi raises
-    TorusNotMaximalError), a pre-Einstein derivation that is not positive,
-    the abelian law, the LP on a nice basis, then, for a law that is not
-    nice, the entry's recorded witness or degeneration, else the walk on
-    the degeneration cone.
+    The rungs: no pre-Einstein derivation (`Invariants.phi` names why: Der
+    is nilpotent, or the diagonal torus of the basis is not maximal), a
+    pre-Einstein derivation that is not positive, the abelian law, the LP
+    on a nice basis, then, for a law that is not nice, the entry's recorded
+    witness or degeneration, else the walk on the degeneration cone.
     """
-    if not inv.rank:
+    phi = inv.phi
+    if phi == "rank_zero":
         return Decision(NOT_EN, "rank_zero", {"kind": "rank_zero"})
-    try:
-        phi = inv.phi
-    except TorusNotMaximalError:
+    if phi == "basis_not_adapted":
         return Decision(INCONCLUSIVE, "basis_not_adapted", {"kind": "inconclusive", "reason": "basis_not_adapted"})
     idx = positivity_gate(phi)
     if idx is not None:

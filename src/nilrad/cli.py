@@ -3,16 +3,16 @@
 `check`, `report`, `invariants` and `degenerate` read the law file through
 one gate.  `check` exits 0 = Einstein nilradical certified, 1 = certified
 not an Einstein nilradical, 2 = inconclusive; `report` exits 0 on every
-verdict.  A law whose diagonal torus is not maximal is inconclusive: an
-INCONCLUSIVE report (route `basis_not_adapted`) from `check`/`report`, exit
-2 with `basis_not_adapted` on stderr from `invariants`/`degenerate`.
-`degenerate` without `--X` walks the degeneration cone and exits 2 when the
-walk certifies nothing; a rank-zero law has no degeneration flow, and
-`degenerate` exits 2 on it with the reason on stderr.  Usage and parse
-errors and laws with `sqrt` coefficients exit 64; catalog schema errors and
-laws that are not nilpotent Lie algebras (Jacobi fails, lower central
-series does not reach 0, dim 0) exit 65.  An internal error exits 70, never
-a verdict's code.
+verdict.  A law whose diagonal torus is not maximal (`Invariants.phi`,
+at rank 0 too) is inconclusive: an INCONCLUSIVE report (route
+`basis_not_adapted`) from `check`/`report`, exit 2 with `basis_not_adapted`
+on stderr from `invariants`/`degenerate`.  `degenerate` without `--X` walks
+the degeneration cone and exits 2 when the walk certifies nothing; a
+`rank_zero` law (Der nilpotent) has no degeneration flow, and `degenerate`
+exits 2 on it with the reason on stderr.  Usage and parse errors and laws
+with `sqrt` coefficients exit 64; catalog schema errors and laws that are
+not nilpotent Lie algebras (Jacobi fails, lower central series does not
+reach 0, dim 0) exit 65.  An internal error exits 70, never a verdict's code.
 """
 
 from __future__ import annotations
@@ -42,13 +42,17 @@ from .catalog import (
     summary_lines,
     verify_catalog,
 )
-from .derivations import Invariants, TorusNotMaximalError
+from .derivations import Invariants
 
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
 
 _VERDICT_EXIT = {EN: 0, NOT_EN: 1, INCONCLUSIVE: 2}
+_NO_PHI = {  # the reason of Invariants.phi for no pre-Einstein derivation, as a refusal says it
+    "rank_zero": "rank-zero law: Der is nilpotent, no pre-Einstein derivation, degeneration flow undefined",
+    "basis_not_adapted": "basis_not_adapted: the diagonal torus of this basis is not maximal",
+}
 
 
 class Refusal(Exception):
@@ -101,6 +105,8 @@ def _print_report(rep) -> None:
 def cmd_invariants(args) -> int:
     inv = Invariants(_read_gated_law(args))
     sig, phi = nilpotent_series(inv), inv.phi  # both may refuse the law: before anything is printed
+    if phi == "basis_not_adapted":
+        raise Refusal(_VERDICT_EXIT[INCONCLUSIVE], _NO_PHI[phi])
     print(f"dim: {inv.law.dim}")
     print(f"brackets: {len(inv.law.brackets)}")
     print(f"derived: {list(sig.derived_dims)}")
@@ -108,9 +114,9 @@ def cmd_invariants(args) -> int:
     print(f"nilpotent: {sig.nilpotent}")
     print(f"dim_der: {inv.dim_der}")
     print(f"rank: {inv.rank}")
-    for g in inv.der.diag_basis:
+    for g in inv.torus:
         print(f"torus_generator: {list(g)}")
-    if phi is not None:
+    if phi != "rank_zero":
         print(f"pre_einstein: {[fmt_rat(v) for v in phi]}")
     print(f"nice: {inv.nice.nice}")
     if not inv.nice.nice:
@@ -144,10 +150,8 @@ def cmd_degenerate(args) -> int:
         if len(xvec) != law.dim:
             raise Refusal(EX_USAGE, f"--X needs {law.dim} entries")
     phi = inv.phi
-    if phi is None:
-        raise Refusal(
-            _VERDICT_EXIT[INCONCLUSIVE], "rank-zero law: no pre-Einstein derivation, degeneration flow undefined"
-        )
+    if isinstance(phi, str):
+        raise Refusal(_VERDICT_EXIT[INCONCLUSIVE], _NO_PHI[phi])
     print(f"pre_einstein: {[fmt_rat(v) for v in phi]}")
     if xvec is not None:
         print(f"in_g_phi: {dg.in_g_phi(xvec, phi)}")
@@ -238,9 +242,6 @@ def main(argv: list[str] | None = None) -> int:
     except (CatalogError, NotNilpotentError) as exc:
         print(f"{args.prog}: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except TorusNotMaximalError:
-        print(f"{args.prog}: basis_not_adapted: the diagonal torus of this basis is not maximal", file=sys.stderr)
-        return _VERDICT_EXIT[INCONCLUSIVE]
     except Exception as exc:
         print(f"nilrad: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_SOFTWARE

@@ -149,7 +149,8 @@ def _relative_interior(rows: list[tuple[int, ...]]) -> list[Fraction]:
 def search_degeneration(inv: Invariants) -> DegenerationWitness | TrivialCone:
     """The walk on the non-divergence cone C: a trivial-cone certificate, or the limit of a relative-interior X.
 
-    The law must have positive rank.  The witness's distinction is None for
+    inv.phi must be phi's eigenvalues, not the reason the basis gives
+    none (`Invariants.phi`).  The witness's distinction is None for
     a zero limit, and also for a limit that distinguish() does not separate
     from the law, which certifies nothing.
     """

@@ -4,9 +4,10 @@ Everything is exact: the derivation identity is a linear system over Q in
 the n^2 matrix entries, the diagonal torus is an integer kernel lattice,
 and the pre-Einstein derivation solves the integer Gram system of that
 lattice's basis fraction-free.  Der is kept as the sparse integer kernel
-vectors of that system: the pipeline reads only their number (dim Der) and
-their diagonal entries (the maximal-torus check of `pre_einstein`), so the
-dense rational matrices (`DerivationSpace.basis`) are built only when read.
+vectors of that system: the pipeline reads only their number (dim Der),
+their diagonal entries (`pre_einstein`) and, at rank 0, their images
+(`engel_flag`), so the dense matrices (`DerivationSpace.basis`) are built
+only when read.  `Invariants.phi` is the one outcome of the torus.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .nicebasis import NiceCheck, is_nice
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """A basis of Der, plus integer generators of its diagonal part.
+    """A basis of Der.
 
     Each of `vectors` is one kernel vector of `linalg.sparse_nullspace` as
     its (column, int) pairs, column (k-1)*n + (l-1) holding D_kl, in
@@ -34,7 +35,6 @@ class DerivationSpace:
 
     dim: int
     vectors: tuple[tuple[tuple[int, int], ...], ...]
-    diag_basis: tuple[tuple[int, ...], ...]  # integer diagonal generators (HNF rows)
 
     @cached_property
     def basis(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -78,12 +78,12 @@ def _derivation_rows(law: LieLaw) -> list[dict[int, int | Fraction]]:
 
 
 def derivation_space(law: LieLaw) -> DerivationSpace:
-    """Exact basis of Der(mu) plus integer generators of its diagonal part."""
+    """Exact basis of Der(mu)."""
     if not law.is_rational:
         raise LawError("derivation_space requires a rational law")
     n = law.dim
     vecs = linalg.sparse_nullspace(_derivation_rows(law), n * n)
-    return DerivationSpace(n, tuple(tuple(v.items()) for v in vecs), tuple(map(tuple, diagonal_rank(law))))
+    return DerivationSpace(n, tuple(tuple(v.items()) for v in vecs))
 
 
 def dim_der(law: LieLaw) -> int:
@@ -99,27 +99,46 @@ def diagonal_rank(law: LieLaw) -> list[list[int]]:
     return [[int(i == j) for j in range(law.dim)] for i in range(law.dim)]  # no weights: Z^n, HNF basis I
 
 
-class RankZeroError(LawError):
-    """No pre-Einstein derivation: the law has no nonzero diagonal derivation."""
+def engel_flag(space: DerivationSpace) -> tuple[int, ...]:
+    """The dimensions of Der's Engel series W_0 = Q^n, W_{k+1} = span{D w : D in Der, w in W_k}, up to where it stops.
 
-
-class TorusNotMaximalError(LawError):
-    """Full-basis verification of the pre-Einstein derivation failed."""
-
-
-def pre_einstein(space: DerivationSpace) -> tuple[Fraction, ...]:
-    """The diagonal of the derivation phi with tr(phi psi) = tr(psi) for all psi in Der.
-
-    Solved inside the diagonal torus, then verified against the full
-    derivation basis; failure of that check means the diagonal torus was
-    not maximal and is reported rather than patched.  phi = v / d with an
-    integer vector v and d > 0, so the check reads sum_i (v_i - d) psi_ii = 0.
-    It is homogeneous in psi, so it runs in integers on the diagonal columns
-    i (n + 1) of each sparse Der vector, whatever its scaling.
+    The series only falls, and it reaches 0 exactly when every derivation
+    is nilpotent (Engel's theorem).  Der is algebraic, so that is exactly
+    when no basis has a nonzero diagonal derivation.  A kernel vector is a
+    derivation times its p > 0, which spans the same images; entry (k, l)
+    of D is column k n + l, so (D w)_k = sum_l D_kl w_l.
     """
-    gens = space.diag_basis
-    if not gens:
-        raise RankZeroError("rank-zero law has no pre-Einstein derivation")
+    n = space.dim
+    entries = [[divmod(col, n) + (x,) for col, x in vec] for vec in space.vectors]
+    w = {i: {i: 1} for i in range(n)}
+    dims = [n]
+    while w:
+        images = []
+        for d in entries:
+            for row in w.values():
+                img: dict[int, int] = {}
+                for k, l, x in d:
+                    if l in row:
+                        img[k] = img.get(k, 0) + x * row[l]
+                images.append(img)
+        w = linalg.integer_rref(images)
+        if len(w) == dims[-1]:
+            break
+        dims.append(len(w))
+    return tuple(dims)
+
+
+def pre_einstein(inv: Invariants) -> tuple[Fraction, ...] | None:
+    """The diagonal of the derivation phi with tr(phi psi) = tr(psi) for all psi in Der, or None.
+
+    Solved inside the diagonal torus (of positive rank), then verified
+    against the full derivation basis: None, when that check fails, means the
+    diagonal torus is not maximal.  phi = v / d with an integer vector v and
+    d > 0, so the check reads sum_i (v_i - d) psi_ii = 0.  It is homogeneous
+    in psi, so it runs in integers on the diagonal columns i (n + 1) of each
+    sparse Der vector, whatever its scaling.
+    """
+    gens = inv.torus
     r = len(gens)
     # phi = sum_p c_p gens[p] with G c = (sum gens[p])_p for the Gram matrix G, which is
     # definite: row p of the reduced augmented system reads a_p c_p = b_p (column r is b)
@@ -130,11 +149,8 @@ def pre_einstein(space: DerivationSpace) -> tuple[Fraction, ...]:
     v = [sum(map(mul, coeffs, col)) for col in zip(*gens)]
     step = len(v) + 1
     weights = {i * step: x - den for i, x in enumerate(v) if x != den}  # column of D_ii: v_i - d
-    for vec in space.vectors:
-        if sum(weights[k] * x for k, x in vec if k in weights):
-            raise TorusNotMaximalError(
-                "tr(phi.psi) != tr(psi) for a derivation psi; diagonal torus not maximal"
-            )
+    if any(sum(weights[k] * x for k, x in vec if k in weights) for vec in inv.der.vectors):
+        return None
     return tuple(Fraction(x, den) for x in v)
 
 
@@ -147,9 +163,9 @@ def positivity_gate(phi: tuple[Fraction, ...]) -> int | None:
 class Invariants:
     """The invariants of one law, each computed on first use and kept.
 
-    The one place the pipeline computes the series, Der, phi and niceness
-    of a law: classify, every route, distinguish, the degeneration search
-    and the CLI commands read them here.
+    The one place the pipeline computes the series, Der, the diagonal
+    torus, phi and niceness of a law: classify, every route, distinguish,
+    the degeneration search and the CLI commands read them here.
     """
 
     law: LieLaw
@@ -166,14 +182,21 @@ class Invariants:
     def dim_der(self) -> int:
         return len(self.der.vectors)
 
+    @cached_property
+    def torus(self) -> tuple[tuple[int, ...], ...]:
+        """The HNF integer generators of the diagonal torus of the basis."""
+        return tuple(map(tuple, diagonal_rank(self.law)))
+
     @property
     def rank(self) -> int:
-        return len(self.der.diag_basis)
+        return len(self.torus)
 
     @cached_property
-    def phi(self) -> tuple[Fraction, ...] | None:
-        """None at rank zero; TorusNotMaximalError when the diagonal torus of the basis is not maximal."""
-        return pre_einstein(self.der) if self.rank else None
+    def phi(self) -> tuple[Fraction, ...] | str:
+        """phi's eigenvalues, or why the basis has none: "rank_zero" (Der is nilpotent) or "basis_not_adapted"."""
+        if not self.rank:
+            return "basis_not_adapted" if engel_flag(self.der)[-1] else "rank_zero"
+        return pre_einstein(self) or "basis_not_adapted"
 
     @cached_property
     def nice(self) -> NiceCheck:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from nilrad import linalg
 from nilrad.algebra import LawError, LieLaw, Surd, Triple, jacobi_violations
 from nilrad.degeneration import LimitResult
-from nilrad.derivations import DerivationSpace, RankZeroError, TorusNotMaximalError
+from nilrad.derivations import DerivationSpace, Invariants
 
 
 FLOAT_TOL = 1e-9
@@ -418,11 +418,28 @@ def scanner_parse_law(text: str, params: Mapping[str, object] | None = None) -> 
     return LieLaw(dim, brackets)
 
 
-def fraction_pre_einstein(law: LieLaw, space: DerivationSpace) -> tuple[Fraction, ...]:
-    """phi from a rational solve of the Gram system, with tr(phi psi) = tr(psi) checked in Fractions."""
-    gens = space.diag_basis
+def fraction_engel_flag(space: DerivationSpace) -> tuple[int, ...]:
+    """The dimensions of Der's Engel series W_{k+1} = span{D w}, from W_0 = Q^n until it stops,
+    by dense rational products of the dense Der basis and a dense rref of each step."""
+    n = space.dim
+    w = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    dims = [n]
+    while w:
+        images = [[sum(d[k][l] * v[l] for l in range(n)) for k in range(n)] for d in space.basis for v in w]
+        red, pivots = linalg.rref(images)
+        w = red[: len(pivots)]
+        if len(w) == dims[-1]:
+            break
+        dims.append(len(w))
+    return tuple(dims)
+
+
+def fraction_pre_einstein(inv: Invariants) -> tuple[Fraction, ...] | str:
+    """`Invariants.phi` in Fractions: phi from a rational solve of the Gram system, with
+    tr(phi psi) = tr(psi) checked on the dense Der basis, and at rank 0 the dense Engel flag."""
+    law, space, gens = inv.law, inv.der, inv.torus
     if not gens:
-        raise RankZeroError("rank-zero law has no pre-Einstein derivation")
+        return "basis_not_adapted" if fraction_engel_flag(space)[-1] else "rank_zero"
     r = len(gens)
     gram = [[sum(a * b for a, b in zip(gens[p], gens[q])) for q in range(r)] for p in range(r)]
     rhs = [sum(gens[p]) for p in range(r)]
@@ -433,7 +450,7 @@ def fraction_pre_einstein(law: LieLaw, space: DerivationSpace) -> tuple[Fraction
     for psi in space.basis:
         diag = [(phi[i], psi[i][i]) for i in range(n) if psi[i][i]]  # most are zero
         if sum(f * x for f, x in diag) != sum(x for _, x in diag):
-            raise TorusNotMaximalError("tr(phi.psi) != tr(psi) for a derivation psi; diagonal torus not maximal")
+            return "basis_not_adapted"
     return phi
 
 

@@ -590,6 +590,8 @@ GATE_PROBES = [
     ("dim 4; [1,2]=3; [1,3]=4; [2,3]=4", 2, "basis_not_adapted"),
     # h3 under act([[1,1,0],[0,1,1],[1,0,2]])
     ("dim 3; [1,2]=2*2/3+3*4/3; [1,3]=2*-1/3+3*-2/3", 2, "basis_not_adapted"),
+    # h3 in a basis of diagonal rank 0: Der is not nilpotent, so not rank_zero
+    ("dim 3; [1,2]=1*-2+2+3; [1,3]=1*2+2*-1+3*-1; [2,3]=1*4+2*-2+3*-2", 2, "basis_not_adapted"),
     ("dim 1", 0, "abelian"),
     ("dim 2", 0, "abelian"),
     ("dim 7", 0, "abelian"),

@@ -4,16 +4,14 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from nilrad import linalg
 from nilrad.algebra import act, parse_law
 from nilrad.derivations import (
     Invariants,
-    RankZeroError,
     derivation_space,
     diagonal_rank,
     dim_der,
+    engel_flag,
     positivity_gate,
     pre_einstein,
 )
@@ -56,7 +54,7 @@ def test_basis_satisfies_derivation_identity(by_id):
             assert is_derivation(law, [list(r) for r in d]), eid
 
 
-def test_diag_basis_elements_are_derivations(by_id):
+def test_torus_elements_are_derivations(by_id):
     law = by_id["2.5"].law()
     for g in diagonal_rank(law):
         assert not any(law.weights(g))
@@ -84,19 +82,20 @@ def test_pre_einstein_examples(by_id):
 def test_pre_einstein_trace_property(by_id):
     for eid in ("2.3", "1.4", "3.8"):
         law = by_id[eid].law()
-        space = derivation_space(law)
-        phi = pre_einstein(space)
+        inv = Invariants(law)
+        phi = pre_einstein(inv)
         n = law.dim
-        for psi in space.basis:
+        for psi in inv.der.basis:
             tr_phi_psi = sum(phi[i] * psi[i][i] for i in range(n))
             tr_psi = sum(psi[i][i] for i in range(n))
             assert tr_phi_psi == tr_psi
 
 
 def test_pre_einstein_rank_zero_rejected(by_id):
-    with pytest.raises(RankZeroError):
-        pre_einstein(derivation_space(by_id["0.1"].law()))
-    assert Invariants(by_id["0.1"].law()).phi is None
+    # 0.1 is characteristically nilpotent: Der's Engel series falls by one each step to 0
+    inv = Invariants(by_id["0.1"].law())
+    assert inv.torus == () and inv.phi == "rank_zero"
+    assert engel_flag(inv.der) == (7, 6, 5, 4, 3, 2, 1, 0)
 
 
 def test_positivity_gate():

@@ -5,12 +5,15 @@ of Jacobi, the two series, the derivation equations, row reduction and the
 simplex pivot.  They scan every bracket (or every matrix entry) with
 Fraction arithmetic and are kept here only as oracles: the library's sparse
 kernels must give exactly the same residuals, series dimensions, equation
-rows, Der bases, reduced matrices and LP solutions, and the integer
-pre-Einstein derivation the same phi as the Fraction one in
-`oracles.fraction_pre_einstein`.  The one-HNF kernel lattice must equal the
-two-pass one of `oracles.two_pass_kernel_lattice`, and the sparse basis
-change the dense `oracles.dense_act`.  The integer weight rows of the
-degeneration cone must flag exactly the X whose limit diverges.
+rows, Der bases, reduced matrices and LP solutions, the integer
+pre-Einstein outcome the same phi (or the same reason for none) as the
+Fraction one in `oracles.fraction_pre_einstein`, and the sparse Engel
+series of Der the same dimensions as `oracles.fraction_engel_flag`.  The
+one-HNF kernel lattice must equal the two-pass one of
+`oracles.two_pass_kernel_lattice`, and the sparse basis change the dense
+`oracles.dense_act`.  The integer weight rows of the degeneration cone must
+flag exactly the X whose limit diverges.  On the moved catalog (each law
+under three seeded shears) no law gets the opposite of its catalog verdict.
 """
 
 from __future__ import annotations
@@ -23,16 +26,10 @@ from fractions import Fraction
 import pytest
 
 from nilrad import linalg, lp
-from nilrad.algebra import LawError, act, jacobi_violations, parse_law, series_signature
+from nilrad.algebra import LawError, act, format_law, jacobi_violations, parse_law, series_signature
+from nilrad.catalog import INCONCLUSIVE, CatalogEntry, classify
 from nilrad.degeneration import g_phi_lattice, lattice_weight_rows, one_param_limit
-from nilrad.derivations import (
-    Invariants,
-    RankZeroError,
-    TorusNotMaximalError,
-    _derivation_rows,
-    derivation_space,
-    pre_einstein,
-)
+from nilrad.derivations import Invariants, _derivation_rows, derivation_space, engel_flag
 from nilrad.nicebasis import gram_matrix, is_nice
 from nilrad.ricci import moment_map
 from oracles import (
@@ -41,6 +38,7 @@ from oracles import (
     dense_act,
     dense_moment_map,
     densified_nullspace,
+    fraction_engel_flag,
     fraction_pre_einstein,
     is_derivation,
     sparse_rref,
@@ -55,6 +53,7 @@ PROBES = (
     "dim 1",
     "dim 2",
     "dim 3; [1,2]=2*2/3+3*4/3; [1,3]=2*-1/3+3*-2/3",  # h3 in a basis whose diagonal torus is not maximal
+    "dim 3; [1,2]=1*-2+2+3; [1,3]=1*2+2*-1+3*-1; [2,3]=1*4+2*-2+3*-2",  # h3 with diagonal rank 0
 )
 
 
@@ -288,10 +287,11 @@ def dense_max_min_component(u, rhs):
 # laws to compare on
 
 
-def _random_g(rng, n):
+def _random_g(rng, n, shears=2):
+    """A seeded nonsingular g: the identity with `shears` off-diagonal entries set to integers in -2..2."""
     while True:
         g = linalg.identity(n)
-        for _ in range(2):
+        for _ in range(shears):
             a, b = rng.sample(range(n), 2)
             g[a][b] = Fraction(rng.randint(-2, 2))
         if linalg.inv(g) is not None:
@@ -385,26 +385,35 @@ def test_der_vectors_are_integral_derivations(exact_laws):
             assert is_derivation(law, d), name
 
 
-def _pre_einstein_outcome(fn, law, space):
-    try:
-        return fn(law, space)
-    except (RankZeroError, TorusNotMaximalError) as exc:
-        return type(exc)
-
-
 def test_pre_einstein_matches_fraction_oracle(exact_laws):
-    """phi from the fraction-free Gram solve and the integer-weight trace check
-    equals the Fraction oracle's, or both raise the same error: on the catalog,
-    the seeded basis changes and the probes, two of which are not adapted."""
+    """phi from the fraction-free Gram solve and the integer-weight trace check,
+    or the reason for none, equals the Fraction oracle's: on the catalog, the
+    seeded basis changes and the probes, three of which are not adapted."""
     outcomes = {}
     for name, law in exact_laws.items():
+        got = outcomes[name] = Invariants(law).phi
+        assert got == fraction_pre_einstein(Invariants(law)), name
+        assert isinstance(got, str) or all(type(v) is Fraction for v in got), name
+    assert [name for name in PROBES if outcomes[name] == "basis_not_adapted"] == [PROBES[2], PROBES[6], PROBES[7]]
+    kinds = Counter(got if isinstance(got, str) else tuple for got in outcomes.values())
+    assert kinds["rank_zero"] >= 8 and kinds["basis_not_adapted"] > 2 and kinds[tuple] >= 128
+
+
+def test_engel_flag_matches_fraction_oracle(exact_laws, entries):
+    """The Engel series of the sparse integer Der vectors has the dimensions of
+    the dense rational one, and reaches 0 on exactly the catalog laws recorded
+    at rank 0 (Der nilpotent), whatever the basis."""
+    flags = {}
+    for name, law in exact_laws.items():
         space = derivation_space(law)
-        got = outcomes[name] = _pre_einstein_outcome(lambda _, der: pre_einstein(der), law, space)
-        assert got == _pre_einstein_outcome(fraction_pre_einstein, law, space), name
-        assert isinstance(got, type) or all(type(v) is Fraction for v in got), name
-    assert [name for name in PROBES if outcomes[name] is TorusNotMaximalError] == [PROBES[2], PROBES[6]]
-    kinds = Counter(got if isinstance(got, type) else tuple for got in outcomes.values())
-    assert kinds[RankZeroError] >= 8 and kinds[TorusNotMaximalError] > 2 and kinds[tuple] >= 128
+        flags[name] = engel_flag(space)
+        assert flags[name] == fraction_engel_flag(space), name
+        assert list(flags[name]) == sorted(set(flags[name]), reverse=True) and flags[name][0] == law.dim, name
+    rank_zero = {e.id for e in entries if e.expected.rank == 0}
+    assert len(rank_zero) == 8
+    nilpotent = {name.removeprefix("g.") for name, flag in flags.items() if flag[-1] == 0 and name not in PROBES}
+    assert nilpotent == rank_zero and any(f"g.{eid}" in flags for eid in rank_zero)
+    assert flags[PROBES[7]] == (3,)  # h3 of diagonal rank 0: Der is not nilpotent, the series stalls at once
 
 
 def test_rref_matches_dense():
@@ -626,11 +635,8 @@ def test_kernel_lattice_matches_two_pass_oracle(entries):
     for e in entries:
         inv = Invariants(e.law())
         mats.append(inv.law.weight_rows)
-        try:
-            phi = inv.phi
-        except TorusNotMaximalError:
-            continue
-        if phi is not None:
+        phi = inv.phi
+        if not isinstance(phi, str):
             den = math.lcm(*(v.denominator for v in phi))
             mats.append([[1] * inv.law.dim, [int(v * den) for v in phi]])
             assert g_phi_lattice(phi, inv.law.dim) == two_pass_kernel_lattice(mats[-1]), e.id
@@ -674,3 +680,23 @@ def test_act_matches_dense_oracle(entries):
     singular = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
     with pytest.raises(LawError, match="singular"):
         act(singular, parse_law("dim 3; [1,2]=3"))
+
+
+@pytest.mark.parametrize("seed", [7, 11, 13])
+def test_moved_catalog_never_gets_the_opposite_verdict(entries, seed):
+    """Each catalog law moved by three seeded shears gets its catalog verdict or
+    INCONCLUSIVE, never the opposite one, and classify raises nothing.  Der is
+    nilpotent in every basis, so exactly the catalog's rank-zero laws keep
+    their certified NOT_EN via `rank_zero`; every other law of diagonal rank 0
+    is `basis_not_adapted`."""
+    rng = random.Random(seed)
+    routes = {}
+    for e in entries:
+        law = act(_random_g(rng, e.law().dim, shears=3), e.law())
+        rep = classify(CatalogEntry(e.id, {}, format_law(law), None, parsed=law))
+        assert rep.verdict in (e.expected.verdict, INCONCLUSIVE), (e.id, rep.route)
+        routes[e.id] = rep.route
+    assert {eid for eid, route in routes.items() if route == "rank_zero"} == {
+        e.id for e in entries if e.expected.rank == 0
+    }
+    assert sum(route == "basis_not_adapted" for route in routes.values()) > 100
