@@ -16,7 +16,8 @@ series never build a Fraction.  Jacobi is a join of the stored brackets
 with `images`: each c.e_m in [e_a, e_b] meets each d.e_l in [e_i, e_m] and
 adds +-c.d to the residual of the triple {i, a, b}, so no index triple is
 enumerated.  Both series start from [g, g], the span of the stored
-images, row-reduced once.  The weight map Y has one row
+images: every term is an index set on a monomial law (each image one basis
+vector), reduced integer rows on any other.  The weight map Y has one row
 f_i + f_j - f_k per stored triple, in sorted order (`weight_rows`, and
 `weights(d)` = Y.d): the diagonal torus is ker Y, U = Y Y^T, a diagonal X
 degenerates the law by the signs of Y.X, and a diagonal moment map m is a
@@ -30,7 +31,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, Mapping
 
 from . import linalg
@@ -425,13 +426,25 @@ def _subspace_bracket(law: LieLaw, a: list[dict], b: list[dict] | None = None) -
 def series_signature(law: LieLaw) -> SeriesSignature:
     """Dimensions of the derived series and the descending central series.
 
-    Both series start from [g, g], the span of the stored images, which is
-    row-reduced once.
+    Both series start from [g, g], the span of the stored images.  On a
+    monomial law, where every bracket image is one basis vector, every term
+    is a coordinate subspace, held as its index set: [A, B] is the span of
+    the images of the pairs in A x B.  Any other law gets reduced integer
+    rows: [g, g] row-reduced once, then `_subspace_bracket` per step.
     """
     if not law.is_rational:
         raise LawError("series_signature requires a rational law")
-    full = [{i: 1} for i in range(1, law.dim + 1)]
-    gg = list(linalg.integer_rref([img for (a, b), img in law.images.items() if a < b]).values())
+    if all(len(img) == 1 for img in law.images.values()):
+        pairs = [(a, b, k) for (a, b), img in law.images.items() for k in img]
+
+        def bracket(a: set, b: set | None = None) -> set:
+            return {k for x, y, k in pairs if x in a and y in (a if b is None else b)}
+
+        full, gg = set(range(1, law.dim + 1)), {k for *_, k in pairs}
+    else:
+        bracket = partial(_subspace_bracket, law)
+        full = [{i: 1} for i in range(1, law.dim + 1)]
+        gg = list(linalg.integer_rref([img for (a, b), img in law.images.items() if a < b]).values())
 
     def dims(step) -> tuple[int, ...]:
         out, cur = [law.dim], gg
@@ -442,10 +455,7 @@ def series_signature(law: LieLaw) -> SeriesSignature:
             cur = step(cur)
         return tuple(out)
 
-    return SeriesSignature(
-        dims(lambda cur: _subspace_bracket(law, cur)),
-        dims(lambda cur: _subspace_bracket(law, full, cur)),
-    )
+    return SeriesSignature(dims(bracket), dims(lambda cur: bracket(full, cur)))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,8 @@ def _derivation_rows(law: LieLaw) -> list[dict[int, int | Fraction]]:
     pair i<j and output coordinate k.  A stored bracket [e_a,e_b] = c e_m
     enters only the rows (a,b,.), (.,b,m) and (.,a,m), so the system is
     built in O(#brackets * n); the row for (j,i,k) is minus that for (i,j,k).
+    Each row is built once: an entry is dropped as soon as it cancels, so
+    no row holds a zero and only the rows left empty are skipped.
     """
     n = law.dim
     rows: dict[tuple[int, int, int], dict[int, int | Fraction]] = {}
@@ -59,7 +61,11 @@ def _derivation_rows(law: LieLaw) -> list[dict[int, int | Fraction]]:
         if i > j:
             i, j, val = j, i, -val
         row = rows.setdefault((i, j, k), {})
-        row[col] = row.get(col, 0) + val
+        val += row.get(col, 0)
+        if val:
+            row[col] = val
+        else:
+            del row[col]
 
     # `images` holds integral constants as ints, so the system stays integer
     for (a, b), img in law.images.items():
@@ -73,8 +79,7 @@ def _derivation_rows(law: LieLaw) -> list[dict[int, int | Fraction]]:
                     add(i, b, m, (a - 1) * n + i - 1, -c)  # [D e_i, e_b] through D_ai
                 if i != a:
                     add(i, a, m, (b - 1) * n + i - 1, c)  # [D e_i, e_a] through D_bi; [e_b, e_a] = -c e_m
-    pruned = ({col: v for col, v in row.items() if v} for row in rows.values())
-    return [row for row in pruned if row]
+    return [row for row in rows.values() if row]
 
 
 def derivation_space(law: LieLaw) -> DerivationSpace:

@@ -13,8 +13,9 @@ order changes no output.  `sparse_nullspace` reads its kernel from it as
 sparse integer vectors, one per free column, and the dense `rref`, with
 `solve` and `inv` on top, its reduced rows.  `fractions.Fraction` appears
 only in what the dense routines hand back: reduced rows and solutions.
-There is one lattice routine, `hnf`, on Python ints: `kernel_lattice` is
-one HNF of [M^T | I].
+There is one echelon routine on Python ints, `_echelon`: `hnf` reduces above
+its pivots, and `kernel_lattice` echelons [M^T | I] on the M^T columns only
+and takes the `hnf` of the kernel rows it leaves.
 """
 
 from __future__ import annotations
@@ -66,21 +67,18 @@ def inv(a: Matrix) -> Matrix | None:
 
 
 def _primitive(row: dict) -> dict[int, int]:
-    """A rational row {col: coeff} scaled to coprime integers, zero entries dropped; {c: 1} for one entry.
+    """A rational row {col: coeff} with no zero entry, scaled to coprime integers.
 
     A row of ints (most Der and series rows) has no denominators to clear:
     `math.gcd` takes it as it is and refuses a `Fraction`.
     """
-    if len(row) == 1:
-        [(c, v)] = row.items()
-        return {c: 1} if v else {}
     try:
         g = math.gcd(*row.values())
     except TypeError:
         d = math.lcm(*(v.denominator for v in row.values()))
         row = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
         g = math.gcd(*row.values())
-    return {k: v for k, v in row.items() if v} if g == 1 else {k: v // g for k, v in row.items() if v}
+    return row if g <= 1 else {k: v // g for k, v in row.items()}
 
 
 def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
@@ -99,31 +97,22 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, in
     return row if g <= 1 else {k: v // g for k, v in row.items()}
 
 
-def _without(row: dict[int, int], cols) -> dict[int, int]:
-    """The row with the entries in `cols` dropped, its content divided out."""
-    if not any(k in cols for k in row):
-        return row
-    row = {k: v for k, v in row.items() if k not in cols}
-    g = math.gcd(*row.values())
-    return row if g <= 1 else {k: v // g for k, v in row.items()}
-
-
 def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
     """Fraction-free reduced row echelon form of sparse rational rows {col: coeff}.
 
     Keyed by pivot column.  Each returned row is a primitive integer row
     with a positive entry at its pivot and no entry in any other pivot
     column, so row / row[pivot] is the unique reduced form of the row space.
-    Rows are cleared of denominators once; elimination is row <- a.row - b.piv
-    on Python ints, with the content gcd taken out after each step.
+    A nonzero one-entry row is already the pivot {c: 1} of the reduced form,
+    and {c: 0} is no row.  Every longer row is read once: its zero entries
+    and the entries in those unit columns are dropped and its denominators
+    cleared, so elimination and back-substitution never meet a unit column.
+    Elimination is row <- a.row - b.piv on Python ints, with the content gcd
+    taken out after each step.
     """
-    work = [r for r in map(_primitive, rows) if r]
-    # a one-entry row is the pivot {c: 1} of the reduced form: take those first
-    # and drop their columns from the other rows, so neither elimination nor
-    # back-substitution ever meets them
-    units = {c: {c: 1} for r in work if len(r) == 1 for c in r}
-    if units:
-        work = [r for r in (_without(r, units) for r in work if len(r) > 1) if r]
+    units = {c: {c: 1} for r in rows if len(r) == 1 for c, v in r.items() if v}
+    longer = (_primitive({k: v for k, v in r.items() if v and k not in units}) for r in rows if len(r) > 1)
+    work = [r for r in longer if r]
     pivot_of_col: dict[int, dict[int, int]] = {}
     while work:
         row = work.pop()
@@ -174,13 +163,20 @@ def sparse_nullspace(rows: list[dict], ncols: int) -> list[dict[int, int]]:
 # integer lattices
 
 
-def hnf(mat: list[list[int]]) -> list[list[int]]:
-    """Nonzero rows of the row Hermite normal form (canonical lattice basis)."""
-    h = [list(map(int, row)) for row in mat]
-    nrows = len(h)
-    ncols = len(h[0]) if nrows else 0
-    r = 0
+def _echelon(h: list[list[int]], ncols: int) -> list[int]:
+    """Bring the int rows h to echelon form on their first ncols columns, in place.
+
+    Only unimodular steps: swaps, and adding an integer multiple of the
+    pivot row to a row below it (Euclid on each column), so the rows span
+    the same lattice.  Each pivot is made positive, and nothing above a
+    pivot is reduced.  Returns the pivot columns, one per leading row; the
+    rows after them are zero on the first ncols columns.
+    """
+    nrows, pivots = len(h), []
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         while True:
             nz = [i for i in range(r, nrows) if h[i][c] != 0]
             if not nz:
@@ -196,29 +192,41 @@ def hnf(mat: list[list[int]]) -> list[list[int]]:
                         done = False
             if done:
                 break
-        if r < nrows and h[r][c] != 0:
+        if h[r][c] != 0:
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
-            for i in range(r):
-                q = h[i][c] // h[r][c]
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-            r += 1
-            if r == nrows:
-                break
-    return [row for row in h if any(row)]
+            pivots.append(c)
+    return pivots
+
+
+def hnf(mat: list[list[int]]) -> list[list[int]]:
+    """Nonzero rows of the row Hermite normal form (canonical lattice basis).
+
+    `_echelon`, then each entry above a pivot reduced into [0, pivot), pivot
+    by pivot from the left: a pivot row is zero left of its pivot, so no
+    later step undoes an earlier one.
+    """
+    h = [list(map(int, row)) for row in mat]
+    pivots = _echelon(h, len(h[0]) if h else 0)
+    for r, c in enumerate(pivots):
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+    return h[: len(pivots)]
 
 
 def kernel_lattice(mat: list[list[int]]) -> list[list[int]]:
     """HNF basis of the lattice {x in Z^n : mat @ x = 0} (mat is m x n).
 
-    The rows of [mat^T | I] span {(mat x, x) : x in Z^n}.  Their HNF is
-    echelon, so its rows that vanish on the first m columns are a reduced
-    basis of {(0, x) : mat x = 0}: cut to their last n entries, they are the
-    (unique) HNF of the kernel.
+    The rows of [mat^T | I] span {(mat x, x) : x in Z^n}.  `_echelon` on
+    their first m columns only, by unimodular steps, leaves rows that vanish
+    there: cut to their last n entries, they are a basis of the kernel, and
+    `hnf` of those n-wide rows alone is its (unique) HNF.
     """
     if not mat:
         return []
     m, n = len(mat), len(mat[0])
     rows = [[*col, *(int(i == j) for j in range(n))] for i, col in enumerate(zip(*mat))]
-    return [row[m:] for row in hnf(rows) if not any(row[:m])]
+    r = len(_echelon(rows, m))
+    return hnf([row[m:] for row in rows[r:]])

@@ -43,14 +43,17 @@ def test_hnf_canonical_for_lattice():
     assert linalg.hnf(b1) == linalg.hnf(b2)
 
 
-def test_kernel_lattice_is_one_hnf(monkeypatch):
+def test_kernel_lattice_hnf_sees_only_kernel_rows(monkeypatch):
+    """One `hnf` per kernel, and it gets the n-wide kernel rows, never the n + m wide rows of [M^T | I]."""
     calls = []
     hnf = linalg.hnf
     monkeypatch.setattr(linalg, "hnf", lambda mat: calls.append(mat) or hnf(mat))
     assert linalg.kernel_lattice([]) == [] and calls == []
     assert linalg.kernel_lattice([[1, 1, 0]]) == [[1, -1, 0], [0, 0, 1]]
     assert linalg.kernel_lattice([[1, 2], [3, 4]]) == []
-    assert len(calls) == 2
+    assert linalg.kernel_lattice([[2, 4, 6, 0], [0, 0, 0, 0]]) == [[1, 1, -1, 0], [0, 3, -2, 0], [0, 0, 0, 1]]
+    assert [len(mat) for mat in calls] == [2, 0, 3]
+    assert all(len(row) == n for mat, n in zip(calls, (3, 2, 4)) for row in mat)
 
 
 def test_kernel_lattice_membership():

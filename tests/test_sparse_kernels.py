@@ -5,11 +5,13 @@ of Jacobi, the two series, the derivation equations, row reduction and the
 simplex pivot.  They scan every bracket (or every matrix entry) with
 Fraction arithmetic and are kept here only as oracles: the library's sparse
 kernels must give exactly the same residuals, series dimensions, equation
-rows, Der bases, reduced matrices and LP solutions, the integer
+rows, Der bases, reduced matrices and LP solutions (the series also on
+seeded monomial tables, whose index-set path runs no elimination), the integer
 pre-Einstein outcome the same phi (or the same reason for none) as the
 Fraction one in `oracles.fraction_pre_einstein`, and the sparse Engel
 series of Der the same dimensions as `oracles.fraction_engel_flag`.  The
-one-HNF kernel lattice must equal the two-pass one of
+kernel lattice (an echelon of [M^T | I], then the HNF of its kernel rows)
+must equal the two-pass one of
 `oracles.two_pass_kernel_lattice`, and the sparse basis change the dense
 `oracles.dense_act`.  The integer weight rows of the degeneration cone must
 flag exactly the X whose limit diverges.  On the moved catalog (each law
@@ -26,7 +28,7 @@ from fractions import Fraction
 import pytest
 
 from nilrad import linalg, lp
-from nilrad.algebra import LawError, act, format_law, jacobi_violations, parse_law, series_signature
+from nilrad.algebra import LawError, LieLaw, act, format_law, jacobi_violations, parse_law, series_signature
 from nilrad.catalog import INCONCLUSIVE, CatalogEntry, classify
 from nilrad.degeneration import g_phi_lattice, lattice_weight_rows, one_param_limit
 from nilrad.derivations import Invariants, _derivation_rows, derivation_space, engel_flag
@@ -357,6 +359,54 @@ def test_series_matches_dense(exact_laws):
         assert (sig.derived_dims, sig.lcs_dims) == dense_series_signature(law), name
 
 
+def _monomial_law(rng, n):
+    """A seeded bracket table on n basis vectors with each image one basis vector, Jacobi not required.
+
+    A fifth of the tables are abelian, a fifth solvable and not nilpotent
+    ([e_1, e_j] = c e_j), a fifth nilpotent (each image above its pair), a
+    fifth neither (so(3) on e_1, e_2, e_3 when n >= 3), each with random
+    index-raising brackets on top; the rest are random.
+    """
+    kind = rng.randrange(5)
+    so3 = kind == 3 and n >= 3
+    brackets = {(1, 2, 3): Fraction(1), (1, 3, 2): Fraction(-1), (2, 3, 1): Fraction(1)} if so3 else {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if kind == 0 or (so3 and j <= 3) or rng.random() < 0.6:
+                continue
+            if kind == 1 and i == 1:
+                k = j
+            elif kind < 4 or rng.random() < 0.5:
+                if j == n:
+                    continue
+                k = rng.randint(j + 1, n)
+            else:
+                k = rng.randint(1, n)
+            brackets[(i, j, k)] = Fraction(rng.choice((-3, -1, 1, 2, 7)), rng.choice((1, 1, 2, 5)))
+    return LieLaw(n, brackets)
+
+
+def test_series_on_monomial_laws_is_index_sets(monkeypatch):
+    """On seeded monomial bracket tables of dims 1-9 (abelian, nilpotent,
+    solvable and not nilpotent, neither) the series dimensions are those of
+    the dense oracle, and computing them runs no elimination.  A monomial law
+    with a `sqrt` constant is refused before either path runs."""
+    rng = random.Random(2718)
+    laws = [_monomial_law(rng, rng.randint(1, 9)) for _ in range(600)]
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "integer_rref", lambda rows: pytest.fail("a monomial law was row-reduced"))
+        sigs = [series_signature(law) for law in laws]
+        with pytest.raises(LawError, match="requires a rational law"):
+            series_signature(parse_law("dim 3; [1,2]=3*sqrt(2)"))
+    kinds = Counter()
+    for law, sig in zip(laws, sigs):
+        assert (sig.derived_dims, sig.lcs_dims) == dense_series_signature(law), format_law(law)
+        solvable = sig.derived_dims[-1] == 0
+        kind = "nilpotent" if sig.nilpotent else "solvable" if solvable else "neither"
+        kinds["abelian" if not law.brackets else kind] += 1
+    assert min(kinds.values()) > 60 and len(kinds) == 4, kinds
+
+
 def test_derivation_rows_and_basis_match_dense(exact_laws):
     for name, law in exact_laws.items():
         rows = dense_derivation_rows(law)
@@ -488,6 +538,30 @@ def test_integer_eliminator_on_rational_rows():
         shared += any(len(r) > 1 and set(r) & set(unit_cols) for r in rows)
         emptied += any(len(r) > 1 and set(r) <= set(unit_cols) for r in rows)
     assert repeated > 100 and shared > 100 and emptied > 50
+    # explicit zeros, as the Engel images and the Gram system can hand over:
+    # zero entries in longer rows, one-entry zero rows {c: 0} (also on the
+    # two columns that no row names with a nonzero) and all-zero rows; a zero
+    # is never a pivot, nor an entry of a reduced row
+    padded = zero_units = all_zero = 0
+    for _ in range(400):
+        rows, ncols = _rational_rows(rng)
+        rows = rows + _unit_rows(rows, ncols, rng)
+        ncols += 2
+        zeros = ({c: rng.choice((0, Fraction(0))) for c in rng.sample(range(ncols), 2)} for _ in rows)
+        rows = [{**zero, **row} for zero, row in zip(zeros, rows)]
+        rows += [{c: 0} for c in rng.sample(range(ncols), rng.randint(0, 3))] + [{ncols - 1: Fraction(0)}]
+        rows += [{c: 0 for c in rng.sample(range(ncols), k)} for k in rng.sample(range(4), rng.randint(0, 2))]
+        rng.shuffle(rows)
+        reduced, kernel = dense_rref_and_nullspace(rows, ncols)
+        assert sparse_rref(rows) == reduced, rows
+        assert densified_nullspace(rows, ncols) == kernel, rows
+        got, live = linalg.integer_rref(rows), {c for r in rows for c, v in r.items() if v}
+        assert all(row[c] > 0 and all(row.values()) and math.gcd(*row.values()) == 1 for c, row in got.items())
+        assert got.keys() <= live, rows
+        padded += any(len(r) > 1 and 0 in r.values() and any(r.values()) for r in rows)
+        zero_units += any(len(r) == 1 and not any(r.values()) and r.keys() <= live for r in rows)
+        all_zero += any(len(r) > 1 and not any(r.values()) for r in rows)
+    assert padded > 300 and zero_units > 100 and all_zero > 100
 
 
 def test_derivation_basis_matches_dense_on_rational_laws(entries, exact_laws):
@@ -628,9 +702,10 @@ def test_weight_rows_flag_exactly_the_divergent_x(search_laws):
 
 
 def test_kernel_lattice_matches_two_pass_oracle(entries):
-    """One HNF of [M^T | I] gives the lattice of the HNF-with-transform pass and
-    the HNF of its kernel rows: on every catalog weight map, every g_phi
-    lattice and seeded random integer matrices, empty kernels included."""
+    """The echelon of [M^T | I] and the HNF of the kernel rows it leaves give
+    the lattice of the HNF-with-transform pass and the HNF of its kernel rows:
+    on every catalog weight map, every g_phi lattice and seeded random integer
+    matrices, empty kernels included."""
     mats = []
     for e in entries:
         inv = Invariants(e.law())
