@@ -178,6 +178,11 @@ class LieLaw:
         units = ([int(p == q) for q in range(self.dim)] for p in range(self.dim))
         return [list(row) for row in zip(*map(self.weights, units))]
 
+    @cached_property
+    def series(self) -> SeriesSignature:
+        """The derived and lower central series dimensions (`series_signature`), computed once per law."""
+        return series_signature(self)
+
 
 @dataclass(frozen=True)
 class SeriesSignature:
@@ -207,6 +212,18 @@ def _int(numeral: str) -> int:
 
 def _shown(text: str) -> str:  # stripped, cut and quoted for an error message
     return repr(text.strip()[:40])
+
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The value of `-?digits(/digits)?` (catalog values, `degenerate --X`); else LawError, as for too many digits."""
+    m = _RATIONAL.fullmatch(text)
+    den = 0 if m is None else _int(m[2] or "1")
+    if not den:
+        raise LawError(f"not a rational -?digits(/digits)? of nonzero denominator: {_shown(text)}")
+    return Fraction(_int(m[1]), den)
 
 
 def _components(image: str) -> list[str]:

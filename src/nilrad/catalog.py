@@ -22,7 +22,7 @@ from typing import Any, Callable
 from . import degeneration as dg
 from . import nicebasis as nb
 from . import ricci
-from .algebra import LawError, LieLaw, SeriesSignature, jacobi_violations, parse_law
+from .algebra import LawError, LieLaw, jacobi_violations, parse_law, parse_rational
 from .derivations import Invariants, positivity_gate
 
 EN = "EN"
@@ -31,7 +31,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 MAX_DIM = 40  # the largest dimension gate_law passes: a Der basis holds up to dim^4 entries
 
 
-class NotNilpotentError(LawError):
+class NotNilpotentError(ValueError):
     """Not a nilpotent Lie algebra: dimension 0, Jacobi fails, or the lower central series stops above 0."""
 
 
@@ -45,10 +45,10 @@ class CatalogError(ValueError):
 
 
 def gate_law(law: LieLaw) -> LieLaw:
-    """The law, if the pipeline decides it; else LawError (sqrt, dim > MAX_DIM) or NotNilpotentError (not Lie, dim 0).
+    """The law, if the pipeline decides it; else LawError (sqrt, dim > MAX_DIM) or NotNilpotentError.
 
-    The one gate of a law from a file or a catalog; nilpotency is checked by
-    whatever computes the lower central series, so nothing computes it twice.
+    The one gate of a law from a file or a catalog, and the one place that decides "nilpotent Lie
+    algebra": Jacobi, dim >= 1 and a lower central series (`LieLaw.series`, kept) that reaches 0.
     """
     if law.dim > MAX_DIM:
         raise LawError(f"dimension {law.dim} is above {MAX_DIM}, the largest the pipeline takes")
@@ -59,13 +59,9 @@ def gate_law(law: LieLaw) -> LieLaw:
         raise NotNilpotentError(f"not a Lie algebra: the Jacobi identity fails at {bad[0][:3]}")
     if law.dim < 1:
         raise NotNilpotentError("dimension must be at least 1")
+    if not law.series.nilpotent:
+        raise NotNilpotentError(f"not nilpotent: the lower central series stops at {list(law.series.lcs_dims)}")
     return law
-
-
-def parse_rat(s) -> Fraction:
-    if isinstance(s, (int, str)):
-        return Fraction(s)
-    raise ValueError(f"not a rational: {s!r}")
 
 
 def fmt_rat(x) -> str:
@@ -194,9 +190,9 @@ _ENTRY = _Object(
 
 
 def _as(spec, v):
-    """v read as spec: Fraction, a JSON type (exactly), [spec] (a list), a tuple (its values) or a converter."""
+    """v read as spec: Fraction (an int or a rational literal), a JSON type (exactly), [spec], a tuple, a converter."""
     if spec is Fraction:
-        return parse_rat(v)
+        return Fraction(v) if type(v) is int else parse_rational(_as(str, v))
     if type(spec) is type:
         if type(v) is not spec:
             raise TypeError(f"not {spec.__name__}: {v!r}")
@@ -264,10 +260,12 @@ def load_catalog(path=None) -> list[CatalogEntry]:
         if params is None:
             instances = [(eid, None)]
         else:
-            bad = [s for s in params["samples"] if s in (params.get("excluded") or ())]
-            if bad:
-                raise CatalogError(eid, "params.samples", f"sample {fmt_rat(bad[0])} is excluded")
-            instances = [(f"{eid}[{params['name']}={fmt_rat(s)}]", {params["name"]: s}) for s in params["samples"]]
+            samples = params["samples"]
+            for p, s in enumerate(samples):  # each sample names one instance id
+                why = "repeated" if s in samples[:p] else "excluded" if s in (params.get("excluded") or ()) else None
+                if why:
+                    raise CatalogError(eid, "params.samples", f"sample {fmt_rat(s)} is {why}")
+            instances = [(f"{eid}[{params['name']}={fmt_rat(s)}]", {params["name"]: s}) for s in samples]
         for inst_id, bound in instances:
             law = _convert(inst_id, "law", lambda text: gate_law(parse_law(text, bound)), entry["law"])
             out.append(CatalogEntry(inst_id, entry.get("aliases") or {}, entry["law"], expected, law))
@@ -279,14 +277,6 @@ def load_catalog(path=None) -> list[CatalogEntry]:
 
 def _fmt_vec(v) -> list[str]:
     return [fmt_rat(x) for x in v]
-
-
-def nilpotent_series(inv: Invariants) -> SeriesSignature:
-    """The law's series signature; NotNilpotentError when its lower central series stops above 0."""
-    sig = inv.series
-    if not sig.nilpotent:
-        raise NotNilpotentError(f"not nilpotent: the lower central series stops at {list(sig.lcs_dims)}")
-    return sig
 
 
 @dataclass
@@ -303,12 +293,13 @@ class Decision:
 def classify(entry: CatalogEntry) -> Report:
     """Run the decision pipeline on one entry; diff it against entry.expected when that is set.
 
-    The law must pass `gate_law` (load_catalog and the CLI call it); a law
-    that is not nilpotent raises NotNilpotentError.
+    The law must have passed `gate_law` (load_catalog and the CLI call it),
+    which decides that it is nilpotent.
     """
     t0 = time.perf_counter()
     inv = Invariants(entry.law())
-    sig = nilpotent_series(inv)
+    sig = inv.series
+    assert sig.nilpotent, entry.id
     dec = _decide(entry, inv)
     assert dec.certificate["kind"] in _CERT_KINDS[dec.verdict], entry.id
     computed = {
@@ -390,13 +381,13 @@ def search_route(inv: Invariants) -> Decision:
 def _nice_route(law: LieLaw, on: str) -> Decision:
     """Ux=[1] with x > 0 on the Gram matrix of a nice basis, of the law or of its witness."""
     u = nb.gram_matrix(law)
-    res = nb.positive_solution(u)
+    x = nb.positive_solution(u)
     computed = {"U": u} if on == "law" else {}
-    if res.status != "positive":
-        return Decision(NOT_EN, "nice_lp", {"kind": "no_positive_solution", "status": res.status, "on": on}, computed)
-    norm = fmt_rat(nb.soliton_norm(res.x))
+    if isinstance(x, str):  # the status: no positive solution, or none at all
+        return Decision(NOT_EN, "nice_lp", {"kind": "no_positive_solution", "status": x, "on": on}, computed)
+    norm = fmt_rat(nb.soliton_norm(x))
     computed["soliton_norm"] = norm
-    cert = {"kind": "positive_solution", "on": on, "x": _fmt_vec(res.x), "soliton_norm": norm}
+    cert = {"kind": "positive_solution", "on": on, "x": _fmt_vec(x), "soliton_norm": norm}
     return Decision(EN, "nice_lp" if on == "law" else "witness_nice_lp", cert, computed)
 
 
@@ -410,12 +401,9 @@ def _witness_route(w: Invariants, inv: Invariants) -> Decision:
         return _witness_rejected([("witness_law", "Lie algebra law", f"Jacobi fails at {bad[0][:3]}")])
     problems = _isomorphism_problems(w, inv)
     if not w.law.is_rational:
-        try:
-            sd, failure = ricci.soliton_check(w.law), "no decomposition"
-        except ricci.NonDiagonalMomentError:
-            sd, failure = None, "moment map is not diagonal"
-        if sd is None:
-            return _witness_rejected([("witness_law", "m = c.Id + D with D a derivation", failure)])
+        sd = ricci.soliton_check(w.law)
+        if isinstance(sd, str):  # why there is no decomposition
+            return _witness_rejected([("witness_law", "m = c.Id + D with D a derivation", sd)])
         cert = {"kind": "nilsoliton_decomposition", "on": "witness", "c": str(sd.c), "d": [str(v) for v in sd.d]}
         return Decision(EN, "witness_soliton", cert, {"soliton_norm": str(-sd.c)}, problems)
     if not w.nice.nice:

@@ -9,10 +9,10 @@ at rank 0 too) is inconclusive: an INCONCLUSIVE report (route
 on stderr from `invariants`/`degenerate`.  `degenerate` without `--X` walks
 the degeneration cone and exits 2 when the walk certifies nothing; a
 `rank_zero` law (Der nilpotent) has no degeneration flow, and `degenerate`
-exits 2 on it with the reason on stderr.  Usage and parse errors and laws
-with `sqrt` coefficients exit 64; catalog schema errors and laws that are
-not nilpotent Lie algebras (Jacobi fails, lower central series does not
-reach 0, dim 0) exit 65.  An internal error exits 70, never a verdict's code.
+exits 2 on it with the reason on stderr.  Usage and parse errors (and an
+`--X` entry not of the form `-?digits(/digits)?`) and `sqrt` laws exit 64;
+catalog schema errors and laws that `gate_law` finds are not nilpotent Lie
+algebras exit 65.  An internal error exits 70, never a verdict's code.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from . import degeneration as dg
-from .algebra import LawError, LieLaw, format_law, parse_law
+from .algebra import LawError, LieLaw, parse_law, parse_rational
 from .catalog import (
     EN,
     INCONCLUSIVE,
@@ -37,7 +36,6 @@ from .catalog import (
     fmt_rat,
     gate_law,
     load_catalog,
-    nilpotent_series,
     search_route,
     summary_lines,
     verify_catalog,
@@ -63,22 +61,20 @@ class Refusal(Exception):
         self.code = code
 
 
-def _read_gated_law(args) -> LieLaw:
-    """The law in args.file, through `gate_law`: rational (else exit 64), Lie and of dimension >= 1 (else exit 65)."""
+def _read_gated_law(args) -> tuple[str, LieLaw]:
+    """The text in args.file and its law, through `gate_law`: rational (else exit 64), nilpotent Lie (else exit 65)."""
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return gate_law(parse_law(fh.read()))
-    except NotNilpotentError:
-        raise  # exit 65, in main
+            text = fh.read()
+        return text, gate_law(parse_law(text))  # NotNilpotentError: exit 65, in main
     except (OSError, UnicodeDecodeError, LawError) as exc:
         raise Refusal(EX_USAGE, str(exc)) from exc
 
 
 def _pipeline_report(args, as_json: bool):
     """Classify the gated law without expectations (certificates only); print the report and return it."""
-    law = _read_gated_law(args)
-    entry = CatalogEntry("input", {}, format_law(law), None, parsed=law)
-    rep = classify(entry)
+    text, law = _read_gated_law(args)
+    rep = classify(CatalogEntry("input", {}, text, None, parsed=law))
     if as_json:
         print(rep.to_json())
     else:
@@ -103,8 +99,8 @@ def _print_report(rep) -> None:
 
 
 def cmd_invariants(args) -> int:
-    inv = Invariants(_read_gated_law(args))
-    sig, phi = nilpotent_series(inv), inv.phi  # both may refuse the law: before anything is printed
+    inv = Invariants(_read_gated_law(args)[1])
+    sig, phi = inv.series, inv.phi  # phi may refuse the law: before anything is printed
     if phi == "basis_not_adapted":
         raise Refusal(_VERDICT_EXIT[INCONCLUSIVE], _NO_PHI[phi])
     print(f"dim: {inv.law.dim}")
@@ -138,17 +134,15 @@ def cmd_catalog_verify(args) -> int:
 
 
 def cmd_degenerate(args) -> int:
-    inv = Invariants(_read_gated_law(args))
-    nilpotent_series(inv)
-    law = inv.law
+    inv = Invariants(_read_gated_law(args)[1])
     xvec = None
     if args.x is not None:
         try:
-            xvec = [Fraction(tok) for tok in args.x.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
+            xvec = [parse_rational(tok) for tok in args.x.split(",")]
+        except LawError as exc:
             raise Refusal(EX_USAGE, f"bad --X: {exc}") from exc
-        if len(xvec) != law.dim:
-            raise Refusal(EX_USAGE, f"--X needs {law.dim} entries")
+        if len(xvec) != inv.law.dim:
+            raise Refusal(EX_USAGE, f"--X needs {inv.law.dim} entries")
     phi = inv.phi
     if isinstance(phi, str):
         raise Refusal(_VERDICT_EXIT[INCONCLUSIVE], _NO_PHI[phi])

@@ -19,7 +19,7 @@ from functools import cached_property
 from operator import mul
 
 from . import linalg
-from .algebra import LawError, LieLaw, SeriesSignature, series_signature
+from .algebra import LawError, LieLaw, SeriesSignature
 from .nicebasis import NiceCheck, is_nice
 
 
@@ -168,16 +168,16 @@ def positivity_gate(phi: tuple[Fraction, ...]) -> int | None:
 class Invariants:
     """The invariants of one law, each computed on first use and kept.
 
-    The one place the pipeline computes the series, Der, the diagonal
-    torus, phi and niceness of a law: classify, every route, distinguish,
+    The one place the pipeline computes Der, the diagonal torus, phi and niceness of a law,
+    and reads its series (`LieLaw.series`): classify, every route, distinguish,
     the degeneration search and the CLI commands read them here.
     """
 
     law: LieLaw
 
-    @cached_property
+    @property
     def series(self) -> SeriesSignature:
-        return series_signature(self.law)
+        return self.law.series
 
     @cached_property
     def der(self) -> DerivationSpace:

@@ -23,12 +23,6 @@ class NiceCheck:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class PositiveSolutionResult:
-    status: str  # "positive" | "no_positive_solution" | "inconsistent"
-    x: tuple[Fraction, ...] | None = None
-
-
 def is_nice(law: LieLaw) -> NiceCheck:
     """Nice-basis conditions.
 
@@ -65,15 +59,15 @@ def gram_matrix(law: LieLaw) -> list[list[int]]:
     return [[sum(map(mul, a, b)) for b in rows] for a in rows]
 
 
-def positive_solution(u: list[list[int]]) -> PositiveSolutionResult:
-    """Exact decision of {x : Ux = [1], x > 0} != {} via the integer LP."""
+def positive_solution(u: list[list[int]]) -> tuple[Fraction, ...] | str:
+    """An x > 0 with Ux = [1] (the exact integer LP), or why none: "no_positive_solution" or "inconsistent"."""
     status, t, x = lp.max_min_component(u, [1] * len(u))
     if status == "infeasible":
-        return PositiveSolutionResult("inconsistent")
-    if t > 0:
-        assert solves_positively(u, x)  # re-validated independently of the simplex bookkeeping
-        return PositiveSolutionResult("positive", tuple(x))
-    return PositiveSolutionResult("no_positive_solution")
+        return "inconsistent"
+    if t <= 0:
+        return "no_positive_solution"
+    assert solves_positively(u, x)  # re-validated independently of the simplex bookkeeping
+    return tuple(x)
 
 
 def solves_positively(u: list[list[int]], x) -> bool:

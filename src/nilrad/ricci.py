@@ -17,17 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LawError, LieLaw, Surd
+from .algebra import LieLaw, Surd
 
 
 @dataclass(frozen=True)
 class SolitonDecomposition:
     c: Fraction | Surd
     d: tuple  # diagonal derivation, eigenvalue vector
-
-
-class NonDiagonalMomentError(LawError):
-    """moment map is not diagonal in the given basis; no frame supplied."""
 
 
 def moment_map(law: LieLaw) -> tuple[tuple, ...]:
@@ -54,8 +50,8 @@ def moment_map(law: LieLaw) -> tuple[tuple, ...]:
     return tuple(tuple(row) for row in m)
 
 
-def soliton_check(law: LieLaw) -> SolitonDecomposition | None:
-    """Try to write m(law) = c.Id + D with D a (diagonal) derivation.
+def soliton_check(law: LieLaw) -> SolitonDecomposition | str:
+    """m(law) = c.Id + D, D a diagonal derivation; else "moment map is not diagonal" or "no decomposition".
 
     Each stored bracket (i,j,k) forces c = m_ii + m_jj - m_kk; all brackets
     must agree exactly.  Then every weight d_i + d_j - d_k of D = diag(m) - c
@@ -63,10 +59,10 @@ def soliton_check(law: LieLaw) -> SolitonDecomposition | None:
     """
     m = moment_map(law)
     if any(v for i, row in enumerate(m) for j, v in enumerate(row) if i != j):
-        raise NonDiagonalMomentError("moment map is not diagonal with respect to the given basis")
+        return "moment map is not diagonal"
     diag = [row[i] for i, row in enumerate(m)]
     candidates = set(law.weights(diag))
     if len(candidates) != 1:
-        return None
+        return "no decomposition"
     c = candidates.pop()
     return SolitonDecomposition(c, tuple(v - c for v in diag))

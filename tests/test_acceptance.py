@@ -126,7 +126,7 @@ def test_c4_moment_map_audit(by_id, moment_data):
         assert not any(v for i, row in enumerate(m) for j, v in enumerate(row) if i != j), eid
         assert [row[i] for i, row in enumerate(m)] == [Fraction(v) for v in rec["diag"]], eid
         dec = soliton_check(witness)
-        assert dec is not None, eid
+        assert not isinstance(dec, str), (eid, dec)
         assert dec.c == Fraction(rec["c"]), eid
         d_recorded = [Fraction(rec["d_scale"]) * v for v in rec["d"]]
         assert list(dec.d) == d_recorded, eid
@@ -205,7 +205,7 @@ def test_c7_property_suites(entries, by_id):
     # (a) LP verdict vs brute-force oracle: catalog U with <= 4 weights
     small_u = {tuple(map(tuple, e.expected.u)) for e in entries if e.expected.u and len(e.expected.u) <= 4}
     for u in sorted(small_u):
-        lp = positive_solution([list(r) for r in u]).status == "positive"
+        lp = not isinstance(positive_solution([list(r) for r in u]), str)
         assert lp == positive_solution_oracle([list(r) for r in u]), u
     # ... and 1000 random small symmetric integer matrices
     rng = random.Random(20240)
@@ -216,7 +216,7 @@ def test_c7_property_suites(entries, by_id):
             u[a][a] = rng.randint(-1, 4)
             for b in range(a + 1, m):
                 u[a][b] = u[b][a] = rng.randint(-2, 3)
-        assert (positive_solution(u).status == "positive") == positive_solution_oracle(u), u
+        assert (not isinstance(positive_solution(u), str)) == positive_solution_oracle(u), u
 
     # (b) equivariance of the moment map under 100 random rotations
     law = to_float(by_id["2.5"].law())

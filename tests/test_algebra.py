@@ -18,6 +18,7 @@ from nilrad.algebra import (
     format_law,
     jacobi_violations,
     parse_law,
+    parse_rational,
     series_signature,
 )
 from oracles import matmul, scale, scanner_parse_law
@@ -237,6 +238,27 @@ def test_series_examples(by_id):
     assert sig.derived_dims == (7, 5, 0)
     sig = series_signature(by_id["0.4[lambda=1]"].law())
     assert sig.derived_dims == (7, 5, 1, 0)
+
+
+def test_series_is_cached_on_the_law(by_id):
+    law = parse_law(by_id["2.3"].law_text)
+    assert law.series is law.series == series_signature(law)
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), ("-3/4", Fraction(-3, 4)), ("0", 0), ("4/2", 2), ("-0/5", 0)])
+def test_parse_rational_reads_literals(text, value):
+    assert parse_rational(text) == value
+
+
+# text Fraction() also reads (an exponent of 10^6 digits took 8.3 s), and text it refuses
+@pytest.mark.parametrize(
+    "text", ["1e6000000", "1e5000", "1.5", "+1", " 1", "1/-2", "1/0", "--1", "", "٣", "7" * 5000, "1/" + "7" * 5000]
+)
+def test_parse_rational_refuses_other_text_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(LawError):
+        parse_rational(text)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_act_identity_and_diagonal():

@@ -189,7 +189,7 @@ def test_117_en_via_both_routes(by_id):
     law = entry.law()
     # route 1: the surd witness decomposes
     dec = soliton_check(parse_law(entry.expected.witness_law))
-    assert dec is not None and dec.c == Fraction(-65, 94)
+    assert not isinstance(dec, str) and dec.c == Fraction(-65, 94)
 
     # route 2: an explicit rational change of basis makes the law nice
     g = [[Fraction(n, 8) for n in row] for row in [
@@ -210,10 +210,10 @@ def test_117_en_via_both_routes(by_id):
     x = [Fraction(v, 65) for v in (13, 5, 13, 15, 20, 13, 15)]
     assert all(sum(r * xv for r, xv in zip(row, x)) == 1 for row in u)
     assert min(x) > 0
-    res = positive_solution(u)
-    assert res.status == "positive"
+    found = positive_solution(u)
+    assert not isinstance(found, str)
     # both routes agree on the stratum norm
-    assert soliton_norm(res.x) == Fraction(65, 94) == -Fraction(-65, 94)
+    assert soliton_norm(found) == Fraction(65, 94) == -Fraction(-65, 94)
 
 
 def test_each_law_is_parsed_once(entries, monkeypatch):

@@ -400,6 +400,7 @@ MALFORMED_LAWS = [
     ("2.3", MANY_SURDS, "2.3", "more than 64 square-root terms"),
     ("2.3", "dim 41", "2.3", "dimension 41 is above 40"),
     ("2.3", "dim 100000", "2.3", "dimension 100000 is above 40"),
+    ("2.3", "dim 3; [1,2]=2", "2.3", "not nilpotent: the lower central series stops at [3, 1]"),
 ]
 
 
@@ -419,6 +420,19 @@ def test_catalog_malformed_law_exit_65(capsys, tmp_path, entry_id, law, instance
     assert f"entry '{instance_id}', field 'law'" in err and message in err
 
 
+@pytest.mark.parametrize("samples", [["1", "1"], ["2", "4/2"]])
+def test_catalog_repeated_sample_exit_65(capsys, tmp_path, samples):
+    # two equal samples once gave two reports of one instance id, and "137/137 match"
+    doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
+    next(e for e in doc["entries"] if e["id"] == "0.4")["params"]["samples"] = samples
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert (code, out) == (65, "")
+    assert len(err.splitlines()) == 1
+    assert f"entry '0.4', field 'params.samples': sample {samples[0]} is repeated" in err
+
+
 def test_catalog_schema_error_exit_65(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{\"entries\": [{\"id\": \"x\"}]}")
@@ -429,11 +443,13 @@ def test_catalog_schema_error_exit_65(capsys, tmp_path):
 
 # A value of the wrong kind in a catalog field, or an entry that is not an
 # object: (field, value) set on entry 2.3's expected record, or None to
-# append a bare number to the entries
+# append a bare number to the entries.  A rational is a JSON int or
+# `-?digits(/digits)?`: "1e5000" once exited 70, "1e3000000" after 1.7 s
 MALFORMED_VALUES = [
     ("soliton_norm", 0.5), ("pre_einstein", ["a"]), ("dim_der", "x"), ("U", [["q"]]), ("derived", 5),
     ("nice", "no"), ("rank", 2.0), ("verdict", ["EN"]), ("x", "positive"), ("pre_einstein", ["1/0"]), (None, None),
-    ("degeneration", "zero"),
+    ("degeneration", "zero"), ("soliton_norm", "1e5000"), ("pre_einstein", ["1e5000"] * 7),
+    ("soliton_norm", "1e3000000"), ("soliton_norm", True), ("pre_einstein", [True] * 7),
 ]
 
 
@@ -446,7 +462,9 @@ def test_catalog_malformed_value_exit_65(capsys, tmp_path, field_name, value):
         next(e for e in doc["entries"] if e["id"] == "2.3")["expected"][field_name] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
+    start = time.perf_counter()
     code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert time.perf_counter() - start < 1
     assert (code, out) == (65, "")
     assert len(err.splitlines()) == 1 and "internal error" not in err
     assert ("entry 5 is not an object" if field_name is None else f"entry '2.3', field '{field_name}'") in err
@@ -542,9 +560,11 @@ def test_degenerate_rank_zero_exit_2(capsys, tmp_path, by_id):
     code, out, err = _run(capsys, ["degenerate", str(p)])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and "rank-zero" in err
-    # a bad --X is still a usage error
-    for x in ("1,2,q", "1,2", "1/0,0,0,0,0,0,0"):
+    # a bad --X is still a usage error, at once: an exponent of 10^6 digits once took 8.3 s
+    for x in ("1,2,q", "1,2", "1/0,0,0,0,0,0,0", "1e6000000,-1e6000000,0", "1e3000000,0,0,0,0,0,0", "0.5,0,0,0,0,0,0"):
+        start = time.perf_counter()
         code, out, err = _run(capsys, ["degenerate", str(p), "--X", x])
+        assert time.perf_counter() - start < 1
         assert (code, out) == (64, "")
         assert len(err.splitlines()) == 1 and "--X" in err
 

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from nilrad.algebra import parse_law
-from nilrad.ricci import (
-    NonDiagonalMomentError,
-    moment_map,
-    soliton_check,
-)
+from nilrad.ricci import SolitonDecomposition, moment_map, soliton_check
 from oracles import act_float, norm_squared, scale, to_float
 
 HEISENBERG = parse_law("dim 3; [1,2]=3")
@@ -65,13 +61,12 @@ def test_soliton_check_rejects_non_soliton(by_id):
     law = by_id["2.3"].law()
     m = moment_map(law)
     assert not any(v for i, row in enumerate(m) for j, v in enumerate(row) if i != j)
-    assert soliton_check(law) is None
+    assert soliton_check(law) == "no decomposition"
 
 
 def test_soliton_check_non_diagonal_reported():
     law = parse_law("dim 3; [1,2]=3; [1,3]=3*2")
-    with pytest.raises(NonDiagonalMomentError):
-        soliton_check(law)
+    assert soliton_check(law) == "moment map is not diagonal"
 
 
 def test_cross_check():
@@ -85,7 +80,7 @@ def test_witness_decompositions_match_lp_norms(by_id, moment_data):
         entry = by_id[eid]
         witness = parse_law(entry.expected.witness_law)
         dec = soliton_check(witness)
-        assert dec is not None, eid
+        assert isinstance(dec, SolitonDecomposition), eid
         assert -dec.c == entry.expected.soliton_norm, eid
 
 
