@@ -9,12 +9,10 @@ fully green catalog run cross-validates both the code and the data.
 from __future__ import annotations
 
 import json
-import operator
 import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable
@@ -22,7 +20,7 @@ from typing import Any, Callable
 from . import degeneration as dg
 from . import nicebasis as nb
 from . import ricci
-from .algebra import LawError, LieLaw, jacobi_violations, parse_law, parse_rational
+from .algebra import LawError, LieLaw, format_law, jacobi_violations, parse_law, parse_rational
 from .derivations import Invariants, positivity_gate
 
 EN = "EN"
@@ -54,13 +52,19 @@ def gate_law(law: LieLaw) -> LieLaw:
         raise LawError(f"dimension {law.dim} is above {MAX_DIM}, the largest the pipeline takes")
     if not law.is_rational:
         raise LawError("the decision pipeline needs exact rational structure constants, not sqrt")
-    bad = jacobi_violations(law)
-    if bad:
-        raise NotNilpotentError(f"not a Lie algebra: the Jacobi identity fails at {bad[0][:3]}")
+    _lie_law(law)
     if law.dim < 1:
         raise NotNilpotentError("dimension must be at least 1")
     if not law.series.nilpotent:
         raise NotNilpotentError(f"not nilpotent: the lower central series stops at {list(law.series.lcs_dims)}")
+    return law
+
+
+def _lie_law(law: LieLaw) -> LieLaw:
+    """The law, if it satisfies the Jacobi identity; else NotNilpotentError."""
+    bad = jacobi_violations(law)
+    if bad:
+        raise NotNilpotentError(f"not a Lie algebra: the Jacobi identity fails at {bad[0][:3]}")
     return law
 
 
@@ -71,13 +75,8 @@ def fmt_rat(x) -> str:
 @dataclass(frozen=True)
 class Degeneration:
     x: tuple[Fraction, ...] | None
-    limit: str  # "zero" or a law text
+    limit: LieLaw | None  # a rational Lie algebra law; None for "zero"
     distinguishing: str
-
-    @cached_property
-    def limit_law(self) -> LieLaw | None:
-        """The recorded limit law, parsed once; None for a zero limit."""
-        return None if self.limit == "zero" else parse_law(self.limit)
 
 
 @dataclass(frozen=True)
@@ -92,13 +91,8 @@ class Expected:
     u: tuple[tuple[int, ...], ...] | None = None
     x: tuple[Fraction, ...] | str | None = None  # vector or "none_positive"
     soliton_norm: Fraction | None = None
-    witness_law: str | None = None
+    witness_law: LieLaw | None = None  # a Lie algebra law
     degeneration: Degeneration | None = None
-
-    @cached_property
-    def witness(self) -> LieLaw | None:
-        """The recorded witness law, parsed once."""
-        return None if self.witness_law is None else parse_law(self.witness_law)
 
 
 @dataclass(frozen=True)
@@ -150,6 +144,15 @@ def _x(v):
     return v if v == "none_positive" else _as([Fraction], v)
 
 
+def _limit(v) -> LieLaw | None:
+    if v == "zero":
+        return None
+    law = parse_law(_as(str, v))
+    if not law.is_rational:
+        raise LawError("a limit law needs exact rational structure constants, not sqrt")
+    return _lie_law(law)
+
+
 def _distinguishing(v) -> str:
     """'' (a zero limit) or 'dim_der <int> vs <int>': dim Der is the one invariant a record names."""
     if _as(str, v) and not re.fullmatch(r"dim_der \d+ vs \d+", v):
@@ -159,29 +162,26 @@ def _distinguishing(v) -> str:
 
 @dataclass(frozen=True)
 class _Object:
-    """A JSON object of the catalog: the spec of each field, the required ones, what they build, its law texts."""
+    """A JSON object of the catalog: the spec of each field, the required ones, what they build."""
 
     fields: dict[str, Any]
     required: tuple[str, ...]
     build: Callable = dict  # called with the converted fields, keys lower-cased
-    laws: tuple[tuple[str, str], ...] = ()  # (field, attribute of the built record that parses it)
 
 
 _DEGENERATION = _Object(
-    {"X": lambda v: None if v is None else _as([Fraction], v), "limit": str, "distinguishing": _distinguishing},
+    {"X": lambda v: None if v is None else _as([Fraction], v), "limit": _limit, "distinguishing": _distinguishing},
     ("X", "limit", "distinguishing"),
     Degeneration,
-    (("limit", "limit_law"),),
 )
 _EXPECTED = _Object(
     {
         "dim_der": int, "derived": [int], "lcs": [int], "rank": int, "nice": bool, "verdict": (EN, NOT_EN),
-        "pre_einstein": [Fraction], "U": [[int]], "x": _x, "soliton_norm": Fraction, "witness_law": str,
-        "degeneration": _DEGENERATION,
+        "pre_einstein": [Fraction], "U": [[int]], "x": _x, "soliton_norm": Fraction,
+        "witness_law": lambda v: _lie_law(parse_law(_as(str, v))), "degeneration": _DEGENERATION,
     },
     ("dim_der", "derived", "lcs", "rank", "nice", "verdict"),
     Expected,
-    (("witness_law", "witness"),),
 )
 _PARAMS = _Object({"name": str, "samples": [Fraction], "excluded": [Fraction]}, ("name", "samples"))
 _ENTRY = _Object(
@@ -210,8 +210,9 @@ def _convert(eid: str, name: str | None, spec, value):
     """The catalog value of field `name` of entry `eid`, read as `spec`: the one place a malformed value is caught.
 
     A value that does not fit its spec, a field an object does not know or
-    lacks, and a law text that does not parse are each a CatalogError
-    naming the entry and the field.  An optional field may be null.
+    lacks, a law text that does not parse, a recorded witness or limit that
+    fails Jacobi and a limit with sqrt are each a CatalogError naming the
+    entry and the field.  An optional field may be null.
     """
     if not isinstance(spec, _Object):
         try:
@@ -227,13 +228,21 @@ def _convert(eid: str, name: str | None, spec, value):
     missing = [key for key in spec.required if key not in value]
     if missing:
         raise CatalogError(eid, path(missing[0]), "missing required field")
-    record = spec.build(**{
+    return spec.build(**{
         key.lower(): None if v is None and key not in spec.required else _convert(eid, path(key), spec.fields[key], v)
         for key, v in value.items()
     })
-    for key, attr in spec.laws:  # parse each recorded law text here, once (cached on the record)
-        _convert(eid, path(key), operator.attrgetter(attr), record)
-    return record
+
+
+def _check_fit(eid: str, exp: Expected, n: int) -> None:
+    """CatalogError unless the recorded witness, limit and X fit a law of dimension n."""
+    rec = exp.degeneration or Degeneration(None, None, "")
+    if (rec.limit is None) != (rec.distinguishing == ""):
+        raise CatalogError(eid, "degeneration.distinguishing", "must be '' exactly when the limit is 'zero'")
+    for name, value in (("witness_law", exp.witness_law), ("degeneration.limit", rec.limit), ("degeneration.X", rec.x)):
+        size = value.dim if isinstance(value, LieLaw) else None if value is None else len(value)
+        if size not in (None, n):
+            raise CatalogError(eid, name, f"dimension {size} is not the law's dimension {n}")
 
 
 def load_catalog(path=None) -> list[CatalogEntry]:
@@ -261,6 +270,8 @@ def load_catalog(path=None) -> list[CatalogEntry]:
             instances = [(eid, None)]
         else:
             samples = params["samples"]
+            if not samples:
+                raise CatalogError(eid, "params.samples", "must name at least one sample")
             for p, s in enumerate(samples):  # each sample names one instance id
                 why = "repeated" if s in samples[:p] else "excluded" if s in (params.get("excluded") or ()) else None
                 if why:
@@ -269,6 +280,7 @@ def load_catalog(path=None) -> list[CatalogEntry]:
         for inst_id, bound in instances:
             law = _convert(inst_id, "law", lambda text: gate_law(parse_law(text, bound)), entry["law"])
             out.append(CatalogEntry(inst_id, entry.get("aliases") or {}, entry["law"], expected, law))
+        _check_fit(eid, expected, law.dim)
     return out
 
 
@@ -353,7 +365,7 @@ def _decide(entry: CatalogEntry, inv: Invariants) -> Decision:
         return _nice_route(inv.law, on="law")
     exp = entry.expected
     if exp is not None and exp.witness_law is not None:
-        return _witness_route(Invariants(exp.witness), inv)
+        return _witness_route(Invariants(exp.witness_law), inv)
     if exp is not None and exp.degeneration is not None:
         return _recorded_degeneration_route(exp.degeneration, inv)
     return search_route(inv)
@@ -392,20 +404,19 @@ def _nice_route(law: LieLaw, on: str) -> Decision:
 
 
 def _witness_route(w: Invariants, inv: Invariants) -> Decision:
-    """EN through a recorded witness: a rational one must be a nice basis, one with surds a nilsoliton.
+    """EN through a recorded witness, a Lie algebra law of the law's dimension (the loader checks both).
 
-    A nilsoliton's -c is its soliton norm, which _diff compares with the recorded one.
+    A rational one must be a nice basis that distinguish() does not separate from the law; one with
+    surds a nilsoliton, whose -c is its soliton norm, which _diff compares with the recorded one.
     """
-    bad = jacobi_violations(w.law)
-    if bad:
-        return _witness_rejected([("witness_law", "Lie algebra law", f"Jacobi fails at {bad[0][:3]}")])
-    problems = _isomorphism_problems(w, inv)
     if not w.law.is_rational:
         sd = ricci.soliton_check(w.law)
         if isinstance(sd, str):  # why there is no decomposition
             return _witness_rejected([("witness_law", "m = c.Id + D with D a derivation", sd)])
         cert = {"kind": "nilsoliton_decomposition", "on": "witness", "c": str(sd.c), "d": [str(v) for v in sd.d]}
-        return Decision(EN, "witness_soliton", cert, {"soliton_norm": str(-sd.c)}, problems)
+        return Decision(EN, "witness_soliton", cert, {"soliton_norm": str(-sd.c)})
+    dist = dg.distinguish(w, inv)
+    problems = [] if dist is None else [("witness_law", "isomorphic witness", str(dist))]
     if not w.nice.nice:
         return _witness_rejected(problems + [("witness_law", "nice witness basis", w.nice.reason)])
     dec = _nice_route(w.law, on="witness")
@@ -413,22 +424,8 @@ def _witness_route(w: Invariants, inv: Invariants) -> Decision:
     return dec
 
 
-def _isomorphism_problems(w: Invariants, inv: Invariants) -> list[tuple[str, str, str]]:
-    """The first basis-free invariant on which the witness differs from the law.
-
-    Dimension for every witness; for a rational one also what distinguish()
-    finds (the series and Der need rational constants).
-    """
-    if w.law.dim != inv.law.dim:
-        return [("witness_law", "isomorphic witness", "dimension differs")]
-    if not w.law.is_rational:
-        return []
-    dist = dg.distinguish(w, inv)
-    return [] if dist is None else [("witness_law", "isomorphic witness", str(dist))]
-
-
 def _witness_rejected(problems: list) -> Decision:
-    """INCONCLUSIVE: the recorded witness fails Jacobi, is not a nilsoliton, or (rational) is not a nice basis."""
+    """INCONCLUSIVE: the recorded witness is not a nilsoliton or (rational) not a nice basis."""
     cert = {"kind": "inconclusive", "reason": "witness_rejected"}
     return Decision(INCONCLUSIVE, "witness_rejected", cert, problems=problems)
 
@@ -436,38 +433,29 @@ def _witness_rejected(problems: list) -> Decision:
 def _recorded_degeneration_route(rec: Degeneration, inv: Invariants) -> Decision:
     """NOT_EN through a recorded degeneration, with its X, limit and distinguishing invariant re-checked.
 
-    An X or a limit that does not fit the law (another length or dimension,
-    a limit with sqrt) is reported before anything runs on it, and alone.
+    The loader has checked that the record fits the law: X and the limit have
+    its dimension, and the limit is a rational Lie algebra law (None for a
+    zero limit, which alone names no distinguishing invariant).
     """
     cert = {
         "kind": "non_closed_orbit",
         "X": None if rec.x is None else _fmt_vec(rec.x),
-        "limit": rec.limit,
+        "limit": "zero" if rec.limit is None else format_law(rec.limit),
         "distinguishing": rec.distinguishing,
     }
     decision = Decision(NOT_EN, "degeneration_recorded", cert)
-    problems, n = decision.problems, inv.law.dim
-    if rec.x is not None and len(rec.x) != n:
-        problems.append(("degeneration.X", f"X of length {n}", f"length {len(rec.x)}"))
-    if rec.limit_law is not None and rec.limit_law.dim != n:
-        problems.append(("degeneration.limit", "limit of the law's dimension", "dimension differs"))
-    elif rec.limit_law is not None and not rec.limit_law.is_rational:
-        problems.append(("degeneration.limit", "rational limit law", "sqrt coefficients"))
-    if problems:
-        return decision
+    problems = decision.problems
     if rec.x is not None:
         if not dg.in_g_phi(rec.x, inv.phi):
             problems.append(("degeneration.X", "X in g_phi", "trace conditions fail"))
         res = dg.one_param_limit(inv.law, rec.x)
-        if rec.limit == "zero":
+        if rec.limit is None:
             if res.kind != "zero":
                 problems.append(("degeneration.limit", "zero", res.kind))
-        elif res.kind != "limit" or res.law != rec.limit_law:
+        elif res.kind != "limit" or res.law != rec.limit:
             problems.append(("degeneration.limit", "recorded limit law", res.kind))
-    if rec.limit_law is not None:
-        if jacobi_violations(rec.limit_law):
-            problems.append(("degeneration.limit", "Lie algebra law", "Jacobi fails"))
-        limit = Invariants(rec.limit_law)
+    if rec.limit is not None:
+        limit = Invariants(rec.limit)
         if dg.distinguish(inv, limit) is None:
             problems.append(("degeneration.distinguishing", rec.distinguishing, "indistinguishable"))
         else:

@@ -71,10 +71,10 @@ def positive_solution(u: list[list[int]]) -> tuple[Fraction, ...] | str:
 
 
 def solves_positively(u: list[list[int]], x) -> bool:
-    """U x = [1] and x > 0 for a rational x, checked in integers over the common denominator of x."""
+    """U x = [1] and x > 0 for a rational x of U's size, checked in integers over the common denominator of x."""
     den = math.lcm(*(v.denominator for v in x))
     xs = [v.numerator * (den // v.denominator) for v in x]
-    return all(sum(map(mul, row, xs)) == den for row in u) and min(xs) > 0
+    return len(xs) == len(u) and all(sum(map(mul, row, xs)) == den for row in u) and min(xs) > 0
 
 
 def soliton_norm(x) -> Fraction:

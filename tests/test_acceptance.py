@@ -121,7 +121,7 @@ def test_c4_moment_map_audit(by_id, moment_data):
     checked = []
     for eid, rec in sorted(moment_data.items()):
         entry = by_id[eid]
-        witness = parse_law(entry.expected.witness_law)
+        witness = entry.expected.witness_law
         m = moment_map(witness)
         assert not any(v for i, row in enumerate(m) for j, v in enumerate(row) if i != j), eid
         assert [row[i] for i, row in enumerate(m)] == [Fraction(v) for v in rec["diag"]], eid
@@ -133,7 +133,7 @@ def test_c4_moment_map_audit(by_id, moment_data):
         assert not any(witness.weights(d_recorded)), eid  # D is a derivation
         checked.append(eid)
     # 2.37's witness is exact and certified through its own nice basis
-    w237 = parse_law(by_id["2.37"].expected.witness_law)
+    w237 = by_id["2.37"].expected.witness_law
     nc = is_nice(w237)
     assert nc.nice
     assert gram_matrix(w237) == _U_237
@@ -155,13 +155,13 @@ def test_c5_degeneration_records(entries, reports):
         if rec.x is not None:
             assert in_g_phi(rec.x, phi), entry.id
             res = one_param_limit(law, rec.x)
-            if rec.limit == "zero":
+            if rec.limit is None:
                 assert res.kind == "zero", entry.id
             else:
                 assert res.kind == "limit", entry.id
-                assert res.law == parse_law(rec.limit), entry.id
-        if rec.limit != "zero":
-            limit_law = parse_law(rec.limit)
+                assert res.law == rec.limit, entry.id
+        if rec.limit is not None:
+            limit_law = rec.limit
             assert distinguish(Invariants(law), Invariants(limit_law)) is not None, entry.id
             name, left, _, right = rec.distinguishing.split()  # e.g. "dim_der 12 vs 13"
             assert name == "dim_der", entry.id
@@ -188,7 +188,7 @@ def test_c6_final_verdicts(entries, reports):
             bad.append((entry.id, "EN without certificate"))
         if rep.verdict == "INCONCLUSIVE":
             inconclusive.append(entry.id)
-            constructive = isinstance(entry.expected.x, tuple) or entry.expected.witness_law
+            constructive = isinstance(entry.expected.x, tuple) or entry.expected.witness_law is not None
             if entry.expected.verdict != "EN" or constructive:
                 bad.append((entry.id, "unexpected inconclusive"))
         elif rep.verdict != entry.expected.verdict:

@@ -361,17 +361,62 @@ def test_catalog_verify_detects_corruption(capsys, tmp_path):
     assert "MISMATCH" in out and "dim_der" in out
 
 
+def _recorded(entry_id: str) -> dict:
+    """The expected record of a shipped catalog entry."""
+    doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
+    return next(e for e in doc["entries"] if e["id"] == entry_id)["expected"]
+
+
+_LIMIT_12II = "dim 7; [1,2]=4; [1,4]=5; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7"
+_EMPTY_IFF_ZERO = "must be '' exactly when the limit is 'zero'"
+
+# A recorded field the loader refuses: (entry, field, value, message).  A
+# witness or limit that fails Jacobi or has another dimension, a limit with
+# sqrt and an X of another length were once mismatches found by classify
 MALFORMED_RECORDS = [
-    pytest.param("1.2(ii)", "degeneration.distinguishing", text, id=text)
+    pytest.param("1.2(ii)", "degeneration.distinguishing", text, "must be '' or read", id=text)
     for text in ("rank one vs 2", "dim_der 13 vs", "rank 1 vs 2 vs 3", "rank 1 vs 3", "series (7, 5, 0) vs (7, 4, 0)")
 ] + [
-    pytest.param("1.11", "witness_law", "dim 7; [1,2]=3*(7/1767 sqrt(1767)", id="witness_law"),
-    pytest.param("1.2(ii)", "degeneration.limit", "dim 7; [1,2]=9", id="degeneration.limit"),
+    pytest.param("1.11", "witness_law", "dim 7; [1,2]=3*(7/1767 sqrt(1767)", "expected ')'", id="witness_law"),
+    pytest.param("1.2(ii)", "degeneration.limit", "dim 7; [1,2]=9", "out of range", id="degeneration.limit"),
+    pytest.param(
+        "1.11", "witness_law", _recorded("1.11")["witness_law"].replace("sqrt(90706))", "sqrt(90707))", 1),
+        "the Jacobi identity fails at (1, 2, 4)", id="witness_law-jacobi",
+    ),
+    pytest.param(
+        "2.37", "witness_law", _recorded("2.37")["witness_law"] + "; [2,5]=7",
+        "the Jacobi identity fails at (1, 2, 3)", id="witness_law-jacobi-rational",
+    ),
+    pytest.param(
+        "1.11", "witness_law", "dim 3; [1,2]=3*(5/186 sqrt(186))",
+        "dimension 3 is not the law's dimension 7", id="witness_law-dim-3",
+    ),
+    pytest.param(
+        "1.2(ii)", "degeneration.limit", _LIMIT_12II, "the Jacobi identity fails at", id="degeneration.limit-jacobi",
+    ),
+    pytest.param(
+        "1.2(ii)", "degeneration.limit", "dim 6; [1,2]=4",
+        "dimension 6 is not the law's dimension 7", id="degeneration.limit-dim-6",
+    ),
+    pytest.param(
+        "1.3(i_0)", "degeneration.limit", "dim 8; [1,2]=4",
+        "dimension 8 is not the law's dimension 7", id="degeneration.limit-dim-8",
+    ),
+    pytest.param(
+        "1.2(ii)", "degeneration.limit", _LIMIT_12II.replace("[2,5]=7", "[2,5]=7*(2 sqrt(3))"),
+        "not sqrt", id="degeneration.limit-sqrt",
+    ),
+    pytest.param(
+        "1.21", "degeneration.X", ["1", "-1"], "dimension 2 is not the law's dimension 7", id="degeneration.X-length-2",
+    ),
+    # a zero limit names no distinguishing invariant, and a limit law names one
+    pytest.param("1.21", "degeneration.distinguishing", "dim_der 3 vs 99", _EMPTY_IFF_ZERO, id="zero-limit-named"),
+    pytest.param("1.2(ii)", "degeneration.distinguishing", "", _EMPTY_IFF_ZERO, id="limit-law-unnamed"),
 ]
 
 
-@pytest.mark.parametrize("entry_id, field_name, value", MALFORMED_RECORDS)
-def test_catalog_malformed_distinguishing_exit_65(capsys, tmp_path, entry_id, field_name, value):
+@pytest.mark.parametrize("entry_id, field_name, value, message", MALFORMED_RECORDS)
+def test_catalog_malformed_distinguishing_exit_65(capsys, tmp_path, entry_id, field_name, value, message):
     doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
     record = next(e for e in doc["entries"] if e["id"] == entry_id)["expected"]
     *path, key = field_name.split(".")
@@ -380,10 +425,12 @@ def test_catalog_malformed_distinguishing_exit_65(capsys, tmp_path, entry_id, fi
     record[key] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
+    start = time.perf_counter()
     code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert time.perf_counter() - start < 1
     assert code == 65 and out == ""
     assert len(err.splitlines()) == 1
-    assert f"'{entry_id}'" in err and f"'{field_name}'" in err
+    assert f"entry '{entry_id}', field '{field_name}'" in err and message in err
 
 
 # A catalog law the CLI's gate refuses, which the loader refuses too:
@@ -431,6 +478,21 @@ def test_catalog_repeated_sample_exit_65(capsys, tmp_path, samples):
     assert (code, out) == (65, "")
     assert len(err.splitlines()) == 1
     assert f"entry '0.4', field 'params.samples': sample {samples[0]} is repeated" in err
+
+
+def test_catalog_empty_samples_exit_65(capsys, tmp_path):
+    # a family with no sample expanded to no instance: its law was never parsed, and "135/135 match"
+    doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
+    entry = next(e for e in doc["entries"] if e["id"] == "0.4")
+    entry["params"]["samples"], entry["law"] = [], "dim 7; this is not a law"
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (65, "")
+    assert len(err.splitlines()) == 1
+    assert "entry '0.4', field 'params.samples': must name at least one sample" in err
 
 
 def test_catalog_schema_error_exit_65(capsys, tmp_path):

@@ -11,6 +11,7 @@ from nilrad.nicebasis import (
     is_nice,
     positive_solution,
     soliton_norm,
+    solves_positively,
 )
 from oracles import nullspace, positive_solution_oracle
 
@@ -58,6 +59,15 @@ def test_positive_solution_validates_witness():
     x = positive_solution([[3]])
     assert x == (Fraction(1, 3),)
     assert soliton_norm(x) == 3
+
+
+def test_solves_positively_needs_x_of_u_size(by_id):
+    u = gram_matrix(by_id["2.3"].law())
+    x = tuple(Fraction(v, 37) for v in (5, 8, 9, 8, 5))
+    assert solves_positively(u, x)
+    # an entry beyond U's columns once went unread: zip() stopped at the shorter of row and x
+    assert not solves_positively(u, x + (Fraction(5),))
+    assert not solves_positively(u, x[:-1])
 
 
 def test_no_positive_solution_134(by_id):

@@ -78,7 +78,7 @@ def test_cross_check():
 def test_witness_decompositions_match_lp_norms(by_id, moment_data):
     for eid in moment_data:
         entry = by_id[eid]
-        witness = parse_law(entry.expected.witness_law)
+        witness = entry.expected.witness_law
         dec = soliton_check(witness)
         assert isinstance(dec, SolitonDecomposition), eid
         assert -dec.c == entry.expected.soliton_norm, eid
@@ -99,7 +99,7 @@ def test_act_reproduces_111_witness(by_id):
         [0, 0, 0, 0, 0, 0, 28 * sqrt(23870) / 2830145],
     ]
     moved = act_float(g, law)
-    witness = to_float(parse_law(by_id["1.11"].expected.witness_law))
+    witness = to_float(by_id["1.11"].expected.witness_law)
     keys = set(moved.brackets) | set(witness.brackets)
     assert keys == set(witness.brackets)
     for k in keys:

@@ -343,9 +343,8 @@ def test_jacobi_matches_dense(exact_laws):
 
 def test_jacobi_matches_dense_on_surd_witnesses(entries):
     rng = random.Random(23)
-    witnesses = {e.expected.witness_law for e in entries if e.expected.witness_law}
-    surds = [parse_law(w) for w in sorted(witnesses)]
-    surds = [w for w in surds if not w.is_rational]
+    witnesses = {e.expected.witness_law for e in entries if e.expected.witness_law is not None}
+    surds = [w for w in sorted(witnesses, key=format_law) if not w.is_rational]
     assert len(surds) >= 10
     for w in surds:
         assert jacobi_violations(w) == dense_jacobi_violations(w) == []
@@ -643,10 +642,9 @@ def _c7_random_us():
 def test_simplex_matches_dense(entries):
     us = {tuple(map(tuple, e.expected.u)) for e in entries if e.expected.u}
     for e in entries:
-        if e.expected.witness_law:
-            w = parse_law(e.expected.witness_law)
-            if w.is_rational and is_nice(w).nice:
-                us.add(tuple(map(tuple, gram_matrix(w))))
+        w = e.expected.witness_law
+        if w is not None and w.is_rational and is_nice(w).nice:
+            us.add(tuple(map(tuple, gram_matrix(w))))
     assert len(us) > 50
     for u in [list(map(list, u)) for u in sorted(us)] + list(_c7_random_us()):
         rhs = [1] * len(u)
@@ -673,13 +671,12 @@ def test_weight_map_and_moment_map_match_dense_oracles(entries, exact_laws):
     for name, law in exact_laws.items():
         assert gram_matrix(law) == alphas_gram(law), name
         assert moment_map(law) == dense_moment_map(law), name
-    witnesses = {e.expected.witness_law for e in entries if e.expected.witness_law}
+    witnesses = {e.expected.witness_law for e in entries if e.expected.witness_law is not None}
     assert len(witnesses) == 14
-    for text in sorted(witnesses):
-        w = parse_law(text)
+    for w in sorted(witnesses, key=format_law):
         m, dense = moment_map(w), dense_moment_map(w)
-        assert m == dense and repr(m) == repr(dense), text
-        assert gram_matrix(w) == alphas_gram(w), text
+        assert m == dense and repr(m) == repr(dense), format_law(w)
+        assert gram_matrix(w) == alphas_gram(w), format_law(w)
 
 
 def test_weight_rows_flag_exactly_the_divergent_x(search_laws):
