@@ -69,7 +69,8 @@ def _lie_law(law: LieLaw) -> LieLaw:
 
 
 def fmt_rat(x) -> str:
-    return str(Fraction(x))
+    """The text of an exact rational (a Fraction or an int): '3', '-2/5'."""
+    return str(x)
 
 
 @dataclass(frozen=True)
@@ -362,7 +363,7 @@ def _decide(entry: CatalogEntry, inv: Invariants) -> Decision:
     if not inv.law.brackets:
         return Decision(EN, "abelian", {"kind": "abelian"})
     if inv.nice.nice:
-        return _nice_route(inv.law, on="law")
+        return _nice_route(inv.law, on="law", rank=inv.rank)
     exp = entry.expected
     if exp is not None and exp.witness_law is not None:
         return _witness_route(Invariants(exp.witness_law), inv)
@@ -390,10 +391,14 @@ def search_route(inv: Invariants) -> Decision:
     return Decision(NOT_EN, "degeneration_search", {"kind": "non_closed_orbit", **cert})
 
 
-def _nice_route(law: LieLaw, on: str) -> Decision:
-    """Ux=[1] with x > 0 on the Gram matrix of a nice basis, of the law or of its witness."""
+def _nice_route(law: LieLaw, on: str, rank: int | None = None) -> Decision:
+    """Ux=[1] with x > 0 on the Gram matrix of a nice basis, of the law or of its witness.
+
+    `rank`, the rank of the law's diagonal torus where it is known, tells
+    when U is nonsingular: when the law has dim - rank stored triples.
+    """
     u = nb.gram_matrix(law)
-    x = nb.positive_solution(u)
+    x = nb.positive_solution(u, nonsingular=rank is not None and len(u) == law.dim - rank)
     computed = {"U": u} if on == "law" else {}
     if isinstance(x, str):  # the status: no positive solution, or none at all
         return Decision(NOT_EN, "nice_lp", {"kind": "no_positive_solution", "status": x, "on": on}, computed)

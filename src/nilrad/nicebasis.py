@@ -4,6 +4,12 @@ For a law written in a nice basis the Einstein-nilradical question reduces
 to an exact feasibility problem: does U x = [1] admit a strictly positive
 solution?  U = Y Y^T is the Gram matrix of the law's weight map Y, whose
 rows are f_i + f_j - f_k, one per stored triple (Payne, arXiv:0809.1767).
+
+U has the rank of Y, which is dim minus the rank of the diagonal torus
+ker Y, so U is nonsingular exactly when the law has dim - rank stored
+triples.  There x is unique and one reduction of [U | 1] by
+`linalg.integer_rref` reads it off; the LP runs only where U is singular,
+and its pivot path picks which of the solutions is the certificate.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from . import lp
+from . import linalg, lp
 from .algebra import LawError, LieLaw
 
 
@@ -59,14 +65,27 @@ def gram_matrix(law: LieLaw) -> list[list[int]]:
     return [[sum(map(mul, a, b)) for b in rows] for a in rows]
 
 
-def positive_solution(u: list[list[int]]) -> tuple[Fraction, ...] | str:
-    """An x > 0 with Ux = [1] (the exact integer LP), or why none: "no_positive_solution" or "inconsistent"."""
-    status, t, x = lp.max_min_component(u, [1] * len(u))
-    if status == "infeasible":
-        return "inconsistent"
-    if t <= 0:
-        return "no_positive_solution"
-    assert solves_positively(u, x)  # re-validated independently of the simplex bookkeeping
+def positive_solution(u: list[list[int]], nonsingular: bool = False) -> tuple[Fraction, ...] | str:
+    """An x > 0 with Ux = [1], or why none: "no_positive_solution" or "inconsistent".
+
+    `nonsingular` is the caller's word that U is: then x is unique, and one
+    fraction-free reduction of [U | 1] gives it, row c reading a_c x_c = b_c.
+    Otherwise the exact integer LP finds an x.  An empty U (no weights) is
+    solved by x = ().
+    """
+    if nonsingular:
+        s = len(u)
+        reduced = linalg.integer_rref([{**{c: v for c, v in enumerate(row) if v}, s: 1} for row in u])
+        x = [Fraction(reduced[c].get(s, 0), reduced[c][c]) for c in range(s)]
+        if not all(v > 0 for v in x):
+            return "no_positive_solution"
+    else:
+        status, t, x = lp.max_min_component(u, [1] * len(u))
+        if status == "infeasible":
+            return "inconsistent"
+        if t <= 0:
+            return "no_positive_solution"
+    assert solves_positively(u, x)  # re-validated independently of how x was found
     return tuple(x)
 
 
@@ -74,12 +93,13 @@ def solves_positively(u: list[list[int]], x) -> bool:
     """U x = [1] and x > 0 for a rational x of U's size, checked in integers over the common denominator of x."""
     den = math.lcm(*(v.denominator for v in x))
     xs = [v.numerator * (den // v.denominator) for v in x]
-    return len(xs) == len(u) and all(sum(map(mul, row, xs)) == den for row in u) and min(xs) > 0
+    return len(xs) == len(u) and all(sum(map(mul, row, xs)) == den for row in u) and all(v > 0 for v in xs)
 
 
 def soliton_norm(x) -> Fraction:
-    """1 / sum(x) for a positive solution of Ux = [1]."""
-    total = sum(Fraction(v) for v in x)
+    """1 / sum(x) for a positive solution of Ux = [1], summed in integers over the common denominator of x."""
+    den = math.lcm(*(v.denominator for v in x))
+    total = sum(v.numerator * (den // v.denominator) for v in x)
     if total <= 0:
         raise ValueError("soliton_norm needs a positive solution vector")
-    return Fraction(1) / total
+    return Fraction(den, total)

@@ -287,6 +287,30 @@ def test_each_invariant_is_computed_once_per_law(monkeypatch, capsys, tmp_path):
                 assert max(counter.values(), default=0) <= 1, (e.id, command, name)
 
 
+def test_lp_runs_only_where_u_is_singular(monkeypatch, entries):
+    # a nice law with dim - rank stored triples has a nonsingular U, solved from [U | 1] with no LP:
+    # 58 of the 101 nice laws; the LP runs on the other 43, the rational witness and 2 Stiemke steps
+    lp_calls, exact_calls = [], []
+    max_min_component = nilrad.lp.max_min_component
+    positive_solution = nilrad.nicebasis.positive_solution
+
+    def counted_lp(u, rhs):
+        lp_calls.append(len(u))
+        return max_min_component(u, rhs)
+
+    def counted_solution(u, nonsingular=False):
+        exact_calls.append(nonsingular)
+        return positive_solution(u, nonsingular)
+
+    monkeypatch.setattr(nilrad.lp, "max_min_component", counted_lp)
+    monkeypatch.setattr(nilrad.nicebasis, "positive_solution", counted_solution)
+    diagonal_rank = _count_calls_per_law(monkeypatch, "derivations", "diagonal_rank")
+    verify_catalog(entries)
+    assert len(lp_calls) == 46  # 104 when every nice system ran the LP
+    assert Counter(exact_calls) == Counter({True: 58, False: 44})
+    assert sum(diagonal_rank.values()) == 136  # the gate reads the torus each law computes anyway
+
+
 def _degeneration(**changes):
     return lambda exp: {"degeneration": dataclasses.replace(exp.degeneration, **changes)}
 

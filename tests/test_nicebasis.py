@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import nilrad
+from nilrad import linalg, lp
 from nilrad.algebra import parse_law
+from nilrad.derivations import Invariants
 from nilrad.nicebasis import (
     gram_matrix,
     is_nice,
@@ -81,6 +84,104 @@ def test_no_positive_solution_134(by_id):
 
 def test_inconsistent_system():
     assert positive_solution([[0]]) == "inconsistent"
+
+
+def test_empty_u_is_solved_by_the_empty_x():
+    # the Gram matrix of a law with no brackets: x = () solves Ux = [1] vacuously
+    assert nilrad.positive_solution([]) == () == positive_solution([], nonsingular=True)
+    assert solves_positively([], ()) is True
+
+
+def _lp_x(u):
+    """The x of lp.max_min_component on Ux = [1] and whether its capped t is positive."""
+    status, t, x = lp.max_min_component(u, [1] * len(u))
+    assert status == "optimal"
+    return t > 0, tuple(x)
+
+
+def test_exact_solve_matches_lp_on_nonsingular_catalog_u(entries):
+    """Where a law has dim - rank stored triples, U is nonsingular and Ux = [1] has one
+    solution: the reduction of [U | 1] and the LP give the same x, byte for byte."""
+    nice, outcomes = 0, set()
+    for e in entries:
+        inv = Invariants(e.law())
+        u = gram_matrix(inv.law)
+        if len(u) != inv.law.dim - inv.rank:
+            continue
+        positive, x = _lp_x(u)
+        got = positive_solution(u, nonsingular=True)
+        if positive:
+            assert got == x and list(map(str, got)) == list(map(str, x)), e.id
+        else:
+            assert got == "no_positive_solution", e.id
+        assert positive_solution(u) == got, e.id
+        nice += inv.nice.nice
+        outcomes.add(positive)
+    assert nice == 58 and outcomes == {True, False}
+
+
+def _random_weight_map(rng, n, m):
+    """m weight rows f_i + f_j - f_k of random triples i < j, k not in {i, j}, over n basis vectors."""
+    rows = []
+    for _ in range(m):
+        i, j, k = rng.sample(range(n), 3)
+        row = [0] * n
+        row[min(i, j)] += 1
+        row[max(i, j)] += 1
+        row[k] -= 1
+        rows.append(row)
+    return rows
+
+
+def test_exact_solve_matches_lp_on_random_nonsingular_weight_maps():
+    rng = random.Random(2037)
+    outcomes = {"positive": 0, "no_positive_solution": 0}
+    for _ in range(400):
+        n = rng.randint(3, 8)
+        y = _random_weight_map(rng, n, rng.randint(1, n))
+        if len(linalg.integer_rref([dict(enumerate(row)) for row in y])) < len(y):
+            continue  # Y of lower rank: U = Y Y^T is singular
+        u = [[sum(a * b for a, b in zip(ra, rb)) for rb in y] for ra in y]
+        positive, x = _lp_x(u)
+        got = positive_solution(u, nonsingular=True)
+        assert got == (x if positive else "no_positive_solution") == positive_solution(u), y
+        outcomes["positive" if positive else got] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+def _particular_solution(u):
+    """One solution of Ux = [1]: the reduced form of [U | 1], free columns set to 0."""
+    s = len(u)
+    reduced = linalg.integer_rref([{**dict(enumerate(row)), s: 1} for row in u])
+    assert s not in reduced  # consistent: [1] = Y.1 lies in the column space of Y, which is that of U
+    x = [Fraction(0)] * s
+    for c, row in reduced.items():
+        x[c] = Fraction(row.get(s, 0), row[c])
+    return x
+
+
+def _one_minus_yt_x(y, x):
+    return [1 - sum(yr[i] * xr for yr, xr in zip(y, x)) for i in range(len(y[0]))]
+
+
+def test_phi_is_one_minus_y_transpose_x(entries, reports):
+    """phi = 1 - Y^T x for every x with Ux = [1]: phi - 1 lies in the row space of Y
+    (tr(phi psi) = tr(psi) on the torus ker Y) and Y phi = 0, so phi - 1 = Y^T z with
+    U z = -Y.1 = -[1], and Y^T is zero on ker U.  It ties the torus kernel (phi) to
+    the Gram system (U, x)."""
+    checked = certified = 0
+    for e in entries:
+        inv = Invariants(e.law())
+        if not inv.law.brackets or isinstance(inv.phi, str):
+            continue
+        y, u = inv.law.weight_rows, gram_matrix(inv.law)
+        assert _one_minus_yt_x(y, _particular_solution(u)) == list(inv.phi), e.id
+        checked += 1
+        cert = reports[e.id].certificates[0]
+        if reports[e.id].route == "nice_lp" and cert["kind"] == "positive_solution":
+            assert _one_minus_yt_x(y, [Fraction(v) for v in cert["x"]]) == list(inv.phi), e.id
+            certified += 1
+    assert (checked, certified) == (128, 79)  # the laws of rank > 0; the EN ones of the nice LP route
 
 
 def test_soliton_norm_examples():

@@ -754,6 +754,29 @@ def test_act_matches_dense_oracle(entries):
         act(singular, parse_law("dim 3; [1,2]=3"))
 
 
+def _moved_catalog(entries, seed):
+    """(entry, its law moved by three seeded shears) for each catalog entry, in order."""
+    rng = random.Random(seed)
+    return [(e, act(_random_g(rng, e.law().dim, shears=3), e.law())) for e in entries]
+
+
+@pytest.mark.parametrize("seed", [None, 7, 11, 13])
+def test_nonsingular_gate_is_full_rank_of_u_and_one(entries, seed):
+    """The gate of the nice route's exact solve, dim - rank stored triples, holds
+    exactly when [U | 1] has full row rank, on the catalog (seed None) and on
+    the moved catalog of `test_moved_catalog_never_gets_the_opposite_verdict`."""
+    laws = [e.law() for e in entries] if seed is None else [law for _, law in _moved_catalog(entries, seed)]
+    gated = 0
+    for law in laws:
+        u = gram_matrix(law)
+        s = len(u)
+        full = len(linalg.integer_rref([{**dict(enumerate(row)), s: 1} for row in u])) == s
+        gate = s == law.dim - Invariants(law).rank
+        assert gate == full, format_law(law)
+        gated += gate
+    assert gated > (60 if seed is None else 3), gated  # 63 catalog laws; 4, 20 and 8 moved ones
+
+
 @pytest.mark.parametrize("seed", [7, 11, 13])
 def test_moved_catalog_never_gets_the_opposite_verdict(entries, seed):
     """Each catalog law moved by three seeded shears gets its catalog verdict or
@@ -761,10 +784,8 @@ def test_moved_catalog_never_gets_the_opposite_verdict(entries, seed):
     nilpotent in every basis, so exactly the catalog's rank-zero laws keep
     their certified NOT_EN via `rank_zero`; every other law of diagonal rank 0
     is `basis_not_adapted`."""
-    rng = random.Random(seed)
     routes = {}
-    for e in entries:
-        law = act(_random_g(rng, e.law().dim, shears=3), e.law())
+    for e, law in _moved_catalog(entries, seed):
         rep = classify(CatalogEntry(e.id, {}, format_law(law), None, parsed=law))
         assert rep.verdict in (e.expected.verdict, INCONCLUSIVE), (e.id, rep.route)
         routes[e.id] = rep.route
