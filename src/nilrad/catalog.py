@@ -345,8 +345,8 @@ _GATES = {"rank_zero", "basis_not_adapted", "pre_einstein_positivity"}  # routes
 def _decide(entry: CatalogEntry, inv: Invariants) -> Decision:
     """The decision of the first rung of the ladder that decides.
 
-    The rungs: no pre-Einstein derivation (`Invariants.phi` names why: Der
-    is nilpotent, or the diagonal torus of the basis is not maximal), a
+    The rungs: no positive phi (`Invariants.phi` names why: phi = 0 at
+    diagonal rank 0, or the diagonal torus of the basis is not maximal), a
     pre-Einstein derivation that is not positive, the abelian law, the LP
     on a nice basis, then, for a law that is not nice, the entry's recorded
     witness or degeneration, else the walk on the degeneration cone.

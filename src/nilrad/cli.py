@@ -8,11 +8,12 @@ at rank 0 too) is inconclusive: an INCONCLUSIVE report (route
 `basis_not_adapted`) from `check`/`report`, exit 2 with `basis_not_adapted`
 on stderr from `invariants`/`degenerate`.  `degenerate` without `--X` walks
 the degeneration cone and exits 2 when the walk certifies nothing; a
-`rank_zero` law (Der nilpotent) has no degeneration flow, and `degenerate`
-exits 2 on it with the reason on stderr.  Usage and parse errors (and an
-`--X` entry not of the form `-?digits(/digits)?`) and `sqrt` laws exit 64;
-catalog schema errors and laws that `gate_law` finds are not nilpotent Lie
-algebras exit 65.  An internal error exits 70, never a verdict's code.
+`rank_zero` law (phi = 0 at diagonal rank 0) has no degeneration flow, and
+`degenerate` exits 2 on it with the reason on stderr.  Usage and parse
+errors (and an `--X` entry not of the form `-?digits(/digits)?`) and `sqrt`
+laws exit 64; catalog schema errors and laws that `gate_law` finds are not
+nilpotent Lie algebras exit 65.  An internal error exits 70, never a
+verdict's code.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ EX_DATAERR = 65
 EX_SOFTWARE = 70
 
 _VERDICT_EXIT = {EN: 0, NOT_EN: 1, INCONCLUSIVE: 2}
-_NO_PHI = {  # the reason of Invariants.phi for no pre-Einstein derivation, as a refusal says it
-    "rank_zero": "rank-zero law: Der is nilpotent, no pre-Einstein derivation, degeneration flow undefined",
+_NO_PHI = {  # the reason of Invariants.phi for no degeneration flow, as a refusal says it
+    "rank_zero": "rank-zero law: every derivation is traceless, so phi = 0 and the degeneration flow is undefined",
     "basis_not_adapted": "basis_not_adapted: the diagonal torus of this basis is not maximal",
 }
 

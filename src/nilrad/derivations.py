@@ -4,10 +4,10 @@ Everything is exact: the derivation identity is a linear system over Q in
 the n^2 matrix entries, the diagonal torus is an integer kernel lattice,
 and the pre-Einstein derivation solves the integer Gram system of that
 lattice's basis fraction-free.  Der is kept as the sparse integer kernel
-vectors of that system: the pipeline reads only their number (dim Der),
-their diagonal entries (`pre_einstein`) and, at rank 0, their images
-(`engel_flag`), so the dense matrices (`DerivationSpace.basis`) are built
-only when read.  `Invariants.phi` is the one outcome of the torus.
+vectors of that system: the pipeline reads only their number (dim Der) and
+their diagonal entries (`pre_einstein`, at every rank), so the dense
+matrices (`DerivationSpace.basis`) are built only when read.
+`Invariants.phi` is the one outcome of the torus.
 """
 
 from __future__ import annotations
@@ -104,44 +104,16 @@ def diagonal_rank(law: LieLaw) -> list[list[int]]:
     return [[int(i == j) for j in range(law.dim)] for i in range(law.dim)]  # no weights: Z^n, HNF basis I
 
 
-def engel_flag(space: DerivationSpace) -> tuple[int, ...]:
-    """The dimensions of Der's Engel series W_0 = Q^n, W_{k+1} = span{D w : D in Der, w in W_k}, up to where it stops.
-
-    The series only falls, and it reaches 0 exactly when every derivation
-    is nilpotent (Engel's theorem).  Der is algebraic, so that is exactly
-    when no basis has a nonzero diagonal derivation.  A kernel vector is a
-    derivation times its p > 0, which spans the same images; entry (k, l)
-    of D is column k n + l, so (D w)_k = sum_l D_kl w_l.
-    """
-    n = space.dim
-    entries = [[divmod(col, n) + (x,) for col, x in vec] for vec in space.vectors]
-    w = {i: {i: 1} for i in range(n)}
-    dims = [n]
-    while w:
-        images = []
-        for d in entries:
-            for row in w.values():
-                img: dict[int, int] = {}
-                for k, l, x in d:
-                    if l in row:
-                        img[k] = img.get(k, 0) + x * row[l]
-                images.append(img)
-        w = linalg.integer_rref(images)
-        if len(w) == dims[-1]:
-            break
-        dims.append(len(w))
-    return tuple(dims)
-
-
 def pre_einstein(inv: Invariants) -> tuple[Fraction, ...] | None:
     """The diagonal of the derivation phi with tr(phi psi) = tr(psi) for all psi in Der, or None.
 
-    Solved inside the diagonal torus (of positive rank), then verified
-    against the full derivation basis: None, when that check fails, means the
-    diagonal torus is not maximal.  phi = v / d with an integer vector v and
-    d > 0, so the check reads sum_i (v_i - d) psi_ii = 0.  It is homogeneous
-    in psi, so it runs in integers on the diagonal columns i (n + 1) of each
-    sparse Der vector, whatever its scaling.
+    Solved inside the diagonal torus (phi = 0 at rank 0, where the check
+    reads "every derivation is traceless"), then verified against the full
+    derivation basis: None, when that check fails, means the diagonal torus
+    is not maximal.  phi = v / d with an integer vector v and d > 0, so the
+    check reads sum_i (v_i - d) psi_ii = 0.  It is homogeneous in psi, so it
+    runs in integers on the diagonal columns i (n + 1) of each sparse Der
+    vector, whatever its scaling.
     """
     gens = inv.torus
     r = len(gens)
@@ -151,7 +123,7 @@ def pre_einstein(inv: Invariants) -> tuple[Fraction, ...] | None:
     reduced = linalg.integer_rref(system)
     den = math.lcm(*(reduced[p][p] for p in range(r)))
     coeffs = [reduced[p].get(r, 0) * (den // reduced[p][p]) for p in range(r)]
-    v = [sum(map(mul, coeffs, col)) for col in zip(*gens)]
+    v = [sum(map(mul, coeffs, col)) for col in zip(*gens)] if r else [0] * inv.law.dim
     step = len(v) + 1
     weights = {i * step: x - den for i, x in enumerate(v) if x != den}  # column of D_ii: v_i - d
     if any(sum(weights[k] * x for k, x in vec if k in weights) for vec in inv.der.vectors):
@@ -198,10 +170,11 @@ class Invariants:
 
     @cached_property
     def phi(self) -> tuple[Fraction, ...] | str:
-        """phi's eigenvalues, or why the basis has none: "rank_zero" (Der is nilpotent) or "basis_not_adapted"."""
-        if not self.rank:
-            return "basis_not_adapted" if engel_flag(self.der)[-1] else "rank_zero"
-        return pre_einstein(self) or "basis_not_adapted"
+        """phi's eigenvalues, or why the basis has none: "rank_zero" (phi = 0, rank 0) or "basis_not_adapted"."""
+        phi = pre_einstein(self)
+        if phi is None:
+            return "basis_not_adapted"
+        return phi if self.rank else "rank_zero"
 
     @cached_property
     def nice(self) -> NiceCheck:

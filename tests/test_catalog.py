@@ -247,11 +247,10 @@ def _count_calls_per_law(monkeypatch, module: str, name: str) -> Counter:
 def test_each_invariant_is_computed_once_per_law(monkeypatch, capsys, tmp_path):
     # laws compare by their structure constants, so a recomputation on a
     # re-parsed copy of a law counts as a second call too; pre_einstein is
-    # counted per Invariants and engel_flag per derivation space, their one argument
+    # counted per Invariants, its one argument
     kernels = [
         ("derivations", "derivation_space"), ("algebra", "series_signature"), ("algebra", "jacobi_violations"),
-        ("derivations", "diagonal_rank"), ("derivations", "pre_einstein"), ("derivations", "engel_flag"),
-        ("nicebasis", "is_nice"),
+        ("derivations", "diagonal_rank"), ("derivations", "pre_einstein"), ("nicebasis", "is_nice"),
     ]
     calls = {name: _count_calls_per_law(monkeypatch, module, name) for module, name in kernels}
     entries = load_catalog()
@@ -271,8 +270,7 @@ def test_each_invariant_is_computed_once_per_law(monkeypatch, capsys, tmp_path):
         assert name == "jacobi_violations" or (counter and max(counter.values()) == 1), name
     assert sum(calls["derivation_space"].values()) == 142  # the 136 laws, the rational witness and 5 recorded limits
     assert sum(calls["diagonal_rank"].values()) == 136  # the torus of each law, not of its witness or limits
-    assert sum(calls["pre_einstein"].values()) == 128  # the laws of rank > 0
-    assert sum(calls["engel_flag"].values()) == 8  # the laws of rank 0
+    assert sum(calls["pre_einstein"].values()) == 136  # every law, phi = 0 at rank 0
     assert sum(calls["is_nice"].values()) == 137  # the 136 laws and the rational witness
     # one run of each law command on each law computes each invariant of a law at most once
     law_file = tmp_path / "law.txt"

@@ -757,6 +757,34 @@ def test_no_source_file_mentions_numpy():
     assert [p.name for p in sorted(root.rglob("*.py")) if "numpy" in p.read_text()] == []
 
 
+def test_every_top_level_name_in_src_is_read():
+    # test-only helpers live under tests/: each top-level def or class of src
+    # is read by another top-level statement of src, exported in
+    # nilrad.__all__, or traced by name by the benchmark (perfbench.layers)
+    from perfbench.layers import TRACED
+
+    root = Path(nilrad.__file__).resolve().parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(root.rglob("*.py"))}
+
+    def names(node):
+        return {
+            getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+        }
+
+    reads = [(top, names(top)) for tree in trees.values() for top in tree.body]
+    unread = [
+        f"{mod}.{node.name}"
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in read for top, read in reads if top is not node)
+        and node.name not in nilrad.__all__
+        and node.name not in TRACED.get(mod, ())
+    ]
+    assert unread == []
+
+
 def test_no_random_in_src():
     # answers depend on the law alone: no module draws random numbers
     root = Path(nilrad.__file__).resolve().parent

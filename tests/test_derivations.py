@@ -11,11 +11,10 @@ from nilrad.derivations import (
     derivation_space,
     diagonal_rank,
     dim_der,
-    engel_flag,
     positivity_gate,
     pre_einstein,
 )
-from oracles import in_span, is_derivation
+from oracles import fraction_engel_flag, in_span, is_derivation
 
 
 def test_abelian_derivations():
@@ -92,10 +91,13 @@ def test_pre_einstein_trace_property(by_id):
 
 
 def test_pre_einstein_rank_zero_rejected(by_id):
-    # 0.1 is characteristically nilpotent: Der's Engel series falls by one each step to 0
+    # 0.1 is characteristically nilpotent: Der's Engel series falls by one each step to 0,
+    # so every derivation is traceless and phi = 0 passes the check against Der
     inv = Invariants(by_id["0.1"].law())
     assert inv.torus == () and inv.phi == "rank_zero"
-    assert engel_flag(inv.der) == (7, 6, 5, 4, 3, 2, 1, 0)
+    assert pre_einstein(inv) == (Fraction(0),) * 7
+    assert fraction_engel_flag(inv.der) == (7, 6, 5, 4, 3, 2, 1, 0)
+    assert all(sum(psi[i][i] for i in range(7)) == 0 for psi in inv.der.basis)
 
 
 def test_positivity_gate():

@@ -8,8 +8,8 @@ kernels must give exactly the same residuals, series dimensions, equation
 rows, Der bases, reduced matrices and LP solutions (the series also on
 seeded monomial tables, whose index-set path runs no elimination), the integer
 pre-Einstein outcome the same phi (or the same reason for none) as the
-Fraction one in `oracles.fraction_pre_einstein`, and the sparse Engel
-series of Der the same dimensions as `oracles.fraction_engel_flag`.  The
+Fraction one in `oracles.fraction_pre_einstein`, and phi = 0 pass at rank 0
+exactly where the Engel series of `oracles.fraction_engel_flag` reaches 0.  The
 kernel lattice (an echelon of [M^T | I], then the HNF of its kernel rows)
 must equal the two-pass one of
 `oracles.two_pass_kernel_lattice`, and the sparse basis change the dense
@@ -31,7 +31,7 @@ from nilrad import linalg, lp
 from nilrad.algebra import LawError, LieLaw, act, format_law, jacobi_violations, parse_law, series_signature
 from nilrad.catalog import INCONCLUSIVE, CatalogEntry, classify
 from nilrad.degeneration import g_phi_lattice, lattice_weight_rows, one_param_limit
-from nilrad.derivations import Invariants, _derivation_rows, derivation_space, engel_flag
+from nilrad.derivations import Invariants, _derivation_rows, derivation_space
 from nilrad.nicebasis import gram_matrix, is_nice
 from nilrad.ricci import moment_map
 from oracles import (
@@ -448,16 +448,15 @@ def test_pre_einstein_matches_fraction_oracle(exact_laws):
     assert kinds["rank_zero"] >= 8 and kinds["basis_not_adapted"] > 2 and kinds[tuple] >= 128
 
 
-def test_engel_flag_matches_fraction_oracle(exact_laws, entries):
-    """The Engel series of the sparse integer Der vectors has the dimensions of
-    the dense rational one, and reaches 0 on exactly the catalog laws recorded
-    at rank 0 (Der nilpotent), whatever the basis."""
+def test_rank_zero_matches_engel_oracle(exact_laws, entries):
+    """phi = 0 passes the check against Der (route `rank_zero`) on exactly the
+    laws whose dense Engel series of Der reaches 0, and those are the catalog
+    laws recorded at rank 0 (Der nilpotent), whatever the basis."""
     flags = {}
     for name, law in exact_laws.items():
-        space = derivation_space(law)
-        flags[name] = engel_flag(space)
-        assert flags[name] == fraction_engel_flag(space), name
+        flags[name] = fraction_engel_flag(derivation_space(law))
         assert list(flags[name]) == sorted(set(flags[name]), reverse=True) and flags[name][0] == law.dim, name
+        assert (Invariants(law).phi == "rank_zero") == (flags[name][-1] == 0), name
     rank_zero = {e.id for e in entries if e.expected.rank == 0}
     assert len(rank_zero) == 8
     nilpotent = {name.removeprefix("g.") for name, flag in flags.items() if flag[-1] == 0 and name not in PROBES}
@@ -537,7 +536,7 @@ def test_integer_eliminator_on_rational_rows():
         shared += any(len(r) > 1 and set(r) & set(unit_cols) for r in rows)
         emptied += any(len(r) > 1 and set(r) <= set(unit_cols) for r in rows)
     assert repeated > 100 and shared > 100 and emptied > 50
-    # explicit zeros, as the Engel images and the Gram system can hand over:
+    # explicit zeros, as the Gram system can hand over:
     # zero entries in longer rows, one-entry zero rows {c: 0} (also on the
     # two columns that no row names with a nonzero) and all-zero rows; a zero
     # is never a pivot, nor an entry of a reduced row
@@ -781,9 +780,9 @@ def test_nonsingular_gate_is_full_rank_of_u_and_one(entries, seed):
 def test_moved_catalog_never_gets_the_opposite_verdict(entries, seed):
     """Each catalog law moved by three seeded shears gets its catalog verdict or
     INCONCLUSIVE, never the opposite one, and classify raises nothing.  Der is
-    nilpotent in every basis, so exactly the catalog's rank-zero laws keep
-    their certified NOT_EN via `rank_zero`; every other law of diagonal rank 0
-    is `basis_not_adapted`."""
+    nilpotent, hence traceless, in every basis, so exactly the catalog's
+    rank-zero laws keep their certified NOT_EN via `rank_zero` (phi = 0);
+    every other law of diagonal rank 0 is `basis_not_adapted`."""
     routes = {}
     for e, law in _moved_catalog(entries, seed):
         rep = classify(CatalogEntry(e.id, {}, format_law(law), None, parsed=law))
