@@ -1,27 +1,27 @@
-"""Command-line interface.
+"""Command-line interface: `COMMANDS` maps the command words to a handler,
+its usage line and its flags.
 
-`check`, `report`, `invariants` and `degenerate` read the law file through
-one gate.  `check` exits 0 = Einstein nilradical certified, 1 = certified
-not an Einstein nilradical, 2 = inconclusive; `report` exits 0 on every
-verdict.  A law whose diagonal torus is not maximal (`Invariants.phi`,
-at rank 0 too) is inconclusive: an INCONCLUSIVE report (route
-`basis_not_adapted`) from `check`/`report`, exit 2 with `basis_not_adapted`
-on stderr from `invariants`/`degenerate`.  `degenerate` without `--X` walks
-the degeneration cone and exits 2 when the walk certifies nothing; a
-`rank_zero` law (phi = 0 at diagonal rank 0) has no degeneration flow, and
-`degenerate` exits 2 on it with the reason on stderr.  Usage and parse
-errors (and an `--X` entry not of the form `-?digits(/digits)?`) and `sqrt`
-laws exit 64; catalog schema errors and laws that `gate_law` finds are not
-nilpotent Lie algebras exit 65.  An internal error exits 70, never a
-verdict's code.
+FILE and the flags follow the command words in any order, each flag as
+`--flag value` or `--flag=value` (a value may begin with `-`), never
+abbreviated; `-h`/`--help` prints `USAGE`.  `check`, `report`, `invariants`
+and `degenerate` read the law file through one gate.  `check` exits 0 = EN
+certified, 1 = NOT_EN certified, 2 = inconclusive; `report` exits 0 on every
+verdict.  A law whose diagonal torus is not maximal (`Invariants.phi`, at
+rank 0 too) gets an INCONCLUSIVE report (route `basis_not_adapted`) from
+`check`/`report`, and exit 2 with the reason on stderr from `invariants` and
+`degenerate`, which also exits 2 on a `rank_zero` law (phi = 0 at diagonal
+rank 0: no degeneration flow) and when its cone walk certifies nothing.
+Usage and parse errors (a bad `--X` too) and `sqrt` laws exit 64; catalog
+schema errors and laws that `gate_law` finds are not nilpotent Lie algebras
+exit 65; an internal error exits 70 and a closed stdout 74, no verdict's code.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from . import degeneration as dg
@@ -46,6 +46,7 @@ from .derivations import Invariants
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
+EX_IOERR = 74
 
 _VERDICT_EXIT = {EN: 0, NOT_EN: 1, INCONCLUSIVE: 2}
 _NO_PHI = {  # the reason of Invariants.phi for no degeneration flow, as a refusal says it
@@ -171,72 +172,76 @@ def _print_limit(limit: str, distinction) -> None:
 
 
 def cmd_report(args) -> int:
+    if args.format not in (None, "text", "json"):
+        raise Refusal(EX_USAGE, f"bad --format value {args.format!r}: text or json")
     _pipeline_report(args, args.format == "json")
     return 0
 
 
-@functools.cache  # parsing leaves the parser unchanged, so one per process serves every call
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="nilrad", description="Einstein nilradical verifier")
-    p.add_argument("--version", action="version", version=f"nilrad {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+# command words -> (handler, usage, flags); a flag is a switch (None) or takes
+# one value through its converter.  `check --seed` is accepted and ignored: no
+# answer depends on a seed, but perfbench's check_search workload passes one
+COMMANDS = {
+    ("check",): (cmd_check, "FILE [--json]", {"--json": None, "--seed": int}),
+    ("report",): (cmd_report, "FILE [--format text|json]", {"--format": str}),
+    ("invariants",): (cmd_invariants, "FILE", {}),
+    ("degenerate",): (cmd_degenerate, "FILE [--X a1,...,an]", {"--X": str}),
+    ("catalog", "verify"): (cmd_catalog_verify, "FILE [--only ID] [--json]", {"--only": str, "--json": None}),
+}
+USAGE = "usage: " + "\n       ".join(
+    [" ".join(["nilrad", *words, usage]) for words, (_, usage, _) in COMMANDS.items()] + ["nilrad --version"]
+)
 
-    sp = sub.add_parser("check", help="classify a single law file")
-    sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
-    # accepted and ignored: no answer depends on a seed, but perfbench's
-    # check_search workload passes --seed until that workload is redefined
-    sp.add_argument("--seed", type=int, help=argparse.SUPPRESS)
-    sp.set_defaults(func=cmd_check, prog=sp.prog)
 
-    sp = sub.add_parser("invariants", help="print invariants of a law file")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_invariants, prog=sp.prog)
-
-    sp = sub.add_parser("catalog", help="catalog operations")
-    csub = sp.add_subparsers(dest="catalog_command", required=True)
-    spv = csub.add_parser("verify", help="verify a catalog file")
-    spv.add_argument("file")
-    spv.add_argument("--only", default=None, metavar="ID")
-    spv.add_argument("--json", action="store_true")
-    spv.set_defaults(func=cmd_catalog_verify, prog=spv.prog)
-
-    sp = sub.add_parser("degenerate", help="diagonal one-parameter degenerations")
-    sp.add_argument("file")
-    sp.add_argument("--X", dest="x", default=None, help="comma-separated diagonal exponents (default: walk the cone)")
-    sp.set_defaults(func=cmd_degenerate, prog=sp.prog)
-
-    sp = sub.add_parser("report", help="full pipeline report for a law file")
-    sp.add_argument("file")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_report, prog=sp.prog)
-    return p
+def _read_args(argv: list[str], flags: dict) -> SimpleNamespace | None:
+    """FILE and the flags in any order, each as `--flag value` or `--flag=value`; None on -h/--help."""
+    opts = {f[2:].lower(): False if conv is None else None for f, conv in flags.items()}
+    files, toks = [], iter(argv)
+    for tok in toks:
+        name, eq, value = tok.partition("=")
+        if name in ("-h", "--help") and not eq:
+            return None
+        if not tok.startswith("-") or tok == "-":
+            files.append(tok)
+            continue
+        if name not in flags:
+            raise Refusal(EX_USAGE, f"unknown option {name!r}")
+        conv = flags[name]
+        value = value if eq or conv is None else next(toks, None)
+        if value is None or (conv is None and eq):
+            raise Refusal(EX_USAGE, f"{name} needs a value" if conv else f"{name} takes no value")
+        try:
+            opts[name[2:].lower()] = conv(value) if conv else True
+        except ValueError:
+            raise Refusal(EX_USAGE, f"bad {name} value {value!r}") from None
+    if len(files) != 1:
+        raise Refusal(EX_USAGE, f"expected one file argument, got {len(files)}")
+    return SimpleNamespace(file=files[0], **opts)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    # argparse would read "--X -1,2,..." as a dangling flag; fuse the pair
-    fused, toks = [], iter(argv)
-    for tok in toks:
-        value = next(toks, None) if tok == "--X" else None
-        fused.append(tok if value is None else f"--X={value}")
+    argv = sys.argv[1:] if argv is None else argv
+    words = next((w for w in (tuple(argv[:2]), tuple(argv[:1])) if w in COMMANDS), ())
+    prog = " ".join(["nilrad", *words])
     try:
-        args = parser.parse_args(fused)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; this interface uses 64
-        if exc.code not in (0, None):
-            raise SystemExit(EX_USAGE) from exc
-        raise
-    try:
-        return args.func(args)
+        args = _read_args(argv[len(words):], COMMANDS[words][2]) if words else None
+        if not words and argv[:1] not in (["--version"], ["-h"], ["--help"]):
+            commands = ", ".join(map(" ".join, COMMANDS))
+            raise Refusal(EX_USAGE, f"expected a command ({commands}), got {argv[0] if argv else 'none'}")
+        if args is None:
+            print(f"nilrad {__version__}" if argv[:1] == ["--version"] else USAGE)
+        code = 0 if args is None else COMMANDS[words][0](args)
+        sys.stdout.flush()  # a reader that closed stdout is met here, not at the interpreter's exit
+        return code
     except Refusal as exc:
-        print(f"{args.prog}: {exc}", file=sys.stderr)
+        print(f"{prog}: {exc}", file=sys.stderr)
         return exc.code
     except (CatalogError, NotNilpotentError) as exc:
-        print(f"{args.prog}: {exc}", file=sys.stderr)
+        print(f"{prog}: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except BrokenPipeError:  # the reader closed stdout: keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
     except Exception as exc:
         print(f"nilrad: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_SOFTWARE

@@ -109,41 +109,83 @@ def test_check_json_round_trips(law_file, capsys):
     assert rep.verdict == "EN"
 
 
+def _env() -> dict:
+    """The environment of a subprocess that imports nilrad from this source tree."""
+    src = str(Path(nilrad.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_usage_error_exit_64():
-    with pytest.raises(SystemExit) as exc:
-        main(["check"])  # missing file argument
-    assert exc.value.code == 64
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilrad", "check"], capture_output=True, text=True, env=_env(), timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (64, "")
+    assert len(proc.stderr.splitlines()) == 1 and "file" in proc.stderr
 
 
-def _answer(capsys, argv):
-    """Exit code, stdout (a JSON report without its timing) and stderr of one in-process call."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    text = out.out
-    if text.startswith("{"):
-        rep = json.loads(text)
-        del rep["timing"]
-        text = json.dumps(rep, sort_keys=True)
-    return code, text, out.err
+# Each gets exit 64, empty stdout and one stderr line naming the program
+USAGE_ERRORS = [
+    [], ["chek", "LAW"], ["catalog", "LAW"], ["check"], ["check", "LAW", "LAW"], ["check", "LAW", "--bogus"],
+    ["check", "LAW", "--js"], ["degenerate", "LAW", "--X"], ["report", "LAW", "--format", "xml"],
+    ["check", "LAW", "--seed", "x"], ["check", "LAW", "--json=1"], ["check", "--json", "LAW", "--seed"],
+]
 
 
-def test_one_parser_per_process_answers_like_a_fresh_one(law_file, capsys):
-    # a usage error, --version and a check in turn share one parser, and each
-    # answers as a call with a freshly built parser does
-    argvs = [["check"], ["--version"], ["check", "--json", law_file(HEISENBERG)]]
-    parser = nilrad.cli.build_parser()
-    shared = [_answer(capsys, argv) for argv in argvs]
-    assert nilrad.cli.build_parser() is parser
-    fresh = []
-    for argv in argvs:
-        nilrad.cli.build_parser.cache_clear()
-        fresh.append(_answer(capsys, argv))
-    assert [code for code, _, _ in shared] == [64, 0, 0]
-    assert "required: file" in shared[0][2] and shared[1][1] == f"nilrad {nilrad.__version__}\n"
-    assert shared == fresh
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[" ".join(a) or "no-command" for a in USAGE_ERRORS])
+def test_usage_errors_exit_64_with_one_line(law_file, capsys, argv):
+    path = law_file(HEISENBERG)
+    code, out, err = _run(capsys, [path if a == "LAW" else a for a in argv])
+    assert (code, out) == (64, "")
+    assert len(err.splitlines()) == 1 and err.startswith("nilrad")
+    assert argv != ["check"] or "file" in err
+
+
+HELP_ARGVS = [["-h"], ["--help"], ["check", "-h"], ["report", "--help"], ["invariants", "-h"],
+              ["degenerate", "LAW", "-h"], ["catalog", "verify", "-h"]]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_prints_the_usage(law_file, capsys, argv):
+    code, out, err = _run(capsys, [law_file(HEISENBERG) if a == "LAW" else a for a in argv])
+    assert (code, out, err) == (0, nilrad.cli.USAGE + "\n", "")
+    assert all(" ".join(["nilrad", *words, "FILE"]) in out for words in nilrad.cli.COMMANDS)
+
+
+def test_version_and_a_repeated_check(law_file, capsys):
+    # no state is kept between calls: a second identical check answers as the first
+    assert _run(capsys, ["--version"]) == (0, f"nilrad {nilrad.__version__}\n", "")
+    path = law_file(HEISENBERG)
+    first, second = (_run(capsys, ["check", path]) for _ in range(2))
+    assert first == second and first[0] == 0
+
+
+def test_flag_forms_and_order_give_one_answer(law_file, capsys, by_id):
+    # `--X value` and `--X=value`, also for a value that begins with "-", and
+    # flags before or after FILE, give the same output
+    path = law_file(by_id["1.2(ii)"].law_text)
+    spaced = _run(capsys, ["degenerate", path, "--X", "-1,1,0,0,-1,1,0"])
+    assert _run(capsys, ["degenerate", path, "--X=-1,1,0,0,-1,1,0"]) == spaced
+    assert spaced[0] == 0 and spaced[1].endswith("in_g_phi: True\nlimit: divergent\n")
+
+    def untimed(argv):
+        code, out, err = _run(capsys, argv)
+        return code, {**json.loads(out), "timing": None}, err
+
+    before = untimed(["check", "--json", "--seed", "3", path])
+    assert untimed(["check", path, "--seed=3", "--json"]) == before
+    assert untimed(["check", "--seed", "-3", path, "--json"]) == before
+
+
+def test_closed_stdout_exits_74():
+    # a reader that closes stdout (`... | head -1`) gets EX_IOERR, not an internal error
+    catalog = str(resources.files("nilrad").joinpath("data/catalog7.json"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilrad", "catalog", "verify", catalog],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert (proc.wait(timeout=120), err) == (74, "")
 
 
 def test_invariants(law_file, capsys):
@@ -724,11 +766,9 @@ def test_internal_error_exit_70(law_file, capsys, monkeypatch):
 
 
 def test_python_m_nilrad(law_file):
-    src = str(Path(nilrad.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "nilrad", "check", "--json", law_file(HEISENBERG)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert Report.from_json(proc.stdout).verdict == "EN"
@@ -740,15 +780,19 @@ def test_python_m_nilrad(law_file):
     ids=["check", "catalog-verify"],
 )
 def test_runs_without_numpy(law_file, argv):
-    # the library needs the standard library alone: numpy is blocked from import
-    src = str(Path(nilrad.__file__).resolve().parent.parent)
+    # the library needs the standard library alone: numpy is blocked from import,
+    # and argparse too, whose parsers once cost each process's first answer 3-5 ms
     argv = [law_file(HEISENBERG) if a == "LAW" else a for a in argv]
-    code = f"import sys; sys.modules['numpy'] = None; from nilrad.cli import main; sys.exit(main({argv!r}))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
-    )
+    block = "sys.modules['numpy'] = sys.modules['argparse'] = None"
+    code = f"import sys; {block}; from nilrad.cli import main; sys.exit(main({argv!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_argparse_out():
+    code = "import sys, nilrad.cli; print('argparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_env())
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_no_source_file_mentions_numpy():
