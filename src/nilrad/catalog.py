@@ -68,11 +68,6 @@ def _lie_law(law: LieLaw) -> LieLaw:
     return law
 
 
-def fmt_rat(x) -> str:
-    """The text of an exact rational (a Fraction or an int): '3', '-2/5'."""
-    return str(x)
-
-
 @dataclass(frozen=True)
 class Degeneration:
     x: tuple[Fraction, ...] | None
@@ -276,8 +271,8 @@ def load_catalog(path=None) -> list[CatalogEntry]:
             for p, s in enumerate(samples):  # each sample names one instance id
                 why = "repeated" if s in samples[:p] else "excluded" if s in (params.get("excluded") or ()) else None
                 if why:
-                    raise CatalogError(eid, "params.samples", f"sample {fmt_rat(s)} is {why}")
-            instances = [(f"{eid}[{params['name']}={fmt_rat(s)}]", {params["name"]: s}) for s in samples]
+                    raise CatalogError(eid, "params.samples", f"sample {s} is {why}")
+            instances = [(f"{eid}[{params['name']}={s}]", {params["name"]: s}) for s in samples]
         for inst_id, bound in instances:
             law = _convert(inst_id, "law", lambda text: gate_law(parse_law(text, bound)), entry["law"])
             out.append(CatalogEntry(inst_id, entry.get("aliases") or {}, entry["law"], expected, law))
@@ -287,10 +282,6 @@ def load_catalog(path=None) -> list[CatalogEntry]:
 
 # ---------------------------------------------------------------------------
 # classification
-
-def _fmt_vec(v) -> list[str]:
-    return [fmt_rat(x) for x in v]
-
 
 @dataclass
 class Decision:
@@ -324,7 +315,7 @@ def classify(entry: CatalogEntry) -> Report:
         "nice": inv.nice.nice,
     }
     if not isinstance(inv.phi, str):  # else the reason the basis gives no phi
-        computed["pre_einstein"] = _fmt_vec(inv.phi)
+        computed["pre_einstein"] = list(map(str, inv.phi))
     rep = Report(entry.id, dec.verdict, dec.route, [dec.certificate], {**computed, **dec.computed})
     if not inv.nice.nice and dec.route not in _GATES:
         rep.notes.append(f"not a nice basis: {inv.nice.reason}")
@@ -358,12 +349,12 @@ def _decide(entry: CatalogEntry, inv: Invariants) -> Decision:
         return Decision(INCONCLUSIVE, "basis_not_adapted", {"kind": "inconclusive", "reason": "basis_not_adapted"})
     idx = positivity_gate(phi)
     if idx is not None:
-        cert = {"kind": "non_positive_pre_einstein", "phi": _fmt_vec(phi), "index": idx}
+        cert = {"kind": "non_positive_pre_einstein", "phi": list(map(str, phi)), "index": idx}
         return Decision(NOT_EN, "pre_einstein_positivity", cert)
     if not inv.law.brackets:
         return Decision(EN, "abelian", {"kind": "abelian"})
     if inv.nice.nice:
-        return _nice_route(inv.law, on="law", rank=inv.rank)
+        return _nice_route(inv, on="law")
     exp = entry.expected
     if exp is not None and exp.witness_law is not None:
         return _witness_route(Invariants(exp.witness_law), inv)
@@ -382,8 +373,8 @@ def search_route(inv: Invariants) -> Decision:
     found = dg.search_degeneration(inv)
     if isinstance(found, dg.TrivialCone):
         reason = "no_diagonal_degeneration"
-        return Decision(INCONCLUSIVE, reason, {"kind": "inconclusive", "reason": reason, "y": _fmt_vec(found.y)})
-    cert = {"X": _fmt_vec(found.x), "limit": str(found.limit)}
+        return Decision(INCONCLUSIVE, reason, {"kind": "inconclusive", "reason": reason, "y": list(map(str, found.y))})
+    cert = {"X": list(map(str, found.x)), "limit": str(found.limit)}
     if found.limit.kind == "limit" and found.distinction is None:
         reason = "limit_not_distinguished"
         return Decision(INCONCLUSIVE, reason, {"kind": "inconclusive", "reason": reason, **cert})
@@ -391,20 +382,21 @@ def search_route(inv: Invariants) -> Decision:
     return Decision(NOT_EN, "degeneration_search", {"kind": "non_closed_orbit", **cert})
 
 
-def _nice_route(law: LieLaw, on: str, rank: int | None = None) -> Decision:
-    """Ux=[1] with x > 0 on the Gram matrix of a nice basis, of the law or of its witness.
+def _nice_route(inv: Invariants, on: str) -> Decision:
+    """Ux=[1] with x > 0 on the Gram matrix of a nice basis: inv's law is the entry's law or its witness.
 
-    `rank`, the rank of the law's diagonal torus where it is known, tells
-    when U is nonsingular: when the law has dim - rank stored triples.
+    U is nonsingular exactly when the law has dim - rank stored triples,
+    rank being that of its diagonal torus; with more than dim triples it is
+    singular whatever the rank, so that torus is not computed.
     """
-    u = nb.gram_matrix(law)
-    x = nb.positive_solution(u, nonsingular=rank is not None and len(u) == law.dim - rank)
+    u, dim = nb.gram_matrix(inv.law), inv.law.dim
+    x = nb.positive_solution(u, nonsingular=len(u) <= dim and len(u) == dim - inv.rank)
     computed = {"U": u} if on == "law" else {}
-    if isinstance(x, str):  # the status: no positive solution, or none at all
+    if isinstance(x, str):  # "no_positive_solution"
         return Decision(NOT_EN, "nice_lp", {"kind": "no_positive_solution", "status": x, "on": on}, computed)
-    norm = fmt_rat(nb.soliton_norm(x))
+    norm = str(nb.soliton_norm(x))
     computed["soliton_norm"] = norm
-    cert = {"kind": "positive_solution", "on": on, "x": _fmt_vec(x), "soliton_norm": norm}
+    cert = {"kind": "positive_solution", "on": on, "x": list(map(str, x)), "soliton_norm": norm}
     return Decision(EN, "nice_lp" if on == "law" else "witness_nice_lp", cert, computed)
 
 
@@ -424,7 +416,7 @@ def _witness_route(w: Invariants, inv: Invariants) -> Decision:
     problems = [] if dist is None else [("witness_law", "isomorphic witness", str(dist))]
     if not w.nice.nice:
         return _witness_rejected(problems + [("witness_law", "nice witness basis", w.nice.reason)])
-    dec = _nice_route(w.law, on="witness")
+    dec = _nice_route(w, on="witness")
     dec.problems = problems
     return dec
 
@@ -444,7 +436,7 @@ def _recorded_degeneration_route(rec: Degeneration, inv: Invariants) -> Decision
     """
     cert = {
         "kind": "non_closed_orbit",
-        "X": None if rec.x is None else _fmt_vec(rec.x),
+        "X": None if rec.x is None else list(map(str, rec.x)),
         "limit": "zero" if rec.limit is None else format_law(rec.limit),
         "distinguishing": rec.distinguishing,
     }
@@ -488,16 +480,17 @@ def _diff(exp: Expected, rep: Report, dec: Decision) -> None:
         )
         if got[name] != want
     ]
-    if exp.pre_einstein is not None and "pre_einstein" in got and got["pre_einstein"] != _fmt_vec(exp.pre_einstein):
-        found.append(("pre_einstein", _fmt_vec(exp.pre_einstein), got["pre_einstein"]))
+    phi = None if exp.pre_einstein is None else list(map(str, exp.pre_einstein))
+    if phi is not None and "pre_einstein" in got and got["pre_einstein"] != phi:
+        found.append(("pre_einstein", phi, got["pre_einstein"]))
     if got["nice"] != exp.nice:
         found.append(("nice", exp.nice, got["nice"]))
     u = got.get("U")  # present when the LP ran on the law itself
     if exp.u is not None and u is not None and u != [list(r) for r in exp.u]:
         found.append(("U", [list(r) for r in exp.u], u))
     found += dec.problems
-    if exp.soliton_norm is not None and "soliton_norm" in got and got["soliton_norm"] != fmt_rat(exp.soliton_norm):
-        found.append(("soliton_norm", fmt_rat(exp.soliton_norm), got["soliton_norm"]))
+    if exp.soliton_norm is not None and "soliton_norm" in got and got["soliton_norm"] != str(exp.soliton_norm):
+        found.append(("soliton_norm", str(exp.soliton_norm), got["soliton_norm"]))
     if u is not None and isinstance(exp.x, tuple):
         if dec.verdict != EN:
             found.append(("x", "positive solution", dec.certificate["status"]))

@@ -34,7 +34,6 @@ from .catalog import (
     CatalogError,
     NotNilpotentError,
     classify,
-    fmt_rat,
     gate_law,
     load_catalog,
     search_route,
@@ -73,11 +72,11 @@ def _read_gated_law(args) -> tuple[str, LieLaw]:
         raise Refusal(EX_USAGE, str(exc)) from exc
 
 
-def _pipeline_report(args, as_json: bool):
+def _pipeline_report(args):
     """Classify the gated law without expectations (certificates only); print the report and return it."""
     text, law = _read_gated_law(args)
     rep = classify(CatalogEntry("input", {}, text, None, parsed=law))
-    if as_json:
+    if args.json:
         print(rep.to_json())
     else:
         _print_report(rep)
@@ -85,7 +84,7 @@ def _pipeline_report(args, as_json: bool):
 
 
 def cmd_check(args) -> int:
-    return _VERDICT_EXIT[_pipeline_report(args, args.json).verdict]
+    return _VERDICT_EXIT[_pipeline_report(args).verdict]
 
 
 def _print_report(rep) -> None:
@@ -115,7 +114,7 @@ def cmd_invariants(args) -> int:
     for g in inv.torus:
         print(f"torus_generator: {list(g)}")
     if phi != "rank_zero":
-        print(f"pre_einstein: {[fmt_rat(v) for v in phi]}")
+        print(f"pre_einstein: {list(map(str, phi))}")
     print(f"nice: {inv.nice.nice}")
     if not inv.nice.nice:
         print(f"nice_reason: {inv.nice.reason}")
@@ -148,7 +147,7 @@ def cmd_degenerate(args) -> int:
     phi = inv.phi
     if isinstance(phi, str):
         raise Refusal(_VERDICT_EXIT[INCONCLUSIVE], _NO_PHI[phi])
-    print(f"pre_einstein: {[fmt_rat(v) for v in phi]}")
+    print(f"pre_einstein: {list(map(str, phi))}")
     if xvec is not None:
         print(f"in_g_phi: {dg.in_g_phi(xvec, phi)}")
         found = dg.degenerate(inv, xvec)
@@ -172,9 +171,7 @@ def _print_limit(limit: str, distinction) -> None:
 
 
 def cmd_report(args) -> int:
-    if args.format not in (None, "text", "json"):
-        raise Refusal(EX_USAGE, f"bad --format value {args.format!r}: text or json")
-    _pipeline_report(args, args.format == "json")
+    _pipeline_report(args)
     return 0
 
 
@@ -183,7 +180,7 @@ def cmd_report(args) -> int:
 # answer depends on a seed, but perfbench's check_search workload passes one
 COMMANDS = {
     ("check",): (cmd_check, "FILE [--json]", {"--json": None, "--seed": int}),
-    ("report",): (cmd_report, "FILE [--format text|json]", {"--format": str}),
+    ("report",): (cmd_report, "FILE [--json]", {"--json": None}),
     ("invariants",): (cmd_invariants, "FILE", {}),
     ("degenerate",): (cmd_degenerate, "FILE [--X a1,...,an]", {"--X": str}),
     ("catalog", "verify"): (cmd_catalog_verify, "FILE [--only ID] [--json]", {"--only": str, "--json": None}),

@@ -141,8 +141,7 @@ def _relative_interior(rows: list[tuple[int, ...]]) -> list[Fraction]:
     zero = [0] * m
     a = [[*e, *e, *zero, *(-v for v in row), *row] for row, e in zip(rows, unit)]
     a += [[*zero, *e, *e, *[0] * (2 * r)] for e in unit]
-    status, x, _ = lp.solve_standard(a, zero + [1] * m, zero + [-1] * m + zero + [0] * (2 * r))
-    assert status == "optimal"  # c = 0, s = 0 is feasible and sum s <= m
+    x, _ = lp.solve_standard(a, zero + [1] * m, zero + [-1] * m + zero + [0] * (2 * r))
     return [p - q for p, q in zip(x[3 * m : 3 * m + r], x[3 * m + r :])]
 
 
@@ -161,7 +160,7 @@ def search_degeneration(inv: Invariants) -> DegenerationWitness | TrivialCone:
     if not rows:  # every bracket has weight 0 on all of g_phi
         return TrivialCone((Fraction(1),) * len(law.brackets))
     # Stiemke: R.c >= 0 forces R.c = 0 iff some y > 0 has R^T y = 0; y runs over every stored triple
-    _, t, y = lp.max_min_component(weights, [0] * len(lattice))
+    t, y = lp.max_min_component(weights, [0] * len(lattice))
     if t > 0:
         return TrivialCone(tuple(y))
     c = _relative_interior(rows)

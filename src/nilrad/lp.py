@@ -8,6 +8,13 @@ sets T[i][j] <- (p.T[i][j] - T[i][c].T[r][j]) / d for i != r, a division
 that is always exact, and then d <- p.  Reduced costs c_j.d - sum and ratio
 tests are integer comparisons, so the pivots are those of a rational
 tableau; `Fraction`s are made only for the returned x and value.
+
+Every LP the pipeline builds is feasible and bounded by construction: the
+Gram system Ux = [1] is consistent since [1] = Y.1 lies in the column
+space of U = Y Y^T, the Stiemke and relative-interior systems are solved
+by zero, and a cap row bounds each objective.  So there is no status to
+return: an infeasible or unbounded LP is a program fault and fails an
+assertion.
 """
 
 from __future__ import annotations
@@ -39,11 +46,8 @@ class _Tableau:
         self.d = p
 
 
-def _simplex(t: _Tableau, c: list[int], basis: list[int], ncols: int) -> bool:
-    """Minimise c.x in place from a canonical tableau; Bland's rule.
-
-    Only columns < ncols may enter.  Returns False when unbounded.
-    """
+def _simplex(t: _Tableau, c: list[int], basis: list[int], ncols: int) -> None:
+    """Minimise c.x in place from a canonical tableau; Bland's rule.  Only columns < ncols may enter."""
     while True:
         d = t.d
         y = [(row, c[b]) for row, b in zip(t.rows, basis) if c[b]]
@@ -52,7 +56,7 @@ def _simplex(t: _Tableau, c: list[int], basis: list[int], ncols: int) -> bool:
             None,
         )
         if enter is None:
-            return True
+            return
         # min over rows with a positive entry of (b_r / a_r, basis[r]), by cross-multiplication
         leave = None
         for r, row in enumerate(t.rows):
@@ -63,8 +67,7 @@ def _simplex(t: _Tableau, c: list[int], basis: list[int], ncols: int) -> bool:
                     if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
                         continue
                 leave, num, den = r, row[-1], a
-        if leave is None:
-            return False
+        assert leave is not None, "unbounded LP: every objective the pipeline builds is capped"
         t.pivot(leave, enter)
         basis[leave] = enter
 
@@ -72,8 +75,7 @@ def _simplex(t: _Tableau, c: list[int], basis: list[int], ncols: int) -> bool:
 def solve_standard(a: list[list[int]], b: list[int], c: list[int]):
     """Two-phase simplex for min c.x s.t. Ax = b, x >= 0, on integer data.
 
-    Returns (status, x, value) with status in {'optimal', 'infeasible',
-    'unbounded'}; x and value are Fractions.
+    Returns (x, value), an optimal vertex and its value, as Fractions.
     """
     m = len(a)
     n = len(a[0]) if a else 0
@@ -84,8 +86,8 @@ def solve_standard(a: list[list[int]], b: list[int], c: list[int]):
     t = _Tableau(rows)
     basis = [n + r for r in range(m)]
     _simplex(t, [0] * n + [1] * m, basis, n + m)  # phase 1 is bounded below by 0
-    if any(row[-1] for row, bv in zip(t.rows, basis) if bv >= n):
-        return "infeasible", None, None
+    infeasible = any(row[-1] for row, bv in zip(t.rows, basis) if bv >= n)  # an artificial left above 0
+    assert not infeasible, "infeasible LP: every system the pipeline builds is consistent"
     # drive leftover artificials out of the basis; the rows where that is
     # impossible are zero on the original columns, hence redundant
     for r in range(len(t.rows)):
@@ -97,28 +99,24 @@ def solve_standard(a: list[list[int]], b: list[int], c: list[int]):
     keep = [r for r, bv in enumerate(basis) if bv < n]
     t.rows = [t.rows[r][:n] + t.rows[r][-1:] for r in keep]
     basis = [basis[r] for r in keep]
-    if not _simplex(t, c, basis, n):
-        return "unbounded", None, None
+    _simplex(t, c, basis, n)
     x = [Fraction(0)] * n
     for row, bv in zip(t.rows, basis):
         x[bv] = Fraction(row[-1], t.d)
-    return "optimal", x, Fraction(sum(c[bv] * row[-1] for row, bv in zip(t.rows, basis)), t.d)
+    return x, Fraction(sum(c[bv] * row[-1] for row, bv in zip(t.rows, basis)), t.d)
 
 
 def max_min_component(u: list[list[int]], rhs: list[int]):
     """max t s.t. exists x with u x = rhs and x >= t.1, t capped at 1; u, rhs integer.
 
-    Returns (status, t, x): status 'optimal' (t is the capped optimum, x a
-    witness attaining it) or 'infeasible' (u x = rhs has no solution).
-    Capping keeps the LP bounded without changing the sign of the optimum,
-    which is all the positivity decision needs.
+    Returns (t, x): t is the capped optimum and x a witness attaining it;
+    u x = rhs must be consistent.  Capping keeps the LP bounded without
+    changing the sign of the optimum, which is all the positivity decision
+    needs.
     """
     k = len(u[0]) if u else 0
     # u.(y + (tp - tm).1) = rhs with y >= 0, and tp - tm + s = 1
     a = [list(row) + [sum(row), -sum(row), 0] for row in u] + [[0] * k + [1, -1, 1]]
-    status, x, val = solve_standard(a, list(rhs) + [1], [0] * k + [-1, 1, 0])
-    if status == "infeasible":
-        return "infeasible", None, None
-    assert status == "optimal"  # the cap row forbids unboundedness
+    x, val = solve_standard(a, list(rhs) + [1], [0] * k + [-1, 1, 0])
     t = -val
-    return "optimal", t, [xi + t for xi in x[:k]]
+    return t, [xi + t for xi in x[:k]]

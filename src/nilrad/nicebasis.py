@@ -66,12 +66,14 @@ def gram_matrix(law: LieLaw) -> list[list[int]]:
 
 
 def positive_solution(u: list[list[int]], nonsingular: bool = False) -> tuple[Fraction, ...] | str:
-    """An x > 0 with Ux = [1], or why none: "no_positive_solution" or "inconsistent".
+    """An x > 0 with Ux = [1], or "no_positive_solution".
 
-    `nonsingular` is the caller's word that U is: then x is unique, and one
-    fraction-free reduction of [U | 1] gives it, row c reading a_c x_c = b_c.
-    Otherwise the exact integer LP finds an x.  An empty U (no weights) is
-    solved by x = ().
+    U must be a Gram matrix Y Y^T: then Ux = [1] is consistent, since
+    Y.1 = [1] puts [1] in the column space of U.  `nonsingular` is the
+    caller's word that U is: then x is unique, and one fraction-free
+    reduction of [U | 1] gives it, row c reading a_c x_c = b_c.  Otherwise
+    the exact integer LP finds an x.  An empty U (no weights) is solved by
+    x = ().
     """
     if nonsingular:
         s = len(u)
@@ -80,9 +82,7 @@ def positive_solution(u: list[list[int]], nonsingular: bool = False) -> tuple[Fr
         if not all(v > 0 for v in x):
             return "no_positive_solution"
     else:
-        status, t, x = lp.max_min_component(u, [1] * len(u))
-        if status == "infeasible":
-            return "inconsistent"
+        t, x = lp.max_min_component(u, [1] * len(u))
         if t <= 0:
             return "no_positive_solution"
     assert solves_positively(u, x)  # re-validated independently of how x was found

@@ -11,6 +11,10 @@ Float laws are built as `LieLaw(n, {triple: float})`; the library's kernels
 compare exactly, so the float helpers carry their own tolerance, `FLOAT_TOL`.
 The token-scanner law parser (`scanner_parse_law`) is the reference that
 `algebra.parse_law`, which matches statements with patterns, is compared with.
+The linear-algebra oracles (`rank`, `in_span`, `nullspace`, `dense_solve`,
+`dense_inv` and everything built on them) run on `dense_rref`, a textbook
+Fraction elimination, never on `linalg.integer_rref`, the one eliminator
+of the library they check.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def _act_dense(gm, ginv, law: LieLaw, keep) -> LieLaw:
 def dense_act(g: list[list], law: LieLaw) -> LieLaw:
     """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) over Q, dense: the reference for `algebra.act`."""
     gm = [[Fraction(x) for x in row] for row in g]
-    ginv = linalg.inv(gm)
+    ginv = dense_inv(gm)
     if ginv is None:
         raise LawError("singular matrix in dense_act()")
     return _act_dense(gm, ginv, law, bool)
@@ -133,8 +137,65 @@ def alphas_gram(law: LieLaw) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(a, b)) for b in alphas] for a in alphas]
 
 
+def dense_rref(a: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by dense Fraction row operations; returns (rows, pivot columns)."""
+    m = [row[:] for row in a]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv_p = Fraction(1) / m[r][c]
+        m[r] = [x * inv_p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def rref_kernel(red: list[list], pivots: list[int], ncols: int) -> list[list[Fraction]]:
+    """The kernel basis read from a reduced form: one vector per free column f, 1 at f and -red[r][f] at pivot r."""
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        out.append(v)
+    return out
+
+
+def dense_solve(a: list[list], b: Sequence) -> list[Fraction] | None:
+    """One solution of a x = b from `dense_rref` of [a | b], free columns 0; None when inconsistent."""
+    n = len(a[0]) if a else 0
+    red, pivots = dense_rref([[*map(Fraction, row), Fraction(v)] for row, v in zip(a, b)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, c in enumerate(pivots):
+        x[c] = red[r][n]
+    return x
+
+
+def dense_inv(a: list[list]) -> list[list[Fraction]] | None:
+    """The inverse from `dense_rref` of [a | I], or None when a is singular."""
+    n = len(a)
+    aug = [[*map(Fraction, row), *(Fraction(int(i == j)) for j in range(n))] for i, row in enumerate(a)]
+    red, pivots = dense_rref(aug)
+    return [row[n:] for row in red] if pivots == list(range(n)) else None
+
+
 def rank(a: list[list]) -> int:
-    return len(linalg.rref(a)[1])
+    return len(dense_rref(a)[1])
 
 
 def densified_nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
@@ -144,11 +205,11 @@ def densified_nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
 
 
 def nullspace(a: list[list], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the kernel of a dense matrix (rows may be empty; then pass ncols)."""
+    """Basis of the kernel of a dense matrix by `dense_rref` (rows may be empty; then pass ncols)."""
     if a:
         ncols = len(a[0])
     assert ncols is not None
-    return densified_nullspace([{c: x for c, x in enumerate(row) if x} for row in a], ncols)
+    return rref_kernel(*dense_rref([list(map(Fraction, row)) for row in a]), ncols)
 
 
 def scale(law: LieLaw, s) -> LieLaw:
@@ -426,7 +487,7 @@ def fraction_engel_flag(space: DerivationSpace) -> tuple[int, ...]:
     dims = [n]
     while w:
         images = [[sum(d[k][l] * v[l] for l in range(n)) for k in range(n)] for d in space.basis for v in w]
-        red, pivots = linalg.rref(images)
+        red, pivots = dense_rref(images)
         w = red[: len(pivots)]
         if len(w) == dims[-1]:
             break
@@ -443,7 +504,7 @@ def fraction_pre_einstein(inv: Invariants) -> tuple[Fraction, ...] | str:
     r = len(gens)
     gram = [[sum(a * b for a, b in zip(gens[p], gens[q])) for q in range(r)] for p in range(r)]
     rhs = [sum(gens[p]) for p in range(r)]
-    coeffs = linalg.solve(gram, rhs)
+    coeffs = dense_solve(gram, rhs)
     assert coeffs is not None  # gram of independent generators is definite
     phi = tuple(sum((coeffs[p] * gens[p][i] for p in range(r)), Fraction(0)) for i in range(law.dim))
     n = law.dim
@@ -514,15 +575,16 @@ def positive_solution_oracle(u: list[list[int]]) -> bool:
         rows = subset_rows(zset)
         b = one + zero[: len(zset)]
         aug = [row + [bv] for row, bv in zip(rows, b)]
-        red, pivots = linalg.rref(aug)
+        red, pivots = dense_rref(aug)
         if m not in pivots and len(pivots) == m:
             x = [Fraction(0)] * m
             for r, cpos in enumerate(pivots):
                 x[cpos] = red[r][m]
             if all(v >= 0 for v in x):
                 vertices.append(x)
-        # extreme rays of the recession cone {d >= 0 : Ud = 0}
-        ns = nullspace(rows, ncols=m)
+        # extreme rays of the recession cone {d >= 0 : Ud = 0}; the first m columns of the
+        # reduced [rows | b] are the reduced rows, and a pivot in column m is the last one
+        ns = rref_kernel(red, [c for c in pivots if c < m], m)
         if len(ns) == 1:
             d = ns[0]
             if all(v >= 0 for v in d):

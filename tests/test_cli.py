@@ -676,7 +676,7 @@ def test_degenerate_rank_zero_exit_2(capsys, tmp_path, by_id):
 def test_report_json_format(capsys, tmp_path):
     p = tmp_path / "law.txt"
     p.write_text(HEISENBERG)
-    code, out, _ = _run(capsys, ["report", str(p), "--format", "json"])
+    code, out, _ = _run(capsys, ["report", str(p), "--json"])
     assert code == 0
     assert Report.from_json(out).verdict == "EN"
 
@@ -730,7 +730,7 @@ GATE_CASES = [
     for probe in GATE_PROBES
     if command in ("check", "report") or probe[2] != "abelian"
 ]
-GATE_ARGS = {"check": ["--json"], "report": ["--format", "json"], "invariants": [], "degenerate": []}
+GATE_ARGS = {"check": ["--json"], "report": ["--json"], "invariants": [], "degenerate": []}
 
 
 @pytest.mark.parametrize(

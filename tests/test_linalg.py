@@ -90,9 +90,8 @@ def test_sparse_nullspace_matches_dense():
             row = {c: Fraction(rng.randint(-2, 2)) for c in rng.sample(range(ncols), 3)}
             rows.append({c: v for c, v in row.items() if v})
         dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
-        sparse_dim = len(linalg.sparse_nullspace(rows, ncols))
-        dense_dim = len(nullspace(dense, ncols=ncols))
-        assert sparse_dim == dense_dim
+        # the dense oracle runs on its own Fraction elimination, not on integer_rref
+        assert densified_nullspace(rows, ncols) == nullspace(dense, ncols=ncols)
         for v in densified_nullspace(rows, ncols):
             assert all(
                 sum(row.get(c, Fraction(0)) * v[c] for c in range(ncols)) == 0

@@ -1,11 +1,12 @@
 """The sparse structure-constant kernels against the dense reference kernels.
 
-The dense functions below are the straightforward O(n^3)-O(n^4) versions
-of Jacobi, the two series, the derivation equations, row reduction and the
-simplex pivot.  They scan every bracket (or every matrix entry) with
-Fraction arithmetic and are kept here only as oracles: the library's sparse
-kernels must give exactly the same residuals, series dimensions, equation
-rows, Der bases, reduced matrices and LP solutions (the series also on
+The dense functions below (and `oracles.dense_rref`) are the straightforward
+O(n^3)-O(n^4) versions of Jacobi, the two series, the derivation equations,
+row reduction and the simplex pivot.  They scan every bracket (or every
+matrix entry) with Fraction arithmetic and are kept only as oracles: the
+library's sparse kernels must give exactly the same residuals, series
+dimensions, equation rows, Der bases, reduced matrices and LP optima, on
+the LPs that have one (the series also on
 seeded monomial tables, whose index-set path runs no elimination), the integer
 pre-Einstein outcome the same phi (or the same reason for none) as the
 Fraction one in `oracles.fraction_pre_einstein`, and phi = 0 pass at rank 0
@@ -39,10 +40,12 @@ from oracles import (
     bracket_vectors,
     dense_act,
     dense_moment_map,
+    dense_rref,
     densified_nullspace,
     fraction_engel_flag,
     fraction_pre_einstein,
     is_derivation,
+    rref_kernel,
     sparse_rref,
     two_pass_kernel_lattice,
 )
@@ -95,44 +98,12 @@ def dense_jacobi_violations(law):
     return out
 
 
-def dense_rref(a):
-    m = [row[:] for row in a]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_p = Fraction(1) / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def dense_rref_and_nullspace(rows, ncols):
-    """The reduced rows {pivot: {col: x}} of `dense_rref` on sparse rows, and the
-    kernel basis read from them: one vector per free column f, -red[r][f] at pivot r."""
+    """The reduced rows {pivot: {col: x}} of `dense_rref` on sparse rows, and the kernel basis read from them."""
     a = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
-    red, pivots = dense_rref(a) if a else ([], [])
+    red, pivots = dense_rref(a)
     reduced = {c: {k: x for k, x in enumerate(red[r]) if x} for r, c in enumerate(pivots)}
-    out = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        out.append(v)
-    return reduced, out
+    return reduced, rref_kernel(red, pivots, ncols)
 
 
 def dense_subspace_bracket(law, a, b):
@@ -586,9 +557,10 @@ def test_derivation_basis_matches_dense_on_rational_laws(entries, exact_laws):
 
 
 def test_solve_standard_redundant_rows_and_negative_cleanup(by_id, monkeypatch):
-    """Equal status, x and value to the dense rational simplex when an equality
-    row is redundant and when driving out a leftover artificial pivots on a
-    negative entry (the only pivot that can be negative)."""
+    """Equal x and value to the dense rational simplex when an equality row is
+    redundant and when driving out a leftover artificial pivots on a negative
+    entry (the only pivot that can be negative).  The LP's guards fail on the
+    draws the dense simplex finds infeasible or unbounded."""
     negative = []
     pivot = lp._Tableau.pivot
 
@@ -599,14 +571,13 @@ def test_solve_standard_redundant_rows_and_negative_cleanup(by_id, monkeypatch):
     monkeypatch.setattr(lp._Tableau, "pivot", spy)
     u = gram_matrix(by_id["1.4"].law())
     a, b, c = _max_min_system(u + [u[1]], [1] * (len(u) + 1))  # a duplicated U row
-    got = lp.solve_standard(a, b, c)
-    assert got == dense_solve_standard(a, b, c) and got[0] == "optimal"
+    assert ("optimal", *lp.solve_standard(a, b, c)) == dense_solve_standard(a, b, c)
     assert lp.max_min_component(u + [u[1]], [1] * (len(u) + 1)) == lp.max_min_component(u, [1] * len(u))
     negative.clear()
     a, b, c = [[0, 1, -2, -2], [-1, 0, -2, 0], [-1, 3, 0, 0]], [0, 0, 2], [2, 2, -2, 0]
     got = lp.solve_standard(a, b, c)
-    assert got == dense_solve_standard(a, b, c)
-    assert got == ("optimal", [0, Fraction(2, 3), 0, Fraction(1, 3)], Fraction(4, 3))
+    assert ("optimal", *got) == dense_solve_standard(a, b, c)
+    assert got == ([0, Fraction(2, 3), 0, Fraction(1, 3)], Fraction(4, 3))
     assert any(negative)
     # a seeded sweep of small systems, with redundant rows and b of both signs
     rng = random.Random(88)
@@ -619,9 +590,13 @@ def test_solve_standard_redundant_rows_and_negative_cleanup(by_id, monkeypatch):
             a[1], b[1] = [-2 * x for x in a[0]], -2 * b[0]
         c = [rng.randint(-2, 2) for _ in range(n)]
         negative.clear()
-        got = lp.solve_standard(a, b, c)
-        assert got == dense_solve_standard(a, b, c), (a, b, c)
-        statuses.add(got[0])
+        dense = dense_solve_standard(a, b, c)
+        if dense[0] == "optimal":
+            assert ("optimal", *lp.solve_standard(a, b, c)) == dense, (a, b, c)
+        else:
+            with pytest.raises(AssertionError, match=dense[0]):
+                lp.solve_standard(a, b, c)
+        statuses.add(dense[0])
         negatives += any(negative)
     assert statuses == {"optimal", "infeasible", "unbounded"} and negatives > 20
 
@@ -645,9 +620,17 @@ def test_simplex_matches_dense(entries):
         if w is not None and w.is_rational and is_nice(w).nice:
             us.add(tuple(map(tuple, gram_matrix(w))))
     assert len(us) > 50
+    infeasible = 0
     for u in [list(map(list, u)) for u in sorted(us)] + list(_c7_random_us()):
         rhs = [1] * len(u)
-        assert lp.max_min_component(u, rhs) == dense_max_min_component(u, rhs), u
+        dense = dense_max_min_component(u, rhs)
+        if dense[0] == "infeasible":  # the U of no weight map
+            with pytest.raises(AssertionError, match="infeasible"):
+                lp.max_min_component(u, rhs)
+            infeasible += 1
+        else:
+            assert ("optimal", *lp.max_min_component(u, rhs)) == dense, u
+    assert infeasible == 74
 
 
 @pytest.fixture(scope="module")
