@@ -3,10 +3,10 @@
 Everything is exact: the derivation identity is a linear system over Q in
 the n^2 matrix entries, the diagonal torus is an integer kernel lattice,
 and the pre-Einstein derivation solves the integer Gram system of that
-lattice's basis fraction-free.  Der is kept as the sparse integer kernel
-vectors of that system: the pipeline reads only their number (dim Der) and
-their diagonal entries (`pre_einstein`, at every rank), so the dense
-matrices (`DerivationSpace.basis`) are built only when read.
+lattice's basis fraction-free.  Der is read through its rank and one
+membership test on the forward echelon form of its equations (`linalg.Kernel`):
+dim Der and the phi check (`pre_einstein`), so the kernel vectors and the dense
+matrices (`DerivationSpace.vectors`, `.basis`) are built only when read.
 `Invariants.phi` is the one outcome of the torus.
 """
 
@@ -25,7 +25,7 @@ from .nicebasis import NiceCheck, is_nice
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """A basis of Der.
+    """Der, the `linalg.Kernel` of its equations, with a basis built only when read.
 
     Each of `vectors` is one kernel vector of `linalg.sparse_nullspace` as
     its (column, int) pairs, column (k-1)*n + (l-1) holding D_kl, in
@@ -34,7 +34,11 @@ class DerivationSpace:
     """
 
     dim: int
-    vectors: tuple[tuple[tuple[int, int], ...], ...]
+    kernel: linalg.Kernel
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple(v.items()) for v in self.kernel)
 
     @cached_property
     def basis(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -87,12 +91,11 @@ def derivation_space(law: LieLaw) -> DerivationSpace:
     if not law.is_rational:
         raise LawError("derivation_space requires a rational law")
     n = law.dim
-    vecs = linalg.sparse_nullspace(_derivation_rows(law), n * n)
-    return DerivationSpace(n, tuple(tuple(v.items()) for v in vecs))
+    return DerivationSpace(n, linalg.sparse_nullspace(_derivation_rows(law), n * n))
 
 
 def dim_der(law: LieLaw) -> int:
-    return len(derivation_space(law).vectors)
+    return len(derivation_space(law).kernel)
 
 
 def diagonal_rank(law: LieLaw) -> list[list[int]]:
@@ -108,12 +111,11 @@ def pre_einstein(inv: Invariants) -> tuple[Fraction, ...] | None:
     """The diagonal of the derivation phi with tr(phi psi) = tr(psi) for all psi in Der, or None.
 
     Solved inside the diagonal torus (phi = 0 at rank 0, where the check
-    reads "every derivation is traceless"), then verified against the full
-    derivation basis: None, when that check fails, means the diagonal torus
-    is not maximal.  phi = v / d with an integer vector v and d > 0, so the
-    check reads sum_i (v_i - d) psi_ii = 0.  It is homogeneous in psi, so it
-    runs in integers on the diagonal columns i (n + 1) of each sparse Der
-    vector, whatever its scaling.
+    reads "every derivation is traceless"), then verified on all of Der:
+    None, when that check fails, means the diagonal torus is not maximal.
+    phi = v / d with an integer vector v and d > 0, so the check reads
+    sum_i (v_i - d) psi_ii = 0 on Der: one `Kernel.annihilates` test of that
+    functional on the diagonal columns i (n + 1), with no Der basis built.
     """
     gens = inv.torus
     r = len(gens)
@@ -124,9 +126,7 @@ def pre_einstein(inv: Invariants) -> tuple[Fraction, ...] | None:
     den = math.lcm(*(reduced[p][p] for p in range(r)))
     coeffs = [reduced[p].get(r, 0) * (den // reduced[p][p]) for p in range(r)]
     v = [sum(map(mul, coeffs, col)) for col in zip(*gens)] if r else [0] * inv.law.dim
-    step = len(v) + 1
-    weights = {i * step: x - den for i, x in enumerate(v) if x != den}  # column of D_ii: v_i - d
-    if any(sum(weights[k] * x for k, x in vec if k in weights) for vec in inv.der.vectors):
+    if not inv.der.kernel.annihilates({i * (len(v) + 1): x - den for i, x in enumerate(v)}):  # D_ii: v_i - d
         return None
     return tuple(Fraction(x, den) for x in v)
 
@@ -157,7 +157,7 @@ class Invariants:
 
     @property
     def dim_der(self) -> int:
-        return len(self.der.vectors)
+        return len(self.der.kernel)
 
     @cached_property
     def torus(self) -> tuple[tuple[int, ...], ...]:

@@ -1,18 +1,17 @@
 """Exact linear algebra over the rationals, plus integer lattice routines.
 
-Matrices are plain nested lists.  There is one eliminator, `integer_rref`,
-on sparse rows {column: coeff}: it touches only nonzero entries, which is
-what the structure-constant systems (derivation equations in n^2 unknowns,
-series subspaces) are made of.  It clears each row's denominators once and
-then eliminates fraction-free on Python ints, so no `Fraction` arithmetic
-runs inside it.  A row with one entry is already a reduced pivot row
-{c: 1}: those are taken first and their columns dropped from the other
-rows, so elimination and back-substitution never see them (most rows of a
-derivation system are of this kind).  The reduced form is unique, so this
-order changes no output.  `sparse_nullspace` reads its kernel from it as
-sparse integer vectors, one per free column, and the dense `rref`, with
-`solve` and `inv` on top, its reduced rows.  `fractions.Fraction` appears
-only in what the dense routines hand back: reduced rows and solutions.
+Matrices are plain nested lists.  There is one eliminator on sparse rows
+{column: coeff}, touching only nonzero entries (derivation equations in n^2
+unknowns, series subspaces).  It clears each row's denominators once and
+eliminates fraction-free on Python ints.  A row with one entry is already a
+reduced pivot row {c: 1}: those are taken first and their columns dropped
+from the other rows (most rows of a derivation system are of this kind).
+`integer_echelon` is its forward half and `integer_rref` adds
+back-substitution.  `sparse_nullspace` keeps the echelon form as a
+`Kernel`, read through its rank and one membership test per functional
+(dim Der, the phi check), and back-substitutes only if its vectors are
+iterated.  The dense `rref`, with `solve` and `inv` on top, reads the
+reduced rows, and `Fraction` appears only in what those hand back.
 There is one echelon routine on Python ints, `_echelon`: `hnf` reduces above
 its pivots, and `kernel_lattice` echelons [M^T | I] on the M^T columns only
 and takes the `hnf` of the kernel rows it leaves.
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
@@ -97,18 +97,14 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, in
     return row if g <= 1 else {k: v // g for k, v in row.items()}
 
 
-def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
-    """Fraction-free reduced row echelon form of sparse rational rows {col: coeff}.
+def integer_echelon(rows: list[dict]) -> dict[int, dict[int, int]]:
+    """Fraction-free forward echelon form of sparse rational rows {col: coeff}, keyed by pivot column.
 
-    Keyed by pivot column.  Each returned row is a primitive integer row
-    with a positive entry at its pivot and no entry in any other pivot
-    column, so row / row[pivot] is the unique reduced form of the row space.
-    A nonzero one-entry row is already the pivot {c: 1} of the reduced form,
-    and {c: 0} is no row.  Every longer row is read once: its zero entries
-    and the entries in those unit columns are dropped and its denominators
-    cleared, so elimination and back-substitution never meet a unit column.
-    Elimination is row <- a.row - b.piv on Python ints, with the content gcd
-    taken out after each step.
+    Each row is primitive, positive at its pivot, its least column.  A
+    nonzero one-entry row is already the pivot {c: 1}, and {c: 0} is no row.
+    Every longer row is read once: its zero entries and the entries in those
+    unit columns are dropped and its denominators cleared.  Elimination is
+    row <- a.row - b.piv on Python ints, the content gcd taken out each step.
     """
     units = {c: {c: 1} for r in rows if len(r) == 1 for c, v in r.items() if v}
     longer = (_primitive({k: v for k, v in r.items() if v and k not in units}) for r in rows if len(r) > 1)
@@ -123,40 +119,69 @@ def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
                 pivot_of_col[c] = row if row[c] > 0 else {k: -v for k, v in row.items()}
                 break
             row = _eliminate(row, piv, c)
-    # back-substitute so each pivot row is reduced against later pivots
-    for c in sorted(pivot_of_col, reverse=True):
-        row = pivot_of_col[c]
-        for c2 in sorted(k for k in row if k != c and k in pivot_of_col):
-            row = _eliminate(row, pivot_of_col[c2], c2)
-        pivot_of_col[c] = row
     pivot_of_col.update(units)
     return pivot_of_col
 
 
-def sparse_nullspace(rows: list[dict], ncols: int) -> list[dict[int, int]]:
-    """Kernel basis for a sparse system; rows are {col: coeff} dicts.
+def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
+    """`integer_echelon`, then each pivot row reduced against the later pivots, from the right:
+    the rows / row[pivot] are the unique reduced row echelon form, keyed by pivot column."""
+    reduced = integer_echelon(rows)
+    for c in sorted(reduced, reverse=True):
+        row = reduced[c]
+        for c2 in sorted(k for k in row if k != c and k in reduced):
+            row = _eliminate(row, reduced[c2], c2)
+        reduced[c] = row
+    return reduced
 
-    Used for the derivation equations, where each row touches only a
-    handful of the n^2 unknowns.  One sparse integer vector per free column
-    f: p at f and -row[f] * (p / row[c]) at each pivot column c whose
-    reduced row has an entry at f, with p the lcm of those pivot entries, so
-    no `Fraction` is made.  Dividing by p gives the rational basis vector
-    with 1 at f.  A pivot row has entries only right of its pivot, so every
-    key is below f: the keys come in increasing order and f is the last.
+
+class Kernel:
+    """The kernel of sparse rows in `ncols` unknowns, kept as their forward echelon form.
+
+    `len` and `annihilates` read the echelon rows.  Iterating back-substitutes once and
+    yields one integer vector per free column f: p at f and -row[f] * (p / row[c]) at each
+    pivot c whose reduced row meets f, p the lcm of those pivot entries (divided by p, the
+    basis vector with 1 at f); its keys increase (a pivot row lies right of its pivot) to f.
     """
-    pivot_of_col = integer_rref(rows)
-    touching: dict[int, list[int]] = {f: [] for f in range(ncols) if f not in pivot_of_col}
-    for c in sorted(pivot_of_col):
-        for f in pivot_of_col[c]:
-            if f != c:
-                touching[f].append(c)
-    basis = []
-    for f, cols in touching.items():
-        p = math.lcm(*(pivot_of_col[c][c] for c in cols))
-        v = {c: -pivot_of_col[c][f] * (p // pivot_of_col[c][c]) for c in cols}
-        v[f] = p
-        basis.append(v)
-    return basis
+
+    def __init__(self, echelon: dict[int, dict[int, int]], ncols: int):
+        self.echelon, self.ncols = echelon, ncols
+
+    def __len__(self) -> int:
+        return self.ncols - len(self.echelon)
+
+    def annihilates(self, row: dict) -> bool:
+        """Does the functional {col: coeff} vanish on the kernel, that is, lie in the row space?
+
+        Each echelon row's pivot is its least column, so eliminating the functional's least
+        column leaves larger ones: it reaches zero exactly when it is a combination of the rows.
+        """
+        row = _primitive({k: v for k, v in row.items() if v})
+        while row:
+            if (piv := self.echelon.get(c := min(row))) is None:
+                return False
+            row = _eliminate(row, piv, c)
+        return True
+
+    def __iter__(self):
+        return iter(self._vectors)
+
+    @cached_property
+    def _vectors(self) -> list[dict[int, int]]:
+        reduced = integer_rref(list(self.echelon.values()))  # the echelon rows need no elimination
+        touching: dict[int, list[int]] = {f: [] for f in range(self.ncols) if f not in reduced}
+        for c, f in sorted((c, f) for c, row in reduced.items() for f in row if f != c):
+            touching[f].append(c)
+        vectors = []
+        for f, cols in touching.items():
+            p = math.lcm(*(reduced[c][c] for c in cols))
+            vectors.append({**{c: -reduced[c][f] * (p // reduced[c][c]) for c in cols}, f: p})
+        return vectors
+
+
+def sparse_nullspace(rows: list[dict], ncols: int) -> Kernel:
+    """The kernel of sparse rows {col: coeff} in ncols unknowns: the derivation equations."""
+    return Kernel(integer_echelon(rows), ncols)
 
 
 # ---------------------------------------------------------------------------

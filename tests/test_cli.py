@@ -280,9 +280,10 @@ def test_check_json_is_golden(capsys, tmp_path, entries):
 
 
 def test_pipeline_never_reads_the_dense_der_basis(capsys, law_file, monkeypatch, entries, reports):
-    """The pipeline reads Der only as sparse integer vectors: with the dense
-    `DerivationSpace.basis` refused, `verify_catalog` on the catalog and `check`
-    on every catalog law give the same reports as with it."""
+    """The pipeline reads Der only through the rank and `annihilates` of its echelon
+    form: with the dense `DerivationSpace.basis`, its sparse `vectors` and the iteration
+    of a `linalg.Kernel` refused, `verify_catalog` on the catalog and `check` on every
+    catalog law give the same reports as with them."""
 
     def checks():
         runs = []
@@ -295,7 +296,9 @@ def test_pipeline_never_reads_the_dense_der_basis(capsys, law_file, monkeypatch,
         return [{**r.to_dict(), "timing": None} for r in reps]
 
     before = checks()
-    monkeypatch.setattr(DerivationSpace, "basis", property(lambda _: pytest.fail("DerivationSpace.basis read")))
+    for name in ("basis", "vectors"):
+        monkeypatch.setattr(DerivationSpace, name, property(lambda _, name=name: pytest.fail(f"DerivationSpace.{name} read")))
+    monkeypatch.setattr(nilrad.linalg.Kernel, "__iter__", lambda _: pytest.fail("a Der kernel was iterated"))
     assert untimed(verify_catalog(entries)) == untimed(reports.values())
     assert checks() == before
 

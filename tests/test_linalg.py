@@ -82,21 +82,35 @@ def test_kernel_lattice_membership():
 
 
 def test_sparse_nullspace_matches_dense():
+    """The `Kernel` of seeded sparse systems (no rows, empty rows, one-entry rows, zero and
+    non-integral `Fraction` entries) against the dense oracle, which runs on its own Fraction
+    elimination, not on `integer_echelon`: its length is ncols - rank, `annihilates` agrees with
+    `in_span` on random functionals and the zero one and holds on random combinations of the
+    rows, and its vectors are the dense nullspace."""
     rng = random.Random(9)
-    for _ in range(20):
+    seen = set()
+    for _ in range(120):
+        ncols = rng.randint(1, 9)
         rows = []
-        ncols = 8
-        for _ in range(5):
-            row = {c: Fraction(rng.randint(-2, 2)) for c in rng.sample(range(ncols), 3)}
-            rows.append({c: v for c, v in row.items() if v})
+        for _ in range(rng.randint(0, 7)):
+            cols = rng.sample(range(ncols), min(ncols, rng.choice((0, 1, 1, 2, 3, 3, 4))))
+            rows.append({c: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for c in cols})
         dense = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
-        # the dense oracle runs on its own Fraction elimination, not on integer_rref
+        kernel = linalg.sparse_nullspace(rows, ncols)
+        assert len(kernel) == ncols - rank(dense)
+        weights = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in rows] for _ in range(3)]
+        combos = [{c: sum((w * row.get(c, 0) for w, row in zip(ws, rows)), Fraction(0)) for c in range(ncols)} for ws in weights]
+        randoms = [{c: Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+                   for _ in range(3)]
+        for f in [{}, *combos, *randoms]:
+            member = in_span(dense, [f.get(c, 0) for c in range(ncols)])
+            assert kernel.annihilates(f) == member, (rows, f)
+            seen.add(member)
+        assert all(kernel.annihilates(f) for f in combos)
         assert densified_nullspace(rows, ncols) == nullspace(dense, ncols=ncols)
         for v in densified_nullspace(rows, ncols):
-            assert all(
-                sum(row.get(c, Fraction(0)) * v[c] for c in range(ncols)) == 0
-                for row in rows
-            )
+            assert all(sum(row.get(c, Fraction(0)) * v[c] for c in range(ncols)) == 0 for row in rows)
+    assert seen == {True, False}
 
 
 def test_in_span():

@@ -45,6 +45,7 @@ from oracles import (
     fraction_engel_flag,
     fraction_pre_einstein,
     is_derivation,
+    rank,
     rref_kernel,
     sparse_rref,
     two_pass_kernel_lattice,
@@ -364,7 +365,8 @@ def test_series_on_monomial_laws_is_index_sets(monkeypatch):
     rng = random.Random(2718)
     laws = [_monomial_law(rng, rng.randint(1, 9)) for _ in range(600)]
     with monkeypatch.context() as mp:
-        mp.setattr(linalg, "integer_rref", lambda rows: pytest.fail("a monomial law was row-reduced"))
+        for name in ("integer_rref", "integer_echelon"):
+            mp.setattr(linalg, name, lambda rows: pytest.fail("a monomial law was row-reduced"))
         sigs = [series_signature(law) for law in laws]
         with pytest.raises(LawError, match="requires a rational law"):
             series_signature(parse_law("dim 3; [1,2]=3*sqrt(2)"))
@@ -417,6 +419,31 @@ def test_pre_einstein_matches_fraction_oracle(exact_laws):
     assert [name for name in PROBES if outcomes[name] == "basis_not_adapted"] == [PROBES[2], PROBES[6], PROBES[7]]
     kinds = Counter(got if isinstance(got, str) else tuple for got in outcomes.values())
     assert kinds["rank_zero"] >= 8 and kinds["basis_not_adapted"] > 2 and kinds[tuple] >= 128
+
+
+def _dense_two_step(rng, gens: int, n: int) -> LieLaw:
+    """A 2-step law: each pair of the first `gens` basis vectors brackets to a combination
+    of every other basis vector, with seeded nonzero integer constants."""
+    pairs = [(i, j) for i in range(1, gens + 1) for j in range(i + 1, gens + 1)]
+    return LieLaw(n, {(i, j, k): Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for i, j in pairs for k in range(gens + 1, n + 1)})
+
+
+def test_der_of_dense_two_step_laws_matches_dense():
+    """On seeded dense 2-step laws of dims 8 and 9, dim Der is n^2 minus the dense oracle's
+    rank of the derivation equations, and phi, or the reason for none, is the Fraction
+    oracle's: with 4 or 5 generators phi is a multiple of the grading (1 on V, 2 on [V, V]);
+    with 3 generators and a 5-dim centre, 2 of it outside [g, g], the diagonal torus is
+    not maximal."""
+    rng = random.Random(1105)
+    outcomes = []
+    for gens, n in ((4, 8), (5, 9), (3, 8)):
+        law = _dense_two_step(rng, gens, n)
+        dense = [[row.get(c, Fraction(0)) for c in range(n * n)] for row in dense_derivation_rows(law)]
+        inv = Invariants(law)
+        assert inv.dim_der == n * n - rank(dense), (gens, n)
+        assert inv.phi == fraction_pre_einstein(Invariants(law)), (gens, n)
+        outcomes.append(inv.phi if isinstance(inv.phi, str) else (len(set(inv.phi)), inv.phi[-1] / inv.phi[0]))
+    assert outcomes == [(2, 2), (2, 2), "basis_not_adapted"]
 
 
 def test_rank_zero_matches_engel_oracle(exact_laws, entries):
