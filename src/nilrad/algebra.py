@@ -1,6 +1,8 @@
 """Lie algebra laws as sparse structure constants over exact numbers.
 
 A law stores only brackets [e_i, e_j] with i < j; antisymmetry is structural.
+`LieLaw` keeps them in sorted triple order, whatever order they came in, so
+no view of a law and no report depends on the order of its statements.
 Coefficients are Fractions, or exact `Surd`s (sums of rational multiples of
 square roots) in nilsoliton witnesses.  Der, the series, the torus and the
 LP need a rational law (`LieLaw.is_rational`); Jacobi, the moment map and
@@ -32,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from . import linalg
 
@@ -127,24 +129,19 @@ class Surd:
 
 @dataclass(frozen=True)
 class LieLaw:
-    """Structure constants c_{ij}^k, keyed (i, j, k) with 1 <= i < j <= dim."""
+    """Structure constants c_{ij}^k, keyed (i, j, k) with 1 <= i < j <= dim, kept as a dict in sorted
+    order: the one bracket order, which `images`, `weights` and `format_law` iterate as it is."""
 
     dim: int
     brackets: Mapping[Triple, Fraction | Surd]
 
     def __post_init__(self):
+        object.__setattr__(self, "brackets", dict(sorted(self.brackets.items())))
         for (i, j, k), c in self.brackets.items():
             if not (1 <= i < j <= self.dim and 1 <= k <= self.dim):
                 raise LawError(f"bracket index out of range: [{i},{j}]={k}")
             if c == 0:
                 raise LawError(f"zero coefficient stored at [{i},{j}]={k}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LieLaw)
-            and self.dim == other.dim
-            and dict(self.brackets) == dict(other.brackets)
-        )
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.brackets.items())))
@@ -154,14 +151,11 @@ class LieLaw:
         """No surd among the structure constants: what Der, the series, the torus and the LP need."""
         return all(isinstance(c, (int, Fraction)) for c in self.brackets.values())
 
-    def triples(self) -> Iterator[tuple[Triple, Fraction | Surd]]:
-        return iter(sorted(self.brackets.items()))
-
     @cached_property
     def images(self) -> dict[tuple[int, int], dict[int, int | Fraction | Surd]]:
         """{(a, b): {k: c}} with [e_a, e_b] = sum c e_k, for both orders of a pair."""
         out: dict[tuple[int, int], dict[int, int | Fraction | Surd]] = {}
-        for (i, j, k), c in sorted(self.brackets.items()):
+        for (i, j, k), c in self.brackets.items():
             if isinstance(c, Fraction) and c.denominator == 1:
                 c = c.numerator  # integral constants as ints: products and series stay integer
             out.setdefault((i, j), {})[k] = c
@@ -170,7 +164,7 @@ class LieLaw:
 
     def weights(self, d) -> list:
         """d_i + d_j - d_k for each stored triple (i, j, k), in sorted order: Y.d."""
-        return [d[i - 1] + d[j - 1] - d[k - 1] for i, j, k in sorted(self.brackets)]
+        return [d[i - 1] + d[j - 1] - d[k - 1] for i, j, k in self.brackets]
 
     @cached_property
     def weight_rows(self) -> list[list[int]]:
@@ -362,14 +356,9 @@ def parse_law(text: str, params: Mapping[str, object] | None = None) -> LieLaw:
 
 def format_law(law: LieLaw) -> str:
     """Canonical text for a law; it round-trips through parse_law."""
-    parts = [f"dim {law.dim}"]
-    by_pair: dict[tuple[int, int], list[tuple[int, object]]] = {}
-    for (i, j, k), c in law.triples():
-        by_pair.setdefault((i, j), []).append((k, c))
-    for (i, j), comps in sorted(by_pair.items()):
-        imgs = [f"{k}" if c == 1 else f"{k}*{c}" for k, c in comps]
-        parts.append(f"[{i},{j}]={'+'.join(imgs)}")
-    return "; ".join(parts)
+    images = (f"[{i},{j}]=" + "+".join(f"{k}" if c == 1 else f"{k}*{c}" for k, c in img.items())
+              for (i, j), img in law.images.items() if i < j)
+    return "; ".join([f"dim {law.dim}", *images])
 
 
 # ---------------------------------------------------------------------------
@@ -499,5 +488,5 @@ def act(g: list[list], law: LieLaw) -> LieLaw:
             for b, w in _bracket_sparse(law, inv_cols[i - 1], inv_cols[j - 1]).items():
                 for a, x in g_cols[b - 1].items():
                     img[a] = img.get(a, 0) + x * w
-            brackets.update(((i, j, k), img[k]) for k in sorted(img) if img[k])
+            brackets.update(((i, j, k), c) for k, c in img.items() if c)
     return LieLaw(n, brackets)

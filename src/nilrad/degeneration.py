@@ -73,7 +73,7 @@ def one_param_limit(law: LieLaw, x) -> LimitResult:
     weights = law.weights(xs)
     if any(w < 0 for w in weights):
         return LimitResult("divergent")
-    kept = {t: c for (t, c), w in zip(law.triples(), weights) if w == 0}
+    kept = {t: c for (t, c), w in zip(law.brackets.items(), weights) if w == 0}
     if not kept and law.brackets:
         return LimitResult("zero")
     return LimitResult("limit", LieLaw(law.dim, kept))

@@ -3,7 +3,7 @@
 Everything is exact: the derivation identity is a linear system over Q in
 the n^2 matrix entries, the diagonal torus is an integer kernel lattice,
 and the pre-Einstein derivation solves the integer Gram system of that
-lattice's basis fraction-free.  Der is read through its rank and one
+lattice's basis with `linalg.solve`.  Der is read through its rank and one
 membership test on the forward echelon form of its equations (`linalg.Kernel`):
 dim Der and the phi check (`pre_einstein`), so the kernel vectors and the dense
 matrices (`DerivationSpace.vectors`, `.basis`) are built only when read.
@@ -110,22 +110,20 @@ def diagonal_rank(law: LieLaw) -> list[list[int]]:
 def pre_einstein(inv: Invariants) -> tuple[Fraction, ...] | None:
     """The diagonal of the derivation phi with tr(phi psi) = tr(psi) for all psi in Der, or None.
 
-    Solved inside the diagonal torus (phi = 0 at rank 0, where the check
-    reads "every derivation is traceless"), then verified on all of Der:
+    Solved inside the diagonal torus by `linalg.solve` (phi = 0 at rank 0, where
+    the check reads "every derivation is traceless"), then verified on all of Der:
     None, when that check fails, means the diagonal torus is not maximal.
-    phi = v / d with an integer vector v and d > 0, so the check reads
+    Clearing the <= rank denominators of that solution once gives phi = v / d
+    with an integer vector v and d > 0, so the check reads
     sum_i (v_i - d) psi_ii = 0 on Der: one `Kernel.annihilates` test of that
     functional on the diagonal columns i (n + 1), with no Der basis built.
     """
     gens = inv.torus
-    r = len(gens)
-    # phi = sum_p c_p gens[p] with G c = (sum gens[p])_p for the Gram matrix G, which is
-    # definite: row p of the reduced augmented system reads a_p c_p = b_p (column r is b)
-    system = [{**{q: sum(map(mul, gp, gq)) for q, gq in enumerate(gens)}, r: sum(gp)} for gp in gens]
-    reduced = linalg.integer_rref(system)
-    den = math.lcm(*(reduced[p][p] for p in range(r)))
-    coeffs = [reduced[p].get(r, 0) * (den // reduced[p][p]) for p in range(r)]
-    v = [sum(map(mul, coeffs, col)) for col in zip(*gens)] if r else [0] * inv.law.dim
+    # phi = sum_p c_p gens[p] with G c = (sum gens[p])_p for the definite Gram matrix G
+    c = linalg.solve([[sum(map(mul, gp, gq)) for gq in gens] for gp in gens], [sum(gp) for gp in gens])
+    den = math.lcm(*(x.denominator for x in c))
+    coeffs = [x.numerator * (den // x.denominator) for x in c]
+    v = [sum(map(mul, coeffs, col)) for col in zip(*gens)] if gens else [0] * inv.law.dim
     if not inv.der.kernel.annihilates({i * (len(v) + 1): x - den for i, x in enumerate(v)}):  # D_ii: v_i - d
         return None
     return tuple(Fraction(x, den) for x in v)

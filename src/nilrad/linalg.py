@@ -10,8 +10,9 @@ from the other rows (most rows of a derivation system are of this kind).
 back-substitution.  `sparse_nullspace` keeps the echelon form as a
 `Kernel`, read through its rank and one membership test per functional
 (dim Der, the phi check), and back-substitutes only if its vectors are
-iterated.  The dense `rref`, with `solve` and `inv` on top, reads the
-reduced rows, and `Fraction` appears only in what those hand back.
+iterated.  This module owns the reduced-row format: `solve` is the one
+exact solve (phi's Gram system, U x = [1]), `rref` the dense view under
+`inv`, and outside it only `algebra`'s span readers call `integer_rref`.
 There is one echelon routine on Python ints, `_echelon`: `hnf` reduces above
 its pivots, and `kernel_lattice` echelons [M^T | I] on the M^T columns only
 and takes the `hnf` of the kernel rows it leaves.
@@ -34,8 +35,8 @@ def identity(n: int) -> Matrix:
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices).
 
-    A dense view of `integer_rref`: the pivot rows, each divided by its
-    pivot entry, in order, then zero rows.
+    The dense view of `integer_rref` that `inv` reads: the pivot rows,
+    each divided by its pivot entry, in order, then zero rows.
     """
     ncols = len(a[0]) if a else 0
     reduced = integer_rref([{c: x for c, x in enumerate(row) if x} for row in a])
@@ -45,16 +46,16 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a x = b, or None when inconsistent."""
-    ncols = len(a[0]) if a else 0
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
+    """The solution of a x = b with each free unknown 0, or None when the system is inconsistent.
+
+    One `integer_rref` of the sparse rows of [a | b]: pivot row c reads
+    row[c] x_c + (free terms) = row[n], so x_c = row[n] / row[c].
+    """
+    n = len(a[0]) if a else 0
+    reduced = integer_rref([{c: x for c, x in enumerate([*row, bv]) if x} for row, bv in zip(a, b)])
+    if n in reduced:
         return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
+    return [Fraction(reduced[c].get(n, 0), reduced[c][c]) if c in reduced else Fraction(0) for c in range(n)]
 
 
 def inv(a: Matrix) -> Matrix | None:

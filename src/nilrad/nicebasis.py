@@ -7,9 +7,9 @@ rows are f_i + f_j - f_k, one per stored triple (Payne, arXiv:0809.1767).
 
 U has the rank of Y, which is dim minus the rank of the diagonal torus
 ker Y, so U is nonsingular exactly when the law has dim - rank stored
-triples.  There x is unique and one reduction of [U | 1] by
-`linalg.integer_rref` reads it off; the LP runs only where U is singular,
-and its pivot path picks which of the solutions is the certificate.
+triples.  There x is unique and `linalg.solve` gives it; the LP runs only
+where U is singular, and its pivot path picks which of the solutions is
+the certificate.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 from . import linalg, lp
@@ -32,30 +33,22 @@ class NiceCheck:
 def is_nice(law: LieLaw) -> NiceCheck:
     """Nice-basis conditions.
 
-    (N1) every bracket image is a single basis vector; (N2) two different
-    bracket pairs hitting the same image vector share no index.
+    (N1) every bracket image is a single basis vector, read from `law.images`;
+    (N2) two different bracket pairs hitting the same image vector share no
+    index.  Both read the law's sorted bracket order, and N1 is checked first.
     """
     if not law.is_rational:
         raise LawError("is_nice requires a rational law")
-    by_pair: dict[tuple[int, int], list[int]] = {}
+    for (i, j), img in law.images.items():
+        if i < j and len(img) > 1:
+            return NiceCheck(False, reason=f"N1 fails at ({i},{j}): image has components {list(img)}")
     by_image: dict[int, list[tuple[int, int]]] = {}
     for (i, j, k) in law.brackets:
-        by_pair.setdefault((i, j), []).append(k)
         by_image.setdefault(k, []).append((i, j))
-    for (i, j), ks in by_pair.items():
-        if len(ks) > 1:
-            return NiceCheck(False, reason=f"N1 fails at ({i},{j}): image has components {sorted(ks)}")
     for k, pairs in by_image.items():
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                shared = set(pairs[a]) & set(pairs[b])
-                if shared:
-                    return NiceCheck(
-                        False,
-                        reason=(
-                            f"N2 fails at image {k}: pairs {pairs[a]} and {pairs[b]} share index {min(shared)}"
-                        ),
-                    )
+        for p, q in combinations(pairs, 2):
+            if shared := set(p) & set(q):
+                return NiceCheck(False, reason=f"N2 fails at image {k}: pairs {p} and {q} share index {min(shared)}")
     return NiceCheck(True)
 
 
@@ -70,15 +63,12 @@ def positive_solution(u: list[list[int]], nonsingular: bool = False) -> tuple[Fr
 
     U must be a Gram matrix Y Y^T: then Ux = [1] is consistent, since
     Y.1 = [1] puts [1] in the column space of U.  `nonsingular` is the
-    caller's word that U is: then x is unique, and one fraction-free
-    reduction of [U | 1] gives it, row c reading a_c x_c = b_c.  Otherwise
-    the exact integer LP finds an x.  An empty U (no weights) is solved by
+    caller's word that U is: then x is unique and `linalg.solve` gives it.
+    Otherwise the exact integer LP finds an x.  An empty U (no weights) is solved by
     x = ().
     """
     if nonsingular:
-        s = len(u)
-        reduced = linalg.integer_rref([{**{c: v for c, v in enumerate(row) if v}, s: 1} for row in u])
-        x = [Fraction(reduced[c].get(s, 0), reduced[c][c]) for c in range(s)]
+        x = linalg.solve(u, [1] * len(u))
         if not all(v > 0 for v in x):
             return "no_positive_solution"
     else:

@@ -4,11 +4,13 @@ import ast
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 
 import nilrad
 import nilrad.cli
-from nilrad.algebra import format_law
+from nilrad.algebra import format_law, parse_law
 from nilrad.catalog import Report, verify_catalog
 from nilrad.derivations import DerivationSpace
 from nilrad.cli import main
@@ -301,6 +303,51 @@ def test_pipeline_never_reads_the_dense_der_basis(capsys, law_file, monkeypatch,
     monkeypatch.setattr(nilrad.linalg.Kernel, "__iter__", lambda _: pytest.fail("a Der kernel was iterated"))
     assert untimed(verify_catalog(entries)) == untimed(reports.values())
     assert checks() == before
+
+
+def test_linalg_owns_the_reduced_rows(capsys, law_file, monkeypatch, entries):
+    """Only `linalg` and the span readers of `algebra` read the reduced rows of
+    `integer_rref`, in `verify_catalog` and in `check` on every catalog law; every
+    other exact solve is `linalg.solve`: one catalog pass makes 136 of them for phi
+    and 58 for a nonsingular U."""
+    callers, solves = set(), []
+    rref, solve = nilrad.linalg.integer_rref, nilrad.linalg.solve
+
+    def traced_rref(rows):
+        callers.add(sys._getframe(1).f_globals["__name__"])
+        return rref(rows)
+
+    def traced_solve(a, b):
+        solves.append(sys._getframe(1).f_globals["__name__"])
+        return solve(a, b)
+
+    monkeypatch.setattr(nilrad.linalg, "integer_rref", traced_rref)
+    monkeypatch.setattr(nilrad.linalg, "solve", traced_solve)
+    verify_catalog(entries)
+    assert sorted(Counter(solves).items()) == [("nilrad.derivations", 136), ("nilrad.nicebasis", 58)]
+    for e in entries:
+        _run(capsys, ["check", "--json", law_file(format_law(e.law()))])
+    assert callers <= {"nilrad.linalg", "nilrad.algebra"}, callers
+
+
+def test_statement_order_does_not_change_a_report(capsys, law_file, entries):
+    """A law is its structure constants: every catalog law with its statements reversed,
+    and in one seeded shuffle, gives the `check --json` bytes (timing aside) and exit code
+    of its formatted text, and `parse_law` stores the brackets in sorted triple order."""
+    rng = random.Random(25)
+
+    def check(text):
+        law = parse_law(text)
+        assert list(law.brackets) == sorted(law.brackets)
+        code, out, _ = _run(capsys, ["check", "--json", law_file(text)])
+        return code, re.sub(r'"timing": [^,}]*', '"timing": null', out)
+
+    for e in entries:
+        head, *statements = format_law(e.law()).split("; ")
+        shuffled = rng.sample(statements, len(statements))
+        want = check("; ".join([head, *statements]))
+        for order in (statements[::-1], shuffled):
+            assert check("; ".join([head, *order])) == want, (e.id, order)
 
 
 # SHA-256 of [id, command, exit code, stdout] of `invariants` and of

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from nilrad import linalg
-from oracles import densified_nullspace, in_span, matmul, nullspace, rank
+from oracles import dense_rref, densified_nullspace, in_span, matmul, nullspace, rank
 
 
 def test_rref_and_rank():
@@ -15,11 +15,42 @@ def test_rref_and_rank():
 
 
 def test_solve_and_nullspace():
+    """`solve` on seeded random systems (ints, `Fraction`s, zero rows) against the dense
+    oracle, which runs its own Fraction elimination, not `integer_rref`: the solution of
+    [a | b] read off its reduced rows with each free unknown 0, or None when the last
+    column is a pivot.  Nonsingular, singular consistent and inconsistent systems all occur."""
     a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
     x = linalg.solve(a, [Fraction(3), Fraction(1)])
     assert x == [Fraction(2), Fraction(1)]
     assert linalg.solve([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
                         [Fraction(0), Fraction(1)]) is None
+    assert linalg.solve([], []) == []
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        a = []
+        for _ in range(rng.randint(1, 7)):
+            cols = rng.sample(range(ncols), rng.randint(0, ncols))  # 0: a zero row
+            a.append([Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) if c in cols else 0 for c in range(ncols)])
+        if rng.random() < 0.5:  # consistent by construction
+            x0 = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(ncols)]
+            b = [sum(v * w for v, w in zip(row, x0)) for row in a]
+        else:
+            b = [Fraction(rng.randint(-3, 3), rng.choice((1, 4))) for _ in a]
+        red, pivots = dense_rref([[Fraction(v) for v in row] + [Fraction(bv)] for row, bv in zip(a, b)])
+        got = linalg.solve(a, b)
+        if ncols in pivots:
+            seen.add("inconsistent")
+            assert got is None, (a, b)
+            continue
+        want = [Fraction(0)] * ncols
+        for r, c in enumerate(pivots):
+            want[c] = red[r][ncols]
+        assert got == want, (a, b)
+        assert [sum(v * w for v, w in zip(row, got)) for row in a] == b
+        seen.add("nonsingular" if len(a) == ncols == len(pivots) else "singular" if len(pivots) < ncols else "overdetermined")
+    assert seen >= {"nonsingular", "singular", "inconsistent"}
     ns = nullspace([[Fraction(1), Fraction(1), Fraction(0)]])
     assert len(ns) == 2
     for v in ns:
