@@ -212,7 +212,7 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """The value of `-?digits(/digits)?` (catalog values, `degenerate --X`); else LawError, as for too many digits."""
+    """The value of `-?digits(/digits)?` (a catalog value); else LawError, as for too many digits."""
     m = _RATIONAL.fullmatch(text)
     den = 0 if m is None else _int(m[2] or "1")
     if not den:

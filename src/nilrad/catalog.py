@@ -360,15 +360,15 @@ def _decide(entry: CatalogEntry, inv: Invariants) -> Decision:
         return _witness_route(Invariants(exp.witness_law), inv)
     if exp is not None and exp.degeneration is not None:
         return _recorded_degeneration_route(exp.degeneration, inv)
-    return search_route(inv)
+    return _search_route(inv)
 
 
-def search_route(inv: Invariants) -> Decision:
+def _search_route(inv: Invariants) -> Decision:
     """NOT_EN through the degeneration the cone walk finds; INCONCLUSIVE, with its reason, when it finds none.
 
     The reason is `no_diagonal_degeneration` (the cone is trivial, with its
     certificate y) or `limit_not_distinguished` (distinguish() does not
-    separate the walk's limit from the law).  `check` and `degenerate` print this one decision.
+    separate the walk's limit from the law).
     """
     found = dg.search_degeneration(inv)
     if isinstance(found, dg.TrivialCone):

@@ -1,19 +1,17 @@
 """Command-line interface: `COMMANDS` maps the command words to a handler,
 its usage line and its flags.
 
-FILE and the flags follow the command words in any order, each flag as
-`--flag value` or `--flag=value` (a value may begin with `-`), never
-abbreviated; `-h`/`--help` prints `USAGE`.  `check`, `report`, `invariants`
-and `degenerate` read the law file through one gate.  `check` exits 0 = EN
-certified, 1 = NOT_EN certified, 2 = inconclusive; `report` exits 0 on every
-verdict.  A law whose diagonal torus is not maximal (`Invariants.phi`, at
-rank 0 too) gets an INCONCLUSIVE report (route `basis_not_adapted`) from
-`check`/`report`, and exit 2 with the reason on stderr from `invariants` and
-`degenerate`, which also exits 2 on a `rank_zero` law (phi = 0 at diagonal
-rank 0: no degeneration flow) and when its cone walk certifies nothing.
-Usage and parse errors (a bad `--X` too) and `sqrt` laws exit 64; catalog
-schema errors and laws that `gate_law` finds are not nilpotent Lie algebras
-exit 65; an internal error exits 70 and a closed stdout 74, no verdict's code.
+`check FILE` prints the report of one law, read through `gate_law`;
+`catalog verify FILE` re-checks the catalog entries.  FILE and the flags
+follow the command words in any order, each flag as `--flag value` or
+`--flag=value` (a value may begin with `-`), never abbreviated;
+`-h`/`--help` prints `USAGE`, and `--version`, `-h` or `--help` may also
+stand alone.  `check` exits 0 = EN certified, 1 = NOT_EN certified, 2 =
+inconclusive (route `basis_not_adapted` when the diagonal torus of the law
+is not maximal); `catalog verify` exits 0 when every entry matches, 1 on a
+mismatch.  Usage and parse errors and `sqrt` laws exit 64; catalog schema
+errors and laws that `gate_law` finds are not nilpotent Lie algebras exit
+65; an internal error exits 70 and a closed stdout 74, no verdict's code.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from . import degeneration as dg
-from .algebra import LawError, LieLaw, parse_law, parse_rational
+from .algebra import LawError, parse_law
 from .catalog import (
     EN,
     INCONCLUSIVE,
@@ -36,11 +33,9 @@ from .catalog import (
     classify,
     gate_law,
     load_catalog,
-    search_route,
     summary_lines,
     verify_catalog,
 )
-from .derivations import Invariants
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -48,10 +43,6 @@ EX_SOFTWARE = 70
 EX_IOERR = 74
 
 _VERDICT_EXIT = {EN: 0, NOT_EN: 1, INCONCLUSIVE: 2}
-_NO_PHI = {  # the reason of Invariants.phi for no degeneration flow, as a refusal says it
-    "rank_zero": "rank-zero law: every derivation is traceless, so phi = 0 and the degeneration flow is undefined",
-    "basis_not_adapted": "basis_not_adapted: the diagonal torus of this basis is not maximal",
-}
 
 
 class Refusal(Exception):
@@ -62,29 +53,23 @@ class Refusal(Exception):
         self.code = code
 
 
-def _read_gated_law(args) -> tuple[str, LieLaw]:
-    """The text in args.file and its law, through `gate_law`: rational (else exit 64), nilpotent Lie (else exit 65)."""
+def cmd_check(args) -> int:
+    """Classify the law in args.file without expectations (certificates only) and print its report.
+
+    The law passes `gate_law` first: rational (else exit 64), nilpotent Lie (else exit 65).
+    """
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return text, gate_law(parse_law(text))  # NotNilpotentError: exit 65, in main
+        law = gate_law(parse_law(text))  # NotNilpotentError: exit 65, in main
     except (OSError, UnicodeDecodeError, LawError) as exc:
         raise Refusal(EX_USAGE, str(exc)) from exc
-
-
-def _pipeline_report(args):
-    """Classify the gated law without expectations (certificates only); print the report and return it."""
-    text, law = _read_gated_law(args)
     rep = classify(CatalogEntry("input", {}, text, None, parsed=law))
     if args.json:
         print(rep.to_json())
     else:
         _print_report(rep)
-    return rep
-
-
-def cmd_check(args) -> int:
-    return _VERDICT_EXIT[_pipeline_report(args).verdict]
+    return _VERDICT_EXIT[rep.verdict]
 
 
 def _print_report(rep) -> None:
@@ -97,28 +82,6 @@ def _print_report(rep) -> None:
             print(f"{key}: {rep.computed[key]}")
     for note in rep.notes:
         print(f"note: {note}")
-
-
-def cmd_invariants(args) -> int:
-    inv = Invariants(_read_gated_law(args)[1])
-    sig, phi = inv.series, inv.phi  # phi may refuse the law: before anything is printed
-    if phi == "basis_not_adapted":
-        raise Refusal(_VERDICT_EXIT[INCONCLUSIVE], _NO_PHI[phi])
-    print(f"dim: {inv.law.dim}")
-    print(f"brackets: {len(inv.law.brackets)}")
-    print(f"derived: {list(sig.derived_dims)}")
-    print(f"lcs: {list(sig.lcs_dims)}")
-    print(f"nilpotent: {sig.nilpotent}")
-    print(f"dim_der: {inv.dim_der}")
-    print(f"rank: {inv.rank}")
-    for g in inv.torus:
-        print(f"torus_generator: {list(g)}")
-    if phi != "rank_zero":
-        print(f"pre_einstein: {list(map(str, phi))}")
-    print(f"nice: {inv.nice.nice}")
-    if not inv.nice.nice:
-        print(f"nice_reason: {inv.nice.reason}")
-    return 0
 
 
 def cmd_catalog_verify(args) -> int:
@@ -134,55 +97,11 @@ def cmd_catalog_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def cmd_degenerate(args) -> int:
-    inv = Invariants(_read_gated_law(args)[1])
-    xvec = None
-    if args.x is not None:
-        try:
-            xvec = [parse_rational(tok) for tok in args.x.split(",")]
-        except LawError as exc:
-            raise Refusal(EX_USAGE, f"bad --X: {exc}") from exc
-        if len(xvec) != inv.law.dim:
-            raise Refusal(EX_USAGE, f"--X needs {inv.law.dim} entries")
-    phi = inv.phi
-    if isinstance(phi, str):
-        raise Refusal(_VERDICT_EXIT[INCONCLUSIVE], _NO_PHI[phi])
-    print(f"pre_einstein: {list(map(str, phi))}")
-    if xvec is not None:
-        print(f"in_g_phi: {dg.in_g_phi(xvec, phi)}")
-        found = dg.degenerate(inv, xvec)
-        _print_limit(str(found.limit), found.distinction)
-        return 0
-    dec = search_route(inv)  # the walk's decision, as `check` reaches it
-    cert = dec.certificate
-    if "y" in cert:
-        print(f"inconclusive: no_diagonal_degeneration, y = {cert['y']}")
-    else:
-        print(f"X: {cert['X']}")
-        _print_limit(cert["limit"], cert.get("distinguishing"))
-    return _VERDICT_EXIT[INCONCLUSIVE] if dec.verdict == INCONCLUSIVE else 0
-
-
-def _print_limit(limit: str, distinction) -> None:
-    """A degeneration's limit and, for a limit law, the invariant that separates it from the law."""
-    print(f"limit: {limit}")
-    if limit not in ("zero", "divergent"):
-        print(f"distinguishing: {distinction or 'none (not separated by series/dim Der)'}")
-
-
-def cmd_report(args) -> int:
-    _pipeline_report(args)
-    return 0
-
-
 # command words -> (handler, usage, flags); a flag is a switch (None) or takes
 # one value through its converter.  `check --seed` is accepted and ignored: no
 # answer depends on a seed, but perfbench's check_search workload passes one
 COMMANDS = {
     ("check",): (cmd_check, "FILE [--json]", {"--json": None, "--seed": int}),
-    ("report",): (cmd_report, "FILE [--json]", {"--json": None}),
-    ("invariants",): (cmd_invariants, "FILE", {}),
-    ("degenerate",): (cmd_degenerate, "FILE [--X a1,...,an]", {"--X": str}),
     ("catalog", "verify"): (cmd_catalog_verify, "FILE [--only ID] [--json]", {"--only": str, "--json": None}),
 }
 USAGE = "usage: " + "\n       ".join(
@@ -222,11 +141,12 @@ def main(argv: list[str] | None = None) -> int:
     prog = " ".join(["nilrad", *words])
     try:
         args = _read_args(argv[len(words):], COMMANDS[words][2]) if words else None
-        if not words and argv[:1] not in (["--version"], ["-h"], ["--help"]):
+        if not words and argv not in (["--version"], ["-h"], ["--help"]):
             commands = ", ".join(map(" ".join, COMMANDS))
-            raise Refusal(EX_USAGE, f"expected a command ({commands}), got {argv[0] if argv else 'none'}")
+            got = repr(" ".join(argv)) if argv else "none"
+            raise Refusal(EX_USAGE, f"expected a command ({commands}), or --version, -h or --help alone; got {got}")
         if args is None:
-            print(f"nilrad {__version__}" if argv[:1] == ["--version"] else USAGE)
+            print(f"nilrad {__version__}" if argv == ["--version"] else USAGE)
         code = 0 if args is None else COMMANDS[words][0](args)
         sys.stdout.flush()  # a reader that closed stdout is met here, not at the interpreter's exit
         return code

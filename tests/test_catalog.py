@@ -20,6 +20,7 @@ from nilrad.catalog import (
     load_catalog,
     verify_catalog,
 )
+from nilrad.derivations import Invariants
 
 
 def test_load_counts(entries):
@@ -272,17 +273,27 @@ def test_each_invariant_is_computed_once_per_law(monkeypatch, capsys, tmp_path):
     assert sum(calls["diagonal_rank"].values()) == 136  # the torus of each law, not of its witness or limits
     assert sum(calls["pre_einstein"].values()) == 136  # every law, phi = 0 at rank 0
     assert sum(calls["is_nice"].values()) == 137  # the 136 laws and the rational witness
-    # one run of each law command on each law computes each invariant of a law at most once
+    # one `check` of each law, and the walk route on each law with a phi, nice
+    # or not, computes each invariant of a law at most once
     law_file = tmp_path / "law.txt"
+    walked = 0
     for e in entries:
         law_file.write_text(nilrad.format_law(e.law()))
-        for command in ("check", "invariants", "degenerate"):
-            for counter in calls.values():
-                counter.clear()
-            assert nilrad.cli.main([command, str(law_file)]) in (0, 1, 2, 64), (e.id, command)
-            capsys.readouterr()
-            for name, counter in calls.items():
-                assert max(counter.values(), default=0) <= 1, (e.id, command, name)
+        for counter in calls.values():
+            counter.clear()
+        assert nilrad.cli.main(["check", str(law_file)]) in (0, 1, 2), e.id
+        capsys.readouterr()
+        for name, counter in calls.items():
+            assert max(counter.values(), default=0) <= 1, (e.id, "check", name)
+        for counter in calls.values():
+            counter.clear()
+        inv = Invariants(parse_law(law_file.read_text()))
+        if not isinstance(inv.phi, str):
+            nilrad.catalog._search_route(inv)
+            walked += 1
+        for name, counter in calls.items():
+            assert max(counter.values(), default=0) <= 1, (e.id, "walk", name)
+    assert walked == 128
 
 
 def test_lp_runs_only_where_u_is_singular(monkeypatch, entries):

@@ -130,6 +130,8 @@ USAGE_ERRORS = [
     [], ["chek", "LAW"], ["catalog", "LAW"], ["check"], ["check", "LAW", "LAW"], ["check", "LAW", "--bogus"],
     ["check", "LAW", "--js"], ["degenerate", "LAW", "--X"], ["report", "LAW", "--format", "xml"],
     ["check", "LAW", "--seed", "x"], ["check", "LAW", "--json=1"], ["check", "--json", "LAW", "--seed"],
+    ["--version", "junk"], ["--help", "junk"], ["-h", "--json"], ["report", "LAW"], ["invariants", "LAW"],
+    ["degenerate", "LAW"],
 ]
 
 
@@ -142,8 +144,7 @@ def test_usage_errors_exit_64_with_one_line(law_file, capsys, argv):
     assert argv != ["check"] or "file" in err
 
 
-HELP_ARGVS = [["-h"], ["--help"], ["check", "-h"], ["report", "--help"], ["invariants", "-h"],
-              ["degenerate", "LAW", "-h"], ["catalog", "verify", "-h"]]
+HELP_ARGVS = [["-h"], ["--help"], ["check", "-h"], ["check", "LAW", "-h"], ["catalog", "verify", "-h"]]
 
 
 @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
@@ -162,12 +163,9 @@ def test_version_and_a_repeated_check(law_file, capsys):
 
 
 def test_flag_forms_and_order_give_one_answer(law_file, capsys, by_id):
-    # `--X value` and `--X=value`, also for a value that begins with "-", and
-    # flags before or after FILE, give the same output
+    # `--seed value` and `--seed=value`, also for a value that begins with "-",
+    # and flags before or after FILE, give the same output
     path = law_file(by_id["1.2(ii)"].law_text)
-    spaced = _run(capsys, ["degenerate", path, "--X", "-1,1,0,0,-1,1,0"])
-    assert _run(capsys, ["degenerate", path, "--X=-1,1,0,0,-1,1,0"]) == spaced
-    assert spaced[0] == 0 and spaced[1].endswith("in_g_phi: True\nlimit: divergent\n")
 
     def untimed(argv):
         code, out, err = _run(capsys, argv)
@@ -191,11 +189,10 @@ def test_closed_stdout_exits_74():
 
 
 def test_invariants(law_file, capsys):
-    code, out, _ = _run(capsys, ["invariants", law_file(HEISENBERG)])
+    code, out, _ = _run(capsys, ["check", "--json", law_file(HEISENBERG)])
+    computed = json.loads(out)["computed"]
     assert code == 0
-    assert "dim_der: 6" in out
-    assert "rank: 2" in out
-    assert "nice: True" in out
+    assert (computed["dim_der"], computed["rank"], computed["nice"]) == (6, 2, True)
 
 
 def test_catalog_verify_green(capsys, tmp_path):
@@ -348,90 +345,6 @@ def test_statement_order_does_not_change_a_report(capsys, law_file, entries):
         want = check("; ".join([head, *statements]))
         for order in (statements[::-1], shuffled):
             assert check("; ".join([head, *order])) == want, (e.id, order)
-
-
-# SHA-256 of [id, command, exit code, stdout] of `invariants` and of
-# `degenerate` (no --X) on every catalog law.  Same rule as above.
-GOLDEN_INVARIANTS_DEGENERATE_SHA256 = "48c44459a0c097d82187aaff1adb9ac8b31b40763c5bd09654b9b532cf503284"
-
-
-def test_invariants_and_degenerate_are_golden(capsys, tmp_path, entries):
-    assert len(entries) == 136
-    p = tmp_path / "law.txt"
-    runs = []
-    for e in sorted(entries, key=lambda e: e.id):
-        p.write_text(format_law(e.law()))
-        for command in ("invariants", "degenerate"):
-            code, out, _ = _run(capsys, [command, str(p)])
-            runs.append([e.id, command, code, out])
-    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
-    assert digest == GOLDEN_INVARIANTS_DEGENERATE_SHA256
-
-
-def _degenerate_lines(out: str) -> dict[str, str]:
-    """The `key: value` lines of `degenerate`, the y of a trivial cone under `y`."""
-    lines = dict(line.split(": ", 1) for line in out.splitlines())
-    if "inconclusive" in lines:
-        lines["y"] = lines.pop("inconclusive").split(", y = ")[1]
-    return lines
-
-
-# SHA-256 of [id, X, exit code, stdout] of `degenerate --X` on every catalog
-# law of positive rank, for each recorded degeneration X, the walk's X (read
-# from `degenerate`), the zero X and the divergent X = (-1, ..., -1).  Same
-# rule as above.
-GOLDEN_DEGENERATE_X_SHA256 = "ef678d8ed71a9c4c900a9a012afa6c5dc2ab2ea39490ed5c23b8f219378044b1"
-
-
-def test_degenerate_x_is_golden(capsys, tmp_path, entries):
-    p = tmp_path / "law.txt"
-    runs = []
-    for e in sorted(entries, key=lambda e: e.id):
-        if e.expected.rank == 0:
-            continue
-        p.write_text(format_law(e.law()))
-        n = e.law().dim
-        xs = []
-        if e.expected.degeneration is not None and e.expected.degeneration.x is not None:
-            xs.append(",".join(map(str, e.expected.degeneration.x)))
-        walk = _degenerate_lines(_run(capsys, ["degenerate", str(p)])[1])
-        if "X" in walk:
-            xs.append(",".join(ast.literal_eval(walk["X"])))
-        xs += [",".join(["0"] * n), ",".join(["-1"] * n)]
-        for x in xs:
-            code, out, _ = _run(capsys, ["degenerate", str(p), "--X", x])
-            runs.append([e.id, x, code, out])
-    assert len({x for _, x, _, _ in runs}) > 30
-    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
-    assert digest == GOLDEN_DEGENERATE_X_SHA256
-
-
-WALK_ROUTES = {"degeneration_search", "no_diagonal_degeneration", "limit_not_distinguished"}
-
-
-def test_degenerate_prints_the_walk_decision_of_check(capsys, tmp_path, entries):
-    # on every law whose check reaches the cone walk, degenerate prints the
-    # certificate's X, limit, distinguishing and y, and exits 2 exactly on INCONCLUSIVE
-    p = tmp_path / "law.txt"
-    routes = []
-    for e in entries:
-        p.write_text(format_law(e.law()))
-        check_code, out, _ = _run(capsys, ["check", "--json", str(p)])
-        rep = Report.from_json(out)
-        if rep.route not in WALK_ROUTES:
-            continue
-        routes.append(rep.route)
-        code, out, _ = _run(capsys, ["degenerate", str(p)])
-        lines = _degenerate_lines(out)
-        cert = rep.certificates[0]
-        for key in ("X", "y"):
-            assert lines.get(key) == (str(cert[key]) if key in cert else None), (e.id, key)
-        assert lines.get("limit") == cert.get("limit"), e.id
-        shown = lines.get("distinguishing")
-        assert (None if shown is None or shown.startswith("none") else shown) == cert.get("distinguishing"), e.id
-        assert (code == 2) == (rep.verdict == "INCONCLUSIVE") and code in (0, 2), e.id
-        assert (check_code == 2) == (code == 2), e.id
-    assert {"degeneration_search", "no_diagonal_degeneration"} <= set(routes), routes
 
 
 def test_every_inconclusive_certificate_has_a_reason(capsys, tmp_path, entries, reports):
@@ -626,13 +539,12 @@ def test_catalog_malformed_value_exit_65(capsys, tmp_path, field_name, value):
 
 
 def test_files_that_are_not_utf8(capsys, tmp_path):
-    # a law file exits 64 from the gate of every law command, a catalog 65
+    # a law file exits 64 from the gate of check, a catalog 65
     p = tmp_path / "law.txt"
     p.write_bytes(b"dim 3; [1,2]=3 \xff\n")
-    for argv in (["check"], ["report"], ["invariants"], ["degenerate"]):
-        code, out, err = _run(capsys, [*argv, str(p)])
-        assert (code, out) == (64, ""), argv
-        assert "utf-8" in err and "internal error" not in err, argv
+    code, out, err = _run(capsys, ["check", str(p)])
+    assert (code, out) == (64, "")
+    assert "utf-8" in err and "internal error" not in err
     p = tmp_path / "catalog.json"
     p.write_bytes(b'{"entries": []} \xff')
     code, out, err = _run(capsys, ["catalog", "verify", str(p)])
@@ -659,84 +571,9 @@ def test_catalog_verify_missing_file_exit_65(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and "No such file" in err
 
 
-def test_degenerate_explicit_x(capsys, tmp_path, by_id):
-    entry = by_id["1.3(v)"]
-    p = tmp_path / "law.txt"
-    p.write_text(entry.law_text)
-    code, out, _ = _run(capsys, ["degenerate", str(p), "--X", "-1,2,-2,1,1,0,-1"])
-    assert code == 0
-    assert "in_g_phi: True" in out
-    assert "limit: dim 7" in out
-    assert "[2,4]" not in out.split("limit:")[1].splitlines()[0]
-
-
-def test_degenerate_zero(capsys, tmp_path, by_id):
-    p = tmp_path / "law.txt"
-    p.write_text(by_id["1.21"].law_text)
-    code, out, _ = _run(capsys, ["degenerate", str(p), "--X", "-4,23,-28,10,-1,-8,8"])
-    assert code == 0
-    assert "limit: zero" in out
-
-
-def test_degenerate_identity_flow(capsys, tmp_path, by_id):
-    p = tmp_path / "law.txt"
-    p.write_text(by_id["1.21"].law_text)
-    code, out, _ = _run(capsys, ["degenerate", str(p), "--X", "0,0,0,0,0,0,0"])
-    assert code == 0
-    assert "limit: dim 7" in out
-
-
-def test_degenerate_bad_x_length(capsys, tmp_path):
-    p = tmp_path / "law.txt"
-    p.write_text("dim 7; [1,2]=3")
-    code, _, err = _run(capsys, ["degenerate", str(p), "--X", "1,2"])
-    assert code == 64
-    assert "needs 7 entries" in err
-
-
-def test_degenerate_search(capsys, tmp_path, by_id):
-    # with no --X, degenerate walks the cone: an X with a zero limit, or a trivial cone and exit 2
-    p = tmp_path / "law.txt"
-    p.write_text(by_id["1.21"].law_text)
-    code, out, _ = _run(capsys, ["degenerate", str(p)])
-    assert code == 0
-    assert "X: ['0', '18', '-26', '5', '4', '-9', '8']" in out and "limit: zero" in out
-    p.write_text(format_law(by_id["1.3(i_l)[lambda=2]"].law()))
-    code, out, _ = _run(capsys, ["degenerate", str(p)])
-    assert code == 2
-    assert "no_diagonal_degeneration, y = ['13/5', '2', '16/5', '9/5', '1', '1', '1', '13/5']" in out
-
-
-def test_degenerate_rank_zero_exit_2(capsys, tmp_path, by_id):
-    # a valid law of rank zero has no degeneration flow: inconclusive, not a usage error
-    p = tmp_path / "law.txt"
-    p.write_text(by_id["0.1"].law_text)
-    code, out, err = _run(capsys, ["degenerate", str(p)])
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and "rank-zero" in err
-    # a bad --X is still a usage error, at once: an exponent of 10^6 digits once took 8.3 s
-    for x in ("1,2,q", "1,2", "1/0,0,0,0,0,0,0", "1e6000000,-1e6000000,0", "1e3000000,0,0,0,0,0,0", "0.5,0,0,0,0,0,0"):
-        start = time.perf_counter()
-        code, out, err = _run(capsys, ["degenerate", str(p), "--X", x])
-        assert time.perf_counter() - start < 1
-        assert (code, out) == (64, "")
-        assert len(err.splitlines()) == 1 and "--X" in err
-
-
-def test_report_json_format(capsys, tmp_path):
-    p = tmp_path / "law.txt"
-    p.write_text(HEISENBERG)
-    code, out, _ = _run(capsys, ["report", str(p), "--json"])
-    assert code == 0
-    assert Report.from_json(out).verdict == "EN"
-
-
 def test_sqrt_laws_rejected_by_pipeline(capsys, tmp_path):
     p = tmp_path / "law.txt"
     p.write_text("dim 3; [1,2]=3*(1 sqrt(2))")
-    code, _, err = _run(capsys, ["invariants", str(p)])
-    assert code == 64
-    assert "exact" in err
     code, _, err = _run(capsys, ["check", str(p)])
     assert code == 64
     assert "exact" in err
@@ -772,30 +609,18 @@ GATE_PROBES = [
 ]
 
 
-# `invariants` and `degenerate` print no report: they take the gate rows and
-# the basis_not_adapted rows, answered on stderr alone
-GATE_CASES = [
-    (command, *probe)
-    for command in ("check", "report", "invariants", "degenerate")
-    for probe in GATE_PROBES
-    if command in ("check", "report") or probe[2] != "abelian"
-]
-GATE_ARGS = {"check": ["--json"], "report": ["--json"], "invariants": [], "degenerate": []}
-
-
 @pytest.mark.parametrize(
-    "command, text, code, route", GATE_CASES, ids=[f"{_short(t)}-{c}-{r}-{cmd}" for cmd, t, c, r in GATE_CASES]
+    "text, code, route", GATE_PROBES, ids=[f"{_short(t)}-{c}-{r}-check" for t, c, r in GATE_PROBES]
 )
-def test_gate_probes(law_file, capsys, command, text, code, route):
+def test_gate_probes(law_file, capsys, text, code, route):
     start = time.perf_counter()
-    got, out, err = _run(capsys, [command, law_file(text), *GATE_ARGS[command]])
+    got, out, err = _run(capsys, ["check", law_file(text), "--json"])
     assert time.perf_counter() - start < 1
-    if route is None or command in ("invariants", "degenerate"):
+    if route is None:
         assert (got, out) == (code, "")
         assert len(err.strip().splitlines()) == 1
-        assert route is None or route in err
         return
-    assert got == (code if command == "check" else 0) and err == ""
+    assert got == code and err == ""
     rep = Report.from_json(out)
     assert rep.route == route
     assert rep.verdict == {0: "EN", 2: "INCONCLUSIVE"}[code]

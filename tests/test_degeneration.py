@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from nilrad.algebra import act, format_law, parse_law
-from nilrad.catalog import NOT_EN, CatalogEntry, classify
+from nilrad.catalog import EN, INCONCLUSIVE, NOT_EN, CatalogEntry, _search_route, classify
 from nilrad.degeneration import (
     DegenerationWitness,
     LimitResult,
@@ -163,6 +166,53 @@ def test_degenerate_separates_only_a_limit_law(by_id):
     diverging = degenerate(inv, half)
     assert (diverging.x, diverging.limit, diverging.distinction) == (half, LimitResult("divergent"), None)
     assert [str(r) for r in (found.limit, diverging.limit)] == [format_law(found.limit.law), "divergent"]
+
+
+# SHA-256 of [id, certificate] of the walk route on every catalog law with a
+# phi, and of [id, X, in_g_phi, limit, distinction] of degenerate() on the X
+# list below.  A change of either is a change of what the walk or a limit
+# decides: update them only with a deliberate, documented change.
+WALK_ROUTE_SHA256 = "6103001d1daf393f665aaa30ce7599bd560ee3bb3b441d70e630c1db7f778655"
+DEGENERATE_X_SHA256 = "7df29e567dbcba36a0dd7e31a24df19e9cfb9e1a0d695edfdc29d251669ec3a7"
+
+
+def _sha256(runs) -> str:
+    return hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+
+
+def test_walk_route_on_every_law_with_a_phi(entries):
+    # check reaches the walk only on laws that are not nice; on all 128 laws
+    # with a phi it certifies exactly the NOT_EN laws but 1.3(i_0), whose
+    # recorded limit needs a basis change, and never an EN law
+    verdicts, runs = Counter(), []
+    for e in sorted(entries, key=lambda e: e.id):
+        inv = Invariants(e.law())
+        if isinstance(inv.phi, str):
+            continue
+        dec = _search_route(inv)
+        verdicts[e.expected.verdict, dec.verdict] += 1
+        runs.append([e.id, dec.certificate])
+        if e.id == "1.3(i_0)":
+            assert dec.verdict == INCONCLUSIVE
+    assert verdicts == Counter({(EN, INCONCLUSIVE): 95, (NOT_EN, NOT_EN): 32, (NOT_EN, INCONCLUSIVE): 1})
+    assert _sha256(runs) == WALK_ROUTE_SHA256
+
+
+def test_degenerate_on_the_recorded_walk_zero_and_divergent_x(entries):
+    # on every law of positive rank: its recorded X, the walk's X, the zero X and X = (-1, ..., -1)
+    runs = []
+    for e in sorted(entries, key=lambda e: e.id):
+        if e.expected.rank == 0:
+            continue
+        inv = Invariants(e.law())
+        n, rec, found = inv.law.dim, e.expected.degeneration, search_degeneration(inv)
+        xs = [] if rec is None or rec.x is None else [rec.x]
+        xs += [found.x] if isinstance(found, DegenerationWitness) else []
+        for x in [*xs, (0,) * n, (-1,) * n]:
+            w = degenerate(inv, x)
+            runs.append([e.id, list(map(str, x)), in_g_phi(x, inv.phi), str(w.limit), str(w.distinction)])
+    assert len({tuple(x) for _, x, *_ in runs}) > 30
+    assert _sha256(runs) == DEGENERATE_X_SHA256
 
 
 def test_g_phi_lattice_members(by_id):
