@@ -609,25 +609,46 @@ GATE_PROBES = [
 ]
 
 
+# Each probe runs through four argv forms of `check`: the JSON report, the text
+# report, the flag before the file, and the `--seed` form the benchmark passes.
+# The last three are labelled with the names of the removed `report`,
+# `invariants` and `degenerate` commands, whose probes they took over.
+GATE_FORMS = {
+    "check": ["check", "LAW", "--json"],
+    "report": ["check", "LAW"],
+    "invariants": ["check", "--json", "LAW"],
+    "degenerate": ["check", "LAW", "--json", "--seed", "1"],
+}
+GATE_CASES = [(form, *probe) for form in GATE_FORMS for probe in GATE_PROBES]
+
+
 @pytest.mark.parametrize(
-    "text, code, route", GATE_PROBES, ids=[f"{_short(t)}-{c}-{r}-check" for t, c, r in GATE_PROBES]
+    "form, text, code, route", GATE_CASES, ids=[f"{_short(t)}-{c}-{r}-{f}" for f, t, c, r in GATE_CASES]
 )
-def test_gate_probes(law_file, capsys, text, code, route):
+def test_gate_probes(law_file, capsys, form, text, code, route):
+    law = law_file(text)
+    argv = [law if a == "LAW" else a for a in GATE_FORMS[form]]
     start = time.perf_counter()
-    got, out, err = _run(capsys, ["check", law_file(text), "--json"])
+    got, out, err = _run(capsys, argv)
     assert time.perf_counter() - start < 1
     if route is None:
         assert (got, out) == (code, "")
         assert len(err.strip().splitlines()) == 1
         return
     assert got == code and err == ""
-    rep = Report.from_json(out)
-    assert rep.route == route
-    assert rep.verdict == {0: "EN", 2: "INCONCLUSIVE"}[code]
-    kinds = [c["kind"] for c in rep.certificates]
+    if "--json" in argv:
+        rep = Report.from_json(out)
+        verdict, got_route, certs = rep.verdict, rep.route, rep.certificates
+    else:
+        fields = [line.split(": ", 1) for line in out.splitlines()]
+        (_, verdict), (_, got_route) = fields[:2]
+        certs = [json.loads(v) for k, v in fields if k == "certificate"]
+    assert got_route == route
+    assert verdict == {0: "EN", 2: "INCONCLUSIVE"}[code]
+    kinds = [c["kind"] for c in certs]
     assert kinds == (["abelian"] if route == "abelian" else ["inconclusive"])
     if route == "basis_not_adapted":
-        assert rep.certificates[0]["reason"] == "basis_not_adapted"
+        assert certs[0]["reason"] == "basis_not_adapted"
 
 
 def test_internal_error_exit_70(law_file, capsys, monkeypatch):
