@@ -9,10 +9,11 @@ from the other rows (most rows of a derivation system are of this kind).
 `integer_echelon` is its forward half and `integer_rref` adds
 back-substitution.  `sparse_nullspace` keeps the echelon form as a
 `Kernel`, read through its rank and one membership test per functional
-(dim Der, the phi check), and back-substitutes only if its vectors are
-iterated.  This module owns the reduced-row format: `solve` is the one
+(dim Der, the phi check), and back-substitutes only if its reduced rows or
+vectors are read.  This module owns the reduced-row format: `solve` is the one
 exact solve (phi's Gram system, U x = [1]), `rref` the dense view under
-`inv`, and outside it only `algebra`'s span readers call `integer_rref`.
+`inv`, `Kernel.reduced` the rows Der's vectors are read back from, and
+outside it only `algebra`'s span readers call `integer_rref`.
 There is one echelon routine on Python ints, `_echelon`: `hnf` reduces above
 its pivots, and `kernel_lattice` echelons [M^T | I] on the M^T columns only
 and takes the `hnf` of the kernel rows it leaves.
@@ -103,11 +104,12 @@ def integer_echelon(rows: list[dict]) -> dict[int, dict[int, int]]:
 
     Each row is primitive, positive at its pivot, its least column.  A
     nonzero one-entry row is already the pivot {c: 1}, and {c: 0} is no row.
-    Every longer row is read once: its zero entries and the entries in those
-    unit columns are dropped and its denominators cleared.  Elimination is
-    row <- a.row - b.piv on Python ints, the content gcd taken out each step.
+    The unit columns are collected once, as a set, and every longer row is read
+    once: its zero entries and its entries in those columns are dropped and its
+    denominators cleared.  Elimination is row <- a.row - b.piv on Python ints,
+    the content gcd taken out each step.
     """
-    units = {c: {c: 1} for r in rows if len(r) == 1 for c, v in r.items() if v}
+    units = {c for r in rows if len(r) == 1 for c, v in r.items() if v}
     longer = (_primitive({k: v for k, v in r.items() if v and k not in units}) for r in rows if len(r) > 1)
     work = [r for r in longer if r]
     pivot_of_col: dict[int, dict[int, int]] = {}
@@ -120,7 +122,7 @@ def integer_echelon(rows: list[dict]) -> dict[int, dict[int, int]]:
                 pivot_of_col[c] = row if row[c] > 0 else {k: -v for k, v in row.items()}
                 break
             row = _eliminate(row, piv, c)
-    pivot_of_col.update(units)
+    pivot_of_col.update({c: {c: 1} for c in units})
     return pivot_of_col
 
 
@@ -139,10 +141,11 @@ def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
 class Kernel:
     """The kernel of sparse rows in `ncols` unknowns, kept as their forward echelon form.
 
-    `len` and `annihilates` read the echelon rows.  Iterating back-substitutes once and
-    yields one integer vector per free column f: p at f and -row[f] * (p / row[c]) at each
-    pivot c whose reduced row meets f, p the lcm of those pivot entries (divided by p, the
-    basis vector with 1 at f); its keys increase (a pivot row lies right of its pivot) to f.
+    `len` and `annihilates` read the echelon rows; `reduced` back-substitutes them once.
+    Iterating yields one integer vector per free column f of the reduced rows: p at f and
+    -row[f] * (p / row[c]) at each pivot c whose reduced row meets f, p the lcm of those
+    pivot entries (divided by p, the basis vector with 1 at f); its keys increase (a pivot
+    row lies right of its pivot) to f.
     """
 
     def __init__(self, echelon: dict[int, dict[int, int]], ncols: int):
@@ -168,8 +171,14 @@ class Kernel:
         return iter(self._vectors)
 
     @cached_property
+    def reduced(self) -> dict[int, dict[int, int]]:
+        """The unique reduced form of the rows, as `integer_rref` keys it: the echelon rows need
+        no elimination, only back-substitution."""
+        return integer_rref(list(self.echelon.values()))
+
+    @cached_property
     def _vectors(self) -> list[dict[int, int]]:
-        reduced = integer_rref(list(self.echelon.values()))  # the echelon rows need no elimination
+        reduced = self.reduced
         touching: dict[int, list[int]] = {f: [] for f in range(self.ncols) if f not in reduced}
         for c, f in sorted((c, f) for c, row in reduced.items() for f in row if f != c):
             touching[f].append(c)
@@ -204,11 +213,15 @@ def _echelon(h: list[list[int]], ncols: int) -> list[int]:
         if r == nrows:
             break
         while True:
-            nz = [i for i in range(r, nrows) if h[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(h[i][c]))
+            i0, least, count = r, 0, 0  # the first row of least |entry| in column c, and how many are nonzero
+            for i in range(r, nrows):
+                if x := abs(h[i][c]):
+                    count += 1
+                    if not least or x < least:
+                        i0, least = i, x
             h[r], h[i0] = h[i0], h[r]
+            if count <= 1:
+                break
             done = True
             for i in range(r + 1, nrows):
                 if h[i][c] != 0:
@@ -253,6 +266,6 @@ def kernel_lattice(mat: list[list[int]]) -> list[list[int]]:
     if not mat:
         return []
     m, n = len(mat), len(mat[0])
-    rows = [[*col, *(int(i == j) for j in range(n))] for i, col in enumerate(zip(*mat))]
+    rows = [[*col, *[0] * i, 1, *[0] * (n - 1 - i)] for i, col in enumerate(zip(*mat))]
     r = len(_echelon(rows, m))
     return hnf([row[m:] for row in rows[r:]])
