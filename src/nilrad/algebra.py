@@ -468,19 +468,24 @@ def series_signature(law: LieLaw) -> SeriesSignature:
 # basis change action
 
 def act(g: list[list], law: LieLaw) -> LieLaw:
-    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) for a rational law and a rational g.
+    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) for a rational law and a rational n x n g.
 
-    The sparse columns of g^{-1} are bracketed with `_bracket_sparse`, and g
-    is applied to each sparse image through its own sparse columns.
+    g^{-1} is read from one `integer_rref` of the sparse rows of [g | I]: g is
+    singular exactly when a pivot falls in the I half, and otherwise row a
+    gives g^{-1}[a][b] = red[a][n + b] / red[a][a].  The sparse columns of
+    g^{-1} are bracketed with `_bracket_sparse`, and g is applied to each
+    sparse image through its own sparse columns.
     """
+    n = law.dim
+    if len(g) != n or any(len(row) != n for row in g):
+        raise LawError(f"act() needs a g of shape {n} x {n} for a law of dim {n}")
     if not (law.is_rational and all(isinstance(x, (int, Fraction)) for row in g for x in row)):
         raise LawError("act() needs exact input: a rational law and a matrix of ints or Fractions")
-    n = law.dim
-    gm = [[Fraction(x) for x in row] for row in g]
-    ginv = linalg.inv(gm)
-    if ginv is None:
+    red = linalg.integer_rref([{c: x for c, x in enumerate([*row, *[0] * a, 1]) if x} for a, row in enumerate(g)])
+    if any(c >= n for c in red):
         raise LawError("singular matrix in act()")
-    g_cols, inv_cols = ([{a: row[b] for a, row in enumerate(m, 1) if row[b]} for b in range(n)] for m in (gm, ginv))
+    inv_cols = [{a + 1: Fraction(red[a][n + b], red[a][a]) for a in range(n) if n + b in red[a]} for b in range(n)]
+    g_cols = [{a: Fraction(row[b]) for a, row in enumerate(g, 1) if row[b]} for b in range(n)]
     brackets: dict[Triple, Fraction] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

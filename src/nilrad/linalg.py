@@ -11,9 +11,10 @@ back-substitution.  `sparse_nullspace` keeps the echelon form as a
 `Kernel`, read through its rank and one membership test per functional
 (dim Der, the phi check), and back-substitutes only if its reduced rows or
 vectors are read.  This module owns the reduced-row format: `solve` is the one
-exact solve (phi's Gram system, U x = [1]), `rref` the dense view under
-`inv`, `Kernel.reduced` the rows Der's vectors are read back from, and
-outside it only `algebra`'s span readers call `integer_rref`.
+exact solve (phi's Gram system, U x = [1]), `Kernel.reduced` the rows Der's
+vectors are read back from, and outside it only `algebra` calls
+`integer_rref`: its span readers, and `act` for g^{-1} from [g | I].
+`rref`, a dense view, has no caller in the library; the benchmark traces it.
 There is one echelon routine on Python ints, `_echelon`: `hnf` reduces above
 its pivots, and `kernel_lattice` echelons [M^T | I] on the M^T columns only
 and takes the `hnf` of the kernel rows it leaves.
@@ -29,15 +30,11 @@ Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices).
 
-    The dense view of `integer_rref` that `inv` reads: the pivot rows,
-    each divided by its pivot entry, in order, then zero rows.
+    The dense view of `integer_rref`: the pivot rows, each divided by its
+    pivot entry, in order, then zero rows.
     """
     ncols = len(a[0]) if a else 0
     reduced = integer_rref([{c: x for c, x in enumerate(row) if x} for row in a])
@@ -57,15 +54,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     if n in reduced:
         return None
     return [Fraction(reduced[c].get(n, 0), reduced[c][c]) if c in reduced else Fraction(0) for c in range(n)]
-
-
-def inv(a: Matrix) -> Matrix | None:
-    n = len(a)
-    aug = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
 
 
 def _primitive(row: dict) -> dict[int, int]:

@@ -3,12 +3,10 @@
 Each one decides a question the library answers by other means (an
 exponential enumeration, a dense recomputation), so a test can compare the
 two.  They are deliberately simple and slow, and nilrad itself never calls
-them.  The dense basis change (`dense_act`, on `bracket_vectors`) and its
-float twin (`to_float`, `act_float`) live here too: the library acts by
-rational matrices only, through the sparse bracket, and the orthogonal
-rotations of the moment-map equivariance tests need floats and numpy.
-Float laws are built as `LieLaw(n, {triple: float})`; the library's kernels
-compare exactly, so the float helpers carry their own tolerance, `FLOAT_TOL`.
+them.  The dense basis change (`dense_act`, on `bracket_vectors`) lives here
+too, and so do the exact rational rotations of the moment-map equivariance
+tests (`cayley_rotation`): every check compares with ==, never within a
+tolerance.
 The token-scanner law parser (`scanner_parse_law`) is the reference that
 `algebra.parse_law`, which matches statements with patterns, is compared with.
 The linear-algebra oracles (`rank`, `in_span`, `nullspace`, `dense_solve`,
@@ -19,7 +17,6 @@ of the library they check.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -28,19 +25,6 @@ from nilrad import linalg
 from nilrad.algebra import LawError, LieLaw, Surd, Triple, jacobi_violations
 from nilrad.degeneration import LimitResult
 from nilrad.derivations import DerivationSpace, Invariants
-
-
-FLOAT_TOL = 1e-9
-
-
-def _rounded(c) -> float:
-    terms = c.terms if isinstance(c, Surd) else {1: c}
-    return sum(float(q) * math.sqrt(m) for m, q in terms.items())
-
-
-def to_float(law: LieLaw) -> LieLaw:
-    """The law with every coefficient, rational or `Surd`, rounded to a float."""
-    return LieLaw(law.dim, {t: _rounded(c) for t, c in law.brackets.items()})
 
 
 def bracket_vectors(law: LieLaw, u: Sequence, v: Sequence) -> list:
@@ -53,38 +37,41 @@ def bracket_vectors(law: LieLaw, u: Sequence, v: Sequence) -> list:
     return out
 
 
-def _act_dense(gm, ginv, law: LieLaw, keep) -> LieLaw:
-    """g mu(g^{-1} e_i, g^{-1} e_j) for each i < j by dense brackets and a matrix product; `keep` picks the nonzeros."""
+def dense_act(g: list[list], law: LieLaw) -> LieLaw:
+    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) over Q, dense: the reference for `algebra.act`.
+
+    g^{-1} e_i and g^{-1} e_j are bracketed by `bracket_vectors`, and g is applied by a matrix product.
+    """
+    gm = [[Fraction(x) for x in row] for row in g]
+    ginv = dense_inv(gm)
+    if ginv is None:
+        raise LawError("singular matrix in dense_act()")
     n = law.dim
-    cols = [[ginv[a][b] for a in range(n)] for b in range(n)]  # ginv columns
+    cols = transpose(ginv)
     brackets = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             w = bracket_vectors(law, cols[i - 1], cols[j - 1])
             img = [sum(gm[a][b] * w[b] for b in range(n)) for a in range(n)]
-            for k, c in enumerate(img, 1):
-                if keep(c):
-                    brackets[(i, j, k)] = c
+            brackets.update(((i, j, k), c) for k, c in enumerate(img, 1) if c)
     return LieLaw(n, brackets)
 
 
-def dense_act(g: list[list], law: LieLaw) -> LieLaw:
-    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) over Q, dense: the reference for `algebra.act`."""
-    gm = [[Fraction(x) for x in row] for row in g]
-    ginv = dense_inv(gm)
-    if ginv is None:
-        raise LawError("singular matrix in dense_act()")
-    return _act_dense(gm, ginv, law, bool)
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def act_float(g: list[list], law: LieLaw) -> LieLaw:
-    """(g . mu)(x, y) = g mu(g^{-1} x, g^{-1} y) in floating point, for a real g."""
-    import numpy as np
-
-    gm = np.array([[float(x) for x in row] for row in g], dtype=float)
-    if abs(float(np.linalg.det(gm))) < 1e-14:
-        raise LawError("singular matrix in act_float()")
-    return _act_dense(gm, np.linalg.inv(gm), to_float(law), lambda c: abs(c) > FLOAT_TOL)
+def cayley_rotation(rng, n: int, flip: bool = False) -> list[list[Fraction]]:
+    """An exact orthogonal q: the Cayley transform (I - A)(I + A)^{-1} of a seeded skew-symmetric
+    rational A (I + A is never singular), times diag(-1, 1, ..., 1) when `flip`, so det q = -1."""
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            a[j][i] = -a[i][j]
+    i_minus, i_plus = ([[e + s * x for e, x in zip(er, ar)] for er, ar in zip(identity(n), a)] for s in (-1, 1))
+    q = matmul(i_minus, dense_inv(i_plus))
+    return [[-x for x in q[0]], *q[1:]] if flip else q
 
 
 def bracket(law: LieLaw, i: int, j: int) -> list:

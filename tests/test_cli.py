@@ -692,9 +692,20 @@ def test_cli_import_leaves_argparse_out():
 
 
 def test_no_source_file_mentions_numpy():
-    # numpy is a test dependency: the float basis change lives in tests/oracles.py
-    root = Path(nilrad.__file__).resolve().parent
-    assert [p.name for p in sorted(root.rglob("*.py")) if "numpy" in p.read_text()] == []
+    # the library, its tests and its benchmark are exact and need only the standard library and
+    # pytest: no .py file under src/, tests/ or perfbench/ imports numpy or hypothesis (read as
+    # import statements, since this file names numpy in strings)
+    root = Path(__file__).resolve().parent.parent
+    banned = {"numpy", "hypothesis"}
+    found = [
+        (str(p.relative_to(root)), node.lineno)
+        for d in ("src", "tests", "perfbench")
+        for p in sorted((root / d).rglob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] in banned for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in banned
+    ]
+    assert found == []
 
 
 def test_every_top_level_name_in_src_is_read():

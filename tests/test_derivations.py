@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from nilrad import linalg
 from nilrad.algebra import act, parse_law
 from nilrad.derivations import (
     Invariants,
@@ -14,7 +13,7 @@ from nilrad.derivations import (
     positivity_gate,
     pre_einstein,
 )
-from oracles import fraction_engel_flag, in_span, is_derivation
+from oracles import fraction_engel_flag, identity, in_span, is_derivation
 
 
 def test_abelian_derivations():
@@ -112,7 +111,7 @@ def test_dim_der_invariant_under_sparse_basis_change(by_id):
     law = by_id["2.6"].law()
     expect = dim_der(law)
     for _ in range(5):
-        g = linalg.identity(7)
+        g = identity(7)
         a, b = rng.sample(range(7), 2)
         g[a][b] = Fraction(rng.randint(1, 3))
         assert dim_der(act(g, law)) == expect

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-import numpy as np
-import pytest
-
-from nilrad.algebra import parse_law
+from nilrad.algebra import Surd, act, parse_law
 from nilrad.ricci import SolitonDecomposition, moment_map, soliton_check
-from oracles import act_float, norm_squared, scale, to_float
+from oracles import bracket, bracket_vectors, cayley_rotation, identity, matmul, norm_squared, scale, transpose
 
 HEISENBERG = parse_law("dim 3; [1,2]=3")
 
@@ -45,14 +43,14 @@ def test_scaling_quadratic(by_id):
 
 
 def test_equivariance_under_rotations(by_id):
-    rng = np.random.default_rng(4)
-    law = to_float(by_id["2.5"].law())
-    m = np.array(moment_map(law))
-    for _ in range(10):
-        q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
-        moved = act_float(q.tolist(), law)
-        m2 = np.array(moment_map(moved))
-        assert np.max(np.abs(m2 - q @ m @ q.T)) < 1e-9
+    # m(q . mu) = q m(mu) q^T, exactly, for seeded rational rotations q of det 1 and -1
+    rng = random.Random(4)
+    law = by_id["2.5"].law()
+    m = moment_map(law)
+    for t in range(10):
+        q = cayley_rotation(rng, 7, flip=t % 3 == 0)
+        assert matmul(q, transpose(q)) == identity(7)
+        assert [list(row) for row in moment_map(act(q, law))] == matmul(matmul(q, m), transpose(q))
 
 
 def test_soliton_check_rejects_non_soliton(by_id):
@@ -85,23 +83,25 @@ def test_witness_decompositions_match_lp_norms(by_id, moment_data):
 
 
 def test_act_reproduces_111_witness(by_id):
-    """The explicit change of basis carries 1.11 onto its recorded witness."""
-    from math import sqrt
-
-    law = to_float(by_id["1.11"].law())
+    """The explicit change of basis g carries 1.11 onto its recorded witness mu_w = g . mu:
+    mu_w(g e_i, g e_j) = g mu(e_i, e_j) for all i < j, exactly over `Surd`s, with no inverse.
+    g is invertible, so these brackets fix mu_w."""
+    law, witness = by_id["1.11"].law(), by_id["1.11"].expected.witness_law
+    r = Surd.sqrt
     g = [
         [1, 0, 0, 0, 0, 0, 0],
-        [0, sqrt(2170) / 155, 0, 0, 0, 0, 0],
-        [0, 0, -sqrt(3990) / 1767, 7 * sqrt(3990) / 8835, 0, 0, 0],
-        [0, 0, sqrt(42) / 93, sqrt(42) / 93, 0, 0, 0],
-        [0, 0, 0, 0, 28 * sqrt(5890) / 91295, 0, 0],
-        [0, 0, 0, 0, 0, 56 * sqrt(95) / 91295, 0],
-        [0, 0, 0, 0, 0, 0, 28 * sqrt(23870) / 2830145],
+        [0, r(2170) / 155, 0, 0, 0, 0, 0],
+        [0, 0, -r(3990) / 1767, 7 * r(3990) / 8835, 0, 0, 0],
+        [0, 0, r(42) / 93, r(42) / 93, 0, 0, 0],
+        [0, 0, 0, 0, 28 * r(5890) / 91295, 0, 0],
+        [0, 0, 0, 0, 0, 56 * r(95) / 91295, 0],
+        [0, 0, 0, 0, 0, 0, 28 * r(23870) / 2830145],
     ]
-    moved = act_float(g, law)
-    witness = to_float(by_id["1.11"].expected.witness_law)
-    keys = set(moved.brackets) | set(witness.brackets)
-    assert keys == set(witness.brackets)
-    for k in keys:
-        assert abs(moved.brackets[k] - witness.brackets[k]) < 1e-9
-    assert moved.brackets[(1, 2, 3)] == pytest.approx(7 * sqrt(1767) / 1767)
+    block = g[2][2] * g[3][3] - g[2][3] * g[3][2]  # g is block diagonal, one 2 x 2 block at rows 3, 4
+    assert g[0][0] * g[1][1] * block * g[4][4] * g[5][5] * g[6][6] != 0
+    cols = transpose(g)
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            moved = [sum(x * y for x, y in zip(row, bracket(law, i, j))) for row in g]
+            assert bracket_vectors(witness, cols[i - 1], cols[j - 1]) == moved, (i, j)
+    assert witness.brackets[(1, 2, 3)] == 7 * r(1767) / 1767
