@@ -417,12 +417,14 @@ def _witness_route(w: Invariants, inv: Invariants) -> Decision:
     if not w.nice.nice:
         return _witness_rejected(problems + [("witness_law", "nice witness basis", w.nice.reason)])
     dec = _nice_route(w, on="witness")
+    if dec.verdict != EN:  # a witness is evidence for EN only
+        return _witness_rejected(problems + [("witness_law", "a positive solution of Ux=[1]", "no_positive_solution")])
     dec.problems = problems
     return dec
 
 
 def _witness_rejected(problems: list) -> Decision:
-    """INCONCLUSIVE: the recorded witness is not a nilsoliton or (rational) not a nice basis."""
+    """INCONCLUSIVE: the recorded witness is not a nilsoliton, or (rational) not a nice basis with Ux=[1], x>0."""
     cert = {"kind": "inconclusive", "reason": "witness_rejected"}
     return Decision(INCONCLUSIVE, "witness_rejected", cert, problems=problems)
 
@@ -446,11 +448,9 @@ def _recorded_degeneration_route(rec: Degeneration, inv: Invariants) -> Decision
         if not dg.in_g_phi(rec.x, inv.phi):
             problems.append(("degeneration.X", "X in g_phi", "trace conditions fail"))
         res = dg.one_param_limit(inv.law, rec.x)
-        if rec.limit is None:
-            if res.kind != "zero":
-                problems.append(("degeneration.limit", "zero", res.kind))
-        elif res.kind != "limit" or res.law != rec.limit:
-            problems.append(("degeneration.limit", "recorded limit law", res.kind))
+        want = dg.LimitResult("zero") if rec.limit is None else dg.LimitResult("limit", rec.limit)
+        if res != want:
+            problems.append(("degeneration.limit", "zero" if rec.limit is None else "recorded limit law", res.kind))
     if rec.limit is not None:
         limit = Invariants(rec.limit)
         if dg.distinguish(inv, limit) is None:
@@ -465,35 +465,34 @@ def _recorded_degeneration_route(rec: Degeneration, inv: Invariants) -> Decision
     return decision
 
 
+def _reported(value):
+    """A recorded value in the form a report computes it: a list for a tuple, a str for a Fraction."""
+    if type(value) is tuple:
+        return [_reported(v) for v in value]
+    return str(value) if type(value) is Fraction else value
+
+
 def _diff(exp: Expected, rep: Report, dec: Decision) -> None:
     """Compare every recorded field with the computation; append the mismatches to rep.
 
-    The soliton norm is compared wherever a route computed one: the LP
-    (1/sum x) or a nilsoliton witness (-c).  An EN record resting on a
-    non-constructive argument accepts INCONCLUSIVE.
+    One rule: a recorded value is compared with the computed one wherever both exist (U where the LP ran
+    on the law, the soliton norm where a route found one: the LP's 1/sum x or a nilsoliton witness's -c).
+    An EN record resting on a non-constructive argument accepts INCONCLUSIVE.
     """
     got = rep.computed
-    found = [
-        (name, want, got[name])
-        for name, want in (
-            ("dim_der", exp.dim_der), ("derived", list(exp.derived)), ("lcs", list(exp.lcs)), ("rank", exp.rank),
-        )
-        if got[name] != want
-    ]
-    phi = None if exp.pre_einstein is None else list(map(str, exp.pre_einstein))
-    if phi is not None and "pre_einstein" in got and got["pre_einstein"] != phi:
-        found.append(("pre_einstein", phi, got["pre_einstein"]))
-    if got["nice"] != exp.nice:
-        found.append(("nice", exp.nice, got["nice"]))
+
+    def compared(*names):
+        for name in names:
+            want = _reported(getattr(exp, name.lower()))
+            if want is not None and name in got and got[name] != want:
+                yield name, want, got[name]
+
+    found = [*compared("dim_der", "derived", "lcs", "rank", "pre_einstein", "nice", "U"), *dec.problems]
+    found += compared("soliton_norm")
     u = got.get("U")  # present when the LP ran on the law itself
-    if exp.u is not None and u is not None and u != [list(r) for r in exp.u]:
-        found.append(("U", [list(r) for r in exp.u], u))
-    found += dec.problems
-    if exp.soliton_norm is not None and "soliton_norm" in got and got["soliton_norm"] != str(exp.soliton_norm):
-        found.append(("soliton_norm", str(exp.soliton_norm), got["soliton_norm"]))
     if u is not None and isinstance(exp.x, tuple):
         if dec.verdict != EN:
-            found.append(("x", "positive solution", dec.certificate["status"]))
+            found.append(("x", "positive solution", dec.certificate["kind"]))
         elif not nb.solves_positively(u, exp.x):
             found.append(("x", "recorded x solves Ux=[1], x>0", "recorded x fails re-verification"))
     elif u is not None and exp.x == "none_positive" and dec.verdict == EN:

@@ -332,6 +332,7 @@ _U_23 = "[1, 1, 0, 3, 0], [1, 1, 1, 0, 3]]"
 _PE_23 = "'32/37', '34/37', '36/37', '38/37', '40/37', '42/37']"
 _LAW_12II = "dim 7; [1,2]=4; [1,4]=5; [1,5]=7; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7; [3,4]=7*-1"
 _LAW_13IV = "dim 7; [1,2]=4; [1,3]=5; [1,4]=6; [2,3]=6; [2,4]=7; [3,5]=7"
+_LAW_11II = "dim 7; [1,2]=3; [1,3]=4; [1,4]=5; [1,5]=6; [1,6]=7; [2,5]=7; [3,4]=7*-1"
 _LAW_111 = "dim 7; [1,2]=4; [1,4]=5; [1,5]=6; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7; [3,4]=7*-1"
 
 # One recorded field of one entry corrupted per case, numbered: (entry id,
@@ -459,6 +460,20 @@ CORRUPTIONS = {
         "2.3", lambda e: {"x": e.x + (Fraction(5),)},
         [_mm("x", "recorded x solves Ux=[1], x>0", "recorded x fails re-verification")], "EN", "nice_lp",
     ),
+    34: (
+        # a nice rational witness whose Ux = [1] has no positive solution (the law of 1.1(ii)): a witness
+        # is evidence for EN only, so it is rejected, never read as NOT_EN
+        "2.37", lambda e: {"witness_law": parse_law(_LAW_11II)},
+        [
+            _mm(
+                "witness_law", "isomorphic witness",
+                "series ((7, 5, 1, 0), (7, 5, 4, 3, 2, 1, 0)) vs ((7, 4, 0), (7, 4, 3, 1, 0))",
+            ),
+            _mm("witness_law", "a positive solution of Ux=[1]", "no_positive_solution"),
+            _mm("verdict", "EN", "INCONCLUSIVE"),
+        ],
+        "INCONCLUSIVE", "witness_rejected",
+    ),
 }
 
 
@@ -472,3 +487,30 @@ def test_classify_reports_each_corrupted_field(by_id, eid, corrupt, mismatches, 
     exp = dataclasses.replace(entry.expected, **corrupt(entry.expected))
     rep = classify(dataclasses.replace(entry, expected=exp))
     assert (rep.mismatches, rep.verdict, rep.route) == (mismatches, verdict, route)
+
+
+def test_corruptions_cover_every_expected_field(by_id):
+    # a field added to Expected must be given a corruption case, so that its check cannot go missing unseen
+    corrupted = {key for eid, corrupt, *_ in CORRUPTIONS.values() for key in corrupt(by_id[eid].expected)}
+    assert corrupted == {f.name for f in dataclasses.fields(nilrad.catalog.Expected)}
+
+
+# the laws whose record carries a witness or a degeneration, which classify reads before the walk
+_RECORD_ROUTED = {
+    "1.2(ii)", "1.2(iv)", "1.3(i_0)", "1.3(ii)", "1.3(v)", "1.11", "1.12", "1.13", "1.14", "1.15", "1.16",
+    "1.17", "1.18", "1.21", "2.2", "2.11", "2.24", "2.25", "2.26", "2.27", "2.37",
+}
+
+
+def test_check_and_catalog_verify_agree_without_a_record(entries, reports):
+    # `check` classifies with no record; on a law with no witness and no degeneration recorded the
+    # record must change nothing but the diff (one verdict per law)
+    routed = {e.id for e in entries if e.expected.witness_law is not None or e.expected.degeneration is not None}
+    assert routed == _RECORD_ROUTED and len(entries) - len(routed) == 115
+    for e in entries:
+        if e.id in routed:
+            continue
+        bare, rep = classify(dataclasses.replace(e, expected=None)), reports[e.id]
+        assert (bare.verdict, bare.route, bare.certificates, bare.computed) == (
+            rep.verdict, rep.route, rep.certificates, rep.computed
+        ), e.id
