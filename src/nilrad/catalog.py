@@ -274,6 +274,9 @@ def load_catalog(path=None) -> list[CatalogEntry]:
                     raise CatalogError(eid, "params.samples", f"sample {s} is {why}")
             instances = [(f"{eid}[{params['name']}={s}]", {params["name"]: s}) for s in samples]
         for inst_id, bound in instances:
+            if inst_id != eid and inst_id in seen_ids:  # another entry's id, or an instance id of one
+                raise CatalogError(inst_id, "id", "duplicate id")
+            seen_ids.add(inst_id)
             law = _convert(inst_id, "law", lambda text: gate_law(parse_law(text, bound)), entry["law"])
             out.append(CatalogEntry(inst_id, entry.get("aliases") or {}, entry["law"], expected, law))
         _check_fit(eid, expected, law.dim)

@@ -7,8 +7,8 @@ lattice's basis with `linalg.solve`.  The equations number the D_kl from the
 top of the filtration down (`_columns`), so their elimination fills in little.
 Der is read through its rank and one membership test on the forward echelon
 form of its equations (`linalg.Kernel`): dim Der and the phi check
-(`pre_einstein`), so the kernel vectors and the dense matrices
-(`DerivationSpace.vectors`, `.basis`) are built only when read.
+(`pre_einstein`), so the dense matrices (`DerivationSpace.basis`) are built
+only when read.
 `Invariants.phi` is the one outcome of the torus.
 """
 
@@ -27,32 +27,30 @@ from .nicebasis import NiceCheck, is_nice
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Der, the `linalg.Kernel` of its equations, with a basis built only when read.
-
-    The kernel's columns are those of `_columns`.  Each of `vectors` is one
-    kernel vector as its (index, int) pairs, index (k-1)*n + (l-1) holding D_kl,
-    in increasing index order: the kernel's reduced rows, which are sparse, are
-    read back to that order and reduced there by `linalg.sparse_nullspace`, so
-    the vectors are those of the unique reduced form in D_kl order, whichever
-    order the pivots took.  The last pair is the free entry p > 0, and the
-    derivation is the vector divided by p.
-    """
+    """Der, the `linalg.Kernel` of its equations in the columns of `_columns`."""
 
     dim: int
     kernel: linalg.Kernel
 
     @cached_property
-    def vectors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        col = _columns(self.dim)
-        rows = [{col[c]: x for c, x in row.items()} for row in self.kernel.reduced.values()]
-        return tuple(tuple(v.items()) for v in linalg.sparse_nullspace(rows, self.dim**2))
-
-    @cached_property
     def basis(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """The derivations as dense n x n rational matrices, each with 1 at its free entry."""
-        n = self.dim
-        cells = [{k: Fraction(x, vec[-1][1]) for k, x in vec} for vec in self.vectors]
-        return tuple(tuple(tuple(d.get(k * n + l, Fraction(0)) for l in range(n)) for k in range(n)) for d in cells)
+        """The derivations as dense n x n rational matrices, one per free entry f, in increasing
+        index (k-1)*n + (l-1) of D_kl: 1 at f and -row[f] / row[p] at each pivot p whose row meets f.
+
+        The rows are those of the unique reduced form in D_kl order, whichever order the pivots
+        took: the echelon rows are back-substituted (which keeps them sparse), read back to that
+        order, and reduced there.
+        """
+        n, col = self.dim, _columns(self.dim)
+        rows = linalg.integer_rref(list(self.kernel.echelon.values())).values()
+        reduced = linalg.integer_rref([{col[c]: x for c, x in row.items()} for row in rows])
+        cells = {f: {f: Fraction(1)} for f in range(n * n) if f not in reduced}
+        for p, row in reduced.items():
+            for f, x in row.items():
+                if f != p:
+                    cells[f][p] = Fraction(-x, row[p])
+        dense = (tuple(tuple(d.get(k * n + l, Fraction(0)) for l in range(n)) for k in range(n)) for d in cells.values())
+        return tuple(dense)
 
 
 def _columns(n: int) -> tuple[int, ...]:

@@ -9,11 +9,10 @@ from the other rows (most rows of a derivation system are of this kind).
 `integer_echelon` is its forward half and `integer_rref` adds
 back-substitution.  `sparse_nullspace` keeps the echelon form as a
 `Kernel`, read through its rank and one membership test per functional
-(dim Der, the phi check), and back-substitutes only if its reduced rows or
-vectors are read.  This module owns the reduced-row format: `solve` is the one
-exact solve (phi's Gram system, U x = [1]), `Kernel.reduced` the rows Der's
-vectors are read back from, and outside it only `algebra` calls
-`integer_rref`: its span readers, and `act` for g^{-1} from [g | I].
+(dim Der, the phi check).  This module owns the reduced-row format: `solve`
+is the one exact solve (phi's Gram system, U x = [1]).  Outside it, `algebra`
+calls `integer_rref` for its span readers and for g^{-1} from [g | I] in
+`act`, and `derivations` for the dense Der basis, which the pipeline never reads.
 `rref`, a dense view, has no caller in the library; the benchmark traces it.
 There is one echelon routine on Python ints, `_echelon`: `hnf` reduces above
 its pivots, and `kernel_lattice` echelons [M^T | I] on the M^T columns only
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
@@ -127,14 +125,8 @@ def integer_rref(rows: list[dict]) -> dict[int, dict[int, int]]:
 
 
 class Kernel:
-    """The kernel of sparse rows in `ncols` unknowns, kept as their forward echelon form.
-
-    `len` and `annihilates` read the echelon rows; `reduced` back-substitutes them once.
-    Iterating yields one integer vector per free column f of the reduced rows: p at f and
-    -row[f] * (p / row[c]) at each pivot c whose reduced row meets f, p the lcm of those
-    pivot entries (divided by p, the basis vector with 1 at f); its keys increase (a pivot
-    row lies right of its pivot) to f.
-    """
+    """The kernel of sparse rows in `ncols` unknowns, kept as their forward echelon form:
+    `len` and `annihilates` read the echelon rows, and nothing back-substitutes them."""
 
     def __init__(self, echelon: dict[int, dict[int, int]], ncols: int):
         self.echelon, self.ncols = echelon, ncols
@@ -154,27 +146,6 @@ class Kernel:
                 return False
             row = _eliminate(row, piv, c)
         return True
-
-    def __iter__(self):
-        return iter(self._vectors)
-
-    @cached_property
-    def reduced(self) -> dict[int, dict[int, int]]:
-        """The unique reduced form of the rows, as `integer_rref` keys it: the echelon rows need
-        no elimination, only back-substitution."""
-        return integer_rref(list(self.echelon.values()))
-
-    @cached_property
-    def _vectors(self) -> list[dict[int, int]]:
-        reduced = self.reduced
-        touching: dict[int, list[int]] = {f: [] for f in range(self.ncols) if f not in reduced}
-        for c, f in sorted((c, f) for c, row in reduced.items() for f in row if f != c):
-            touching[f].append(c)
-        vectors = []
-        for f, cols in touching.items():
-            p = math.lcm(*(reduced[c][c] for c in cols))
-            vectors.append({**{c: -reduced[c][f] * (p // reduced[c][c]) for c in cols}, f: p})
-        return vectors
 
 
 def sparse_nullspace(rows: list[dict], ncols: int) -> Kernel:

