@@ -133,15 +133,19 @@ def _relative_interior(rows: list[tuple[int, ...]]) -> list[Fraction]:
     One LP: max sum s subject to R.c - s - w = 0 and s + v = 1, with s, w,
     v >= 0 and c = c+ - c-.  At its optimum s = 1 exactly on the rows that
     are not forced to 0, since C is a cone.  The columns come in the order
-    w, s, v, c+, c-: the slacks w and v then enter first, which takes the
-    simplex's first phase the fewest pivots.
+    w, s, v, c+, c-, and the solve starts at the basis s_i on row i of
+    R.c - s - w = 0 and v_i on cap row i, which Bland's phase 1 always
+    reaches, whatever R is: each w_i enters first on its own row, then
+    each s_i replaces w_i (its ratio is 0 on row i and 1 on the cap row),
+    then each v_i takes its cap row.  Every one of those 3m pivots is 1,
+    so phase 2 starts from the same tableau either way.
     """
     m, r = len(rows), len(rows[0])
     unit = [[int(p == q) for q in range(m)] for p in range(m)]
     zero = [0] * m
     a = [[*e, *e, *zero, *(-v for v in row), *row] for row, e in zip(rows, unit)]
     a += [[*zero, *e, *e, *[0] * (2 * r)] for e in unit]
-    x, _ = lp.solve_standard(a, zero + [1] * m, zero + [-1] * m + zero + [0] * (2 * r))
+    x, _ = lp.solve_standard(a, zero + [1] * m, zero + [-1] * m + zero + [0] * (2 * r), [*range(m, 3 * m)])
     return [p - q for p, q in zip(x[3 * m : 3 * m + r], x[3 * m + r :])]
 
 

@@ -34,7 +34,13 @@ import pytest
 from nilrad import linalg, lp
 from nilrad.algebra import LawError, LieLaw, act, format_law, jacobi_violations, parse_law, series_signature
 from nilrad.catalog import INCONCLUSIVE, CatalogEntry, classify
-from nilrad.degeneration import g_phi_lattice, lattice_weight_rows, one_param_limit
+from nilrad.degeneration import (
+    _relative_interior,
+    g_phi_lattice,
+    lattice_weight_rows,
+    one_param_limit,
+    search_degeneration,
+)
 from nilrad.derivations import Invariants, _columns, _derivation_rows, derivation_space
 from nilrad.nicebasis import gram_matrix, is_nice
 from nilrad.ricci import moment_map
@@ -726,6 +732,107 @@ def test_simplex_matches_dense(entries):
         else:
             assert ("optimal", *lp.max_min_component(u, rhs)) == dense, u
     assert infeasible == 74
+
+
+def test_solve_standard_start_basis_guards():
+    """A start basis has one column per row, is nonsingular in that row order and is feasible."""
+    a, b, c = [[1, 1, 1, 0], [2, 2, 0, 1]], [2, 3], [1, 0, 0, 0]
+    assert lp.solve_standard(a, b, c, [2, 3]) == ([0, 0, 2, 3], 0)  # already optimal: no phase 2 pivot
+    assert lp.solve_standard(a, b, c, [1, 2]) == ([0, Fraction(3, 2), Fraction(1, 2), 0], 0)  # a pivot of -2
+    with pytest.raises(AssertionError, match="one column per row"):
+        lp.solve_standard(a, b, c, [2])
+    with pytest.raises(AssertionError, match="singular start basis"):
+        lp.solve_standard(a, b, c, [0, 1])  # column 1 is column 0 again
+    with pytest.raises(AssertionError, match="infeasible start basis"):
+        lp.solve_standard(a, b, c, [0, 3])  # x_0 = 2 leaves x_3 = -1
+
+
+def _relative_interior_lps(monkeypatch, run):
+    """(a, b, c, basis) of every LP that run() solves from a start basis: the walk's relative-interior LPs."""
+    lps, solve = [], lp.solve_standard
+
+    def record(a, b, c, basis=None):
+        if basis is not None:
+            lps.append((a, b, c, basis))
+        return solve(a, b, c, basis)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "solve_standard", record)
+        run()
+    return lps
+
+
+def _assert_forced_phase_1(monkeypatch, a, b, c, basis):
+    """Bland's phase 1 pivots w_0..w_{m-1}, then s_0..s_{m-1}, then v_0..v_{m-1}, each on a pivot of 1.
+
+    Started from `basis` instead, the solve pivots s and v in and then makes
+    the same phase 2 pivots, to the same (x, value) as the dense simplex.
+    """
+    m = len(a) // 2
+    pivots, pivot = [], lp._Tableau.pivot
+
+    def spy(self, r, col):
+        pivots.append((r, col, self.rows[r][col]))
+        pivot(self, r, col)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp._Tableau, "pivot", spy)
+        two_phase = lp.solve_standard(a, b, c)
+        phase_1, phase_2 = pivots[: 3 * m], pivots[3 * m :]
+        pivots.clear()
+        started = lp.solve_standard(a, b, c, basis)
+    w = [(i, i, 1) for i in range(m)]
+    s = [(i, m + i, 1) for i in range(m)]
+    v = [(m + i, 2 * m + i, 1) for i in range(m)]
+    assert phase_1 == w + s + v, a
+    assert basis == [*range(m, 3 * m)] and pivots == s + v + phase_2, a
+    assert two_phase == started and ("optimal", *started) == dense_solve_standard(a, b, c), a
+
+
+def _random_nilpotent_law(rng):
+    """A seeded law [i,j] = c e_k with k > j on 3 <= n <= 8 basis vectors, Jacobi not required."""
+    n = rng.randint(3, 8)
+    brackets = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n):
+            if rng.random() < 0.35:
+                brackets[(i, j, rng.randint(j + 1, n))] = Fraction(rng.choice((-2, -1, 1, 1, 2)))
+    return LieLaw(n, brackets)
+
+
+def test_relative_interior_phase_1_is_forced(search_laws, monkeypatch):
+    """On the catalog's relative-interior LPs, on those of seeded random nilpotent laws and on
+    seeded random R, phase 1 ends at the start basis the walk passes: phase 2 is unchanged."""
+
+    def catalog():
+        for _, law, _ in search_laws:
+            search_degeneration(Invariants(law))
+
+    def random_laws():
+        rng = random.Random(3301)
+        for _ in range(800):
+            law = _random_nilpotent_law(rng)
+            if not jacobi_violations(law):
+                inv = Invariants(law)
+                if inv.rank and not inv.nice.nice and not isinstance(inv.phi, str):
+                    search_degeneration(inv)
+
+    def random_rows():
+        rng = random.Random(5209)
+        for _ in range(60):
+            r = rng.randint(1, 4)
+            rows = {tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(1, 7))}
+            rows.discard((0,) * r)
+            if rows:
+                _relative_interior(sorted(rows))
+
+    counts = []
+    for run in (catalog, random_laws, random_rows):
+        lps = _relative_interior_lps(monkeypatch, run)
+        for a, b, c, basis in lps:
+            _assert_forced_phase_1(monkeypatch, a, b, c, basis)
+        counts.append(len(lps))
+    assert counts == [10, 31, 60], counts
 
 
 @pytest.fixture(scope="module")
