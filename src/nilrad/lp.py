@@ -33,7 +33,7 @@ from fractions import Fraction
 
 
 class _Tableau:
-    """Integer rows [A | b], the objective row last once it is appended, over the common denominator d; T / d is the rational tableau."""
+    """Integer rows [A | b], then the objective row once appended, over d; T / d is the rational tableau."""
 
     def __init__(self, rows: list[list[int]]):
         self.rows = rows
