@@ -72,7 +72,7 @@ def _lie_law(law: LieLaw) -> LieLaw:
 class Degeneration:
     x: tuple[Fraction, ...] | None
     limit: LieLaw | None  # a rational Lie algebra law; None for "zero"
-    distinguishing: str
+    distinguishing: str | None  # None exactly for a zero limit
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,8 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "Report":
-        return cls(**{**d, "timing": float(d.get("timing", 0.0))})
-
-    @classmethod
     def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
+        return cls(**{"timing": 0.0, **json.loads(text)})
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +145,10 @@ def _limit(v) -> LieLaw | None:
     return _lie_law(law)
 
 
-def _distinguishing(v) -> str:
-    """'' (a zero limit) or 'dim_der <int> vs <int>': dim Der is the one invariant a record names."""
-    if _as(str, v) and not re.fullmatch(r"dim_der \d+ vs \d+", v):
-        raise ValueError("must be '' or read 'dim_der <int> vs <int>'")
+def _distinguishing(v) -> str | None:
+    """None (a zero limit) or 'dim_der <int> vs <int>': dim Der is the one invariant a record names."""
+    if v is not None and not re.fullmatch(r"dim_der \d+ vs \d+", _as(str, v)):
+        raise ValueError("must be null or read 'dim_der <int> vs <int>'")
     return v
 
 
@@ -232,21 +228,30 @@ def _convert(eid: str, name: str | None, spec, value):
 
 def _check_fit(eid: str, exp: Expected, n: int) -> None:
     """CatalogError unless the recorded witness, limit and X fit a law of dimension n."""
-    rec = exp.degeneration or Degeneration(None, None, "")
-    if (rec.limit is None) != (rec.distinguishing == ""):
-        raise CatalogError(eid, "degeneration.distinguishing", "must be '' exactly when the limit is 'zero'")
+    rec = exp.degeneration or Degeneration(None, None, None)
+    if (rec.limit is None) != (rec.distinguishing is None):
+        raise CatalogError(eid, "degeneration.distinguishing", "must be null exactly when the limit is 'zero'")
     for name, value in (("witness_law", exp.witness_law), ("degeneration.limit", rec.limit), ("degeneration.X", rec.x)):
         size = value.dim if isinstance(value, LieLaw) else None if value is None else len(value)
         if size not in (None, n):
             raise CatalogError(eid, name, f"dimension {size} is not the law's dimension {n}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object of the catalog file, as json's object_pairs_hook: a repeated key is a ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"key {key!r} is repeated in one object")
+    return obj
+
+
 def load_catalog(path=None) -> list[CatalogEntry]:
     """Load and check the catalog, and parse each law once; parametric entries expand per sample."""
     source = resources.files("nilrad").joinpath("data/catalog7.json") if path is None else Path(path)
     try:
-        doc = json.loads(source.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # no file, not UTF-8, not JSON, beyond int(), too deep
+        doc = json.loads(source.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as exc:  # no file, not UTF-8 JSON, int() limit, too deep, repeated key
         raise CatalogError(None, None, f"not readable as UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict) or type(doc.get("entries")) is not list:
         raise CatalogError(None, "entries", "top-level object must have an 'entries' list")
@@ -377,12 +382,19 @@ def _search_route(inv: Invariants) -> Decision:
     if isinstance(found, dg.TrivialCone):
         reason = "no_diagonal_degeneration"
         return Decision(INCONCLUSIVE, reason, {"kind": "inconclusive", "reason": reason, "y": list(map(str, found.y))})
-    cert = {"X": list(map(str, found.x)), "limit": str(found.limit)}
     if found.limit.kind == "limit" and found.distinction is None:
         reason = "limit_not_distinguished"
-        return Decision(INCONCLUSIVE, reason, {"kind": "inconclusive", "reason": reason, **cert})
-    cert["distinguishing"] = None if found.distinction is None else str(found.distinction)
-    return Decision(NOT_EN, "degeneration_search", {"kind": "non_closed_orbit", **cert})
+        cert = {"kind": "inconclusive", "reason": reason, "X": list(map(str, found.x)), "limit": str(found.limit)}
+        return Decision(INCONCLUSIVE, reason, cert)
+    return Decision(NOT_EN, "degeneration_search", _non_closed_orbit(found.x, found.limit.law, found.distinction))
+
+
+def _non_closed_orbit(x, limit: LieLaw | None, distinction) -> dict[str, Any]:
+    """The NOT_EN certificate of a degeneration, walked or recorded: X (None if not recorded), the limit
+    law ("zero" for None) and the invariant that separates it from the law, None exactly for a zero limit."""
+    zero = limit is None
+    return {"kind": "non_closed_orbit", "X": None if x is None else list(map(str, x)),
+            "limit": "zero" if zero else format_law(limit), "distinguishing": None if zero else str(distinction)}
 
 
 def _nice_route(inv: Invariants, on: str) -> Decision:
@@ -396,7 +408,7 @@ def _nice_route(inv: Invariants, on: str) -> Decision:
     x = nb.positive_solution(u, nonsingular=len(u) <= dim and len(u) == dim - inv.rank)
     computed = {"U": u} if on == "law" else {}
     if isinstance(x, str):  # "no_positive_solution"
-        return Decision(NOT_EN, "nice_lp", {"kind": "no_positive_solution", "status": x, "on": on}, computed)
+        return Decision(NOT_EN, "nice_lp", {"kind": "no_positive_solution"}, computed)
     norm = str(nb.soliton_norm(x))
     computed["soliton_norm"] = norm
     cert = {"kind": "positive_solution", "on": on, "x": list(map(str, x)), "soliton_norm": norm}
@@ -413,7 +425,7 @@ def _witness_route(w: Invariants, inv: Invariants) -> Decision:
         sd = ricci.soliton_check(w.law)
         if isinstance(sd, str):  # why there is no decomposition
             return _witness_rejected([("witness_law", "m = c.Id + D with D a derivation", sd)])
-        cert = {"kind": "nilsoliton_decomposition", "on": "witness", "c": str(sd.c), "d": [str(v) for v in sd.d]}
+        cert = {"kind": "nilsoliton_decomposition", "c": str(sd.c), "d": [str(v) for v in sd.d]}
         return Decision(EN, "witness_soliton", cert, {"soliton_norm": str(-sd.c)})
     dist = dg.distinguish(w, inv)
     problems = [] if dist is None else [("witness_law", "isomorphic witness", str(dist))]
@@ -439,13 +451,7 @@ def _recorded_degeneration_route(rec: Degeneration, inv: Invariants) -> Decision
     its dimension, and the limit is a rational Lie algebra law (None for a
     zero limit, which alone names no distinguishing invariant).
     """
-    cert = {
-        "kind": "non_closed_orbit",
-        "X": None if rec.x is None else list(map(str, rec.x)),
-        "limit": "zero" if rec.limit is None else format_law(rec.limit),
-        "distinguishing": rec.distinguishing,
-    }
-    decision = Decision(NOT_EN, "degeneration_recorded", cert)
+    decision = Decision(NOT_EN, "degeneration_recorded", _non_closed_orbit(rec.x, rec.limit, rec.distinguishing))
     problems = decision.problems
     if rec.x is not None:
         if not dg.in_g_phi(rec.x, inv.phi):

@@ -17,12 +17,13 @@ of the library they check.
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from nilrad import linalg
-from nilrad.algebra import LawError, LieLaw, Surd, Triple, jacobi_violations
+from nilrad.algebra import LawError, LieLaw, Surd, Triple, act, jacobi_violations
 from nilrad.degeneration import LimitResult
 from nilrad.derivations import DerivationSpace, Invariants
 
@@ -179,6 +180,23 @@ def dense_inv(a: list[list]) -> list[list[Fraction]] | None:
     aug = [[*map(Fraction, row), *(Fraction(int(i == j)) for j in range(n))] for i, row in enumerate(a)]
     red, pivots = dense_rref(aug)
     return [row[n:] for row in red] if pivots == list(range(n)) else None
+
+
+def random_shears(rng, n: int, shears: int = 2) -> list[list[Fraction]]:
+    """A seeded nonsingular g: the identity with `shears` off-diagonal entries set to integers in -2..2."""
+    while True:
+        g = identity(n)
+        for _ in range(shears):
+            a, b = rng.sample(range(n), 2)
+            g[a][b] = Fraction(rng.randint(-2, 2))
+        if dense_inv(g) is not None:
+            return g
+
+
+def moved_catalog(entries, seed: int) -> list:
+    """(entry, its law moved by three seeded shears) for each catalog entry, in order."""
+    rng = random.Random(seed)
+    return [(e, act(random_shears(rng, e.law().dim, shears=3), e.law())) for e in entries]
 
 
 def rank(a: list[list]) -> int:

@@ -19,9 +19,10 @@ import pytest
 import nilrad
 import nilrad.cli
 from nilrad.algebra import format_law, parse_law
-from nilrad.catalog import Report, verify_catalog
+from nilrad.catalog import CatalogEntry, Report, classify, verify_catalog
 from nilrad.derivations import DerivationSpace
 from nilrad.cli import main
+from oracles import moved_catalog
 
 HEISENBERG = "dim 3; [1,2]=3\n"
 
@@ -88,11 +89,13 @@ def test_check_inconclusive_exit_two(law_file, capsys):
     assert "INCONCLUSIVE" in out
 
 
+# 4.1 moved by I + E_13 (e1 and e3 share a phi eigenvalue): its walk limit is 4.1 itself,
+# which only the basis-dependent diagonal rank (3 vs 4) would separate
+SHEARED_41 = "dim 7; [1,2]=5; [1,3]=6; [2,3]=5; [3,4]=7"
+
+
 def test_check_sheared_41_is_not_separated(law_file, capsys):
-    # 4.1 moved by I + E_13 (e1 and e3 share a phi eigenvalue): its walk limit is 4.1 itself,
-    # which only the basis-dependent diagonal rank (3 vs 4) would separate
-    text = "dim 7; [1,2]=5; [1,3]=6; [2,3]=5; [3,4]=7"
-    code, out, _ = _run(capsys, ["check", "--json", law_file(text)])
+    code, out, _ = _run(capsys, ["check", "--json", law_file(SHEARED_41)])
     rep = Report.from_json(out)
     assert (code, rep.verdict, rep.route) == (2, "INCONCLUSIVE", "limit_not_distinguished")
     assert "distinguishing" not in rep.certificates[0]
@@ -207,7 +210,7 @@ def test_catalog_verify_green(capsys, tmp_path):
 # SHA-256 of `catalog verify --json` with every `timing` removed.  Speed-ups
 # must leave every verdict and certificate byte-identical; change this value
 # only together with a deliberate, documented change of the report contents.
-GOLDEN_VERIFY_SHA256 = "fe6204c0a0606ce523538a272c2569f76c5519b2f8b3c087e37a70da33231210"
+GOLDEN_VERIFY_SHA256 = "5235ea13039c9d02d2ecea243a25d9fc2d40e77f294ab807020041a3d283e8df"
 
 
 def test_catalog_verify_json_is_golden(capsys, tmp_path):
@@ -352,6 +355,43 @@ def test_every_inconclusive_certificate_has_a_reason(capsys, tmp_path, entries, 
     assert [c for c in inconclusive if not c.get("reason")] == []
 
 
+# The fields of each certificate, by (kind, reason): one shape per kind, with no field that
+# only repeats another
+CERTIFICATE_KEYS = {
+    ("abelian", None): {"kind"},
+    ("rank_zero", None): {"kind"},
+    ("non_positive_pre_einstein", None): {"kind", "phi", "index"},
+    ("positive_solution", None): {"kind", "on", "x", "soliton_norm"},
+    ("no_positive_solution", None): {"kind"},
+    ("nilsoliton_decomposition", None): {"kind", "c", "d"},
+    ("non_closed_orbit", None): {"kind", "X", "limit", "distinguishing"},
+    ("inconclusive", "basis_not_adapted"): {"kind", "reason"},
+    ("inconclusive", "no_diagonal_degeneration"): {"kind", "reason", "y"},
+    ("inconclusive", "limit_not_distinguished"): {"kind", "reason", "X", "limit"},
+}
+
+
+def test_one_key_set_per_certificate_kind(capsys, tmp_path, law_file, entries):
+    """The certificates of `catalog verify --json`, of `check --json` on the 27 walked
+    laws, an abelian law and the sheared 4.1, and of classify on the moved catalog of
+    seed 7 each have the fields of their kind, and `distinguishing` is null exactly for
+    a zero limit, whether the walk found the degeneration or a record gave it."""
+    catalog = str(resources.files("nilrad").joinpath("data/catalog7.json"))
+    certs = [c for r in json.loads(_run(capsys, ["catalog", "verify", "--json", catalog])[1]) for c in r["certificates"]]
+    certs += [c for *_, rep in _check_runs(capsys, tmp_path, entries) for c in rep["certificates"]]
+    for text in ("dim 2", SHEARED_41):
+        certs += json.loads(_run(capsys, ["check", "--json", law_file(text)])[1])["certificates"]
+    for e, law in moved_catalog(entries, 7):
+        certs += classify(CatalogEntry(e.id, {}, format_law(law), None, parsed=law)).certificates
+    shapes = {}
+    for c in certs:
+        shapes.setdefault((c["kind"], c.get("reason")), set()).add(frozenset(c))
+    assert shapes == {key: {frozenset(keys)} for key, keys in CERTIFICATE_KEYS.items()}
+    orbits = [c for c in certs if "distinguishing" in c]
+    assert {c["limit"] == "zero" for c in orbits} == {True, False}
+    assert all((c["distinguishing"] is None) == (c["limit"] == "zero") for c in orbits)
+
+
 def test_catalog_verify_detects_corruption(capsys, tmp_path):
     doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
     doc["entries"] = [e for e in doc["entries"] if e["id"] == "2.3"]
@@ -370,13 +410,13 @@ def _recorded(entry_id: str) -> dict:
 
 
 _LIMIT_12II = "dim 7; [1,2]=4; [1,4]=5; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7"
-_EMPTY_IFF_ZERO = "must be '' exactly when the limit is 'zero'"
+_NULL_IFF_ZERO = "must be null exactly when the limit is 'zero'"
 
 # A recorded field the loader refuses: (entry, field, value, message).  A
 # witness or limit that fails Jacobi or has another dimension, a limit with
 # sqrt and an X of another length were once mismatches found by classify
 MALFORMED_RECORDS = [
-    pytest.param("1.2(ii)", "degeneration.distinguishing", text, "must be '' or read", id=text)
+    pytest.param("1.2(ii)", "degeneration.distinguishing", text, "must be null or read", id=text)
     for text in ("rank one vs 2", "dim_der 13 vs", "rank 1 vs 2 vs 3", "rank 1 vs 3", "series (7, 5, 0) vs (7, 4, 0)")
 ] + [
     pytest.param("1.11", "witness_law", "dim 7; [1,2]=3*(7/1767 sqrt(1767)", "expected ')'", id="witness_law"),
@@ -411,9 +451,10 @@ MALFORMED_RECORDS = [
     pytest.param(
         "1.21", "degeneration.X", ["1", "-1"], "dimension 2 is not the law's dimension 7", id="degeneration.X-length-2",
     ),
-    # a zero limit names no distinguishing invariant, and a limit law names one
-    pytest.param("1.21", "degeneration.distinguishing", "dim_der 3 vs 99", _EMPTY_IFF_ZERO, id="zero-limit-named"),
-    pytest.param("1.2(ii)", "degeneration.distinguishing", "", _EMPTY_IFF_ZERO, id="limit-law-unnamed"),
+    # a zero limit names no distinguishing invariant (null, never ''), and a limit law names one
+    pytest.param("1.21", "degeneration.distinguishing", "dim_der 3 vs 99", _NULL_IFF_ZERO, id="zero-limit-named"),
+    pytest.param("1.21", "degeneration.distinguishing", "", "must be null or read", id="zero-limit-empty"),
+    pytest.param("1.2(ii)", "degeneration.distinguishing", None, _NULL_IFF_ZERO, id="limit-law-unnamed"),
 ]
 
 
@@ -433,6 +474,30 @@ def test_catalog_malformed_distinguishing_exit_65(capsys, tmp_path, entry_id, fi
     assert code == 65 and out == ""
     assert len(err.splitlines()) == 1
     assert f"entry '{entry_id}', field '{field_name}'" in err and message in err
+
+
+# A key named twice in one object of the catalog file, which json alone reads as its last
+# value: (entry, path to the object in the entry, key, the value written first)
+REPEATED_KEYS = [
+    pytest.param("2.3", (), "law", "dim 3; [1,2]=3", id="entry"),
+    pytest.param("2.3", ("expected",), "verdict", "NOT_EN", id="expected"),
+    pytest.param("1.21", ("expected", "degeneration"), "distinguishing", "dim_der 3 vs 99", id="degeneration"),
+]
+
+
+@pytest.mark.parametrize("entry_id, path, key, first", REPEATED_KEYS)
+def test_catalog_repeated_key_exit_65(capsys, tmp_path, entry_id, path, key, first):
+    doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
+    doc["entries"] = [e for e in doc["entries"] if e["id"] == entry_id]
+    obj = doc["entries"][0]
+    for name in path:
+        obj = obj[name]
+    obj[key], obj["REPEATED"] = first, obj[key]  # the recorded value comes last, under the placeholder
+    p = tmp_path / "repeated.json"
+    p.write_text(json.dumps(doc).replace('"REPEATED"', json.dumps(key)))
+    code, out, err = _run(capsys, ["catalog", "verify", str(p)])
+    assert (code, out) == (65, "")
+    assert len(err.splitlines()) == 1 and f"key {key!r} is repeated in one object" in err
 
 
 # A catalog law the CLI's gate refuses, which the loader refuses too:
@@ -759,7 +824,4 @@ def test_no_float_or_tolerance_in_src():
     root = Path(nilrad.__file__).resolve().parent
     lines = [(p.name, line.strip()) for p in sorted(root.rglob("*.py")) for line in p.read_text().splitlines()]
     assert [x for x in lines if re.search(r"\b(tol|DEFAULT_TOL|scalar_kind)\b|math\.sqrt", x[1])] == []
-    assert [x for x in lines if re.search(r"\bfloat\b", x[1])] == [
-        ("catalog.py", "timing: float = 0.0"),
-        ("catalog.py", 'return cls(**{**d, "timing": float(d.get("timing", 0.0))})'),
-    ]
+    assert [x for x in lines if re.search(r"\bfloat\b", x[1])] == [("catalog.py", "timing: float = 0.0")]

@@ -56,6 +56,8 @@ from oracles import (
     fraction_pre_einstein,
     identity,
     is_derivation,
+    moved_catalog,
+    random_shears,
     rank,
     rref_kernel,
     sparse_rref,
@@ -272,24 +274,13 @@ def dense_max_min_component(u, rhs):
 # laws to compare on
 
 
-def _random_g(rng, n, shears=2):
-    """A seeded nonsingular g: the identity with `shears` off-diagonal entries set to integers in -2..2."""
-    while True:
-        g = identity(n)
-        for _ in range(shears):
-            a, b = rng.sample(range(n), 2)
-            g[a][b] = Fraction(rng.randint(-2, 2))
-        if dense_inv(g) is not None:
-            return g
-
-
 @pytest.fixture(scope="module")
 def exact_laws(entries):
     """Catalog laws, every fourth one moved by a seeded rational g, the probes."""
     rng = random.Random(4493)
     laws = {e.id: e.law() for e in entries}
     for e in entries[::4]:
-        laws[f"g.{e.id}"] = act(_random_g(rng, 7), laws[e.id])
+        laws[f"g.{e.id}"] = act(random_shears(rng, 7), laws[e.id])
     for text in PROBES:
         laws[text] = parse_law(text)
     return laws
@@ -938,18 +929,12 @@ def test_act_matches_dense_oracle(entries):
         act(singular, parse_law("dim 3; [1,2]=3"))
 
 
-def _moved_catalog(entries, seed):
-    """(entry, its law moved by three seeded shears) for each catalog entry, in order."""
-    rng = random.Random(seed)
-    return [(e, act(_random_g(rng, e.law().dim, shears=3), e.law())) for e in entries]
-
-
 @pytest.mark.parametrize("seed", [None, 7, 11, 13])
 def test_nonsingular_gate_is_full_rank_of_u_and_one(entries, seed):
     """The gate of the nice route's exact solve, dim - rank stored triples, holds
     exactly when [U | 1] has full row rank, on the catalog (seed None) and on
     the moved catalog of `test_moved_catalog_never_gets_the_opposite_verdict`."""
-    laws = [e.law() for e in entries] if seed is None else [law for _, law in _moved_catalog(entries, seed)]
+    laws = [e.law() for e in entries] if seed is None else [law for _, law in moved_catalog(entries, seed)]
     gated = 0
     for law in laws:
         u = gram_matrix(law)
@@ -969,7 +954,7 @@ def test_moved_catalog_never_gets_the_opposite_verdict(entries, seed):
     rank-zero laws keep their certified NOT_EN via `rank_zero` (phi = 0);
     every other law of diagonal rank 0 is `basis_not_adapted`."""
     routes = {}
-    for e, law in _moved_catalog(entries, seed):
+    for e, law in moved_catalog(entries, seed):
         rep = classify(CatalogEntry(e.id, {}, format_law(law), None, parsed=law))
         assert rep.verdict in (e.expected.verdict, INCONCLUSIVE), (e.id, rep.route)
         routes[e.id] = rep.route
