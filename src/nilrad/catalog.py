@@ -9,7 +9,6 @@ fully green catalog run cross-validates both the code and the data.
 from __future__ import annotations
 
 import json
-import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Any, Callable
 from . import degeneration as dg
 from . import nicebasis as nb
 from . import ricci
-from .algebra import LawError, LieLaw, format_law, jacobi_violations, parse_law, parse_rational
+from .algebra import LawError, LieLaw, jacobi_violations, parse_law, parse_rational
 from .derivations import Invariants, positivity_gate
 
 EN = "EN"
@@ -70,9 +69,8 @@ def _lie_law(law: LieLaw) -> LieLaw:
 
 @dataclass(frozen=True)
 class Degeneration:
-    x: tuple[Fraction, ...] | None
+    x: tuple[Fraction, ...] | None  # None only with a limit law
     limit: LieLaw | None  # a rational Lie algebra law; None for "zero"
-    distinguishing: str | None  # None exactly for a zero limit
 
 
 @dataclass(frozen=True)
@@ -145,13 +143,6 @@ def _limit(v) -> LieLaw | None:
     return _lie_law(law)
 
 
-def _distinguishing(v) -> str | None:
-    """None (a zero limit) or 'dim_der <int> vs <int>': dim Der is the one invariant a record names."""
-    if v is not None and not re.fullmatch(r"dim_der \d+ vs \d+", _as(str, v)):
-        raise ValueError("must be null or read 'dim_der <int> vs <int>'")
-    return v
-
-
 @dataclass(frozen=True)
 class _Object:
     """A JSON object of the catalog: the spec of each field, the required ones, what they build."""
@@ -162,9 +153,7 @@ class _Object:
 
 
 _DEGENERATION = _Object(
-    {"X": lambda v: None if v is None else _as([Fraction], v), "limit": _limit, "distinguishing": _distinguishing},
-    ("X", "limit", "distinguishing"),
-    Degeneration,
+    {"X": lambda v: None if v is None else _as([Fraction], v), "limit": _limit}, ("X", "limit"), Degeneration
 )
 _EXPECTED = _Object(
     {
@@ -228,9 +217,9 @@ def _convert(eid: str, name: str | None, spec, value):
 
 def _check_fit(eid: str, exp: Expected, n: int) -> None:
     """CatalogError unless the recorded witness, limit and X fit a law of dimension n."""
-    rec = exp.degeneration or Degeneration(None, None, None)
-    if (rec.limit is None) != (rec.distinguishing is None):
-        raise CatalogError(eid, "degeneration.distinguishing", "must be null exactly when the limit is 'zero'")
+    rec = exp.degeneration or Degeneration(None, None)  # no record: nothing to fit
+    if exp.degeneration is not None and rec.x is rec.limit is None:
+        raise CatalogError(eid, "degeneration.X", "must be given when the limit is 'zero'")
     for name, value in (("witness_law", exp.witness_law), ("degeneration.limit", rec.limit), ("degeneration.X", rec.x)):
         size = value.dim if isinstance(value, LieLaw) else None if value is None else len(value)
         if size not in (None, n):
@@ -293,7 +282,7 @@ def load_catalog(path=None) -> list[CatalogEntry]:
 
 @dataclass
 class Decision:
-    """What one route decided, and what it found wrong in the recorded data it re-checked."""
+    """What one route decided; the walk's decision also carries the faults of a rejected record."""
 
     verdict: str
     route: str
@@ -348,7 +337,8 @@ def _decide(entry: CatalogEntry, inv: Invariants) -> Decision:
     diagonal rank 0, or the diagonal torus of the basis is not maximal), a
     pre-Einstein derivation that is not positive, the abelian law, the LP
     on a nice basis, then, for a law that is not nice, the entry's recorded
-    witness or degeneration, else the walk on the degeneration cone.
+    witness or degeneration if it passes its re-check, else the walk on the
+    degeneration cone, which carries the faults of a rejected record.
     """
     phi = inv.phi
     if phi == "rank_zero":
@@ -364,11 +354,16 @@ def _decide(entry: CatalogEntry, inv: Invariants) -> Decision:
     if inv.nice.nice:
         return _nice_route(inv, on="law")
     exp = entry.expected
+    record = []
     if exp is not None and exp.witness_law is not None:
-        return _witness_route(Invariants(exp.witness_law), inv)
-    if exp is not None and exp.degeneration is not None:
-        return _recorded_degeneration_route(exp.degeneration, inv)
-    return _search_route(inv)
+        record = _witness_route(Invariants(exp.witness_law), inv)
+    elif exp is not None and exp.degeneration is not None:
+        record = _recorded_degeneration_route(exp.degeneration, inv)
+    if isinstance(record, Decision):
+        return record
+    decision = _search_route(inv)
+    decision.problems = record
+    return decision
 
 
 def _search_route(inv: Invariants) -> Decision:
@@ -386,15 +381,14 @@ def _search_route(inv: Invariants) -> Decision:
         reason = "limit_not_distinguished"
         cert = {"kind": "inconclusive", "reason": reason, "X": list(map(str, found.x)), "limit": str(found.limit)}
         return Decision(INCONCLUSIVE, reason, cert)
-    return Decision(NOT_EN, "degeneration_search", _non_closed_orbit(found.x, found.limit.law, found.distinction))
+    return Decision(NOT_EN, "degeneration_search", _non_closed_orbit(found))
 
 
-def _non_closed_orbit(x, limit: LieLaw | None, distinction) -> dict[str, Any]:
+def _non_closed_orbit(found: dg.DegenerationWitness) -> dict[str, Any]:
     """The NOT_EN certificate of a degeneration, walked or recorded: X (None if not recorded), the limit
-    law ("zero" for None) and the invariant that separates it from the law, None exactly for a zero limit."""
-    zero = limit is None
-    return {"kind": "non_closed_orbit", "X": None if x is None else list(map(str, x)),
-            "limit": "zero" if zero else format_law(limit), "distinguishing": None if zero else str(distinction)}
+    ("zero" or a law) and the invariant that separates a limit law from the law (None for "zero")."""
+    return {"kind": "non_closed_orbit", "X": None if found.x is None else list(map(str, found.x)),
+            "limit": str(found.limit), "distinguishing": found.distinction and str(found.distinction)}
 
 
 def _nice_route(inv: Invariants, on: str) -> Decision:
@@ -415,8 +409,9 @@ def _nice_route(inv: Invariants, on: str) -> Decision:
     return Decision(EN, "nice_lp" if on == "law" else "witness_nice_lp", cert, computed)
 
 
-def _witness_route(w: Invariants, inv: Invariants) -> Decision:
-    """EN through a recorded witness, a Lie algebra law of the law's dimension (the loader checks both).
+def _witness_route(w: Invariants, inv: Invariants) -> Decision | list:
+    """EN through a recorded witness, a Lie algebra law of the law's dimension (the loader checks both),
+    or the faults that reject it.
 
     A rational one must be a nice basis that distinguish() does not separate from the law; one with
     surds a nilsoliton, whose -c is its soliton norm, which _diff compares with the recorded one.
@@ -424,54 +419,41 @@ def _witness_route(w: Invariants, inv: Invariants) -> Decision:
     if not w.law.is_rational:
         sd = ricci.soliton_check(w.law)
         if isinstance(sd, str):  # why there is no decomposition
-            return _witness_rejected([("witness_law", "m = c.Id + D with D a derivation", sd)])
+            return [("witness_law", "m = c.Id + D with D a derivation", sd)]
         cert = {"kind": "nilsoliton_decomposition", "c": str(sd.c), "d": [str(v) for v in sd.d]}
         return Decision(EN, "witness_soliton", cert, {"soliton_norm": str(-sd.c)})
     dist = dg.distinguish(w, inv)
     problems = [] if dist is None else [("witness_law", "isomorphic witness", str(dist))]
     if not w.nice.nice:
-        return _witness_rejected(problems + [("witness_law", "nice witness basis", w.nice.reason)])
+        return problems + [("witness_law", "nice witness basis", w.nice.reason)]
     dec = _nice_route(w, on="witness")
     if dec.verdict != EN:  # a witness is evidence for EN only
-        return _witness_rejected(problems + [("witness_law", "a positive solution of Ux=[1]", "no_positive_solution")])
-    dec.problems = problems
-    return dec
+        problems.append(("witness_law", "a positive solution of Ux=[1]", "no_positive_solution"))
+    return problems or dec
 
 
-def _witness_rejected(problems: list) -> Decision:
-    """INCONCLUSIVE: the recorded witness is not a nilsoliton, or (rational) not a nice basis with Ux=[1], x>0."""
-    cert = {"kind": "inconclusive", "reason": "witness_rejected"}
-    return Decision(INCONCLUSIVE, "witness_rejected", cert, problems=problems)
-
-
-def _recorded_degeneration_route(rec: Degeneration, inv: Invariants) -> Decision:
-    """NOT_EN through a recorded degeneration, with its X, limit and distinguishing invariant re-checked.
+def _recorded_degeneration_route(rec: Degeneration, inv: Invariants) -> Decision | list:
+    """NOT_EN through a recorded degeneration, re-checked by the walk's code, or the faults that reject it.
 
     The loader has checked that the record fits the law: X and the limit have
-    its dimension, and the limit is a rational Lie algebra law (None for a
-    zero limit, which alone names no distinguishing invariant).
+    its dimension, the limit is a rational Lie algebra law or "zero", and a
+    record with no X has a limit law, which distinguish() must separate from
+    the law.
     """
-    decision = Decision(NOT_EN, "degeneration_recorded", _non_closed_orbit(rec.x, rec.limit, rec.distinguishing))
-    problems = decision.problems
-    if rec.x is not None:
+    problems = []
+    want = dg.LimitResult("zero") if rec.limit is None else dg.LimitResult("limit", rec.limit)
+    if rec.x is None:
+        found = dg.DegenerationWitness(None, want, dg.distinguish(inv, Invariants(rec.limit)))
+    else:
         if not dg.in_g_phi(rec.x, inv.phi):
             problems.append(("degeneration.X", "X in g_phi", "trace conditions fail"))
-        res = dg.one_param_limit(inv.law, rec.x)
-        want = dg.LimitResult("zero") if rec.limit is None else dg.LimitResult("limit", rec.limit)
-        if res != want:
-            problems.append(("degeneration.limit", "zero" if rec.limit is None else "recorded limit law", res.kind))
-    if rec.limit is not None:
-        limit = Invariants(rec.limit)
-        if dg.distinguish(inv, limit) is None:
-            problems.append(("degeneration.distinguishing", rec.distinguishing, "indistinguishable"))
-        else:
-            # a record names dim Der, which need not be the first invariant distinguish() reaches
-            named = str(dg.Distinction("dim_der", inv.dim_der, limit.dim_der))
-            if inv.dim_der == limit.dim_der:
-                problems.append(("degeneration.distinguishing", "a separating dim Der", named))
-            elif rec.distinguishing != named:
-                problems.append(("degeneration.distinguishing", rec.distinguishing, named))
-    return decision
+        found = dg.degenerate(inv, rec.x)
+        if found.limit != want:
+            named = "zero" if rec.limit is None else "recorded limit law"
+            problems.append(("degeneration.limit", named, found.limit.kind))
+    if found.limit.kind == "limit" and found.distinction is None:
+        problems.append(("degeneration.limit", "a limit distinguish() separates from the law", "indistinguishable"))
+    return problems or Decision(NOT_EN, "degeneration_recorded", _non_closed_orbit(found))
 
 
 def _reported(value):

@@ -53,7 +53,7 @@ class Distinction:
 
 @dataclass(frozen=True)
 class DegenerationWitness:
-    x: tuple[int | Fraction, ...]
+    x: tuple[int | Fraction, ...] | None  # None for a catalog record that names only its limit
     limit: LimitResult
     distinction: Distinction | None  # None for a zero limit, or for a limit not separated from the law
 

@@ -6,12 +6,14 @@ print; the same checks gate the default `pytest` run.
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
+from nilrad import cli
 from nilrad.algebra import act, format_law, parse_law, series_signature
 from nilrad.catalog import CatalogEntry, classify
 from nilrad.degeneration import (
@@ -147,7 +149,7 @@ def test_c4_moment_map_audit(by_id, moment_data):
     _verdict("criterion 4", len(checked) == 14, f"witness audits: {', '.join(checked)}")
 
 
-def test_c5_degeneration_records(entries, reports):
+def test_c5_degeneration_records(entries, reports, capsys, tmp_path):
     checked = []
     for entry in sorted(entries, key=lambda e: e.id):
         rec = entry.expected.degeneration
@@ -163,13 +165,18 @@ def test_c5_degeneration_records(entries, reports):
             else:
                 assert res.kind == "limit", entry.id
                 assert res.law == rec.limit, entry.id
-        if rec.limit is not None:
-            limit_law = rec.limit
-            assert distinguish(Invariants(law), Invariants(limit_law)) is not None, entry.id
-            name, left, _, right = rec.distinguishing.split()  # e.g. "dim_der 12 vs 13"
-            assert name == "dim_der", entry.id
-            got = (dim_der(law), dim_der(limit_law))
-            assert got == (int(left), int(right)), (entry.id, got)
+        cert = reports[entry.id].certificates[0]
+        if rec.limit is None:
+            assert cert["distinguishing"] is None, entry.id
+        else:  # the invariant distinguish() reaches first, as for a walked limit
+            dist = distinguish(Invariants(law), Invariants(rec.limit))
+            assert dist is not None and cert["distinguishing"] == str(dist), entry.id
+        if entry.id in ("1.2(ii)", "1.2(iv)", "1.3(v)", "2.2"):  # the recorded X is the walk's
+            law_file = tmp_path / "law.txt"
+            law_file.write_text(entry.law_text)
+            assert cli.main(["check", "--json", str(law_file)]) == 1, entry.id
+            walked = json.loads(capsys.readouterr().out)["certificates"][0]
+            assert json.dumps(walked, sort_keys=True) == json.dumps(cert, sort_keys=True), entry.id
         bad = [m for m in reports[entry.id].mismatches if m["field"].startswith("degeneration")]
         assert not bad, (entry.id, bad)
         checked.append(entry.id)

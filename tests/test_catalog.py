@@ -275,7 +275,8 @@ def test_each_invariant_is_computed_once_per_law(monkeypatch, capsys, tmp_path):
     assert calls["jacobi_violations"] == Counter()  # decided at load, never by a route
     for name, counter in calls.items():
         assert name == "jacobi_violations" or (counter and max(counter.values()) == 1), name
-    assert sum(calls["derivation_space"].values()) == 142  # the 136 laws, the rational witness and 5 recorded limits
+    # the 136 laws, the rational witness and the 3 recorded limits that the series do not separate from their law
+    assert sum(calls["derivation_space"].values()) == 140
     assert sum(calls["diagonal_rank"].values()) == 136  # the torus of each law, not of its witness or limits
     assert sum(calls["pre_einstein"].values()) == 136  # every law, phi = 0 at rank 0
     assert sum(calls["is_nice"].values()) == 137  # the 136 laws and the rational witness
@@ -337,16 +338,18 @@ def _mm(field_name, expected, computed):
 _U_23 = "[1, 1, 0, 3, 0], [1, 1, 1, 0, 3]]"
 _PE_23 = "'32/37', '34/37', '36/37', '38/37', '40/37', '42/37']"
 _LAW_12II = "dim 7; [1,2]=4; [1,4]=5; [1,5]=7; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7; [3,4]=7*-1"
-_LAW_13IV = "dim 7; [1,2]=4; [1,3]=5; [1,4]=6; [2,3]=6; [2,4]=7; [3,5]=7"
+_LAW_13I0 = "dim 7; [1,2]=4; [1,3]=5; [1,4]=6; [1,6]=7; [2,3]=6; [2,5]=7; [3,5]=7"
 _LAW_11II = "dim 7; [1,2]=3; [1,3]=4; [1,4]=5; [1,5]=6; [1,6]=7; [2,5]=7; [3,4]=7*-1"
 _LAW_111 = "dim 7; [1,2]=4; [1,4]=5; [1,5]=6; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7; [3,4]=7*-1"
 
 # One recorded field of one entry corrupted per case, numbered: (entry id,
 # changes to its Expected, the exact mismatches, verdict, route).  Every check
 # of the recorded data against the computation appears at least once.  Each
-# corrupted record is one the loader accepts.  Numbers 13, 16, 20, 26 and 28-31
-# were records the loader refuses (test_cli's MALFORMED_RECORDS runs them) and
-# are not reused, so that each case keeps its test id.
+# corrupted record is one the loader accepts; a witness or degeneration that
+# fails its re-check leaves the law to the walk.  Numbers 13, 16, 20, 26 and
+# 28-31 were records the loader refuses (test_cli's MALFORMED_RECORDS runs
+# them), and 22 and 27 corrupted a recorded distinguishing invariant, which
+# records no longer carry; none is reused, so that each case keeps its test id.
 CORRUPTIONS = {
     0: ("2.3", lambda e: {"dim_der": 99}, [_mm("dim_der", "99", "13")], "EN", "nice_lp"),
     1: ("2.3", lambda e: {"derived": (7, 4, 0)}, [_mm("derived", "[7, 4, 0]", "[7, 5, 0]")], "EN", "nice_lp"),
@@ -396,7 +399,7 @@ CORRUPTIONS = {
             _mm("witness_law", "m = c.Id + D with D a derivation", "no decomposition"),
             _mm("verdict", "EN", "INCONCLUSIVE"),
         ],
-        "INCONCLUSIVE", "witness_rejected",
+        "INCONCLUSIVE", "no_diagonal_degeneration",
     ),
     15: (
         "2.37", lambda e: {"witness_law": parse_law("dim 7; [1,2]=3; [1,3]=4; [1,4]=5; [1,5]=6; [1,6]=7")},
@@ -405,33 +408,25 @@ CORRUPTIONS = {
                 "witness_law", "isomorphic witness",
                 "series ((7, 5, 0), (7, 5, 4, 3, 2, 1, 0)) vs ((7, 4, 0), (7, 4, 3, 1, 0))",
             ),
-            _mm("soliton_norm", "11/13", "37/35"),
+            _mm("verdict", "EN", "INCONCLUSIVE"),
         ],
-        "EN", "witness_nice_lp",
+        "INCONCLUSIVE", "no_diagonal_degeneration",
     ),
     17: (
         "1.21", lambda e: _degeneration(x=tuple(v + 1 for v in e.degeneration.x))(e),
-        [_mm("degeneration.X", "X in g_phi", "trace conditions fail")], "NOT_EN", "degeneration_recorded",
+        [_mm("degeneration.X", "X in g_phi", "trace conditions fail")], "NOT_EN", "degeneration_search",
     ),
     18: (
-        "1.21", _degeneration(limit=parse_law("dim 7; [1,2]=4"), distinguishing="dim_der 11 vs 34"),
-        [_mm("degeneration.limit", "recorded limit law", "zero")], "NOT_EN", "degeneration_recorded",
+        "1.21", _degeneration(limit=parse_law("dim 7; [1,2]=4")),
+        [_mm("degeneration.limit", "recorded limit law", "zero")], "NOT_EN", "degeneration_search",
     ),
     19: (
-        "1.2(ii)", _degeneration(limit=None, distinguishing=""),
-        [_mm("degeneration.limit", "zero", "limit")], "NOT_EN", "degeneration_recorded",
+        "1.2(ii)", _degeneration(limit=None),
+        [_mm("degeneration.limit", "zero", "limit")], "NOT_EN", "degeneration_search",
     ),
     21: (
         "1.2(ii)", _degeneration(limit=parse_law(_LAW_12II)),
-        [
-            _mm("degeneration.limit", "recorded limit law", "limit"),
-            _mm("degeneration.distinguishing", "dim_der 12 vs 13", "indistinguishable"),
-        ],
-        "NOT_EN", "degeneration_recorded",
-    ),
-    22: (
-        "1.2(ii)", _degeneration(distinguishing="dim_der 1 vs 3"),
-        [_mm("degeneration.distinguishing", "dim_der 1 vs 3", "dim_der 12 vs 13")], "NOT_EN", "degeneration_recorded",
+        [_mm("degeneration.limit", "recorded limit law", "limit")], "NOT_EN", "degeneration_search",
     ),
     23: ("2.3", lambda e: {"verdict": "NOT_EN"}, [_mm("verdict", "NOT_EN", "EN")], "EN", "nice_lp"),
     24: (
@@ -444,13 +439,7 @@ CORRUPTIONS = {
             _mm("witness_law", "m = c.Id + D with D a derivation", "moment map is not diagonal"),
             _mm("verdict", "EN", "INCONCLUSIVE"),
         ],
-        "INCONCLUSIVE", "witness_rejected",
-    ),
-    27: (
-        # a limit that only the series separate: a record naming its equal dim Der certifies nothing
-        "1.3(i_0)", _degeneration(limit=parse_law(_LAW_13IV), distinguishing="dim_der 13 vs 13"),
-        [_mm("degeneration.distinguishing", "a separating dim Der", "dim_der 13 vs 13")],
-        "NOT_EN", "degeneration_recorded",
+        "INCONCLUSIVE", "no_diagonal_degeneration",
     ),
     32: (
         # a rational witness that is isomorphic (the law itself) but not a nice basis
@@ -459,7 +448,7 @@ CORRUPTIONS = {
             _mm("witness_law", "nice witness basis", "N2 fails at image 6: pairs (2, 3) and (2, 4) share index 2"),
             _mm("verdict", "EN", "INCONCLUSIVE"),
         ],
-        "INCONCLUSIVE", "witness_rejected",
+        "INCONCLUSIVE", "no_diagonal_degeneration",
     ),
     33: (
         # an x that solves Ux = [1] with one entry too many: zip() once stopped at the shorter
@@ -478,7 +467,16 @@ CORRUPTIONS = {
             _mm("witness_law", "a positive solution of Ux=[1]", "no_positive_solution"),
             _mm("verdict", "EN", "INCONCLUSIVE"),
         ],
-        "INCONCLUSIVE", "witness_rejected",
+        "INCONCLUSIVE", "no_diagonal_degeneration",
+    ),
+    35: (
+        # a record with no X whose limit is the law itself: distinguish() does not separate them
+        "1.3(i_0)", _degeneration(limit=parse_law(_LAW_13I0)),
+        [
+            _mm("degeneration.limit", "a limit distinguish() separates from the law", "indistinguishable"),
+            _mm("verdict", "NOT_EN", "INCONCLUSIVE"),
+        ],
+        "INCONCLUSIVE", "no_diagonal_degeneration",
     ),
 }
 
@@ -493,6 +491,25 @@ def test_classify_reports_each_corrupted_field(by_id, eid, corrupt, mismatches, 
     exp = dataclasses.replace(entry.expected, **corrupt(entry.expected))
     rep = classify(dataclasses.replace(entry, expected=exp))
     assert (rep.mismatches, rep.verdict, rep.route) == (mismatches, verdict, route)
+
+
+def _record_faults(mismatches: list) -> list:
+    return [m for m in mismatches if m["field"].startswith(("witness_law", "degeneration."))]
+
+
+@pytest.mark.parametrize("n", [n for n, case in CORRUPTIONS.items() if _record_faults(case[2])])
+def test_a_rejected_record_leaves_the_law_to_the_walk(by_id, n):
+    # a witness or degeneration that fails its re-check decides nothing: the report is the one of the
+    # law with no record (what `check` gives), but for the mismatches, which name the record's faults
+    eid, corrupt, mismatches, *_ = CORRUPTIONS[n]
+    entry = by_id[eid]
+    exp = dataclasses.replace(entry.expected, **corrupt(entry.expected))
+    rep = classify(dataclasses.replace(entry, expected=exp))
+    bare = classify(dataclasses.replace(entry, expected=None))
+    assert (rep.verdict, rep.route, rep.certificates, rep.computed, rep.notes) == (
+        bare.verdict, bare.route, bare.certificates, bare.computed, bare.notes
+    )
+    assert rep.mismatches == mismatches and bare.mismatches == []
 
 
 def test_corruptions_cover_every_expected_field(by_id):

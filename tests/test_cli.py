@@ -210,7 +210,7 @@ def test_catalog_verify_green(capsys, tmp_path):
 # SHA-256 of `catalog verify --json` with every `timing` removed.  Speed-ups
 # must leave every verdict and certificate byte-identical; change this value
 # only together with a deliberate, documented change of the report contents.
-GOLDEN_VERIFY_SHA256 = "5235ea13039c9d02d2ecea243a25d9fc2d40e77f294ab807020041a3d283e8df"
+GOLDEN_VERIFY_SHA256 = "79990b9b1ec01634f36d17730de32a1473b243c949c267d50fd1cf30fd9f00f7"
 
 
 def test_catalog_verify_json_is_golden(capsys, tmp_path):
@@ -410,15 +410,11 @@ def _recorded(entry_id: str) -> dict:
 
 
 _LIMIT_12II = "dim 7; [1,2]=4; [1,4]=5; [1,6]=7; [2,3]=6; [2,4]=6; [2,5]=7"
-_NULL_IFF_ZERO = "must be null exactly when the limit is 'zero'"
 
 # A recorded field the loader refuses: (entry, field, value, message).  A
 # witness or limit that fails Jacobi or has another dimension, a limit with
 # sqrt and an X of another length were once mismatches found by classify
 MALFORMED_RECORDS = [
-    pytest.param("1.2(ii)", "degeneration.distinguishing", text, "must be null or read", id=text)
-    for text in ("rank one vs 2", "dim_der 13 vs", "rank 1 vs 2 vs 3", "rank 1 vs 3", "series (7, 5, 0) vs (7, 4, 0)")
-] + [
     pytest.param("1.11", "witness_law", "dim 7; [1,2]=3*(7/1767 sqrt(1767)", "expected ')'", id="witness_law"),
     pytest.param("1.2(ii)", "degeneration.limit", "dim 7; [1,2]=9", "out of range", id="degeneration.limit"),
     pytest.param(
@@ -451,15 +447,14 @@ MALFORMED_RECORDS = [
     pytest.param(
         "1.21", "degeneration.X", ["1", "-1"], "dimension 2 is not the law's dimension 7", id="degeneration.X-length-2",
     ),
-    # a zero limit names no distinguishing invariant (null, never ''), and a limit law names one
-    pytest.param("1.21", "degeneration.distinguishing", "dim_der 3 vs 99", _NULL_IFF_ZERO, id="zero-limit-named"),
-    pytest.param("1.21", "degeneration.distinguishing", "", "must be null or read", id="zero-limit-empty"),
-    pytest.param("1.2(ii)", "degeneration.distinguishing", None, _NULL_IFF_ZERO, id="limit-law-unnamed"),
+    # a zero limit with no X certifies nothing; distinguish() names the separating invariant, never a record
+    pytest.param("1.21", "degeneration.X", None, "must be given when the limit is 'zero'", id="zero-limit-no-X"),
+    pytest.param("1.2(ii)", "degeneration.distinguishing", "dim_der 12 vs 13", "unknown field", id="distinguishing"),
 ]
 
 
 @pytest.mark.parametrize("entry_id, field_name, value, message", MALFORMED_RECORDS)
-def test_catalog_malformed_distinguishing_exit_65(capsys, tmp_path, entry_id, field_name, value, message):
+def test_catalog_malformed_record_exit_65(capsys, tmp_path, entry_id, field_name, value, message):
     doc = json.loads(resources.files("nilrad").joinpath("data/catalog7.json").read_text())
     record = next(e for e in doc["entries"] if e["id"] == entry_id)["expected"]
     *path, key = field_name.split(".")
@@ -481,7 +476,7 @@ def test_catalog_malformed_distinguishing_exit_65(capsys, tmp_path, entry_id, fi
 REPEATED_KEYS = [
     pytest.param("2.3", (), "law", "dim 3; [1,2]=3", id="entry"),
     pytest.param("2.3", ("expected",), "verdict", "NOT_EN", id="expected"),
-    pytest.param("1.21", ("expected", "degeneration"), "distinguishing", "dim_der 3 vs 99", id="degeneration"),
+    pytest.param("1.21", ("expected", "degeneration"), "limit", "dim 7; [1,2]=4", id="degeneration"),
 ]
 
 
